@@ -294,32 +294,25 @@ def _cmd_predict(args) -> int:
     params = _load_checkpoint(args.checkpoint)
     obs_table = read_observations(args.observations)
     query_table = read_queries(args.queries, require_targets=False)
-    rows = []
-    with open(args.queries, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            rows.append((int(row[0]), int(row[1]), float(row[2])))
-    if not rows:
+    if not query_table:
         raise UsageError(f"{args.queries}: no queries to predict")
-    samples = assemble_samples(obs_table, query_table)
 
-    # Predictions per (sample, variate), in query-file order within each pair.
-    by_sample: dict[int, list[np.ndarray]] = {}
-    for sample in samples:
+    # One row per query, grouped by series and variate, in query-file order
+    # within each (series, variate).
+    rows = []
+    for sample in assemble_samples(obs_table, query_table):
+        if sample.sample_id not in query_table:
+            continue
         res = forward(Tape(), params, align(sample), sample.query_times)
-        by_sample[sample.sample_id] = res.per_variate()
-    cursor: dict[tuple[int, int], int] = {}
+        for var, (times, preds) in enumerate(zip(sample.query_times, res.per_variate()), 1):
+            for t, value in zip(times, preds):
+                rows.append([sample.sample_id, var, repr(float(t)), repr(float(value))])
     out_path = Path(args.out) if args.out else Path("predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["series_id", "variate", "time", "prediction"])
-        for sid, var, t in rows:
-            k = cursor.get((sid, var), 0)
-            cursor[(sid, var)] = k + 1
-            value = by_sample[sid][var - 1][k]
-            writer.writerow([sid, var, repr(t), repr(float(value))])
+        writer.writerows(rows)
     print(out_path)
     return EXIT_OK
 

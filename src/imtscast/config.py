@@ -87,11 +87,6 @@ def validate(cfg: TrainConfig) -> list[str]:
         raise ConfigError("patience must be >= 1")
 
     warnings = []
-    if cfg.hidden & (cfg.hidden - 1) != 0:
-        warnings.append(
-            f"hidden={cfg.hidden} is not a power of two; the spectral transform "
-            "falls back to the O(d^2) direct path"
-        )
     for key, allowed in DEFAULT_GRID.items():
         value = getattr(cfg, key)
         if value not in allowed:

@@ -9,13 +9,17 @@ spectrum occupies exactly ``d`` reals and the transform is an invertible
 linear map R^d -> R^d. The forward transform is unnormalized; the inverse
 carries the 1/d factor, so ``irfft_rows(rfft_rows(x)) == x``.
 
-Power-of-two lengths use an iterative radix-2 butterfly (vectorized across
-rows); other even lengths fall back to the direct O(d^2) summation. The
-independent test oracle ``naive_dft_rows`` always uses per-bin direct
-summation and shares nothing with the fast path.
+Both directions are one matmul with a constant (d, d) matrix, built once per
+row length and shared read-only. The rows the model transforms are short
+(d is the hidden width), where a dense DFT matmul is far cheaper than any
+Python-level FFT, and the gradients are simply those of the matmul. The
+independent test oracle ``naive_dft_rows`` uses per-bin direct summation
+and shares nothing with the matrices.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,50 +35,31 @@ def _check_rows(x: np.ndarray) -> int:
     return d
 
 
-def _is_pow2(n: int) -> bool:
-    return n & (n - 1) == 0
+@functools.cache
+def dft_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (F, G) with ``rfft(x) = x @ F`` and ``irfft(y) = y @ G``.
 
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _fft_pow2(re: np.ndarray, im: np.ndarray, inverse: bool):
-    """Iterative radix-2 complex FFT over the last axis (rows independent)."""
-    n = re.shape[-1]
-    order = _bit_reverse_indices(n)
-    re = re[..., order].copy()
-    im = im[..., order].copy()
-    rows = re.shape[0]
-    size = 2
-    sign = 1.0 if inverse else -1.0
-    while size <= n:
-        half = size // 2
-        ang = sign * 2.0 * np.pi * np.arange(half) / size
-        wr, wi = np.cos(ang), np.sin(ang)
-        rb = re.reshape(rows, n // size, size)
-        ib = im.reshape(rows, n // size, size)
-        er, ei = rb[..., :half], ib[..., :half]
-        orr, oi = rb[..., half:], ib[..., half:]
-        tr = wr * orr - wi * oi
-        ti = wr * oi + wi * orr
-        rb[..., :half], rb[..., half:] = er + tr, er - tr
-        ib[..., :half], ib[..., half:] = ei + ti, ei - ti
-        size *= 2
-    return re, im
-
-
-def _pack(re: np.ndarray, im: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((re.shape[0], d))
-    out[:, : d // 2 + 1] = re[:, : d // 2 + 1]
-    out[:, d // 2 + 1 :] = im[:, 1 : d // 2]
-    return out
+    Column j of F samples cos(2 pi j n / d) for the real bins and
+    -sin(2 pi j n / d) for the imaginary ones. G inverts F: the DC and
+    Nyquist rows carry weight 1/d, every other bin stands for a conjugate
+    pair and carries 2/d. Angles are reduced mod d before scaling so every
+    entry is computed from an argument in [0, 2 pi).
+    """
+    half = d // 2
+    n = np.arange(d)
+    real_bins = np.arange(half + 1)
+    imag_bins = np.arange(1, half)
+    ang_re = 2.0 * np.pi * (np.outer(n, real_bins) % d) / d     # (d, half+1)
+    ang_im = 2.0 * np.pi * (np.outer(n, imag_bins) % d) / d     # (d, half-1)
+    forward = np.concatenate([np.cos(ang_re), -np.sin(ang_im)], axis=1)
+    weight = np.full(half + 1, 2.0 / d)
+    weight[0] = weight[half] = 1.0 / d
+    inverse = np.concatenate(
+        [np.cos(ang_re.T) * weight[:, None], -np.sin(ang_im.T) * (2.0 / d)], axis=0
+    )
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
 
 
 def _unpack(packed: np.ndarray):
@@ -93,50 +78,13 @@ def _unpack(packed: np.ndarray):
 def rfft_mat(x: np.ndarray) -> np.ndarray:
     """Forward packed transform of each row (plain numpy, unnormalized)."""
     x = np.asarray(x, dtype=np.float64)
-    d = _check_rows(x)
-    if _is_pow2(d):
-        re, im = _fft_pow2(x, np.zeros_like(x), inverse=False)
-        return _pack(re, im, d)
-    return _direct_forward(x)
+    return x @ dft_matrices(_check_rows(x))[0]
 
 
 def irfft_mat(packed: np.ndarray) -> np.ndarray:
     """Inverse packed transform of each row (1/d normalization)."""
     packed = np.asarray(packed, dtype=np.float64)
-    d = _check_rows(packed)
-    re, im = _unpack(packed)
-    if _is_pow2(d):
-        rr, _ = _fft_pow2(re, im, inverse=True)
-        return rr / d
-    return _direct_inverse(packed)
-
-
-def _direct_forward(x: np.ndarray) -> np.ndarray:
-    d = x.shape[1]
-    grid = np.arange(d)
-    out = np.empty((x.shape[0], d))
-    for j in range(d // 2 + 1):
-        ang = 2.0 * np.pi * j * grid / d
-        out[:, j] = x @ np.cos(ang)
-        if 1 <= j <= d // 2 - 1:
-            out[:, d // 2 + j] = -(x @ np.sin(ang))
-    return out
-
-
-def _direct_inverse(packed: np.ndarray) -> np.ndarray:
-    d = packed.shape[1]
-    half = d // 2
-    grid = np.arange(d)
-    out = np.empty((packed.shape[0], d))
-    for l in range(d):
-        acc = packed[:, 0] + packed[:, half] * ((-1.0) ** l)
-        for j in range(1, half):
-            ang = 2.0 * np.pi * j * l / d
-            acc = acc + 2.0 * (
-                packed[:, j] * np.cos(ang) - packed[:, half + j] * np.sin(ang)
-            )
-        out[:, l] = acc
-    return out / d
+    return packed @ dft_matrices(_check_rows(packed))[1]
 
 
 def naive_dft_rows(x: np.ndarray) -> np.ndarray:
@@ -162,27 +110,9 @@ def spectrum_energy(packed: np.ndarray) -> np.ndarray:
 
 def rfft_rows(t: Tensor) -> Tensor:
     """Tape-recorded forward transform of each row."""
-    d = _check_rows(t.data)
-    half = d // 2
-
-    def vjp(g):
-        scaled = g.copy()
-        scaled[:, 1:half] *= 0.5
-        scaled[:, half + 1 :] *= 0.5
-        return (irfft_mat(scaled) * d,)
-
-    return t.tape.record("rfft_rows", rfft_mat(t.data), (t,), vjp)
+    return t @ dft_matrices(_check_rows(t.data))[0]
 
 
 def irfft_rows(t: Tensor) -> Tensor:
     """Tape-recorded inverse transform of each row."""
-    d = _check_rows(t.data)
-    half = d // 2
-
-    def vjp(g):
-        out = rfft_mat(g)
-        out[:, 1:half] *= 2.0
-        out[:, half + 1 :] *= 2.0
-        return (out / d,)
-
-    return t.tape.record("irfft_rows", irfft_mat(t.data), (t,), vjp)
+    return t @ dft_matrices(_check_rows(t.data))[1]

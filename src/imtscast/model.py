@@ -12,6 +12,7 @@ treat them uniformly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -283,32 +284,61 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
 
     Layout is the cos block then the sin block, scaled by 1/sqrt(R); inner
     products of two feature rows then estimate exp(-|x-y|^2/2)/2 for
-    standard-normal frequency draws.
+    standard-normal frequency draws. The map is one tape node whose VJP
+    reuses the forward's cos and sin, so each trig value is computed once.
     """
     proj = x @ omega + phase                                   # (rows, R/2)
-    r = 2 * proj.data.shape[1]
-    return T.concat([T.cos(proj), T.sin(proj)], axis=1) * (1.0 / np.sqrt(r))
+    half = proj.data.shape[1]
+    scale = 1.0 / np.sqrt(2 * half)
+    c, s = np.cos(proj.data), np.sin(proj.data)
+
+    def vjp(g):
+        return ((g[:, half:] * c - g[:, :half] * s) * scale,)
+
+    return x.tape.record("rff_features", np.concatenate([c, s], axis=1) * scale,
+                         (proj,), vjp)
+
+
+@functools.cache
+def _head_mask(heads: int, r: int, width: int) -> np.ndarray:
+    """Read-only block-diagonal (heads*r, heads*width) 0/1 mask."""
+    mask = np.kron(np.eye(heads), np.ones((r, width)))
+    mask.setflags(write=False)
+    return mask
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
                      stats: dict | None = None) -> Tensor:
-    """Kernelized attention in the linear-cost association order.
+    """Kernelized attention of every head at once, in linear-cost order.
 
-    Numerator phi(Q) (phi(K)^T V) and denominator phi(Q) (phi(K)^T 1) never
-    materialize the (N, N) weight matrix. Random features are sign-
-    indefinite, so the denominator is guarded by a small epsilon; rows whose
-    pre-guard magnitude falls below DEGENERATE_DENOM are counted as
-    collapsed in ``stats``.
+    ``q``, ``k`` and ``v`` are (N, d) with head h in columns
+    [h*d_h, (h+1)*d_h); d_h is the row count of ``omega``. Per head, the numerator phi(Q) (phi(K)^T V) and the
+    denominator phi(Q) (phi(K)^T 1) never materialize the (N, N) weight
+    matrix. All heads share one feature map over the (N*H, d_h) rows; one
+    matmul forms phi(K)^T [V | 1] for every pair of heads, and a constant
+    block-diagonal mask keeps only the pairs of a head with itself, so one
+    more matmul yields every numerator and denominator. Random features are
+    sign-indefinite, so the denominator is guarded by a small epsilon; each
+    (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
+    counted as collapsed in ``stats``.
     """
-    fq = rff_features(q, omega, phase)
-    fk = rff_features(k, omega, phase)
-    num = fq @ (fk.T @ v)                                      # (N, d_h)
-    den = fq @ fk.sum(axis=0, keepdims=True).T                 # (N, 1)
+    n, d = q.data.shape
+    d_head = omega.data.shape[0]
+    heads = d // d_head
+    fq = rff_features(q.reshape((n * heads, d_head)), omega, phase)
+    fk = rff_features(k.reshape((n * heads, d_head)), omega, phase)
+    r = fq.data.shape[1]
+    ones = q.tape.const(np.ones((n * heads, 1)))
+    v_one = T.concat([v.reshape((n * heads, d_head)), ones], axis=1)
+    kv = fk.reshape((n, heads * r)).T @ v_one.reshape((n, heads * (d_head + 1)))
+    kv = kv * _head_mask(heads, r, d_head + 1)                 # (H*R, H*(d_h+1))
+    both = (fq.reshape((n, heads * r)) @ kv).reshape((n * heads, d_head + 1))
+    num, den = both[:, :d_head], both[:, d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
             (np.abs(den.data) < DEGENERATE_DENOM).sum()
         )
-    return num / (den + ATTENTION_EPS)
+    return (num / (den + ATTENTION_EPS)).reshape((n, d))
 
 
 def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -338,27 +368,31 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
-    outs = []
-    for h in range(heads):
-        cols = slice(h * d_head, (h + 1) * d_head)
-        q, k, v = q_all[:, cols], k_all[:, cols], v_all[:, cols]
-        if cfg.softmax_attention:
-            out = softmax_attention(q, k, v)
-        else:
-            out = linear_attention(q, k, v, omega, phase, stats=stats)
-        if capture is not None:
+    head_cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
+    if cfg.softmax_attention:
+        mixed_in = T.concat(
+            [softmax_attention(q_all[:, c], k_all[:, c], v_all[:, c]) for c in head_cols],
+            axis=1,
+        )
+    else:
+        mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats)
+    if capture is not None:
+        for h, cols in enumerate(head_cols):
+            phi_q = phi_k = None
+            if not cfg.softmax_attention:
+                phi_q = rff_features(q_all[:, cols], omega, phase).data
+                phi_k = rff_features(k_all[:, cols], omega, phase).data
             capture.append(
                 {
                     "block": block,
                     "head": h,
-                    "phi_q": None if cfg.softmax_attention else rff_features(q, omega, phase).data,
-                    "phi_k": None if cfg.softmax_attention else rff_features(k, omega, phase).data,
-                    "values": v.data,
-                    "linear_out": out.data,
+                    "phi_q": phi_q,
+                    "phi_k": phi_k,
+                    "values": v_all.data[:, cols],
+                    "linear_out": mixed_in.data[:, cols],
                 }
             )
-        outs.append(out)
-    mixed = z + irfft_rows(T.concat(outs, axis=1) * float(d))
+    mixed = z + irfft_rows(mixed_in * float(d))
     normed2 = T.layernorm(mixed) * p[pre + "ln2_g"] + p[pre + "ln2_b"]
     inner = T.relu(normed2 @ p[pre + "mlp_w1"] + p[pre + "mlp_b1"])
     return mixed + inner @ p[pre + "mlp_w2"] + p[pre + "mlp_b2"]

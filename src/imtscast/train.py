@@ -200,18 +200,19 @@ def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
 def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = None):
     """Pooled metrics over every queried point of ``samples``.
 
-    Returns (metrics dict, list of per-sample ForwardResult).
+    Returns (metrics dict, list of per-sample flat prediction arrays). Only
+    the arrays are kept, so nothing holds a sample's tape after its forward
+    pass.
     """
     if prepared is None:
         prepared = _prepare(samples)
-    preds, targets, results = [], [], []
+    preds, targets = [], []
     for prep in prepared:
         res = forward(Tape(), params, prep.triplet, prep.queries)
-        results.append(res)
         preds.append(res.predictions.data.ravel())
         targets.append(prep.targets_flat)
     stats = metrics(np.concatenate(preds), np.concatenate(targets))
-    return stats, results
+    return stats, preds
 
 
 def train(train_samples, val_samples, cfg: TrainConfig,

@@ -3,6 +3,7 @@ import pytest
 
 import imtscast.tape as T
 from imtscast.fourier import (
+    dft_matrices,
     irfft_mat,
     irfft_rows,
     naive_dft_rows,
@@ -41,11 +42,17 @@ class TestForwardTransform:
         with pytest.raises(ShapeError, match="even"):
             rfft_mat(np.ones((1, 5)))
 
-    def test_non_power_of_two_falls_back_to_direct_path(self):
+    def test_non_power_of_two_length(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 6))
         assert np.allclose(rfft_mat(x), naive_dft_rows(x), atol=1e-10)
         assert np.allclose(irfft_mat(rfft_mat(x)), x, atol=1e-10)
+
+    def test_matrices_built_once_and_read_only(self):
+        forward, inverse = dft_matrices(8)
+        assert dft_matrices(8) is dft_matrices(8)
+        assert not forward.flags.writeable and not inverse.flags.writeable
+        assert np.abs(forward @ inverse - np.eye(8)).max() < 1e-12
 
 
 class TestInverseTransform:

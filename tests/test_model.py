@@ -20,7 +20,7 @@ from imtscast.model import (
     rff_features,
     time_encode,
 )
-from imtscast.tape import Tape
+from imtscast.tape import Tape, grad_check
 
 from conftest import random_sample
 
@@ -299,6 +299,20 @@ class TestRandomFeatures:
         expected = np.cos((x - y) @ omega).sum() / 16
         assert (px @ py.T).item() == pytest.approx(expected, abs=1e-12)
 
+    def test_fused_feature_map_gradients(self):
+        omega, phase = self.feature_draw(3, 8, seed=9)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((4, 3))
+        probe = rng.standard_normal((4, 8))
+
+        def build(tape, bound):
+            phi = rff_features(bound["x"], bound["omega"], bound["phase"])
+            return (phi * tape.const(probe)).sum()
+
+        report = grad_check(build, {"x": x, "omega": omega, "phase": phase},
+                            step=1e-4, tol=1e-4)
+        assert report.ok, report.lines()
+
 
 class TestLinearAttention:
     def draw(self, n, d_h, r, seed):
@@ -350,6 +364,48 @@ class TestLinearAttention:
                          stats=stats)
         assert "degenerate_rows" in stats
 
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 5, 128])
+    def test_head_batched_equals_per_head_loop(self, heads, n):
+        d_h, r = 8, 64
+        rng = np.random.default_rng([heads, n])
+        q, k, v = (rng.standard_normal((n, heads * d_h)) for _ in range(3))
+        omega = rng.standard_normal((d_h, r // 2))
+        phase = rng.uniform(0, 2 * np.pi, (1, r // 2))
+        tape = Tape()
+        out = linear_attention(tape.const(q), tape.const(k), tape.const(v),
+                               tape.const(omega), tape.const(phase)).data
+
+        def phi(m):
+            proj = m @ omega + phase
+            return np.concatenate([np.cos(proj), np.sin(proj)], axis=1) / np.sqrt(r)
+
+        for h in range(heads):
+            cols = slice(h * d_h, (h + 1) * d_h)
+            pq, pk = phi(q[:, cols]), phi(k[:, cols])
+            expected = (pq @ (pk.T @ v[:, cols])) / (pq @ pk.sum(axis=0)[:, None] + 1e-6)
+            assert np.abs(out[:, cols] - expected).max() < 1e-10
+
+    def test_degenerate_rows_counted_per_row_and_head(self):
+        # One frequency, no phase: keys 0 and pi have opposite features, so
+        # head 0's key sum (and every denominator of head 0) is roundoff,
+        # while head 1's equal keys give a well-conditioned denominator.
+        q = np.array([[0.3, 0.3], [0.7, 0.7]])
+        k = np.array([[0.0, 0.0], [np.pi, 0.0]])
+        v = np.ones((2, 2))
+        omega, phase = np.ones((1, 1)), np.zeros((1, 1))
+        tape = Tape()
+        batched = {}
+        linear_attention(tape.const(q), tape.const(k), tape.const(v), tape.const(omega),
+                         tape.const(phase), stats=batched)
+        per_head = {}
+        for h in range(2):
+            cols = slice(h, h + 1)
+            linear_attention(tape.const(q[:, cols]), tape.const(k[:, cols]),
+                             tape.const(v[:, cols]), tape.const(omega),
+                             tape.const(phase), stats=per_head)
+        assert batched["degenerate_rows"] == per_head["degenerate_rows"] == 2
+
 
 def block_config(**kw):
     base = dict(hidden=16, heads=2, rff_dim=16, kernels=2, conv_channels=2,
@@ -379,6 +435,18 @@ class TestAttentionBlock:
         z = np.random.default_rng(n).standard_normal((n, cfg.hidden))
         assert attention_block(tape.const(z), 0, p, cfg).data.shape == (n, cfg.hidden)
 
+    def test_tape_nodes_independent_of_head_count(self):
+        z = np.random.default_rng(5).standard_normal((5, 16))
+        counts = []
+        for heads in (1, 4):
+            cfg = block_config(heads=heads)
+            tape = Tape()
+            p = ModelParams.init(cfg, seed=6).bind(tape)
+            before = len(tape.nodes)
+            attention_block(tape.const(z), 0, p, cfg)
+            counts.append(len(tape.nodes) - before)
+        assert counts[0] == counts[1]
+
     def test_matches_straight_line_reimplementation(self):
         cfg = block_config(hidden=16, heads=2, rff_dim=16)
         model = ModelParams.init(cfg, seed=3)
@@ -399,7 +467,9 @@ class TestAttentionBlock:
             return xc / np.sqrt(var + 1e-5)
 
         normed = ln(z) * arr["ln1_g"] + arr["ln1_b"]
-        coeff = rfft_mat(normed)
+        # Forward-normalized spectral pair: 1/d after the forward transform,
+        # d before the inverse (see attention_block).
+        coeff = rfft_mat(normed) / 16
         qa, ka, va = coeff @ arr["wq"], coeff @ arr["wk"], coeff @ arr["wv"]
         heads = []
         for h in range(2):
@@ -414,7 +484,7 @@ class TestAttentionBlock:
             num = pq @ (pk.T @ v)
             den = pq @ pk.sum(axis=0)[:, None]
             heads.append(num / (den + 1e-6))
-        u = z + irfft_mat(np.concatenate(heads, axis=1))
+        u = z + irfft_mat(np.concatenate(heads, axis=1) * 16)
         normed2 = ln(u) * arr["ln2_g"] + arr["ln2_b"]
         mlp = np.maximum(normed2 @ arr["mlp_w1"] + arr["mlp_b1"], 0.0) @ arr["mlp_w2"] + arr["mlp_b2"]
         expected = u + mlp

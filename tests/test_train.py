@@ -1,3 +1,7 @@
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,11 @@ from imtscast.train import (
     shuffled_order,
     train,
 )
+from imtscast.tape import Tape
+
+# ``imtscast.train`` the attribute is the train() function re-exported by the
+# package, so the module is fetched by its full name.
+train_module = importlib.import_module("imtscast.train")
 
 
 class TestLossAndMetrics:
@@ -141,6 +150,23 @@ class TestTrainingLoop:
         assert result.best_val_mse == min(h.val_mse for h in result.history)
         stats, _ = evaluate(result.params, samples[4:])
         assert stats["mse"] == pytest.approx(result.best_val_mse, rel=1e-12)
+
+    def test_evaluate_frees_every_tape(self, monkeypatch):
+        samples = tiny_dataset(seed=7)
+        params = ModelParams.init(tiny_cfg())
+        tapes = []
+
+        def tracked_tape():
+            tape = Tape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(train_module, "Tape", tracked_tape)
+        stats, preds = evaluate(params, samples)
+        gc.collect()
+        assert len(tapes) == len(samples)
+        assert all(ref() is None for ref in tapes)
+        assert np.concatenate(preds).size == sum(q.size for s in samples for q in s.query_times)
 
     def test_history_is_finite(self):
         samples = tiny_dataset(seed=2)
