@@ -4,7 +4,9 @@ An irregular multivariate sample is a list of per-variate observation
 streams at mutually unaligned timestamps, plus future query times per
 variate. ``align`` merges every timestamp into one sorted grid and
 produces a zero-filled value matrix with a binary observedness mask, which
-is the representation all downstream stages consume.
+is the representation all downstream stages consume. ``pad_chunk`` stacks
+several aligned samples with the same variate count into one padded block
+so that they can run through the model together.
 """
 
 from __future__ import annotations
@@ -119,6 +121,64 @@ class AlignedTriplet:
     @property
     def n_variates(self) -> int:
         return self.values.shape[1]
+
+
+@dataclass(frozen=True)
+class PaddedChunk:
+    """Aligned samples with a common variate count N, padded to one grid length.
+
+    Rows are sample-major: row ``b*N + n`` is variate n of sample b. Cells
+    past a sample's own grid have value 0 and mask 0, so every stage that
+    masks (pooling) or zero-pads (the smoothing convolution) treats them
+    exactly as if the grid ended there.
+    """
+
+    values: np.ndarray  # (B*N, L_max), zero where unobserved or padded
+    mask: np.ndarray    # (B*N, L_max) in {0, 1}
+    times: np.ndarray   # (B, L_max); past its grid, each row repeats its last time
+    n_variates: int
+
+    @property
+    def samples(self) -> int:
+        return self.times.shape[0]
+
+    @property
+    def grid_length(self) -> int:
+        return self.times.shape[1]
+
+
+def pad_columns(blocks, length: int) -> np.ndarray:
+    """Place (L_b, c_b) blocks side by side in one (length, sum c_b) array.
+
+    Rows past a block's own L_b repeat its last row, which keeps padded
+    times finite and in order; callers mask those rows out.
+    """
+    out = np.empty((length, sum(block.shape[1] for block in blocks)))
+    col = 0
+    for block in blocks:
+        rows, width = block.shape
+        out[:rows, col : col + width] = block
+        out[rows:, col : col + width] = block[-1]
+        col += width
+    return out
+
+
+def pad_chunk(triplets) -> PaddedChunk:
+    """Stack aligned samples that share N into one padded chunk."""
+    triplets = list(triplets)
+    if not triplets:
+        raise DataError("pad_chunk: needs at least one sample")
+    n = triplets[0].n_variates
+    if any(t.n_variates != n for t in triplets):
+        raise DataError("pad_chunk: samples in one chunk must have the same variate count")
+    length = max(t.grid_length for t in triplets)
+    values = np.zeros((len(triplets) * n, length))
+    mask = np.zeros((len(triplets) * n, length))
+    for b, t in enumerate(triplets):
+        values[b * n : (b + 1) * n, : t.grid_length] = t.values.T
+        mask[b * n : (b + 1) * n, : t.grid_length] = t.mask.T
+    times = pad_columns([t.times[:, None] for t in triplets], length).T.copy()
+    return PaddedChunk(values=values, mask=mask, times=times, n_variates=n)
 
 
 @dataclass(frozen=True)

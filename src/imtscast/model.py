@@ -5,6 +5,12 @@ continuous time encoding fused in, Gaussian-kernel pooling of each variate
 down to a fixed-width vector, stacked spectral linear-attention blocks that
 mix variates, and a query-conditioned MLP head.
 
+The forward pass runs a chunk of B samples that share the variate count N
+(see ``data.pad_chunk``); one sample is a chunk of one. Every layer works
+on (B*N, .) rows in sample-major order. Only pooling and attention need to
+know where one sample ends: they take the sample count and reshape to
+per-sample stacks for batched matmuls.
+
 All layers run on the differentiation tape; parameters live in a flat
 name -> array dict so the optimizer, serialization and gradient checks can
 treat them uniformly.
@@ -12,22 +18,19 @@ treat them uniformly.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tape as T
-from .config import TrainConfig, validate
-from .data import AlignedTriplet, DataError, normalize_times
+from .config import ConfigError, TrainConfig, validate
+from .data import AlignedTriplet, DataError, normalize_times, pad_chunk, pad_columns
 from .fourier import irfft_rows, rfft_rows
 from .tape import Tape, Tensor
 
 ATTENTION_EPS = 1e-6          # guard for sign-indefinite random-feature denominators
 DEGENERATE_DENOM = 1e-12      # below this (pre-guard) a row counts as collapsed
-POOL_DENOM_GUARD = 1e-300     # rescues all-zero kernel columns; a bitwise no-op
-                              # for any column with an observed point
 
 
 @dataclass
@@ -141,23 +144,50 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != "imtscast-checkpoint-1":
-            raise DataError(f"{path}: not a checkpoint file")
-        cfg = TrainConfig.from_dict(doc["config"])
+        """Read a checkpoint written by ``save``.
 
-        def restore(section):
-            return {
-                n: np.asarray(e["data"], dtype=np.float64).reshape(e["shape"])
-                for n, e in section.items()
-            }
+        Raises DataError for invalid JSON, missing sections, or parameter and
+        buffer names or shapes that differ from what ``init`` builds for the
+        stored config.
+        """
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as err:  # invalid JSON or text encoding
+            raise DataError(f"{path}: not a valid checkpoint: {err}") from err
+        if not isinstance(doc, dict) or doc.get("format") != "imtscast-checkpoint-1":
+            raise DataError(f"{path}: not a checkpoint file")
+        missing = [key for key in ("config", "rff_seed", "params", "buffers") if key not in doc]
+        if missing:
+            raise DataError(f"{path}: checkpoint has no {', '.join(missing)}")
+        try:
+            cfg = TrainConfig.from_dict(doc["config"])
+            reference = cls.init(cfg)
+            rff_seed = int(doc["rff_seed"])
+        except (ConfigError, TypeError, ValueError) as err:
+            raise DataError(f"{path}: bad checkpoint config: {err}") from err
+
+        def restore(key, expected):
+            section = doc[key]
+            if not isinstance(section, dict) or set(section) != set(expected):
+                raise DataError(f"{path}: {key} names differ from what the config builds")
+            out = {}
+            for name, entry in section.items():
+                try:
+                    arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                except (KeyError, TypeError, ValueError) as err:
+                    raise DataError(f"{path}: malformed {key} entry {name!r}: {err}") from err
+                if arr.shape != expected[name].shape:
+                    raise DataError(f"{path}: {key} {name!r} has shape {arr.shape}, "
+                                    f"the config builds {expected[name].shape}")
+                out[name] = arr
+            return out
 
         return cls(
             cfg=cfg,
-            arrays=restore(doc["params"]),
-            buffers=restore(doc["buffers"]),
-            rff_seed=int(doc["rff_seed"]),
+            arrays=restore("params", reference.arrays),
+            buffers=restore("buffers", reference.buffers),
+            rff_seed=rff_seed,
         )
 
 
@@ -212,10 +242,18 @@ def conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
 def encode_series(rows: Tensor, tcol: Tensor, p: dict[str, Tensor],
                   use_conv: bool = True) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
-    fused representation: all variates share both the filters and the grid."""
+    fused representation: all variates share both the filters and the grid.
+
+    ``rows`` is (B*N, L), sample-major; ``tcol`` is the (B*L, 1) column of
+    the B samples' grid times, one grid after another. The projection is
+    added to each sample's N rows by broadcasting.
+    """
     base = conv_smooth(rows, p) if use_conv else rows
-    tproj = time_encode(tcol, p) @ p["te.w_t"]                 # (L, 1)
-    return base + tproj.T                                      # (N, L) + (1, L)
+    total, length = rows.data.shape
+    samples = tcol.data.shape[0] // length
+    tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
+    fused = base.reshape((samples, total // samples, length)) + tproj   # (B, N, L)
+    return fused.reshape((total, length))
 
 
 def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -228,7 +266,19 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
     """
     weights = _kernel_weights(t_norm, p) * mask_col            # (L, K)
     colsum = weights.sum(axis=0, keepdims=True)
-    return weights / (colsum + POOL_DENOM_GUARD)
+    return weights / _nonzero(colsum)
+
+
+def _nonzero(den: Tensor) -> Tensor:
+    """``den`` with its exact zeros replaced by ones.
+
+    A pooling denominator is exactly zero only where its numerator is too:
+    a variate with no observation, or a kernel with no support at any
+    observed point. Those entries then pool to 0 / 1 = 0 with finite
+    gradients, where a tiny additive guard would give 0 / 0 in the
+    division's gradient. Every other entry is left bitwise unchanged.
+    """
+    return den + den.tape.const((den.data == 0.0).astype(np.float64))
 
 
 def _kernel_weights(t_norm: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -249,30 +299,30 @@ def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
 
 
 def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm_cols: np.ndarray,
-             shared_norm: bool, p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
-    """Pool every variate at once: (N, L) -> (N, d).
+             shared_norm: bool, p: dict[str, Tensor], use_gate: bool = True,
+             samples: int = 1) -> Tensor:
+    """Pool every variate of every sample at once: (B*N, L) -> (B*N, d).
 
-    Equivalent to pool_coefficients + pool_summary per variate, but the
-    normalization is folded into one division, so no (L, K) matrix per
-    variate is materialized.
+    ``mask_rows`` is (B*N, L) and ``t_norm_cols`` (L, B*N), one column of
+    normalized grid times per row of ``xhat``. With ``shared_norm`` a
+    sample's columns are identical, so G = 1 kernel-weight matrix serves
+    the whole sample; otherwise G = N, one per variate. The (B*G, L, K)
+    weights meet the masked rows in one batched matmul for the numerator
+    and one for the denominator. Equivalent to pool_coefficients +
+    pool_summary per variate, but the normalization is folded into one
+    division, so no (L, K) coefficient matrix per variate is materialized.
+    Masked and padded cells drop out of both sums.
     """
     tp = xhat.tape
-    n = xhat.data.shape[0]
-    mask = tp.const(mask_rows)                                 # (N, L)
-    masked_x = xhat * mask
-    if shared_norm:
-        weights = _kernel_weights(tp.const(t_norm_cols[:, :1]), p)   # (L, K)
-        num = masked_x @ weights                               # (N, K)
-        den = mask @ weights                                   # (N, K)
-    else:
-        num_rows, den_rows = [], []
-        for col in range(n):
-            w_n = _kernel_weights(tp.const(t_norm_cols[:, col : col + 1]), p)
-            num_rows.append(masked_x[col : col + 1, :] @ w_n)
-            den_rows.append(mask[col : col + 1, :] @ w_n)
-        num = T.concat(num_rows, axis=0)
-        den = T.concat(den_rows, axis=0)
-    pooled = num / (den + POOL_DENOM_GUARD)                    # (N, K)
+    total, length = xhat.data.shape
+    groups = samples if shared_norm else total
+    t_cols = t_norm_cols[:, :: total // samples] if shared_norm else t_norm_cols
+    weights = _kernel_weights(tp.const(t_cols.T[:, :, None]), p)   # (B*G, L, K)
+    stacked = (groups, total // groups, length)
+    mask = tp.const(mask_rows.reshape(stacked))
+    num = T.bmm(xhat.reshape(stacked) * mask, weights)        # (B*G, N/G, K)
+    den = T.bmm(mask, weights)
+    pooled = (num / _nonzero(den)).reshape((total, weights.data.shape[2]))
     if use_gate:
         pooled = pooled * T.sigmoid(p["pool.gate"])
     flags = tp.const((mask_rows.sum(axis=1, keepdims=True) > 0).astype(np.float64))
@@ -299,60 +349,78 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
                          (proj,), vjp)
 
 
-@functools.cache
-def _head_mask(heads: int, r: int, width: int) -> np.ndarray:
-    """Read-only block-diagonal (heads*r, heads*width) 0/1 mask."""
-    mask = np.kron(np.eye(heads), np.ones((r, width)))
-    mask.setflags(write=False)
-    return mask
+def _split_heads(x: Tensor, samples: int, n: int, heads: int,
+                 axes=(0, 2, 1, 3)) -> Tensor:
+    """Regroup rows laid out (sample, variate, head, w) in row-major order,
+    such as (B*N, H*w) or (B*N*H, w), into (B*H, N, w): one stack entry per
+    (sample, head). ``axes=(0, 2, 3, 1)`` gives (B*H, w, N) instead."""
+    width = x.data.size // (samples * n * heads)
+    split = T.permute(x.reshape((samples, n, heads, width)), axes)
+    return split.reshape((samples * heads,) + split.data.shape[2:])
+
+
+def _merge_heads(x: Tensor, samples: int) -> Tensor:
+    """(B*H, N, w) -> (B*N, H*w), the inverse of ``_split_heads``."""
+    stack, n, width = x.data.shape
+    heads = stack // samples
+    merged = T.permute(x.reshape((samples, heads, n, width)), (0, 2, 1, 3))
+    return merged.reshape((samples * n, heads * width))
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
-                     stats: dict | None = None) -> Tensor:
-    """Kernelized attention of every head at once, in linear-cost order.
+                     stats: dict | None = None, samples: int = 1) -> Tensor:
+    """Kernelized attention of every (sample, head) at once, in linear-cost order.
 
-    ``q``, ``k`` and ``v`` are (N, d) with head h in columns
-    [h*d_h, (h+1)*d_h); d_h is the row count of ``omega``. Per head, the numerator phi(Q) (phi(K)^T V) and the
-    denominator phi(Q) (phi(K)^T 1) never materialize the (N, N) weight
-    matrix. All heads share one feature map over the (N*H, d_h) rows; one
-    matmul forms phi(K)^T [V | 1] for every pair of heads, and a constant
-    block-diagonal mask keeps only the pairs of a head with itself, so one
-    more matmul yields every numerator and denominator. Random features are
-    sign-indefinite, so the denominator is guarded by a small epsilon; each
-    (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
-    counted as collapsed in ``stats``.
+    ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
+    [h*d_h, (h+1)*d_h); d_h is the row count of ``omega``. Per sample and
+    head, the numerator phi(Q) (phi(K)^T V) and the denominator
+    phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix. One
+    feature map covers the (B*N*H, d_h) rows; the features and [V | 1] are
+    regrouped into (B*H, N, .) stacks, one batched matmul forms every
+    phi(K)^T [V | 1], and one more yields every numerator and denominator.
+    Random features are sign-indefinite, so the denominator is guarded by a
+    small epsilon; each (row, head) whose pre-guard magnitude falls below
+    DEGENERATE_DENOM is counted as collapsed in ``stats``.
     """
-    n, d = q.data.shape
+    total, d = q.data.shape
     d_head = omega.data.shape[0]
-    heads = d // d_head
-    fq = rff_features(q.reshape((n * heads, d_head)), omega, phase)
-    fk = rff_features(k.reshape((n * heads, d_head)), omega, phase)
-    r = fq.data.shape[1]
-    ones = q.tape.const(np.ones((n * heads, 1)))
-    v_one = T.concat([v.reshape((n * heads, d_head)), ones], axis=1)
-    kv = fk.reshape((n, heads * r)).T @ v_one.reshape((n, heads * (d_head + 1)))
-    kv = kv * _head_mask(heads, r, d_head + 1)                 # (H*R, H*(d_h+1))
-    both = (fq.reshape((n, heads * r)) @ kv).reshape((n * heads, d_head + 1))
-    num, den = both[:, :d_head], both[:, d_head:]
+    heads, n = d // d_head, total // samples
+    fq = _split_heads(rff_features(q.reshape((total * heads, d_head)), omega, phase),
+                      samples, n, heads)                       # (B*H, N, R)
+    fk = _split_heads(rff_features(k.reshape((total * heads, d_head)), omega, phase),
+                      samples, n, heads)
+    ones = q.tape.const(np.ones((samples * heads, n, 1)))
+    v_one = T.concat([_split_heads(v, samples, n, heads), ones], axis=2)   # (B*H, N, d_h+1)
+    both = T.bmm(fq, T.bmm(fk, v_one, transpose_a=True))       # (B*H, N, d_h+1)
+    num, den = both[:, :, :d_head], both[:, :, d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
             (np.abs(den.data) < DEGENERATE_DENOM).sum()
         )
-    return (num / (den + ATTENTION_EPS)).reshape((n, d))
+    return _merge_heads(num / (den + ATTENTION_EPS), samples)
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Exact softmax attention; ablation-only quadratic path."""
-    d_head = q.data.shape[1]
-    scores = (q @ k.T) * (1.0 / np.sqrt(d_head))
-    shift = q.tape.const(scores.data.max(axis=1, keepdims=True))  # detached, safe shift
+def softmax_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                      samples: int = 1) -> Tensor:
+    """Exact softmax attention per (sample, head); ablation-only quadratic path.
+
+    Same (B*N, d) layout as ``linear_attention``.
+    """
+    total, d = q.data.shape
+    d_head, n = d // heads, total // samples
+    k_t = _split_heads(k, samples, n, heads, axes=(0, 2, 3, 1))   # (B*H, d_h, N)
+    scores = T.bmm(_split_heads(q, samples, n, heads), k_t) * (1.0 / np.sqrt(d_head))
+    shift = q.tape.const(scores.data.max(axis=2, keepdims=True))  # detached, safe shift
     expd = T.exp(scores - shift)
-    return (expd / expd.sum(axis=1, keepdims=True)) @ v
+    weights = expd / expd.sum(axis=2, keepdims=True)
+    return _merge_heads(T.bmm(weights, _split_heads(v, samples, n, heads)), samples)
 
 
 def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfig,
-                    stats: dict | None = None, capture: list | None = None) -> Tensor:
-    """One pre-norm block: spectral mixing across variates, then an MLP."""
+                    stats: dict | None = None, capture: list | None = None,
+                    samples: int = 1) -> Tensor:
+    """One pre-norm block: spectral mixing across each sample's variates, then
+    an MLP. ``z`` is (B*N, d), sample-major."""
     pre = f"blocks.{block}."
     omega, phase = p[pre + "omega"], p[pre + "phase"]
     heads, d = cfg.heads, cfg.hidden
@@ -364,34 +432,35 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
     # projections a ~sqrt(d) coefficient scale; in training that drifts the
     # random-feature kernel into saturation, where attention denominators
     # collapse to roundoff and the loss spikes.
-    coeffs = rfft_rows(normed) * (1.0 / d)                     # (N, d)
+    coeffs = rfft_rows(normed) * (1.0 / d)                     # (B*N, d)
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
-    head_cols = [slice(h * d_head, (h + 1) * d_head) for h in range(heads)]
     if cfg.softmax_attention:
-        mixed_in = T.concat(
-            [softmax_attention(q_all[:, c], k_all[:, c], v_all[:, c]) for c in head_cols],
-            axis=1,
-        )
+        mixed_in = softmax_attention(q_all, k_all, v_all, heads, samples=samples)
     else:
-        mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats)
+        mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats,
+                                    samples=samples)
     if capture is not None:
-        for h, cols in enumerate(head_cols):
-            phi_q = phi_k = None
-            if not cfg.softmax_attention:
-                phi_q = rff_features(q_all[:, cols], omega, phase).data
-                phi_k = rff_features(k_all[:, cols], omega, phase).data
-            capture.append(
-                {
-                    "block": block,
-                    "head": h,
-                    "phi_q": phi_q,
-                    "phi_k": phi_k,
-                    "values": v_all.data[:, cols],
-                    "linear_out": mixed_in.data[:, cols],
-                }
-            )
+        n = z.data.shape[0] // samples
+        for sample in range(samples):
+            rows = slice(sample * n, (sample + 1) * n)
+            for h in range(heads):
+                cols = slice(h * d_head, (h + 1) * d_head)
+                phi_q = phi_k = None
+                if not cfg.softmax_attention:
+                    phi_q = rff_features(q_all[rows, cols], omega, phase).data
+                    phi_k = rff_features(k_all[rows, cols], omega, phase).data
+                capture.append(
+                    {
+                        "block": block,
+                        "head": h,
+                        "phi_q": phi_q,
+                        "phi_k": phi_k,
+                        "values": v_all.data[rows, cols],
+                        "linear_out": mixed_in.data[rows, cols],
+                    }
+                )
     mixed = z + irfft_rows(mixed_in * float(d))
     normed2 = T.layernorm(mixed) * p[pre + "ln2_g"] + p[pre + "ln2_b"]
     inner = T.relu(normed2 @ p[pre + "mlp_w1"] + p[pre + "mlp_b1"])
@@ -400,38 +469,61 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
 
 @dataclass
 class ForwardResult:
-    """Flat per-query predictions plus the bookkeeping to regroup them."""
+    """Flat per-query predictions of a chunk plus the bookkeeping to regroup them.
+
+    Rows run sample after sample, and within a sample variate after variate.
+    """
 
     predictions: Tensor          # (total_queries, 1)
-    variate_index: np.ndarray    # (total_queries,) 0-based variate of each row
+    variate_index: np.ndarray    # (total_queries,) 0-based variate of each row in its sample
     query_times: np.ndarray      # (total_queries,)
-    counts: list[int]            # queries per variate
+    counts: list[int]            # queries per variate, sample after sample (B*N entries)
+    samples: int = 1
     stats: dict = field(default_factory=dict)
 
     def per_variate(self) -> list[np.ndarray]:
+        """One array per (sample, variate); for a chunk of one, per variate."""
+        return self._split(self.counts)
+
+    def per_sample(self) -> list[np.ndarray]:
+        """One flat array per sample."""
+        n = len(self.counts) // self.samples
+        return self._split([sum(self.counts[b * n : (b + 1) * n]) for b in range(self.samples)])
+
+    def _split(self, sizes) -> list[np.ndarray]:
+        # A plain loop: np.split costs ~3x more for the many short parts of
+        # a wide sample, and this runs on every predict request.
         flat = self.predictions.data.ravel()
         out, start = [], 0
-        for c in self.counts:
-            out.append(flat[start : start + c].copy())
-            start += c
+        for size in sizes:
+            out.append(flat[start : start + size].copy())
+            start += size
         return out
 
 
-def forward(tp: Tape, model: ModelParams, triplet: AlignedTriplet,
-            queries, capture: list | None = None,
+def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None = None,
             bound: dict[str, Tensor] | None = None) -> ForwardResult:
-    """Run the full pipeline for one sample on the given tape.
+    """Run the full pipeline for a chunk of samples on the given tape.
 
-    ``queries`` is one array of future times per variate. Deterministic
-    given parameters and inputs. Pass ``bound`` to reuse parameter tensors
-    already registered on the tape (the gradient checker does this);
-    otherwise the model binds itself.
+    ``chunk`` is one AlignedTriplet with ``queries`` one array of future
+    times per variate (a chunk of one), or a sequence of triplets that share
+    the variate count with ``queries`` one such list per triplet.
+    Deterministic given parameters and inputs. Pass ``bound`` to reuse
+    parameter tensors already registered on the tape (the gradient checker
+    does this); otherwise the model binds itself.
     """
     cfg = model.cfg
-    n = triplet.n_variates
-    queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    if len(queries) != n:
-        raise DataError(f"forward: expected {n} query lists, got {len(queries)}")
+    if isinstance(chunk, AlignedTriplet):
+        chunk, queries = [chunk], [queries]
+    triplets = list(chunk)
+    padded = pad_chunk(triplets)
+    samples, n, length = padded.samples, padded.n_variates, padded.grid_length
+    if len(queries) != samples:
+        raise DataError(f"forward: expected {samples} query sets, got {len(queries)}")
+    queries = [[np.asarray(q, dtype=np.float64) for q in qs] for qs in queries]
+    for qs in queries:
+        if len(qs) != n:
+            raise DataError(f"forward: expected {n} query lists, got {len(qs)}")
     if bound is None:
         p = model.bind(tp)
     else:
@@ -440,37 +532,39 @@ def forward(tp: Tape, model: ModelParams, triplet: AlignedTriplet,
             p.setdefault(name, tp.const(arr))
     stats: dict = {"degenerate_rows": 0}
 
-    rows = tp.const(triplet.values.T)                          # (N, L)
-    mask_rows = triplet.mask.T
-    tcol = tp.const(triplet.times[:, None])                    # (L, 1)
+    rows = tp.const(padded.values)                             # (B*N, L)
+    tcol = tp.const(padded.times.reshape((samples * length, 1)))   # (B*L, 1)
 
     xhat = encode_series(rows, tcol, p, use_conv=cfg.use_preconv)
     if cfg.normalize_time:
-        norm = normalize_times(triplet, per_variate=cfg.per_variate_time_norm)
-        t_cols, shared = norm.values, norm.shared
+        norms = [normalize_times(t, per_variate=cfg.per_variate_time_norm) for t in triplets]
+        t_cols = pad_columns([norm.values for norm in norms], length)   # (L, B*N)
+        shared = norms[0].shared
     else:
-        t_cols, shared = np.tile(triplet.times[:, None], (1, n)), True
-    z = pool_all(xhat, mask_rows, t_cols, shared, p, use_gate=cfg.use_pool_gate)
+        t_cols, shared = np.repeat(padded.times.T, n, axis=1), True
+    z = pool_all(xhat, padded.mask, t_cols, shared, p, use_gate=cfg.use_pool_gate,
+                 samples=samples)
 
     for b in range(cfg.blocks):
-        z = attention_block(z, b, p, cfg, stats=stats, capture=capture)
-    summary = z @ p["out.w"]                                   # (N, d)
+        z = attention_block(z, b, p, cfg, stats=stats, capture=capture, samples=samples)
+    summary = z @ p["out.w"]                                   # (B*N, d)
 
-    counts = [q.size for q in queries]
-    var_idx = np.repeat(np.arange(n), counts)
+    counts = [q.size for qs in queries for q in qs]
+    row_idx = np.repeat(np.arange(samples * n), counts)
     flat_times = (
-        np.concatenate([q for q in queries]) if sum(counts) else np.empty(0)
+        np.concatenate([q for qs in queries for q in qs]) if sum(counts) else np.empty(0)
     )
     tq = tp.const(flat_times[:, None])
-    feats = T.concat([T.take_rows(summary, var_idx), time_encode(tq, p)], axis=1)
+    feats = T.concat([T.take_rows(summary, row_idx), time_encode(tq, p)], axis=1)
     hidden = T.relu(feats @ p["head.w1"] + p["head.b1"])
     hidden = T.relu(hidden @ p["head.w2"] + p["head.b2"])
     preds = hidden @ p["head.w3"] + p["head.b3"]               # (Q, 1)
     return ForwardResult(
         predictions=preds,
-        variate_index=var_idx,
+        variate_index=row_idx % n,
         query_times=flat_times,
         counts=counts,
+        samples=samples,
         stats=stats,
     )
 

@@ -100,7 +100,10 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple[tuple[int, ...], object]] = []
-        self.params: dict[str, Tensor] = {}
+        # name -> (node index, shape). Holding the Tensor here would close a
+        # reference cycle (the tensor points back at its tape), and every tape
+        # would then wait for the cyclic garbage collector.
+        self.params: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     def record(self, op: str, data, parents: tuple[Tensor, ...], vjp) -> Tensor:
         """Append one node. ``vjp(grad)`` must return one array (or None) per parent.
@@ -129,7 +132,7 @@ class Tape:
         if name in self.params:
             raise TapeError(f"parameter {name!r} registered twice")
         t = self.record("param", data, (), None)
-        self.params[name] = t
+        self.params[name] = (t._index, t.data.shape)
         return t
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
@@ -160,8 +163,8 @@ class Tape:
                     grads[pi] = grads[pi] + pg
             grads[i] = None  # free intermediate adjoints early
         return {
-            name: (np.zeros_like(t.data) if grads[t._index] is None else grads[t._index])
-            for name, t in self.params.items()
+            name: (np.zeros(shape) if grads[index] is None else grads[index])
+            for name, (index, shape) in self.params.items()
         }
 
 
@@ -249,6 +252,26 @@ def matmul(a: Tensor, b) -> Tensor:
         "matmul", ad @ bd, (a, b),
         lambda g: (g @ bd.T, ad.T @ g),
     )
+
+
+def bmm(a: Tensor, b, transpose_a: bool = False) -> Tensor:
+    """Batched matrix product of two 3-D stacks: ``a[i] @ b[i]`` for every i,
+    or ``a[i].T @ b[i]`` with ``transpose_a``."""
+    b = _lift(a, b)
+    ad, bd = a.data, b.data
+    lhs = ad.transpose(0, 2, 1) if transpose_a and ad.ndim == 3 else ad
+    if (ad.ndim != 3 or bd.ndim != 3 or lhs.shape[0] != bd.shape[0]
+            or lhs.shape[2] != bd.shape[1]):
+        raise ShapeError(f"bmm: incompatible shapes {ad.shape} and {bd.shape}"
+                         f"{' (first transposed)' if transpose_a else ''}")
+
+    def vjp(g):
+        grad_b = lhs.transpose(0, 2, 1) @ g
+        if transpose_a:
+            return bd @ g.transpose(0, 2, 1), grad_b
+        return g @ bd.transpose(0, 2, 1), grad_b
+
+    return a.tape.record("bmm", np.matmul(lhs, bd), (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -346,6 +369,19 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.data.shape}")
     return a.tape.record("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def permute(a: Tensor, axes) -> Tensor:
+    """Reorder the axes of ``a`` (``np.transpose``); the adjoint applies the
+    inverse permutation."""
+    axes = tuple(int(ax) for ax in axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of {a.data.ndim} axes")
+    inverse = tuple(int(ax) for ax in np.argsort(axes))
+    return a.tape.record(
+        "permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
+        lambda g: (g.transpose(inverse),),
+    )
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import imtscast.tape as T
 from imtscast.config import TrainConfig
-from imtscast.data import AlignedTriplet, align, normalize_times
+from imtscast.data import AlignedTriplet, DataError, align, normalize_times
 from imtscast.fourier import irfft_mat, rfft_mat
 from imtscast.model import (
     ModelParams,
@@ -594,6 +596,30 @@ class TestModelParams:
         a = forward(Tape(), model, triplet, sample.query_times).predictions.data
         b = forward(Tape(), loaded, triplet, sample.query_times).predictions.data
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("truncated", "not a valid checkpoint"),
+        ("no_config", "checkpoint has no config"),
+        ("wrong_shape", "has shape"),
+        ("missing_param", "names differ"),
+    ])
+    def test_malformed_checkpoint_raises_data_error(self, tmp_path, damage, message):
+        path = tmp_path / "ck.json"
+        ModelParams.init(block_config(), seed=13).save(path)
+        text = path.read_text(encoding="utf-8")
+        if damage == "truncated":
+            path.write_text(text[:-40], encoding="utf-8")
+        else:
+            doc = json.loads(text)
+            if damage == "no_config":
+                del doc["config"]
+            elif damage == "wrong_shape":
+                doc["params"]["out.w"] = {"shape": [2, 2], "data": [0.0] * 4}
+            else:
+                del doc["buffers"]["blocks.0.omega"]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            ModelParams.load(path)
 
     def test_frozen_feature_draws_are_standard_normal_scale(self):
         cfg = block_config(rff_dim=512, hidden=32, heads=2)

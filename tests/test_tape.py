@@ -134,6 +134,7 @@ PRIMITIVE_CASES = [
     ("matmul", lambda t: t @ np.arange(12.0).reshape(4, 3), (3, 4)),
     ("div_const", lambda t: t / np.linspace(1.0, 2.0, 4), (3, 4)),
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
+    ("permute", lambda t: T.permute(t, (2, 0, 1)), (2, 3, 4)),
 ]
 
 
@@ -149,6 +150,38 @@ def test_every_primitive_passes_gradient_check(name, fn, shape):
 
     report = grad_check(build, {"x": x}, step=1e-5, tol=1e-5)
     assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("transpose_a", [False, True])
+def test_bmm_passes_gradient_check(transpose_a):
+    rng = np.random.default_rng(6 + transpose_a)
+    a = rng.standard_normal((3, 4, 2) if transpose_a else (3, 2, 4))
+    b = rng.standard_normal((3, 4, 5))
+    probe = rng.standard_normal((3, 2, 5))
+
+    def build(tape, bound):
+        return (T.bmm(bound["a"], bound["b"], transpose_a=transpose_a)
+                * tape.const(probe)).sum()
+
+    report = grad_check(build, {"a": a, "b": b}, step=1e-5, tol=1e-5)
+    assert report.ok, report.lines()
+
+
+def test_bmm_matches_per_entry_matmul():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 5))
+    tape = Tape()
+    out = T.bmm(const(tape, a), const(tape, b), transpose_a=True).data
+    for i in range(3):
+        assert np.abs(out[i] - a[i].T @ b[i]).max() < 1e-14
+    with pytest.raises(ShapeError, match="bmm"):
+        T.bmm(const(tape, a), const(tape, b))
+
+
+def test_permute_rejects_a_non_permutation():
+    tape = Tape()
+    with pytest.raises(ShapeError, match="permute"):
+        T.permute(const(tape, np.ones((2, 3))), (0, 0))
 
 
 def test_relu_at_kink_uses_zero_subgradient():
