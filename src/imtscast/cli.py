@@ -39,7 +39,7 @@ from .datasets import (
 )
 from .model import ModelParams, attention_maps, forward
 from .tape import NonFiniteError, Tape, grad_check
-from .train import DivergenceError, build_loss, evaluate, mean_predictor_baseline, train
+from .train import DivergenceError, build_loss, evaluate, train
 
 OUTPUT_DIR_ENV = "IMTSCAST_OUT"
 

@@ -5,6 +5,12 @@ continuous time encoding fused in, Gaussian-kernel pooling of each variate
 down to a fixed-width vector, stacked spectral linear-attention blocks that
 mix variates, and a query-conditioned MLP head.
 
+Pooling multiplies the fused series by the mask before both of its sums,
+so it reads observed cells only. The smoothing convolution therefore runs
+at those cells alone (its taps still see the zero-filled neighbours) and
+places its output on the grid; the rest of the grid, mostly unobserved on
+long sparse series, costs no convolution work and no backward work.
+
 The forward pass runs a chunk of B samples that share the variate count N
 (see ``data.pad_chunk``); one sample is a chunk of one. Every layer works
 on (B*N, .) rows in sample-major order. Only pooling and attention need to
@@ -217,56 +223,50 @@ def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     return T.concat([lin, s, c], axis=1)
 
 
-def conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Width-3 then 1x1 convolution along time with zero same-padding.
+def conv_smooth(values: np.ndarray, mask: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """Width-3 then 1x1 convolution along time with zero same-padding,
+    evaluated at the observed cells only.
 
-    ``rows`` is (N, L), one variate per row; the same filter bank applies to
-    every variate, so all rows go through one matmul.
+    ``values`` is the (N, L) zero-filled data, one variate per row, and
+    ``mask`` marks its observed cells. The same filter bank applies to every
+    variate. Each observed cell's three taps come from the zero-padded rows
+    as one (3, P) constant, both layers run over those P columns, and the
+    (1, P) result is placed into a zero (N, L) grid. Unobserved cells hold
+    0 instead of the filters' response there; that is exact for the model,
+    since pooling, the only reader, multiplies every cell by the mask.
+    ``values`` is data, so no gradient flows back to it.
     """
-    n, length = rows.data.shape
-    zero = rows.tape.const(np.zeros((n, 1)))
-    padded = T.concat([zero, rows, zero], axis=1)              # (N, L+2)
-    taps = T.concat(
-        [
-            padded[:, 0:length].reshape((1, n * length)),
-            padded[:, 1 : length + 1].reshape((1, n * length)),
-            padded[:, 2 : length + 2].reshape((1, n * length)),
-        ],
-        axis=0,
-    )                                                          # (3, N*L)
-    hidden = T.relu(p["conv.w1"] @ taps + p["conv.b1"])        # (C, N*L)
-    out = p["conv.w2"] @ hidden + p["conv.b2"]                 # (1, N*L)
-    return out.reshape((n, length))
+    n, length = values.shape
+    flat = np.flatnonzero(mask)
+    padded = np.pad(values, ((0, 0), (1, 1))).reshape(-1)     # rows of L+2
+    centre = flat + 2 * (flat // length) + 1                   # cell positions in ``padded``
+    taps = p["conv.w1"].tape.const(
+        np.stack([padded[centre - 1], padded[centre], padded[centre + 1]]))   # (3, P)
+    hidden = T.relu(p["conv.w1"] @ taps + p["conv.b1"])        # (C, P)
+    out = p["conv.w2"] @ hidden + p["conv.b2"]                 # (1, P)
+    return T.place(out, flat, (n, length))
 
 
 def encode_series(rows: Tensor, tcol: Tensor, p: dict[str, Tensor],
-                  use_conv: bool = True) -> Tensor:
+                  use_conv: bool = True, mask: np.ndarray | None = None) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
     ``rows`` is (B*N, L), sample-major; ``tcol`` is the (B*L, 1) column of
-    the B samples' grid times, one grid after another. The projection is
-    added to each sample's N rows by broadcasting.
+    the B samples' grid times, one grid after another. ``mask`` marks the
+    observed cells of ``rows`` (every cell when None); the convolution runs
+    only there (see ``conv_smooth``). The projection is added to each
+    sample's N rows by broadcasting, on the whole grid.
     """
-    base = conv_smooth(rows, p) if use_conv else rows
+    if use_conv:
+        base = conv_smooth(rows.data, np.ones(rows.data.shape) if mask is None else mask, p)
+    else:
+        base = rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
     fused = base.reshape((samples, total // samples, length)) + tproj   # (B, N, L)
     return fused.reshape((total, length))
-
-
-def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Per-variate kernel coefficients.
-
-    ``t_norm`` and ``mask_col`` are (L, 1); the result (L, K) holds the mask-
-    gated Gaussian affinity of each grid point to each kernel, normalized so
-    every column with at least one observation sums to exactly one. Columns
-    with no observed support are all zeros.
-    """
-    weights = _kernel_weights(t_norm, p) * mask_col            # (L, K)
-    colsum = weights.sum(axis=0, keepdims=True)
-    return weights / _nonzero(colsum)
 
 
 def _nonzero(den: Tensor) -> Tensor:
@@ -287,17 +287,6 @@ def _kernel_weights(t_norm: Tensor, p: dict[str, Tensor]) -> Tensor:
     return T.exp(diff * diff * (-0.5) / sig2)
 
 
-def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
-                 p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
-    """Pool one variate (L, 1) into a (1, d) vector via its coefficients."""
-    pooled = (coeffs.T @ x_col).T                              # (1, K)
-    if use_gate:
-        pooled = pooled * T.sigmoid(p["pool.gate"])
-    flag = 1.0 if float(mask_col.data.sum()) > 0 else 0.0
-    withflag = T.concat([pooled, x_col.tape.const([[flag]])], axis=1)
-    return withflag @ p["pool.w_proj"]                         # (1, d)
-
-
 def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm_cols: np.ndarray,
              shared_norm: bool, p: dict[str, Tensor], use_gate: bool = True,
              samples: int = 1) -> Tensor:
@@ -308,10 +297,10 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm_cols: np.ndarray,
     sample's columns are identical, so G = 1 kernel-weight matrix serves
     the whole sample; otherwise G = N, one per variate. The (B*G, L, K)
     weights meet the masked rows in one batched matmul for the numerator
-    and one for the denominator. Equivalent to pool_coefficients +
-    pool_summary per variate, but the normalization is folded into one
+    and one for the denominator; the normalization is folded into one
     division, so no (L, K) coefficient matrix per variate is materialized.
-    Masked and padded cells drop out of both sums.
+    Masked and padded cells drop out of both sums, so ``xhat`` is read at
+    observed cells only.
     """
     tp = xhat.tape
     total, length = xhat.data.shape
@@ -535,7 +524,7 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     rows = tp.const(padded.values)                             # (B*N, L)
     tcol = tp.const(padded.times.reshape((samples * length, 1)))   # (B*L, 1)
 
-    xhat = encode_series(rows, tcol, p, use_conv=cfg.use_preconv)
+    xhat = encode_series(rows, tcol, p, use_conv=cfg.use_preconv, mask=padded.mask)
     if cfg.normalize_time:
         norms = [normalize_times(t, per_variate=cfg.per_variate_time_norm) for t in triplets]
         t_cols = pad_columns([norm.values for norm in norms], length)   # (L, B*N)

@@ -230,13 +230,15 @@ def div(a: Tensor, b) -> Tensor:
     ad, bd = a.data, b.data
     with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
         out = ad / bd
-    return a.tape.record(
-        "div", out, (a, b),
-        lambda g: (
-            _unbroadcast(g / bd, ad.shape),
-            _unbroadcast(-g * ad / (bd * bd), bd.shape),
-        ),
-    )
+
+    def vjp(g):
+        # -(g / b) * (a / b) rather than -g * a / (b * b): the square of a
+        # |b| below ~1e-154 underflows, which makes the adjoint 0/0 even
+        # where a is 0, and subnormal squares lose digits.
+        g_over_b = g / bd
+        return _unbroadcast(g_over_b, ad.shape), _unbroadcast(-g_over_b * out, bd.shape)
+
+    return a.tape.record("div", out, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -408,6 +410,23 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (z,)
 
     return a.tape.record("take_rows", a.data[idx], (a,), vjp)
+
+
+def place(a: Tensor, index, shape) -> Tensor:
+    """Put the entries of ``a`` at the flat positions ``index`` of a zero
+    array of ``shape``; the adjoint gathers those positions back.
+
+    ``index`` holds distinct flat indices, one per entry of ``a`` in its
+    row-major order.
+    """
+    idx = np.asarray(index, dtype=np.intp)
+    shape = tuple(int(n) for n in shape)
+    old = a.data.shape
+    if idx.ndim != 1 or idx.size != a.data.size:
+        raise ShapeError(f"place: {a.data.size} entries for {idx.size} positions")
+    out = np.zeros(shape)
+    out.reshape(-1)[idx] = a.data.reshape(-1)
+    return a.tape.record("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
 def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:

@@ -12,12 +12,15 @@ are the batch-mean gradient. Validation runs over the same kind of chunks.
 
 A chunk's padded cells B*N*L_max stay within ``CHUNK_CELLS``; a sample
 larger than that forms a chunk of one. The budget is set by memory: a
-chunk's tape keeps every activation until backward, and the widest of them,
-the smoothing convolution's hidden layer, grows with the cell count. At
-8192 cells a sinusoid-a chunk holds about 16 samples and the peak resident
-memory of a training run stays at that of one tape per sample (70.9 vs
-72.1 MB). Doubling the budget bought ~14% more throughput for ~17% more
-peak memory (82.6 MB), past the 10% bound the benchmark sets on it.
+chunk's tape keeps every activation until backward. The smoothing
+convolution's (C, P) hidden layer grows with the P observed cells only;
+the grid-wide (B*N, L_max) arrays of encode and pool and the kernel
+weights grow with the padded cell count. At 8192 cells a sinusoid-a chunk
+holds about 16 samples. Doubling the budget raised sinusoid-a training
+from a median of 1703 to 2043 samples/s (perfbench, 5 seeds each, 2-vCPU
+VM, one BLAS thread), but also the peak resident memory
+of a run from 67.0 to 75.5 MB, 13% more, past the 10% bound the benchmark
+sets on it; the budget stays at 8192.
 """
 
 from __future__ import annotations

@@ -17,14 +17,14 @@ from imtscast.model import (
     forward,
     linear_attention,
     pool_all,
-    pool_coefficients,
-    pool_summary,
     rff_features,
     time_encode,
 )
 from imtscast.tape import Tape, grad_check
+from imtscast.train import build_loss
 
 from conftest import random_sample
+from oracles import pool_coefficients, pool_summary
 
 
 def bound_params(model, tape):
@@ -99,7 +99,7 @@ class TestConvSmoothing:
         tape = Tape()
         p = self.conv_params(tape, channels=3, zero_bias=False, seed=1)
         value = 1.7
-        out = conv_smooth(tape.const([[value]]), p).data
+        out = conv_smooth(np.array([[value]]), np.ones((1, 1)), p).data
         w1 = p["conv.w1"].data
         hidden = np.maximum(w1[:, 1] * value + p["conv.b1"].data[:, 0], 0.0)
         expected = p["conv.w2"].data[0] @ hidden + p["conv.b2"].data[0, 0]
@@ -111,7 +111,7 @@ class TestConvSmoothing:
         x = rng.standard_normal((1, length))
         tape = Tape()
         p = self.conv_params(tape, channels, zero_bias=False, seed=3)
-        out = conv_smooth(tape.const(x), p).data[0]
+        out = conv_smooth(x, np.ones_like(x), p).data[0]
 
         w1, b1 = p["conv.w1"].data, p["conv.b1"].data[:, 0]
         w2, b2 = p["conv.w2"].data[0], p["conv.b2"].data[0, 0]
@@ -131,9 +131,9 @@ class TestConvSmoothing:
         x = rng.standard_normal((3, 9))
         tape = Tape()
         p = self.conv_params(tape, channels=2, zero_bias=False, seed=5)
-        stacked = conv_smooth(tape.const(x), p).data
+        stacked = conv_smooth(x, np.ones_like(x), p).data
         for row in range(3):
-            single = conv_smooth(tape.const(x[row : row + 1]), p).data
+            single = conv_smooth(x[row : row + 1], np.ones((1, 9)), p).data
             assert np.abs(stacked[row] - single[0]).max() < 1e-14
 
 
@@ -642,3 +642,27 @@ class TestAttentionMaps:
             if amap.degenerate_rows == 0:
                 assert np.abs(amap.weights.sum(axis=1) - 1.0).max() < 1e-8
             assert np.abs(amap.quadratic_out - amap.linear_out).max() < 1e-10
+
+
+class TestNoTimeNorm:
+    def test_parameter_gradients_stay_finite(self):
+        # Raw times put most grid cells many kernel widths from every centre,
+        # so pooling divides by denominators far below 1e-154. The division's
+        # adjoint must not square them (that underflows to 0 / 0), or the
+        # optimizer skips the whole batch.
+        cfg = TrainConfig(hidden=16, heads=2, rff_dim=16, kernels=3, conv_channels=4,
+                          time_dim=6, blocks=1, seed=0, normalize_time=False)
+        model = ModelParams.init(cfg)
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(185):
+            sample = random_sample(rng)
+            if not sum(sample.query_counts()):
+                continue
+            tape = Tape()
+            res = forward(tape, model, align(sample), sample.query_times)
+            grads = tape.backward(build_loss(res, np.concatenate(sample.query_targets)))
+            for name, grad in grads.items():
+                assert np.isfinite(grad).all(), (checked, name)
+            checked += 1
+        assert checked > 150

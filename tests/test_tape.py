@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +138,11 @@ PRIMITIVE_CASES = [
     ("div_const", lambda t: t / np.linspace(1.0, 2.0, 4), (3, 4)),
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
     ("permute", lambda t: T.permute(t, (2, 0, 1)), (2, 3, 4)),
+    ("place", lambda t: T.place(t, np.array([7, 0, 3, 11, 5, 2]), (3, 4)), (2, 3)),
+    ("add_self", lambda t: t + t * t, (3, 4)),
+    ("sub_self", lambda t: t - t * t, (3, 4)),
+    ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
+    ("bmm", lambda t: T.bmm(t, np.arange(24.0).reshape(2, 4, 3)), (2, 3, 4)),
 ]
 
 
@@ -150,6 +158,23 @@ def test_every_primitive_passes_gradient_check(name, fn, shape):
 
     report = grad_check(build, {"x": x}, step=1e-5, tol=1e-5)
     assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("name,fn,shape", PRIMITIVE_CASES)
+def test_every_primitive_frees_its_tape(name, fn, shape):
+    # A VJP closure that captured a Tensor would tie the tape into a
+    # reference cycle, which only the cyclic garbage collector breaks.
+    x = np.random.default_rng(0).standard_normal(shape)
+    gc.disable()
+    try:
+        tape = Tape()
+        loss = fn(tape.param("x", x)).sum()
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape, loss
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("transpose_a", [False, True])
@@ -176,6 +201,33 @@ def test_bmm_matches_per_entry_matmul():
         assert np.abs(out[i] - a[i].T @ b[i]).max() < 1e-14
     with pytest.raises(ShapeError, match="bmm"):
         T.bmm(const(tape, a), const(tape, b))
+
+
+def test_place_puts_entries_at_flat_positions():
+    tape = Tape()
+    out = T.place(const(tape, [[1.0, 2.0, 3.0]]), [5, 0, 2], (2, 3)).data
+    assert out.tolist() == [[2.0, 0.0, 3.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(ShapeError, match="place"):
+        T.place(const(tape, [1.0, 2.0]), [0, 1, 2], (2, 3))
+
+
+class TestDivisionAdjoint:
+    def grads(self, a, b):
+        tape = Tape()
+        pa, pb = tape.param("a", np.array([a])), tape.param("b", np.array([b]))
+        return tape.backward((pa / pb).sum())
+
+    def test_zero_numerator_over_tiny_denominator(self):
+        # b * b underflows to 0 here, so -g * a / (b * b) would be 0 / 0.
+        grads = self.grads(0.0, 1e-170)
+        assert grads["a"].tolist() == [1e170]
+        assert grads["b"].tolist() == [0.0]
+
+    def test_no_digits_lost_below_the_normal_range_of_the_square(self):
+        # b * b = 1e-320 is subnormal; d(a/b)/db = -a / b**2 = -1e160.
+        grads = self.grads(1e-160, 1e-160)
+        assert grads["a"][0] == pytest.approx(1e160, rel=1e-15)
+        assert grads["b"][0] == pytest.approx(-1e160, rel=1e-15)
 
 
 def test_permute_rejects_a_non_permutation():
@@ -216,7 +268,7 @@ class TestGradCheck:
         assert not report.ok
 
     def test_kernel_pool_log_bandwidths_pass(self):
-        from imtscast.model import pool_coefficients
+        from oracles import pool_coefficients
 
         rng = np.random.default_rng(4)
         t_norm = np.sort(rng.uniform(0, 1, size=9))[:, None]
