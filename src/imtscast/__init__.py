@@ -8,7 +8,7 @@ by squared error on a scratch reverse-mode tape.
 """
 
 from .config import TrainConfig
-from .data import AlignedTriplet, ImtsSample, NormalizedTimes, RawSeries, align, normalize_times
+from .data import AlignedTriplet, ImtsSample, RawSeries, align, normalize_times
 from .datasets import PRESETS, SynthSpec, generate, read_dataset, write_dataset
 from .model import ModelParams, expected_param_count, forward
 from .tape import Tape, Tensor, grad_check
@@ -20,7 +20,6 @@ __all__ = [
     "AlignedTriplet",
     "ImtsSample",
     "ModelParams",
-    "NormalizedTimes",
     "PRESETS",
     "RawSeries",
     "SynthSpec",

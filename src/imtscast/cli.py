@@ -95,10 +95,14 @@ MODEL_FLAGS = [
 ]
 
 ABLATION_FLAGS = [
+    # (flag, boolean config field the flag turns off)
     ("--no-preconv", "use_preconv"),
     ("--no-pool-gate", "use_pool_gate"),
-    ("--no-time-norm", "normalize_time"),
 ]
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -108,8 +112,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=typ, default=None)
     for flag, _field in ABLATION_FLAGS:
         parser.add_argument(flag, action="store_true")
-    parser.add_argument("--softmax-attention", action="store_true")
-    parser.add_argument("--per-variate-time-norm", action="store_true")
 
 
 def _load_config_file(path) -> dict:
@@ -125,6 +127,8 @@ def _load_config_file(path) -> dict:
     unknown = sorted(set(doc) - CONFIG_SECTIONS)
     if unknown:
         raise UsageError(f"{path}: unknown config sections: {', '.join(unknown)}")
+    if not isinstance(doc.get("model", {}), dict):
+        raise UsageError(f"{path}: model section must be a JSON object")
     run = doc.get("run", {})
     if not isinstance(run, dict) or set(run) - {"out_dir"}:
         raise UsageError(f"{path}: run section only supports 'out_dir'")
@@ -146,24 +150,16 @@ def _resolve_config(args) -> tuple[TrainConfig, dict]:
         raise UsageError(f"bad model config: {err}")
     updates = {}
     for flag, field, _typ in MODEL_FLAGS:
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+        value = getattr(args, _dest(flag))
         if value is not None:
             updates[field] = value
-    if args.no_preconv:
-        updates["use_preconv"] = False
-    if args.no_pool_gate:
-        updates["use_pool_gate"] = False
-    if args.no_time_norm:
-        updates["normalize_time"] = False
-    if args.softmax_attention:
-        updates["softmax_attention"] = True
-    if args.per_variate_time_norm:
-        updates["per_variate_time_norm"] = True
+    for flag, field in ABLATION_FLAGS:
+        if getattr(args, _dest(flag)):
+            updates[field] = False
     if args.seed is not None:
         updates["seed"] = args.seed
     cfg = dataclasses.replace(cfg, **updates)
-    for warning in validate(cfg):
-        print(f"warning: {warning}", file=sys.stderr)
+    validate(cfg)
     extras = {
         "manifest": doc.get("data", {}).get("manifest"),
         "out_dir": doc.get("run", {}).get("out_dir"),
@@ -535,7 +531,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigError, DataError, FileNotFoundError) as err:
+    except (UsageError, ConfigError, DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, NonFiniteError) as err:

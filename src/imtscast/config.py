@@ -1,23 +1,21 @@
-"""Run configuration: model and optimizer hyperparameters plus the sweep grid."""
+"""Run configuration: model and optimizer hyperparameters."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
     """Raised for structurally invalid configurations."""
 
 
-# Default hyperparameter sweep for the grid-iteration helper.
-DEFAULT_GRID = {
-    "kernels": [2, 4, 8, 16],
-    "conv_channels": [8, 16, 32, 64],
-    "time_dim": [16, 32, 64],
-    "hidden": [32, 64, 128, 256],
-    "blocks": [1, 2, 3, 4],
-    "learning_rate": [1e-3, 1e-2],
+# Keys that older checkpoints and config files may still carry, each with
+# the one value the model now always uses. A stored ``grid`` (a sweep grid
+# nothing swept) is dropped whatever it holds.
+RETIRED_KEYS = {
+    "normalize_time": True,
+    "per_variate_time_norm": False,
+    "softmax_attention": False,
 }
 
 
@@ -37,18 +35,20 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 50
     seed: int = 0
-    normalize_time: bool = True          # min-max normalize grid times for pooling
-    per_variate_time_norm: bool = False  # use each variate's own observed extremes
     use_preconv: bool = True             # convolutional smoothing stage
     use_pool_gate: bool = True           # sigmoid gate on kernel summaries
-    softmax_attention: bool = False      # exact softmax attention instead of linear
-    grid: dict = field(default_factory=lambda: {k: list(v) for k, v in DEFAULT_GRID.items()})
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        data = dict(data)
+        data.pop("grid", None)
+        for key, kept in RETIRED_KEYS.items():
+            if key in data and data.pop(key) is not kept:
+                raise ConfigError(f"{key} is no longer configurable; only {key}={kept} "
+                                  "is supported")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -56,13 +56,8 @@ class TrainConfig:
         return cls(**data)
 
 
-def validate(cfg: TrainConfig) -> list[str]:
-    """Check structural invariants; returns non-fatal warnings.
-
-    Hard violations (shapes that cannot be built) raise ConfigError. Values
-    outside the standard sweep grid only warn, since toy runs and gradient
-    checks legitimately use tiny dimensions.
-    """
+def validate(cfg: TrainConfig) -> None:
+    """Raise ConfigError for shapes that cannot be built."""
     if cfg.kernels < 2:
         raise ConfigError("kernels must be >= 2")
     if cfg.conv_channels < 1:
@@ -85,17 +80,3 @@ def validate(cfg: TrainConfig) -> list[str]:
         raise ConfigError("max_epochs must be >= 1")
     if cfg.patience < 1:
         raise ConfigError("patience must be >= 1")
-
-    warnings = []
-    for key, allowed in DEFAULT_GRID.items():
-        value = getattr(cfg, key)
-        if value not in allowed:
-            warnings.append(f"{key}={value} is outside the standard sweep grid {allowed}")
-    return warnings
-
-
-def iter_grid(cfg: TrainConfig):
-    """Yield one config per point of cfg.grid (other fields unchanged)."""
-    keys = list(cfg.grid)
-    for combo in itertools.product(*(cfg.grid[k] for k in keys)):
-        yield replace(cfg, **dict(zip(keys, combo)))

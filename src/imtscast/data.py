@@ -130,7 +130,9 @@ class PaddedChunk:
     Rows are sample-major: row ``b*N + n`` is variate n of sample b. Cells
     past a sample's own grid have value 0 and mask 0, so every stage that
     masks (pooling) or zero-pads (the smoothing convolution) treats them
-    exactly as if the grid ended there.
+    exactly as if the grid ended there. Each padded time repeats the
+    sample's last time, which keeps the times finite and in order and maps
+    them to exactly 1 under ``normalize_times``.
     """
 
     values: np.ndarray  # (B*N, L_max), zero where unobserved or padded
@@ -147,22 +149,6 @@ class PaddedChunk:
         return self.times.shape[1]
 
 
-def pad_columns(blocks, length: int) -> np.ndarray:
-    """Place (L_b, c_b) blocks side by side in one (length, sum c_b) array.
-
-    Rows past a block's own L_b repeat its last row, which keeps padded
-    times finite and in order; callers mask those rows out.
-    """
-    out = np.empty((length, sum(block.shape[1] for block in blocks)))
-    col = 0
-    for block in blocks:
-        rows, width = block.shape
-        out[:rows, col : col + width] = block
-        out[rows:, col : col + width] = block[-1]
-        col += width
-    return out
-
-
 def pad_chunk(triplets) -> PaddedChunk:
     """Stack aligned samples that share N into one padded chunk."""
     triplets = list(triplets)
@@ -174,30 +160,20 @@ def pad_chunk(triplets) -> PaddedChunk:
     length = max(t.grid_length for t in triplets)
     values = np.zeros((len(triplets) * n, length))
     mask = np.zeros((len(triplets) * n, length))
+    times = np.empty((len(triplets), length))
     for b, t in enumerate(triplets):
         values[b * n : (b + 1) * n, : t.grid_length] = t.values.T
         mask[b * n : (b + 1) * n, : t.grid_length] = t.mask.T
-    times = pad_columns([t.times[:, None] for t in triplets], length).T.copy()
+        times[b, : t.grid_length] = t.times
+        times[b, t.grid_length :] = t.times[-1]
     return PaddedChunk(values=values, mask=mask, times=times, n_variates=n)
-
-
-@dataclass(frozen=True)
-class NormalizedTimes:
-    """Grid times mapped into [0, 1], one column per variate."""
-
-    values: np.ndarray  # (L, N)
-    shared: bool        # True when every column is the same global mapping
-
-    def column(self, n: int) -> np.ndarray:
-        return self.values[:, 0] if self.shared else self.values[:, n]
 
 
 def align(sample: ImtsSample) -> AlignedTriplet:
     """Merge all variates' timestamps into one sorted, deduplicated grid.
 
-    Timestamps are compared bitwise on their float64 representation; apply
-    ``quantize`` first for noisy sources. Rejects samples with zero
-    observations in total.
+    Timestamps are compared bitwise on their float64 representation. Rejects
+    samples with zero observations in total.
     """
     if sample.total_observations() == 0:
         raise DataError(f"sample {sample.sample_id}: cannot align, no observations at all")
@@ -214,47 +190,16 @@ def align(sample: ImtsSample) -> AlignedTriplet:
     return AlignedTriplet(times=times, values=values, mask=mask)
 
 
-def quantize(sample: ImtsSample, decimals: int) -> ImtsSample:
-    """Round all times to ``decimals`` digits (optional ingestion step).
+def normalize_times(times: np.ndarray) -> np.ndarray:
+    """Min-max map of each row of grid times onto [0, 1].
 
-    Makes nearly-equal timestamps from noisy sources collapse onto the same
-    grid row. Rounding may create duplicates within a variate, which are
-    rejected as usual.
+    ``times`` is the (B, L) array of ``PaddedChunk.times``, one
+    non-decreasing row per sample. Each row is scaled by its own first and
+    last time, so all variates of a sample share one mapping (after
+    alignment they share one canonical timeline). Padded cells repeat the
+    last time and so map to exactly 1; a row holding a single time maps
+    to 0.
     """
-    series = tuple(
-        RawSeries(s.variate_id, np.round(s.times, decimals), s.values)
-        for s in sample.series
-    )
-    qtimes = tuple(np.round(q, decimals) for q in sample.query_times)
-    return ImtsSample(sample.sample_id, series, qtimes, sample.query_targets)
-
-
-def normalize_times(triplet: AlignedTriplet, per_variate: bool = False) -> NormalizedTimes:
-    """Min-max map of the grid times onto [0, 1].
-
-    The default uses the global grid endpoints, identical for every variate
-    (after alignment all variates share one canonical timeline). With
-    ``per_variate=True`` each variate is scaled by its own observed extremes
-    instead; rows outside that span are clipped into [0, 1] (they are masked
-    out of any pooling anyway) and variates with fewer than two observations
-    map to all zeros.
-    """
-    t = triplet.times
-    length, n = triplet.values.shape
-    if not per_variate:
-        if length == 1:
-            col = np.zeros(1)
-        else:
-            col = (t - t[0]) / (t[-1] - t[0])
-        return NormalizedTimes(values=np.tile(col[:, None], (1, n)), shared=True)
-
-    out = np.zeros((length, n))
-    for col in range(n):
-        observed = t[triplet.mask[:, col] > 0]
-        if observed.size < 2:
-            continue
-        span = observed[-1] - observed[0]
-        if span <= 0:
-            continue
-        out[:, col] = np.clip((t - observed[0]) / span, 0.0, 1.0)
-    return NormalizedTimes(values=out, shared=False)
+    start = times[:, :1]
+    span = times[:, -1:] - start
+    return (times - start) / np.where(span > 0, span, 1.0)

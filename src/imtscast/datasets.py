@@ -282,59 +282,75 @@ def _parse_float(text: str, path, line_no: int) -> float:
         raise DataError(f"{path}:{line_no}: not a number: {text!r}")
 
 
-def read_observations(path, quantize_decimals: int | None = None) -> dict[int, dict[int, list]]:
+def _parse_id(text: str, path, line_no: int) -> int:
+    """A series or variate id: an integer, also when written as ``16.0``."""
+    try:
+        return int(text)   # the common case, and cheaper than going through float
+    except ValueError:
+        value = _parse_float(text, path, line_no)
+    if not value.is_integer():   # also false for nan and inf
+        raise DataError(f"{path}:{line_no}: not an integer id: {text!r}")
+    return int(value)
+
+
+def _csv_rows(path):
+    """Yield (line number, row) for every row of a UTF-8 CSV file, header first."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text: {err}") from err
+
+
+def read_observations(path) -> dict[int, dict[int, list]]:
     """Parse an observation CSV into {series_id: {variate: [(t, x), ...]}}.
 
     Rows of one (series, variate) must appear in strictly increasing time
     order; violations are rejected with the offending line number.
     """
     table: dict[int, dict[int, list]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != OBS_HEADER:
-            raise DataError(f"{path}:1: expected header {','.join(OBS_HEADER)}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
-            sid = int(_parse_float(row[0], path, line_no))
-            var = int(_parse_float(row[1], path, line_no))
-            t = _parse_float(row[2], path, line_no)
-            x = _parse_float(row[3], path, line_no)
-            if quantize_decimals is not None:
-                t = float(np.round(t, quantize_decimals))
-            stream = table.setdefault(sid, {}).setdefault(var, [])
-            if stream and t <= stream[-1][0]:
-                raise DataError(
-                    f"{path}:{line_no}: non-increasing time for series {sid}, variate {var}"
-                )
-            stream.append((t, x))
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header != OBS_HEADER:
+        raise DataError(f"{path}:1: expected header {','.join(OBS_HEADER)}")
+    for line_no, row in rows:
+        if len(row) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
+        sid = _parse_id(row[0], path, line_no)
+        var = _parse_id(row[1], path, line_no)
+        t = _parse_float(row[2], path, line_no)
+        x = _parse_float(row[3], path, line_no)
+        stream = table.setdefault(sid, {}).setdefault(var, [])
+        if stream and t <= stream[-1][0]:
+            raise DataError(
+                f"{path}:{line_no}: non-increasing time for series {sid}, variate {var}"
+            )
+        stream.append((t, x))
     return table
 
 
 def read_queries(path, require_targets: bool) -> dict[int, dict[int, list]]:
     """Parse a query CSV into {series_id: {variate: [(t, target|None), ...]}}."""
     table: dict[int, dict[int, list]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (QUERY_HEADER, QUERY_HEADER[:3]):
-            raise DataError(f"{path}:1: expected header {','.join(QUERY_HEADER)} (target optional)")
-        has_target = header == QUERY_HEADER
-        if require_targets and not has_target:
-            raise DataError(f"{path}: split files need the target column")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
-            sid = int(_parse_float(row[0], path, line_no))
-            var = int(_parse_float(row[1], path, line_no))
-            t = _parse_float(row[2], path, line_no)
-            target = None
-            if has_target and len(row) == 4 and row[3] != "":
-                target = _parse_float(row[3], path, line_no)
-            if require_targets and target is None:
-                raise DataError(f"{path}:{line_no}: missing target")
-            table.setdefault(sid, {}).setdefault(var, []).append((t, target))
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header not in (QUERY_HEADER, QUERY_HEADER[:3]):
+        raise DataError(f"{path}:1: expected header {','.join(QUERY_HEADER)} (target optional)")
+    has_target = header == QUERY_HEADER
+    if require_targets and not has_target:
+        raise DataError(f"{path}: split files need the target column")
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+        sid = _parse_id(row[0], path, line_no)
+        var = _parse_id(row[1], path, line_no)
+        t = _parse_float(row[2], path, line_no)
+        target = None
+        if has_target and len(row) == 4 and row[3] != "":
+            target = _parse_float(row[3], path, line_no)
+        if require_targets and target is None:
+            raise DataError(f"{path}:{line_no}: missing target")
+        table.setdefault(sid, {}).setdefault(var, []).append((t, target))
     return table
 
 
@@ -419,10 +435,15 @@ def write_dataset(spec: SynthSpec, out_dir) -> Path:
 def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict[str, list[ImtsSample]]:
     """Load the requested splits of a written dataset, verifying checksums."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != "imtscast-dataset-1":
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as err:  # invalid JSON or text encoding
+        raise DataError(f"{manifest_path}: not a valid manifest: {err}") from err
+    if not isinstance(manifest, dict) or manifest.get("format") != "imtscast-dataset-1":
         raise DataError(f"{manifest_path}: not a dataset manifest")
+    if not isinstance(manifest.get("splits"), dict):
+        raise DataError(f"{manifest_path}: manifest has no splits")
     base = manifest_path.parent
     out = {}
     for name in splits:

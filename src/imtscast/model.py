@@ -14,8 +14,9 @@ long sparse series, costs no convolution work and no backward work.
 The forward pass runs a chunk of B samples that share the variate count N
 (see ``data.pad_chunk``); one sample is a chunk of one. Every layer works
 on (B*N, .) rows in sample-major order. Only pooling and attention need to
-know where one sample ends: they take the sample count and reshape to
-per-sample stacks for batched matmuls.
+know where one sample ends: pooling reads it from the (B, L) grid times,
+attention takes the sample count, and both reshape to per-sample stacks for
+batched matmuls.
 
 All layers run on the differentiation tape; parameters live in a flat
 name -> array dict so the optimizer, serialization and gradient checks can
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import tape as T
 from .config import ConfigError, TrainConfig, validate
-from .data import AlignedTriplet, DataError, normalize_times, pad_chunk, pad_columns
+from .data import AlignedTriplet, DataError, normalize_times, pad_chunk
 from .fourier import irfft_rows, rfft_rows
 from .tape import Tape, Tensor
 
@@ -287,29 +288,26 @@ def _kernel_weights(t_norm: Tensor, p: dict[str, Tensor]) -> Tensor:
     return T.exp(diff * diff * (-0.5) / sig2)
 
 
-def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm_cols: np.ndarray,
-             shared_norm: bool, p: dict[str, Tensor], use_gate: bool = True,
-             samples: int = 1) -> Tensor:
+def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
+             p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
     """Pool every variate of every sample at once: (B*N, L) -> (B*N, d).
 
-    ``mask_rows`` is (B*N, L) and ``t_norm_cols`` (L, B*N), one column of
-    normalized grid times per row of ``xhat``. With ``shared_norm`` a
-    sample's columns are identical, so G = 1 kernel-weight matrix serves
-    the whole sample; otherwise G = N, one per variate. The (B*G, L, K)
-    weights meet the masked rows in one batched matmul for the numerator
-    and one for the denominator; the normalization is folded into one
-    division, so no (L, K) coefficient matrix per variate is materialized.
-    Masked and padded cells drop out of both sums, so ``xhat`` is read at
-    observed cells only.
+    ``mask_rows`` is (B*N, L), sample-major, and ``t_norm`` holds the (B, L)
+    normalized grid times of ``data.normalize_times``. A sample's variates
+    share its grid, so one (L, K) kernel-weight matrix serves all N of its
+    rows. The (B, L, K) weights meet the masked rows in one batched matmul
+    for the numerator and one for the denominator; the normalization is
+    folded into one division, so no (L, K) coefficient matrix per variate
+    is materialized. Masked and padded cells drop out of both sums, so
+    ``xhat`` is read at observed cells only.
     """
     tp = xhat.tape
     total, length = xhat.data.shape
-    groups = samples if shared_norm else total
-    t_cols = t_norm_cols[:, :: total // samples] if shared_norm else t_norm_cols
-    weights = _kernel_weights(tp.const(t_cols.T[:, :, None]), p)   # (B*G, L, K)
-    stacked = (groups, total // groups, length)
+    samples = t_norm.shape[0]
+    weights = _kernel_weights(tp.const(t_norm[:, :, None]), p)   # (B, L, K)
+    stacked = (samples, total // samples, length)
     mask = tp.const(mask_rows.reshape(stacked))
-    num = T.bmm(xhat.reshape(stacked) * mask, weights)        # (B*G, N/G, K)
+    num = T.bmm(xhat.reshape(stacked) * mask, weights)        # (B, N, K)
     den = T.bmm(mask, weights)
     pooled = (num / _nonzero(den)).reshape((total, weights.data.shape[2]))
     if use_gate:
@@ -338,13 +336,12 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
                          (proj,), vjp)
 
 
-def _split_heads(x: Tensor, samples: int, n: int, heads: int,
-                 axes=(0, 2, 1, 3)) -> Tensor:
+def _split_heads(x: Tensor, samples: int, n: int, heads: int) -> Tensor:
     """Regroup rows laid out (sample, variate, head, w) in row-major order,
     such as (B*N, H*w) or (B*N*H, w), into (B*H, N, w): one stack entry per
-    (sample, head). ``axes=(0, 2, 3, 1)`` gives (B*H, w, N) instead."""
+    (sample, head)."""
     width = x.data.size // (samples * n * heads)
-    split = T.permute(x.reshape((samples, n, heads, width)), axes)
+    split = T.permute(x.reshape((samples, n, heads, width)), (0, 2, 1, 3))
     return split.reshape((samples * heads,) + split.data.shape[2:])
 
 
@@ -389,22 +386,6 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     return _merge_heads(num / (den + ATTENTION_EPS), samples)
 
 
-def softmax_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                      samples: int = 1) -> Tensor:
-    """Exact softmax attention per (sample, head); ablation-only quadratic path.
-
-    Same (B*N, d) layout as ``linear_attention``.
-    """
-    total, d = q.data.shape
-    d_head, n = d // heads, total // samples
-    k_t = _split_heads(k, samples, n, heads, axes=(0, 2, 3, 1))   # (B*H, d_h, N)
-    scores = T.bmm(_split_heads(q, samples, n, heads), k_t) * (1.0 / np.sqrt(d_head))
-    shift = q.tape.const(scores.data.max(axis=2, keepdims=True))  # detached, safe shift
-    expd = T.exp(scores - shift)
-    weights = expd / expd.sum(axis=2, keepdims=True)
-    return _merge_heads(T.bmm(weights, _split_heads(v, samples, n, heads)), samples)
-
-
 def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfig,
                     stats: dict | None = None, capture: list | None = None,
                     samples: int = 1) -> Tensor:
@@ -425,27 +406,20 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
-    if cfg.softmax_attention:
-        mixed_in = softmax_attention(q_all, k_all, v_all, heads, samples=samples)
-    else:
-        mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats,
-                                    samples=samples)
+    mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats,
+                                samples=samples)
     if capture is not None:
         n = z.data.shape[0] // samples
         for sample in range(samples):
             rows = slice(sample * n, (sample + 1) * n)
             for h in range(heads):
                 cols = slice(h * d_head, (h + 1) * d_head)
-                phi_q = phi_k = None
-                if not cfg.softmax_attention:
-                    phi_q = rff_features(q_all[rows, cols], omega, phase).data
-                    phi_k = rff_features(k_all[rows, cols], omega, phase).data
                 capture.append(
                     {
                         "block": block,
                         "head": h,
-                        "phi_q": phi_q,
-                        "phi_k": phi_k,
+                        "phi_q": rff_features(q_all[rows, cols], omega, phase).data,
+                        "phi_k": rff_features(k_all[rows, cols], omega, phase).data,
                         "values": v_all.data[rows, cols],
                         "linear_out": mixed_in.data[rows, cols],
                     }
@@ -504,8 +478,7 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     cfg = model.cfg
     if isinstance(chunk, AlignedTriplet):
         chunk, queries = [chunk], [queries]
-    triplets = list(chunk)
-    padded = pad_chunk(triplets)
+    padded = pad_chunk(chunk)
     samples, n, length = padded.samples, padded.n_variates, padded.grid_length
     if len(queries) != samples:
         raise DataError(f"forward: expected {samples} query sets, got {len(queries)}")
@@ -525,14 +498,8 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     tcol = tp.const(padded.times.reshape((samples * length, 1)))   # (B*L, 1)
 
     xhat = encode_series(rows, tcol, p, use_conv=cfg.use_preconv, mask=padded.mask)
-    if cfg.normalize_time:
-        norms = [normalize_times(t, per_variate=cfg.per_variate_time_norm) for t in triplets]
-        t_cols = pad_columns([norm.values for norm in norms], length)   # (L, B*N)
-        shared = norms[0].shared
-    else:
-        t_cols, shared = np.repeat(padded.times.T, n, axis=1), True
-    z = pool_all(xhat, padded.mask, t_cols, shared, p, use_gate=cfg.use_pool_gate,
-                 samples=samples)
+    z = pool_all(xhat, padded.mask, normalize_times(padded.times), p,
+                 use_gate=cfg.use_pool_gate)
 
     for b in range(cfg.blocks):
         z = attention_block(z, b, p, cfg, stats=stats, capture=capture, samples=samples)
@@ -576,8 +543,6 @@ def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) ->
     builds the (N, N) matrix. The quadratic output must agree with the
     linear-order output up to association-order roundoff.
     """
-    if model.cfg.softmax_attention:
-        raise DataError("attention_maps: model was trained with the softmax ablation")
     if queries is None:
         queries = [np.empty(0) for _ in range(triplet.n_variates)]
     capture: list = []

@@ -55,9 +55,6 @@ class Tensor:
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
     def __add__(self, other):
         return add(self, other)
 
@@ -314,19 +311,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return a.tape.record("sum", np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.full(shape, float(g) / n),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, shape),)
-
-    return a.tape.record("mean", np.mean(a.data, axis=axis, keepdims=keepdims), (a,), vjp)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -383,17 +367,6 @@ def permute(a: Tensor, axes) -> Tensor:
     return a.tape.record(
         "permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
         lambda g: (g.transpose(inverse),),
-    )
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    try:
-        out = np.broadcast_to(a.data, shape)
-    except ValueError:
-        raise ShapeError(f"broadcast: cannot broadcast {old} to {tuple(shape)}")
-    return a.tape.record(
-        "broadcast", np.ascontiguousarray(out), (a,), lambda g: (_unbroadcast(g, old),)
     )
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from imtscast.config import TrainConfig
-from imtscast.data import AlignedTriplet, DataError, align, pad_chunk, pad_columns
-from imtscast.model import ModelParams, forward, linear_attention, softmax_attention
+from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
+from imtscast.model import ModelParams, forward, linear_attention
 from imtscast.tape import Tape
 from imtscast.train import CHUNK_CELLS, build_loss, chunk_spans, sample_losses
 
@@ -59,11 +59,8 @@ CONFIGS = {
     "heads1": dict(heads=1),
     "heads2_blocks2": dict(heads=2, blocks=2),
     "heads4": dict(heads=4),
-    "per_variate_time_norm": dict(per_variate_time_norm=True),
-    "no_time_norm": dict(normalize_time=False),
     "no_preconv": dict(use_preconv=False),
     "no_pool_gate": dict(use_pool_gate=False),
-    "softmax": dict(softmax_attention=True),
 }
 
 
@@ -100,7 +97,7 @@ class TestChunkEquivalence:
         for key in model.arrays:
             assert close(chunk_grads[key], single_grads[key], 1e-10), key
 
-    @pytest.mark.parametrize("name", ["heads2_blocks2", "softmax", "per_variate_time_norm"])
+    @pytest.mark.parametrize("name", ["heads2_blocks2"])
     def test_chunk_predictions_equal_chunk_of_one(self, name):
         samples = draw_samples(11, [4] * 5)
         model = ModelParams.init(config(**CONFIGS[name]), seed=4)
@@ -135,22 +132,6 @@ class TestChunkEquivalence:
                                       tape.const(phase), stats=alone)
             assert close(out.data[rows], single.data, 1e-12)
         assert chunked["degenerate_rows"] == alone["degenerate_rows"] == 2
-
-    def test_softmax_ablation_matches_per_sample_and_head_numpy(self):
-        rng = np.random.default_rng(9)
-        samples, n, heads, d_head = 2, 3, 2, 4
-        q, k, v = (rng.standard_normal((samples * n, heads * d_head)) for _ in range(3))
-        tape = Tape()
-        out = softmax_attention(tape.const(q), tape.const(k), tape.const(v), heads,
-                                samples=samples).data
-        for b in range(samples):
-            rows = slice(b * n, (b + 1) * n)
-            for h in range(heads):
-                cols = slice(h * d_head, (h + 1) * d_head)
-                scores = q[rows, cols] @ k[rows, cols].T / np.sqrt(d_head)
-                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-                weights /= weights.sum(axis=1, keepdims=True)
-                assert close(out[rows, cols], weights @ v[rows, cols], 1e-12)
 
     def test_chunk_tape_is_freed_without_the_cycle_collector(self):
         samples = draw_samples(13, [2] * 3)
@@ -218,10 +199,6 @@ class TestPadding:
             assert np.all(chunk.mask[rows, t.grid_length :] == 0.0)
             assert np.array_equal(chunk.times[b, : t.grid_length], t.times)
             assert np.all(chunk.times[b, t.grid_length :] == t.times[-1])
-
-    def test_pad_columns_repeats_each_blocks_last_row(self):
-        out = pad_columns([np.array([[1.0], [2.0]]), np.array([[5.0, 6.0]])], 3)
-        assert out.tolist() == [[1.0, 5.0, 6.0], [2.0, 5.0, 6.0], [2.0, 5.0, 6.0]]
 
     def test_mixed_variate_counts_rejected(self):
         with pytest.raises(DataError, match="same variate count"):

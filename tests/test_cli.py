@@ -1,12 +1,17 @@
 import csv
+import dataclasses
 import json
+import re
 
 import pytest
 
-from imtscast.cli import EXIT_OK, EXIT_USAGE, main
-from imtscast.config import TrainConfig
+from imtscast.cli import ABLATION_FLAGS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MODEL_FLAGS, main
+from imtscast.config import RETIRED_KEYS, TrainConfig
 from imtscast.datasets import PRESETS, write_dataset
 from imtscast.model import ModelParams
+
+TINY_FLAGS = ["--hidden", "8", "--heads", "2", "--rff-dim", "8", "--kernels", "2",
+              "--conv-channels", "2", "--time-dim", "4"]
 
 
 class TestPredict:
@@ -108,3 +113,127 @@ def damage_checkpoint(path, damage):
     elif damage == "wrong_shape":
         doc["params"]["out.w"] = {"shape": [4, 4], "data": [0.0] * 16}
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def tiny_run(tmp_path):
+    """A written sinusoid-tiny dataset and a small model's checkpoint."""
+    data = tmp_path / "data"
+    write_dataset(PRESETS["sinusoid-tiny"], data)
+    checkpoint = tmp_path / "checkpoint.json"
+    ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
+                                 conv_channels=2, time_dim=4)).save(checkpoint)
+    return data, checkpoint
+
+
+def replace_first_series_id(path, new_id):
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    first = ",".join([new_id(first.split(",")[0])] + first.split(",")[1:])
+    path.write_text("\n".join([header, first, *rest]) + "\n", encoding="utf-8")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", [
+        "nan_id", "fractional_id", "manifest_not_json", "manifest_without_splits",
+        "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+        data, checkpoint = tiny_run(tmp_path)
+        manifest, observations = data / "manifest.json", data / "test_obs.csv"
+        if case == "nan_id":
+            replace_first_series_id(observations, lambda sid: "nan")
+        elif case == "fractional_id":
+            # Truncating 16.5 would silently merge the row into series 16.
+            replace_first_series_id(observations, lambda sid: sid + ".5")
+        elif case == "manifest_not_json":
+            manifest.write_text("{not json", encoding="utf-8")
+        elif case == "manifest_without_splits":
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            del doc["splits"]
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
+        elif case == "directory_as_observations":
+            observations = data
+        elif case == "csv_not_utf8":
+            observations.write_bytes(b"series_id,variate,time,value\n16,1,0.5,\xff\xfe\n")
+        if case == "config_model_not_an_object":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"model": [1]}), encoding="utf-8")
+            argv = ["train", "--config", str(config), "--data", str(manifest),
+                    "--out", str(tmp_path / "run")]
+        elif case.startswith("manifest"):
+            argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(manifest)]
+        else:
+            argv = ["predict", "--checkpoint", str(checkpoint),
+                    "--observations", str(observations),
+                    "--queries", str(data / "test_queries.csv"),
+                    "--out", str(tmp_path / "predictions.csv")]
+        assert main(argv) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        if case.endswith("_id"):
+            assert ":2: not an integer id" in errors[0]
+
+
+class TestGradcheck:
+    def test_every_parameter_group_passes_and_a_tight_tolerance_exits_3(self, tmp_path):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", *TINY_FLAGS, "--out", str(out)]) == EXIT_OK
+        with open(out / "gradcheck.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["group", "max_rel_err", "ok"]
+        cfg = TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2, conv_channels=2,
+                          time_dim=4)
+        assert sorted(row[0] for row in rows) == sorted(ModelParams.init(cfg).arrays)
+        assert all(row[2] == "1" for row in rows)
+        assert main(["gradcheck", *TINY_FLAGS, "--tol", "1e-12"]) == EXIT_NUMERIC
+
+
+class TestRetiredKeys:
+    def test_kept_values_load_and_predict_bitwise_like_the_untouched_checkpoint(self, tmp_path):
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["config"].update(RETIRED_KEYS, grid={"kernels": [2, 4], "hidden": [8]})
+        old = tmp_path / "old_checkpoint.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+        outputs = []
+        for path in (checkpoint, old):
+            assert main(["eval", "--checkpoint", str(path),
+                         "--data", str(data / "manifest.json")]) == EXIT_OK
+            out = tmp_path / f"predictions_{path.stem}.csv"
+            assert main(["predict", "--checkpoint", str(path),
+                         "--observations", str(data / "test_obs.csv"),
+                         "--queries", str(data / "test_queries.csv"),
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_checkpoint_with_another_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["config"]["softmax_attention"] = True
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--data", str(data / "manifest.json")]) == EXIT_USAGE
+        assert "softmax_attention" in capsys.readouterr().err
+
+    def test_config_file_with_another_value_exits_2(self, tmp_path, capsys):
+        data, _checkpoint = tiny_run(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"normalize_time": False}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), *TINY_FLAGS, "--max-epochs", "1",
+                     "--data", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        assert "normalize_time" in capsys.readouterr().err
+
+
+def test_every_config_field_but_seed_has_exactly_one_flag(capsys):
+    flagged = [field for _flag, field, _typ in MODEL_FLAGS]
+    flagged += [field for _flag, field in ABLATION_FLAGS]
+    assert sorted(flagged) == sorted(f.name for f in dataclasses.fields(TrainConfig)
+                                     if f.name != "seed")
+    for _flag, field in ABLATION_FLAGS:
+        assert getattr(TrainConfig(), field) is True   # each flag turns a default off
+    assert main(["train", "--help"]) == EXIT_OK
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == ({flag for flag, _field, _typ in MODEL_FLAGS}
+                      | {flag for flag, _field in ABLATION_FLAGS}
+                      | {"--help", "--config", "--seed", "--data", "--out", "--verbose"})

@@ -10,7 +10,7 @@ from imtscast.data import (
     RawSeries,
     align,
     normalize_times,
-    quantize,
+    pad_chunk,
 )
 
 from conftest import random_sample
@@ -128,35 +128,20 @@ class TestAlign:
         with pytest.raises(DataError, match="exceed the last observed"):
             make_sample([([0.0, 2.0], [0.0, 0.0])], queries=[np.array([1.5])])
 
-    def test_quantize_collapses_near_equal_times(self):
-        sample = make_sample([
-            ([1.00001], [1.0]),
-            ([1.00002], [2.0]),
-        ])
-        assert align(sample).grid_length == 2
-        assert align(quantize(sample, 3)).grid_length == 1
-
 
 class TestNormalizeTimes:
-    def triplet(self, times, n_variates=1, mask=None):
-        times = np.asarray(times, dtype=float)
-        length = times.size
-        values = np.zeros((length, n_variates))
-        mask = np.ones((length, n_variates)) if mask is None else np.asarray(mask, float)
-        return AlignedTriplet(times=times, values=values, mask=mask)
+    def row(self, times):
+        return normalize_times(np.asarray([times], dtype=float))[0]
 
     def test_affine_map(self):
-        norm = normalize_times(self.triplet([0.0, 5.0, 10.0]))
-        assert norm.values[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert self.row([0.0, 5.0, 10.0]).tolist() == [0.0, 0.5, 1.0]
 
     def test_degenerate_single_row(self):
-        norm = normalize_times(self.triplet([7.0]))
-        assert norm.values[:, 0].tolist() == [0.0]
+        assert self.row([7.0]).tolist() == [0.0]
 
     def test_hand_computed_case(self):
-        norm = normalize_times(self.triplet([3.0, 4.0, 6.0, 12.0]))
         expected = [0.0, 1.0 / 9.0, 3.0 / 9.0, 1.0]
-        assert np.allclose(norm.values[:, 0], expected, rtol=0, atol=1e-15)
+        assert np.allclose(self.row([3.0, 4.0, 6.0, 12.0]), expected, rtol=0, atol=1e-15)
 
     def test_endpoints_map_to_zero_and_one(self):
         rng = np.random.default_rng(0)
@@ -165,28 +150,25 @@ class TestNormalizeTimes:
             times = np.unique(times)
             if times.size < 2:
                 continue
-            norm = normalize_times(self.triplet(times))
-            col = norm.values[:, 0]
+            col = self.row(times)
             assert col[0] == 0.0 and col[-1] == 1.0
             assert np.all((col >= 0.0) & (col <= 1.0))
             assert np.all(np.diff(col) >= 0.0)
 
     def test_shared_endpoints_identical_across_variates(self):
-        norm = normalize_times(self.triplet([0.0, 1.0, 4.0], n_variates=3))
-        assert norm.shared
-        assert np.array_equal(norm.values[:, 0], norm.values[:, 2])
+        # One row of times per sample: all of a sample's variates share it.
+        triplet = AlignedTriplet(times=np.array([0.0, 1.0, 4.0]), values=np.zeros((3, 3)),
+                                 mask=np.ones((3, 3)))
+        norm = normalize_times(pad_chunk([triplet]).times)
+        assert norm.tolist() == [[0.0, 0.25, 1.0]]
 
-    def test_per_variate_uses_own_observed_extremes(self):
-        mask = np.array([[1, 0], [1, 1], [0, 1], [1, 1]], dtype=float)
-        triplet = self.triplet([0.0, 1.0, 2.0, 3.0], n_variates=2, mask=mask)
-        norm = normalize_times(triplet, per_variate=True)
-        assert not norm.shared
-        # variate 0 observed on [0, 3], variate 1 on [1, 3]
-        assert np.allclose(norm.values[:, 0], [0.0, 1 / 3, 2 / 3, 1.0])
-        assert np.allclose(norm.values[:, 1], [0.0, 0.0, 0.5, 1.0])
-
-    def test_per_variate_empty_variate_maps_to_zeros(self):
-        mask = np.array([[1, 0], [1, 0]], dtype=float)
-        norm = normalize_times(self.triplet([0.0, 2.0], n_variates=2, mask=mask),
-                               per_variate=True)
-        assert np.all(norm.values[:, 1] == 0.0)
+    def test_padded_cells_map_to_one_and_a_one_time_row_to_zero(self):
+        triplets = [
+            AlignedTriplet(times=np.array(times), values=np.zeros((len(times), 2)),
+                           mask=np.ones((len(times), 2)))
+            for times in ([2.0, 3.0, 6.0], [0.1, 0.7, 0.9, 1.3, 2.9], [5.0])
+        ]
+        norm = normalize_times(pad_chunk(triplets).times)
+        assert norm[0].tolist() == [0.0, 0.25, 1.0, 1.0, 1.0]
+        assert norm[1, -1] == 1.0
+        assert norm[2].tolist() == [0.0] * 5

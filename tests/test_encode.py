@@ -111,8 +111,6 @@ CONFIGS = {
     "heads1": dict(heads=1),
     "heads4": dict(heads=4),
     "blocks2": dict(blocks=2),
-    "per_variate_time_norm": dict(per_variate_time_norm=True),
-    "no_time_norm": dict(normalize_time=False),
     "no_pool_gate": dict(use_pool_gate=False),
     "no_preconv": dict(use_preconv=False),
 }
