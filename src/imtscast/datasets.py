@@ -444,12 +444,19 @@ def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict
         raise DataError(f"{manifest_path}: not a dataset manifest")
     if not isinstance(manifest.get("splits"), dict):
         raise DataError(f"{manifest_path}: manifest has no splits")
+    if verify and not isinstance(manifest.get("checksums"), dict):
+        raise DataError(f"{manifest_path}: manifest has no checksums")
     base = manifest_path.parent
     out = {}
     for name in splits:
         if name not in manifest["splits"]:
             raise DataError(f"{manifest_path}: no split named {name!r}")
         entry = manifest["splits"][name]
+        if not isinstance(entry, dict):
+            raise DataError(f"{manifest_path}: split {name} is not an object")
+        for key in ("observations", "queries", "samples"):
+            if key not in entry:
+                raise DataError(f"{manifest_path}: split {name} has no {key}")
         for key in ("observations", "queries"):
             rel = entry[key]
             if verify:

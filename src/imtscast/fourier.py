@@ -13,8 +13,10 @@ Both directions are one matmul with a constant (d, d) matrix, built once per
 row length and shared read-only. The rows the model transforms are short
 (d is the hidden width), where a dense DFT matmul is far cheaper than any
 Python-level FFT, and the gradients are simply those of the matmul. The
-independent test oracle ``naive_dft_rows`` uses per-bin direct summation
-and shares nothing with the matrices.
+tape functions ``rfft_rows`` and ``irfft_rows`` are the one implementation;
+plain arrays go through ``dft_matrices`` directly. The independent test
+oracle ``naive_dft_rows`` (in ``tests/oracles.py``) uses per-bin direct
+summation and shares nothing with the matrices.
 """
 
 from __future__ import annotations
@@ -60,52 +62,6 @@ def dft_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     forward.setflags(write=False)
     inverse.setflags(write=False)
     return forward, inverse
-
-
-def _unpack(packed: np.ndarray):
-    """Expand packed rows to full-length complex (re, im) using symmetry."""
-    d = _check_rows(packed)
-    half = d // 2
-    re = np.empty((packed.shape[0], d))
-    im = np.zeros((packed.shape[0], d))
-    re[:, : half + 1] = packed[:, : half + 1]
-    im[:, 1:half] = packed[:, half + 1 :]
-    re[:, half + 1 :] = re[:, 1:half][:, ::-1]
-    im[:, half + 1 :] = -im[:, 1:half][:, ::-1]
-    return re, im
-
-
-def rfft_mat(x: np.ndarray) -> np.ndarray:
-    """Forward packed transform of each row (plain numpy, unnormalized)."""
-    x = np.asarray(x, dtype=np.float64)
-    return x @ dft_matrices(_check_rows(x))[0]
-
-
-def irfft_mat(packed: np.ndarray) -> np.ndarray:
-    """Inverse packed transform of each row (1/d normalization)."""
-    packed = np.asarray(packed, dtype=np.float64)
-    return packed @ dft_matrices(_check_rows(packed))[1]
-
-
-def naive_dft_rows(x: np.ndarray) -> np.ndarray:
-    """O(d^2) reference transform in the same packing; test oracle only."""
-    x = np.asarray(x, dtype=np.float64)
-    d = _check_rows(x)
-    grid = np.arange(d)
-    out = np.empty((x.shape[0], d))
-    for j in range(d // 2 + 1):
-        ang = 2.0 * np.pi * j * grid / d
-        out[:, j] = x @ np.cos(ang)
-    for j in range(1, d // 2):
-        ang = 2.0 * np.pi * j * grid / d
-        out[:, d // 2 + j] = -(x @ np.sin(ang))
-    return out
-
-
-def spectrum_energy(packed: np.ndarray) -> np.ndarray:
-    """Per-row sum of |X_j|^2 over all d complex bins (for Parseval checks)."""
-    re, im = _unpack(np.asarray(packed, dtype=np.float64))
-    return (re * re + im * im).sum(axis=1)
 
 
 def rfft_rows(t: Tensor) -> Tensor:

@@ -248,21 +248,18 @@ def conv_smooth(values: np.ndarray, mask: np.ndarray, p: dict[str, Tensor]) -> T
     return T.place(out, flat, (n, length))
 
 
-def encode_series(rows: Tensor, tcol: Tensor, p: dict[str, Tensor],
-                  use_conv: bool = True, mask: np.ndarray | None = None) -> Tensor:
+def encode_series(rows: Tensor, tcol: Tensor, mask: np.ndarray, p: dict[str, Tensor],
+                  use_conv: bool = True) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
     ``rows`` is (B*N, L), sample-major; ``tcol`` is the (B*L, 1) column of
     the B samples' grid times, one grid after another. ``mask`` marks the
-    observed cells of ``rows`` (every cell when None); the convolution runs
-    only there (see ``conv_smooth``). The projection is added to each
-    sample's N rows by broadcasting, on the whole grid.
+    observed cells of ``rows``; the convolution runs only there (see
+    ``conv_smooth``). The projection is added to each sample's N rows by
+    broadcasting, on the whole grid.
     """
-    if use_conv:
-        base = conv_smooth(rows.data, np.ones(rows.data.shape) if mask is None else mask, p)
-    else:
-        base = rows
+    base = conv_smooth(rows.data, mask, p) if use_conv else rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
@@ -307,8 +304,8 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     weights = _kernel_weights(tp.const(t_norm[:, :, None]), p)   # (B, L, K)
     stacked = (samples, total // samples, length)
     mask = tp.const(mask_rows.reshape(stacked))
-    num = T.bmm(xhat.reshape(stacked) * mask, weights)        # (B, N, K)
-    den = T.bmm(mask, weights)
+    num = (xhat.reshape(stacked) * mask) @ weights            # (B, N, K)
+    den = mask @ weights
     pooled = (num / _nonzero(den)).reshape((total, weights.data.shape[2]))
     if use_gate:
         pooled = pooled * T.sigmoid(p["pool.gate"])
@@ -354,7 +351,8 @@ def _merge_heads(x: Tensor, samples: int) -> Tensor:
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
-                     stats: dict | None = None, samples: int = 1) -> Tensor:
+                     stats: dict | None = None, samples: int = 1,
+                     capture: list | None = None) -> Tensor:
     """Kernelized attention of every (sample, head) at once, in linear-cost order.
 
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
@@ -362,11 +360,16 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     head, the numerator phi(Q) (phi(K)^T V) and the denominator
     phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix. One
     feature map covers the (B*N*H, d_h) rows; the features and [V | 1] are
-    regrouped into (B*H, N, .) stacks, one batched matmul forms every
-    phi(K)^T [V | 1], and one more yields every numerator and denominator.
-    Random features are sign-indefinite, so the denominator is guarded by a
-    small epsilon; each (row, head) whose pre-guard magnitude falls below
-    DEGENERATE_DENOM is counted as collapsed in ``stats``.
+    regrouped into (B*H, N, .) stacks, one stacked matmul against a
+    transposed view of phi(K) forms every phi(K)^T [V | 1], and one more
+    yields every numerator and denominator. Random features are
+    sign-indefinite, so the denominator is guarded by a small epsilon; each
+    (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
+    counted as collapsed in ``stats``.
+
+    With ``capture``, one dict of the (B*H, N, .) stacks is appended:
+    ``phi_q``, ``phi_k``, the head-split ``values`` and the pre-merge
+    ``linear_out``; stack entry b*H + h is sample b, head h.
     """
     total, d = q.data.shape
     d_head = omega.data.shape[0]
@@ -375,15 +378,19 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
                       samples, n, heads)                       # (B*H, N, R)
     fk = _split_heads(rff_features(k.reshape((total * heads, d_head)), omega, phase),
                       samples, n, heads)
+    values = _split_heads(v, samples, n, heads)                # (B*H, N, d_h)
     ones = q.tape.const(np.ones((samples * heads, n, 1)))
-    v_one = T.concat([_split_heads(v, samples, n, heads), ones], axis=2)   # (B*H, N, d_h+1)
-    both = T.bmm(fq, T.bmm(fk, v_one, transpose_a=True))       # (B*H, N, d_h+1)
+    both = fq @ (fk.T @ T.concat([values, ones], axis=2))      # (B*H, N, d_h+1)
     num, den = both[:, :, :d_head], both[:, :, d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
             (np.abs(den.data) < DEGENERATE_DENOM).sum()
         )
-    return _merge_heads(num / (den + ATTENTION_EPS), samples)
+    out = num / (den + ATTENTION_EPS)
+    if capture is not None:
+        capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
+                        "linear_out": out.data})
+    return _merge_heads(out, samples)
 
 
 def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfig,
@@ -392,9 +399,7 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
     """One pre-norm block: spectral mixing across each sample's variates, then
     an MLP. ``z`` is (B*N, d), sample-major."""
     pre = f"blocks.{block}."
-    omega, phase = p[pre + "omega"], p[pre + "phase"]
-    heads, d = cfg.heads, cfg.hidden
-    d_head = d // heads
+    d = cfg.hidden
 
     normed = T.layernorm(z) * p[pre + "ln1_g"] + p[pre + "ln1_b"]
     # Forward-normalized spectral pair (1/d here, d before the inverse): the
@@ -406,24 +411,10 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
-    mixed_in = linear_attention(q_all, k_all, v_all, omega, phase, stats=stats,
-                                samples=samples)
+    mixed_in = linear_attention(q_all, k_all, v_all, p[pre + "omega"], p[pre + "phase"],
+                                stats=stats, samples=samples, capture=capture)
     if capture is not None:
-        n = z.data.shape[0] // samples
-        for sample in range(samples):
-            rows = slice(sample * n, (sample + 1) * n)
-            for h in range(heads):
-                cols = slice(h * d_head, (h + 1) * d_head)
-                capture.append(
-                    {
-                        "block": block,
-                        "head": h,
-                        "phi_q": rff_features(q_all[rows, cols], omega, phase).data,
-                        "phi_k": rff_features(k_all[rows, cols], omega, phase).data,
-                        "values": v_all.data[rows, cols],
-                        "linear_out": mixed_in.data[rows, cols],
-                    }
-                )
+        capture[-1]["block"] = block
     mixed = z + irfft_rows(mixed_in * float(d))
     normed2 = T.layernorm(mixed) * p[pre + "ln2_g"] + p[pre + "ln2_b"]
     inner = T.relu(normed2 @ p[pre + "mlp_w1"] + p[pre + "mlp_b1"])
@@ -438,8 +429,6 @@ class ForwardResult:
     """
 
     predictions: Tensor          # (total_queries, 1)
-    variate_index: np.ndarray    # (total_queries,) 0-based variate of each row in its sample
-    query_times: np.ndarray      # (total_queries,)
     counts: list[int]            # queries per variate, sample after sample (B*N entries)
     samples: int = 1
     stats: dict = field(default_factory=dict)
@@ -497,7 +486,7 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     rows = tp.const(padded.values)                             # (B*N, L)
     tcol = tp.const(padded.times.reshape((samples * length, 1)))   # (B*L, 1)
 
-    xhat = encode_series(rows, tcol, p, use_conv=cfg.use_preconv, mask=padded.mask)
+    xhat = encode_series(rows, tcol, padded.mask, p, use_conv=cfg.use_preconv)
     z = pool_all(xhat, padded.mask, normalize_times(padded.times), p,
                  use_gate=cfg.use_pool_gate)
 
@@ -515,14 +504,7 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     hidden = T.relu(feats @ p["head.w1"] + p["head.b1"])
     hidden = T.relu(hidden @ p["head.w2"] + p["head.b2"])
     preds = hidden @ p["head.w3"] + p["head.b3"]               # (Q, 1)
-    return ForwardResult(
-        predictions=preds,
-        variate_index=row_idx % n,
-        query_times=flat_times,
-        counts=counts,
-        samples=samples,
-        stats=stats,
-    )
+    return ForwardResult(predictions=preds, counts=counts, samples=samples, stats=stats)
 
 
 @dataclass
@@ -541,7 +523,9 @@ def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) ->
     Uses the quadratic-order evaluation (phi(Q) phi(K)^T, explicitly
     normalized) purely for visualization; the model's own forward never
     builds the (N, N) matrix. The quadratic output must agree with the
-    linear-order output up to association-order roundoff.
+    linear-order output up to association-order roundoff. The features,
+    values and linear-order output are the stacks the forward pass already
+    holds (see ``linear_attention``); for one sample, stack entry h is head h.
     """
     if queries is None:
         queries = [np.empty(0) for _ in range(triplet.n_variates)]
@@ -549,19 +533,20 @@ def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) ->
     forward(Tape(), model, triplet, queries, capture=capture)
     maps = []
     for entry in capture:
-        raw = entry["phi_q"] @ entry["phi_k"].T                # (N, N)
-        rowsum = raw.sum(axis=1, keepdims=True)
-        degenerate = np.abs(rowsum) < DEGENERATE_DENOM
-        safe = np.where(degenerate, 1.0, rowsum)
-        quad_out = (raw @ entry["values"]) / (rowsum + ATTENTION_EPS)
-        maps.append(
-            AttentionMap(
-                block=entry["block"],
-                head=entry["head"],
-                weights=raw / safe,
-                quadratic_out=quad_out,
-                linear_out=entry["linear_out"],
-                degenerate_rows=int(degenerate.sum()),
+        for head, phi_q in enumerate(entry["phi_q"]):
+            raw = phi_q @ entry["phi_k"][head].T               # (N, N)
+            rowsum = raw.sum(axis=1, keepdims=True)
+            degenerate = np.abs(rowsum) < DEGENERATE_DENOM
+            safe = np.where(degenerate, 1.0, rowsum)
+            quad_out = (raw @ entry["values"][head]) / (rowsum + ATTENTION_EPS)
+            maps.append(
+                AttentionMap(
+                    block=entry["block"],
+                    head=head,
+                    weights=raw / safe,
+                    quadratic_out=quad_out,
+                    linear_out=entry["linear_out"][head],
+                    degenerate_rows=int(degenerate.sum()),
+                )
             )
-        )
     return maps

@@ -83,7 +83,7 @@ class Tensor:
         return matmul(self, other)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __getitem__(self, key):
         return narrow(self, key)
@@ -238,39 +238,18 @@ def div(a: Tensor, b) -> Tensor:
     return a.tape.record("div", out, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return a.tape.record("neg", -a.data, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b) -> Tensor:
+    """Matrix product of two matrices, or of two 3-D stacks entry by entry
+    (``a[i] @ b[i]``, equal leading sizes)."""
     b = _lift(a, b)
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {ad.shape} and {bd.shape}")
+    sa, sb = ad.shape, bd.shape
+    if len(sa) != len(sb) or len(sa) not in (2, 3) or sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
+        raise ShapeError(f"matmul: incompatible shapes {sa} and {sb}")
     return a.tape.record(
-        "matmul", ad @ bd, (a, b),
-        lambda g: (g @ bd.T, ad.T @ g),
+        "matmul", np.matmul(ad, bd), (a, b),
+        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g),
     )
-
-
-def bmm(a: Tensor, b, transpose_a: bool = False) -> Tensor:
-    """Batched matrix product of two 3-D stacks: ``a[i] @ b[i]`` for every i,
-    or ``a[i].T @ b[i]`` with ``transpose_a``."""
-    b = _lift(a, b)
-    ad, bd = a.data, b.data
-    lhs = ad.transpose(0, 2, 1) if transpose_a and ad.ndim == 3 else ad
-    if (ad.ndim != 3 or bd.ndim != 3 or lhs.shape[0] != bd.shape[0]
-            or lhs.shape[2] != bd.shape[1]):
-        raise ShapeError(f"bmm: incompatible shapes {ad.shape} and {bd.shape}"
-                         f"{' (first transposed)' if transpose_a else ''}")
-
-    def vjp(g):
-        grad_b = lhs.transpose(0, 2, 1) @ g
-        if transpose_a:
-            return bd @ g.transpose(0, 2, 1), grad_b
-        return g @ bd.transpose(0, 2, 1), grad_b
-
-    return a.tape.record("bmm", np.matmul(lhs, bd), (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -352,9 +331,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.data.shape}")
-    return a.tape.record("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes, as a view of ``a``'s data (no copy); the
+    adjoint swaps them back."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: needs at least two axes, got shape {a.data.shape}")
+    return a.tape.record("transpose", a.data.swapaxes(-1, -2), (a,),
+                         lambda g: (g.swapaxes(-1, -2),))
 
 
 def permute(a: Tensor, axes) -> Tensor:

@@ -1,14 +1,16 @@
 """Dense reference implementations of model layers, used only by tests.
 
-The model smooths observed cells only and pools every variate in one
-batched pass. These are the straightforward forms they replace: the
-convolution over every grid cell, and per-variate pooling coefficients
-followed by a per-variate summary.
+The model smooths observed cells only, pools every variate in one batched
+pass and transforms rows with cached DFT matrices. These are the
+straightforward forms they replace: the convolution over every grid cell,
+per-variate pooling coefficients followed by a per-variate summary, and
+the packed transform by per-bin direct summation.
 """
 
 import numpy as np
 
 import imtscast.tape as T
+from imtscast.fourier import _check_rows
 from imtscast.model import _kernel_weights, _nonzero, time_encode
 from imtscast.tape import Tensor
 
@@ -32,8 +34,8 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     return out.reshape((n, length))
 
 
-def dense_encode_series(rows: Tensor, tcol: Tensor, p: dict[str, Tensor],
-                        use_conv: bool = True, mask=None) -> Tensor:
+def dense_encode_series(rows: Tensor, tcol: Tensor, mask, p: dict[str, Tensor],
+                        use_conv: bool = True) -> Tensor:
     """``model.encode_series`` with the convolution run on the whole grid;
     ``mask`` is accepted and ignored."""
     base = dense_conv_smooth(rows, p) if use_conv else rows
@@ -66,3 +68,18 @@ def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
     flag = 1.0 if float(mask_col.data.sum()) > 0 else 0.0
     withflag = T.concat([pooled, x_col.tape.const([[flag]])], axis=1)
     return withflag @ p["pool.w_proj"]                         # (1, d)
+
+
+def naive_dft_rows(x: np.ndarray) -> np.ndarray:
+    """O(d^2) reference transform in the same packing; test oracle only."""
+    x = np.asarray(x, dtype=np.float64)
+    d = _check_rows(x)
+    grid = np.arange(d)
+    out = np.empty((x.shape[0], d))
+    for j in range(d // 2 + 1):
+        ang = 2.0 * np.pi * j * grid / d
+        out[:, j] = x @ np.cos(ang)
+    for j in range(1, d // 2):
+        ang = 2.0 * np.pi * j * grid / d
+        out[:, d // 2 + j] = -(x @ np.sin(ang))
+    return out

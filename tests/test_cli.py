@@ -134,6 +134,7 @@ def replace_first_series_id(path, new_id):
 class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         "nan_id", "fractional_id", "manifest_not_json", "manifest_without_splits",
+        "manifest_without_samples", "manifest_without_queries", "manifest_without_checksums",
         "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
@@ -149,6 +150,15 @@ class TestMalformedInput:
         elif case == "manifest_without_splits":
             doc = json.loads(manifest.read_text(encoding="utf-8"))
             del doc["splits"]
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
+        elif case == "manifest_without_checksums":
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            del doc["checksums"]
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
+        elif case.startswith("manifest_without_"):
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            for entry in doc["splits"].values():
+                del entry[case.removeprefix("manifest_without_")]
             manifest.write_text(json.dumps(doc), encoding="utf-8")
         elif case == "directory_as_observations":
             observations = data
@@ -171,6 +181,23 @@ class TestMalformedInput:
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         if case.endswith("_id"):
             assert ":2: not an integer id" in errors[0]
+
+
+class TestDivergence:
+    def test_forced_divergence_exits_3_and_keeps_history_and_checkpoint(self, tmp_path,
+                                                                        capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--preset", "sinusoid-tiny", "--out", str(data)]) == EXIT_OK
+        code = main(["train", "--data", str(data / "manifest.json"), "--lr", "1e300",
+                     "--max-epochs", "3", "--batch-size", "4", "--out", str(run)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        # numpy's overflow warnings may come first; the error line comes last.
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: training diverged at epoch 1: ") and "non-finite" in last
+        assert (run / "history.csv").is_file()
+        assert (run / "checkpoint.json").is_file()
 
 
 class TestGradcheck:

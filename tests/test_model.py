@@ -6,7 +6,7 @@ import pytest
 import imtscast.tape as T
 from imtscast.config import TrainConfig
 from imtscast.data import AlignedTriplet, DataError, align, normalize_times
-from imtscast.fourier import irfft_mat, rfft_mat
+from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ModelParams,
     attention_block,
@@ -92,7 +92,8 @@ class TestConvSmoothing:
         p = self.conv_params(tape, channels=4)
         p.update(make_te_params(tape, d_te=5, zero=True))
         p["te.w_t"] = tape.const(np.zeros((5, 1)))
-        out = encode_series(tape.const(np.zeros((2, 6))), tape.const(np.zeros((6, 1))), p)
+        out = encode_series(tape.const(np.zeros((2, 6))), tape.const(np.zeros((6, 1))),
+                            np.ones((2, 6)), p)
         assert np.all(out.data == 0.0)
 
     def test_length_one_sees_zero_padding(self):
@@ -471,7 +472,8 @@ class TestAttentionBlock:
         normed = ln(z) * arr["ln1_g"] + arr["ln1_b"]
         # Forward-normalized spectral pair: 1/d after the forward transform,
         # d before the inverse (see attention_block).
-        coeff = rfft_mat(normed) / 16
+        forward_dft, inverse_dft = dft_matrices(16)
+        coeff = normed @ forward_dft / 16
         qa, ka, va = coeff @ arr["wq"], coeff @ arr["wk"], coeff @ arr["wv"]
         heads = []
         for h in range(2):
@@ -486,7 +488,7 @@ class TestAttentionBlock:
             num = pq @ (pk.T @ v)
             den = pq @ pk.sum(axis=0)[:, None]
             heads.append(num / (den + 1e-6))
-        u = z + irfft_mat(np.concatenate(heads, axis=1) * 16)
+        u = z + (np.concatenate(heads, axis=1) * 16) @ inverse_dft
         normed2 = ln(u) * arr["ln2_g"] + arr["ln2_b"]
         mlp = np.maximum(normed2 @ arr["mlp_w1"] + arr["mlp_b1"], 0.0) @ arr["mlp_w2"] + arr["mlp_b2"]
         expected = u + mlp
@@ -543,7 +545,8 @@ class TestForward:
         sample, model = self.sample_and_model(seed=10)
         res = forward(Tape(), model, align(sample), sample.query_times)
         assert res.counts == [q.size for q in sample.query_times]
-        assert res.variate_index.size == sum(res.counts)
+        assert [v.size for v in res.per_variate()] == res.counts
+        assert sum(res.counts) == res.predictions.data.shape[0]
 
     def test_full_model_gradients(self, tiny_config):
         from imtscast.datasets import SynthSpec, generate

@@ -142,7 +142,10 @@ PRIMITIVE_CASES = [
     ("add_self", lambda t: t + t * t, (3, 4)),
     ("sub_self", lambda t: t - t * t, (3, 4)),
     ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
-    ("bmm", lambda t: T.bmm(t, np.arange(24.0).reshape(2, 4, 3)), (2, 3, 4)),
+    ("matmul_stacked", lambda t: t @ np.arange(24.0).reshape(2, 4, 3), (2, 3, 4)),
+    # A transposed view as the left operand, as in phi(K)^T [V | 1]; t on
+    # both sides also checks the right operand's adjoint of a stacked matmul.
+    ("transpose_stacked", lambda t: t.T @ t, (2, 3, 4)),
 ]
 
 
@@ -177,30 +180,55 @@ def test_every_primitive_frees_its_tape(name, fn, shape):
         gc.enable()
 
 
-@pytest.mark.parametrize("transpose_a", [False, True])
-def test_bmm_passes_gradient_check(transpose_a):
-    rng = np.random.default_rng(6 + transpose_a)
-    a = rng.standard_normal((3, 4, 2) if transpose_a else (3, 2, 4))
-    b = rng.standard_normal((3, 4, 5))
-    probe = rng.standard_normal((3, 2, 5))
-
-    def build(tape, bound):
-        return (T.bmm(bound["a"], bound["b"], transpose_a=transpose_a)
-                * tape.const(probe)).sum()
-
-    report = grad_check(build, {"a": a, "b": b}, step=1e-5, tol=1e-5)
-    assert report.ok, report.lines()
-
-
-def test_bmm_matches_per_entry_matmul():
+def test_stacked_matmul_matches_per_entry_matmul():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 5))
     tape = Tape()
-    out = T.bmm(const(tape, a), const(tape, b), transpose_a=True).data
+    out = (const(tape, a).T @ const(tape, b)).data
     for i in range(3):
         assert np.abs(out[i] - a[i].T @ b[i]).max() < 1e-14
-    with pytest.raises(ShapeError, match="bmm"):
-        T.bmm(const(tape, a), const(tape, b))
+    with pytest.raises(ShapeError, match="matmul"):
+        T.matmul(const(tape, a), const(tape, b))
+    with pytest.raises(ShapeError, match="matmul"):
+        T.matmul(const(tape, a[:2]).T, const(tape, b))
+
+
+def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
+    """The primitive table gradchecks exactly the ops a training step and
+    ``attention_maps`` record: an unused primitive or an unchecked one fails.
+    ``rff_features`` lives in the model and is gradchecked there."""
+    from conftest import random_sample
+
+    from imtscast.config import TrainConfig
+    from imtscast.data import align
+    from imtscast.model import ModelParams, attention_maps, forward
+    from imtscast.train import build_loss
+
+    ops: set[str] = set()
+    record = Tape.record
+
+    def spy(self, op, *args, **kwargs):
+        ops.add(op)
+        return record(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    rng = np.random.default_rng(9)
+    samples = []
+    while len(samples) < 3:
+        sample = random_sample(rng, max_variates=3)
+        if sample.n_variates == 3 and sum(sample.query_counts()):
+            samples.append(sample)
+    model = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
+                                         conv_channels=2, time_dim=4, blocks=2))
+    tape = Tape()
+    res = forward(tape, model, [align(s) for s in samples], [s.query_times for s in samples])
+    tape.backward(build_loss(res, np.concatenate([t for s in samples for t in s.query_targets])))
+    attention_maps(model, align(samples[0]), samples[0].query_times)
+    model_ops, ops = ops, set()
+
+    for _name, fn, shape in PRIMITIVE_CASES:
+        fn(Tape().param("x", np.ones(shape)))
+    assert (model_ops - ops, ops - model_ops) == ({"rff_features"}, set())
 
 
 def test_place_puts_entries_at_flat_positions():
