@@ -240,7 +240,10 @@ def _cmd_train(args) -> int:
         file=sys.stderr,
     )) if args.verbose else None
     try:
-        result = train(splits["train"], splits["val"], cfg, on_epoch=progress)
+        # Tape.record raises NonFiniteError on an overflowing result, so
+        # numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = train(splits["train"], splits["val"], cfg, on_epoch=progress)
     except DivergenceError as err:
         _write_history(out / "history.csv", err.history)
         if err.checkpoint is not None:
@@ -299,7 +302,7 @@ def _cmd_predict(args) -> int:
     for sample in assemble_samples(obs_table, query_table):
         if sample.sample_id not in query_table:
             continue
-        res = forward(Tape(), params, align(sample), sample.query_times)
+        res = forward(Tape(grad=False), params, align(sample), sample.query_times)
         for var, (times, preds) in enumerate(zip(sample.query_times, res.per_variate()), 1):
             for t, value in zip(times, preds):
                 rows.append([sample.sample_id, var, repr(float(t)), repr(float(value))])
@@ -375,7 +378,7 @@ def forward_seconds(params: ModelParams, n_variates: int, length: int,
     times = []
     for _ in range(reps + 1):
         start = time.perf_counter()
-        forward(Tape(), params, triplet, queries)
+        forward(Tape(grad=False), params, triplet, queries)
         times.append(time.perf_counter() - start)
     return times[1:]
 

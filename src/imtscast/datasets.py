@@ -459,6 +459,8 @@ def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict
                 raise DataError(f"{manifest_path}: split {name} has no {key}")
         for key in ("observations", "queries"):
             rel = entry[key]
+            if not isinstance(rel, str):
+                raise DataError(f"{manifest_path}: split {name} {key} is not a file name")
             if verify:
                 actual = _sha256(base / rel)
                 expected = manifest["checksums"].get(rel)

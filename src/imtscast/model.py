@@ -530,7 +530,7 @@ def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) ->
     if queries is None:
         queries = [np.empty(0) for _ in range(triplet.n_variates)]
     capture: list = []
-    forward(Tape(), model, triplet, queries, capture=capture)
+    forward(Tape(grad=False), model, triplet, queries, capture=capture)
     maps = []
     for entry in capture:
         for head, phi_q in enumerate(entry["phi_q"]):

@@ -1,11 +1,22 @@
 """Dense float64 tensors with a reverse-mode differentiation tape.
 
 Every operation computes its forward value eagerly and appends one node to
-the tape holding references to its parents and a vector-Jacobian closure.
+the tape. Each tensor carries ``needs_grad``: a parameter leaf needs a
+gradient, a constant does not, and a recorded value does when any of its
+parents does. Only a node that needs a gradient keeps its parents' indices
+and a vector-Jacobian closure; every other node is ``((), None)``, so the
+arrays its closure would have captured are freed with the forward's
+temporaries. A node that needs a gradient lists each parent that needs none
+as ``None``: the binary primitives skip that parent's adjoint, and
+``Tape.backward`` drops any adjoint a custom VJP still returns for it.
+
 ``Tape.backward`` walks the nodes once in reverse insertion order and
 returns a gradient for every registered parameter (zeros for parameters the
-loss never touched). Tensors are treated as immutable once recorded; a tape
-must not be shared across threads, but distinct tapes are independent.
+loss never touched). On a ``Tape(grad=False)`` no parameter needs a
+gradient, so the tape stores no closure at all and ``backward`` raises;
+inference runs the same primitives on such a tape. Tensors are treated as
+immutable once recorded; a tape must not be shared across threads, but
+distinct tapes are independent.
 
 All math is double precision. Any operation producing a NaN/Inf raises
 ``NonFiniteError`` immediately, which keeps divergence diagnosable at the
@@ -34,12 +45,13 @@ class NonFiniteError(TapeError):
 class Tensor:
     """A float64 array recorded on a tape. Do not mutate ``data``."""
 
-    __slots__ = ("data", "tape", "_index")
+    __slots__ = ("data", "tape", "_index", "needs_grad")
 
-    def __init__(self, data: np.ndarray, tape: "Tape", index: int):
+    def __init__(self, data: np.ndarray, tape: "Tape", index: int, needs_grad: bool):
         self.data = data
         self.tape = tape
         self._index = index
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
@@ -92,11 +104,19 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, node={self._index})"
 
 
-class Tape:
-    """Append-only record of primitive applications plus a parameter registry."""
+_NO_GRAD = ((), None)   # the node of a value that needs no gradient
 
-    def __init__(self):
-        self.nodes: list[tuple[tuple[int, ...], object]] = []
+
+class Tape:
+    """Append-only record of primitive applications plus a parameter registry.
+
+    With ``grad=False`` parameters need no gradient, so no node keeps a VJP
+    closure and ``backward`` raises ``TapeError``.
+    """
+
+    def __init__(self, grad: bool = True):
+        self.grad = grad
+        self.nodes: list[tuple[tuple[int | None, ...], object]] = []
         # name -> (node index, shape). Holding the Tensor here would close a
         # reference cycle (the tensor points back at its tape), and every tape
         # would then wait for the cyclic garbage collector.
@@ -106,17 +126,26 @@ class Tape:
         """Append one node. ``vjp(grad)`` must return one array (or None) per parent.
 
         Public so that custom primitives (e.g. spectral transforms, test
-        fixtures) can participate in differentiation.
+        fixtures) can participate in differentiation. The node keeps ``vjp``
+        only if some parent needs a gradient; adjoints it returns for the
+        other parents are dropped.
         """
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{op}: produced non-finite values")
+        needs = False
         for p in parents:
             if p.tape is not self:
                 raise TapeError(f"{op}: parent tensor belongs to a different tape")
+            if p.needs_grad:
+                needs = True
         index = len(self.nodes)
-        self.nodes.append((tuple(p._index for p in parents), vjp))
-        return Tensor(arr, self, index)
+        if needs:
+            self.nodes.append(
+                (tuple(p._index if p.needs_grad else None for p in parents), vjp))
+        else:
+            self.nodes.append(_NO_GRAD)
+        return Tensor(arr, self, index, needs)
 
     def const(self, data) -> Tensor:
         """Record a leaf that receives no gradient."""
@@ -129,6 +158,7 @@ class Tape:
         if name in self.params:
             raise TapeError(f"parameter {name!r} registered twice")
         t = self.record("param", data, (), None)
+        t.needs_grad = self.grad
         self.params[name] = (t._index, t.data.shape)
         return t
 
@@ -138,6 +168,8 @@ class Tape:
         Visits nodes in reverse insertion order exactly once; parameters not
         reachable from the loss get zero gradients.
         """
+        if not self.grad:
+            raise TapeError("backward: the tape was built with grad=False")
         if loss.tape is not self:
             raise TapeError("backward: loss was recorded on a different tape")
         if loss.data.size != 1:
@@ -152,7 +184,7 @@ class Tape:
             if vjp is None:
                 continue
             for pi, pg in zip(parents, vjp(g)):
-                if pg is None:
+                if pg is None or pi is None:
                     continue
                 if grads[pi] is None:
                     grads[pi] = pg
@@ -191,13 +223,20 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor):
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcastable")
 
 
+# The binary primitives and ``concat`` read their operands' ``needs_grad``
+# into plain bools when they record: an operand that needs no gradient gets a
+# None adjoint, and only the arrays the remaining adjoints use are captured.
+# A closure must not capture a Tensor, which points back at its tape; that
+# would make the tape a reference cycle.
+
 def add(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
     _check_broadcast("add", a, b)
     ash, bsh = a.data.shape, b.data.shape
+    ga, gb = a.needs_grad, b.needs_grad
     return a.tape.record(
         "add", a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, ash), _unbroadcast(g, bsh)),
+        lambda g: (_unbroadcast(g, ash) if ga else None, _unbroadcast(g, bsh) if gb else None),
     )
 
 
@@ -205,35 +244,42 @@ def sub(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
     _check_broadcast("sub", a, b)
     ash, bsh = a.data.shape, b.data.shape
+    ga, gb = a.needs_grad, b.needs_grad
     return a.tape.record(
         "sub", a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, ash), _unbroadcast(-g, bsh)),
+        lambda g: (_unbroadcast(g, ash) if ga else None, _unbroadcast(-g, bsh) if gb else None),
     )
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
     _check_broadcast("mul", a, b)
-    ad, bd = a.data, b.data
+    ash, bsh = a.data.shape, b.data.shape
+    ad = a.data if b.needs_grad else None
+    bd = b.data if a.needs_grad else None
     return a.tape.record(
-        "mul", ad * bd, (a, b),
-        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
+        "mul", a.data * b.data, (a, b),
+        lambda g: (None if bd is None else _unbroadcast(g * bd, ash),
+                   None if ad is None else _unbroadcast(g * ad, bsh)),
     )
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
     _check_broadcast("div", a, b)
-    ad, bd = a.data, b.data
+    ash, bsh = a.data.shape, b.data.shape
+    ga, gb = a.needs_grad, b.needs_grad
+    bd = b.data
     with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
-        out = ad / bd
+        out = a.data / bd
 
     def vjp(g):
         # -(g / b) * (a / b) rather than -g * a / (b * b): the square of a
         # |b| below ~1e-154 underflows, which makes the adjoint 0/0 even
         # where a is 0, and subnormal squares lose digits.
         g_over_b = g / bd
-        return _unbroadcast(g_over_b, ad.shape), _unbroadcast(-g_over_b * out, bd.shape)
+        return (_unbroadcast(g_over_b, ash) if ga else None,
+                _unbroadcast(-g_over_b * out, bsh) if gb else None)
 
     return a.tape.record("div", out, (a, b), vjp)
 
@@ -242,13 +288,15 @@ def matmul(a: Tensor, b) -> Tensor:
     """Matrix product of two matrices, or of two 3-D stacks entry by entry
     (``a[i] @ b[i]``, equal leading sizes)."""
     b = _lift(a, b)
-    ad, bd = a.data, b.data
-    sa, sb = ad.shape, bd.shape
+    sa, sb = a.data.shape, b.data.shape
     if len(sa) != len(sb) or len(sa) not in (2, 3) or sa[-1] != sb[-2] or sa[:-2] != sb[:-2]:
         raise ShapeError(f"matmul: incompatible shapes {sa} and {sb}")
+    ad = a.data if b.needs_grad else None
+    bd = b.data if a.needs_grad else None
     return a.tape.record(
-        "matmul", np.matmul(ad, bd), (a, b),
-        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g),
+        "matmul", np.matmul(a.data, b.data), (a, b),
+        lambda g: (None if bd is None else g @ bd.swapaxes(-1, -2),
+                   None if ad is None else ad.swapaxes(-1, -2) @ g),
     )
 
 
@@ -262,14 +310,17 @@ def sigmoid(a: Tensor) -> Tensor:
     return a.tape.record("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
+# sin and cos compute their derivative inside the VJP, so a forward that is
+# never differentiated pays for one trig pass, not two.
+
 def sin(a: Tensor) -> Tensor:
-    c = np.cos(a.data)
-    return a.tape.record("sin", np.sin(a.data), (a,), lambda g: (g * c,))
+    ad = a.data
+    return a.tape.record("sin", np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
 
 
 def cos(a: Tensor) -> Tensor:
-    s = np.sin(a.data)
-    return a.tape.record("cos", np.cos(a.data), (a,), lambda g: (g * (-s),))
+    ad = a.data
+    return a.tape.record("cos", np.cos(ad), (a,), lambda g: (g * (-np.sin(ad)),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -297,13 +348,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tape = tensors[0].tape
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    wanted = [t.needs_grad for t in tensors]
 
     def vjp(g):
         sl = [slice(None)] * g.ndim
         out = []
-        for k in range(len(sizes)):
+        for k, want in enumerate(wanted):
             sl[axis] = slice(offsets[k], offsets[k + 1])
-            out.append(g[tuple(sl)])
+            out.append(g[tuple(sl)] if want else None)
         return tuple(out)
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -447,7 +499,7 @@ def grad_check(build, params: dict[str, np.ndarray], step: float = 1e-4,
     analytic = tape.backward(loss)
 
     def value_at(current: dict[str, np.ndarray]) -> float:
-        t = Tape()
+        t = Tape(grad=False)
         b = {name: t.param(name, arr) for name, arr in current.items()}
         return float(build(t, b).data)
 

@@ -167,8 +167,20 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+
+    Returns the norm before clipping. When the plain sum of squares
+    overflows, the norm is taken of the gradients divided by their largest
+    magnitude and scaled back, so finite gradients are clipped to
+    ``max_norm`` rather than scaled by max_norm / inf = 0.
+    """
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if not np.isfinite(total):
+        peak = max((float(np.abs(g).max()) for g in grads.values() if g.size), default=0.0)
+        if np.isfinite(peak) and peak > 0:
+            total = peak * np.sqrt(sum(float(np.square(g / peak).sum())
+                                       for g in grads.values()))
     if total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads.values():
@@ -268,7 +280,9 @@ def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
 def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = None):
     """Pooled metrics over every queried point of ``samples``.
 
-    Samples run in chunks (see ``chunk_spans``). Returns (metrics dict, list
+    Samples run in chunks (see ``chunk_spans``), each forward on a
+    ``Tape(grad=False)``, which keeps no VJP closures; the predictions are
+    bitwise those of a training tape's forward. Returns (metrics dict, list
     of per-sample flat prediction arrays). Only the arrays are kept, so
     nothing holds a chunk's tape after its forward pass.
     """
@@ -278,7 +292,7 @@ def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = No
     for chunk in _chunks(prepared):
         # ``res`` holds the previous chunk's tape until this forward pass has
         # run, so its memory is reused (see the training loop in ``train``).
-        res = _chunk_forward(Tape(), params, chunk)
+        res = _chunk_forward(Tape(grad=False), params, chunk)
         preds.extend(res.per_sample())
         targets.extend(m.targets_flat for m in chunk)
     stats = metrics(np.concatenate(preds), np.concatenate(targets))

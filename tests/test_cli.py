@@ -136,6 +136,7 @@ class TestMalformedInput:
         "nan_id", "fractional_id", "manifest_not_json", "manifest_without_splits",
         "manifest_without_samples", "manifest_without_queries", "manifest_without_checksums",
         "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
+        "manifest_observations_not_a_string", "manifest_queries_not_a_string",
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         data, checkpoint = tiny_run(tmp_path)
@@ -160,6 +161,12 @@ class TestMalformedInput:
             for entry in doc["splits"].values():
                 del entry[case.removeprefix("manifest_without_")]
             manifest.write_text(json.dumps(doc), encoding="utf-8")
+        elif case.endswith("_not_a_string"):
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            key = case.removeprefix("manifest_").removesuffix("_not_a_string")
+            for entry in doc["splits"].values():
+                entry[key] = 5
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
         elif case == "directory_as_observations":
             observations = data
         elif case == "csv_not_utf8":
@@ -181,21 +188,23 @@ class TestMalformedInput:
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         if case.endswith("_id"):
             assert ":2: not an integer id" in errors[0]
+        if case.endswith("_not_a_string"):
+            assert str(manifest) in errors[0] and key in errors[0]
 
 
 class TestDivergence:
     def test_forced_divergence_exits_3_and_keeps_history_and_checkpoint(self, tmp_path,
-                                                                        capsys):
+                                                                        capsys, recwarn):
         data, run = tmp_path / "data", tmp_path / "run"
         assert main(["gen", "--preset", "sinusoid-tiny", "--out", str(data)]) == EXIT_OK
         code = main(["train", "--data", str(data / "manifest.json"), "--lr", "1e300",
                      "--max-epochs", "3", "--batch-size", "4", "--out", str(run)])
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
-        # numpy's overflow warnings may come first; the error line comes last.
         assert "Traceback" not in err
         last = err.splitlines()[-1]
         assert last.startswith("error: training diverged at epoch 1: ") and "non-finite" in last
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert (run / "history.csv").is_file()
         assert (run / "checkpoint.json").is_file()
 

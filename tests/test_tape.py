@@ -146,6 +146,13 @@ PRIMITIVE_CASES = [
     # A transposed view as the left operand, as in phi(K)^T [V | 1]; t on
     # both sides also checks the right operand's adjoint of a stacked matmul.
     ("transpose_stacked", lambda t: t.T @ t, (2, 3, 4)),
+    # A constant as the left operand, whose adjoint the VJP skips.
+    ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
+     (3, 4)),
+    ("sub_const_left", lambda t: 1.0 - t, (3, 4)),
+    ("div_const_left", lambda t: 1.0 / (t * t + 1.0), (3, 4)),
+    ("concat_const_first", lambda t: T.concat([t.tape.const(np.ones((3, 2))), t], axis=1),
+     (3, 4)),
 ]
 
 
@@ -170,14 +177,67 @@ def test_every_primitive_frees_its_tape(name, fn, shape):
     x = np.random.default_rng(0).standard_normal(shape)
     gc.disable()
     try:
-        tape = Tape()
-        loss = fn(tape.param("x", x)).sum()
-        tape.backward(loss)
-        ref = weakref.ref(tape)
-        del tape, loss
-        assert ref() is None
+        for grad in (True, False):
+            tape = Tape(grad=grad)
+            loss = fn(tape.param("x", x)).sum()
+            if grad:
+                tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape, loss
+            assert ref() is None, grad
     finally:
         gc.enable()
+
+
+class TestGradientFlags:
+    def test_flags_follow_the_parents(self):
+        tape = Tape()
+        w, c = tape.param("w", np.ones(2)), const(tape, np.ones(2))
+        assert (w.needs_grad, c.needs_grad) == (True, False)
+        assert (c * c).needs_grad is False and (c * w).needs_grad is True
+        assert tape.nodes[(c + c)._index] == ((), None)
+        parents, vjp = tape.nodes[(c * w)._index]
+        assert parents == (None, w._index) and vjp is not None
+
+    def test_custom_vjp_with_an_adjoint_for_a_constant_gives_the_same_gradients(self):
+        # ``record`` is public: a VJP that ignores the flags and returns an
+        # adjoint for every parent must still work.
+        rng = np.random.default_rng(10)
+        x, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+
+        def scale(t, k):
+            td, kd = t.data, k.data
+            return t.tape.record("scale", td * kd, (k, t), lambda g: (g * td, g * kd))
+
+        grads = []
+        for op in (lambda t, k: scale(t, k), lambda t, k: k * t):
+            tape = Tape()
+            w = tape.param("w", x)
+            grads.append(tape.backward((T.sin(op(w, const(tape, c))) * w).sum())["w"])
+        assert np.array_equal(grads[0], grads[1])
+
+    def test_no_grad_tape_records_the_same_values_and_no_closures(self):
+        from conftest import random_sample
+
+        from imtscast.config import TrainConfig
+        from imtscast.data import align
+        from imtscast.model import ModelParams, forward
+
+        rng = np.random.default_rng(11)
+        sample = random_sample(rng, max_variates=3)
+        while not sum(sample.query_counts()):
+            sample = random_sample(rng, max_variates=3)
+        model = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
+                                             conv_channels=2, time_dim=4, blocks=2))
+        taped, bare = Tape(), Tape(grad=False)
+        want = forward(taped, model, align(sample), sample.query_times).predictions
+        got = forward(bare, model, align(sample), sample.query_times).predictions
+        assert np.array_equal(got.data, want.data)
+        assert len(bare.nodes) == len(taped.nodes)
+        assert all(node == ((), None) for node in bare.nodes)
+        assert not any(t.needs_grad for t in (got, bare.param("extra", np.ones(1))))
+        with pytest.raises(TapeError, match="grad=False"):
+            bare.backward(got.sum())
 
 
 def test_stacked_matmul_matches_per_entry_matmul():

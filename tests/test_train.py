@@ -7,8 +7,9 @@ import pytest
 from imtscast.config import TrainConfig
 from imtscast.data import DataError, align
 from imtscast.datasets import PRESETS, SynthSpec, generate, split_samples
-from imtscast.model import ModelParams
+from imtscast.model import ModelParams, forward
 from imtscast.train import (
+    CLIP_NORM,
     AdamState,
     DivergenceError,
     adam_step,
@@ -117,6 +118,16 @@ class TestAdam:
         clipped = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         assert clipped == pytest.approx(5.0)
 
+    def test_clip_of_finite_gradients_whose_squares_overflow(self):
+        # 1e200 ** 2 overflows: the plain norm is inf and max_norm / inf
+        # would zero the gradients, so Adam would take a zero step.
+        grads = {"a": np.array([1e200, -1e200]), "b": np.array([1e199])}
+        total = clip_gradients(grads)
+        assert total == pytest.approx(np.sqrt(2.01) * 1e200, rel=1e-12)
+        clipped = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert clipped == pytest.approx(CLIP_NORM, rel=1e-12)
+        assert grads["a"][0] > 0 > grads["a"][1]
+
 
 def tiny_dataset(seed=0, n_samples=6):
     spec = SynthSpec(n_variates=2, n_samples=n_samples, mean_observations=6.0,
@@ -156,8 +167,8 @@ class TestTrainingLoop:
         params = ModelParams.init(tiny_cfg())
         tapes = []
 
-        def tracked_tape():
-            tape = Tape()
+        def tracked_tape(**kwargs):
+            tape = Tape(**kwargs)
             tapes.append(weakref.ref(tape))
             return tape
 
@@ -166,6 +177,19 @@ class TestTrainingLoop:
         assert len(tapes) == len(chunk_spans([align(s) for s in samples]))
         assert all(ref() is None for ref in tapes)
         assert np.concatenate(preds).size == sum(q.size for s in samples for q in s.query_times)
+
+    def test_evaluate_predictions_equal_a_grad_tape_forward(self):
+        samples = tiny_dataset(seed=8, n_samples=9)
+        params = ModelParams.init(tiny_cfg(), seed=3)
+        _stats, preds = evaluate(params, samples)
+        triplets = [align(s) for s in samples]
+        want = []
+        for span in chunk_spans(triplets):
+            res = forward(Tape(), params, triplets[span.start : span.stop],
+                          [samples[i].query_times for i in span])
+            want.extend(res.per_sample())
+        assert len(preds) == len(want) == len(samples)
+        assert all(np.array_equal(got, w) for got, w in zip(preds, want))
 
     def test_history_is_finite(self):
         samples = tiny_dataset(seed=2)
