@@ -41,7 +41,7 @@ class RawSeries:
             raise DataError(f"variate {self.variate_id}: non-finite observation time")
         if values.size and not np.isfinite(values).all():
             raise DataError(f"variate {self.variate_id}: non-finite observation value")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if times.size > 1 and not (times[1:] > times[:-1]).all():
             raise DataError(
                 f"variate {self.variate_id}: observation times must be strictly "
                 "increasing (duplicates are rejected at ingestion)"
@@ -177,16 +177,14 @@ def align(sample: ImtsSample) -> AlignedTriplet:
     """
     if sample.total_observations() == 0:
         raise DataError(f"sample {sample.sample_id}: cannot align, no observations at all")
-    times = np.unique(np.concatenate([s.times for s in sample.series]))
+    times, rows = np.unique(np.concatenate([s.times for s in sample.series]),
+                            return_inverse=True)
     n = sample.n_variates
+    cols = np.repeat(np.arange(n), [len(s) for s in sample.series])
     values = np.zeros((times.size, n))
     mask = np.zeros((times.size, n))
-    for col, s in enumerate(sample.series):
-        if not len(s):
-            continue
-        rows = np.searchsorted(times, s.times)
-        values[rows, col] = s.values
-        mask[rows, col] = 1.0
+    values[rows, cols] = np.concatenate([s.values for s in sample.series])
+    mask[rows, cols] = 1.0
     return AlignedTriplet(times=times, values=values, mask=mask)
 
 

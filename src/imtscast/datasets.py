@@ -3,17 +3,31 @@
 Observation times come from a per-variate Poisson process (exponential
 gaps), which produces both uneven spacing within a variate and timestamp
 asynchrony across variates. Values are a drawn signal plus Gaussian noise;
-queries land strictly beyond the observation window.
+queries land strictly beyond the observation window. A variate's gaps are
+drawn in one call and summed with ``cumsum``; the samples are bitwise those
+of drawing and adding one gap at a time.
 
 Files are plain CSV with full-precision decimal doubles (``repr`` round-
 trips exactly), so datasets are inspectable and portable. A JSON manifest
-records paths, the generating spec and SHA-256 checksums.
+records paths, the generating spec and SHA-256 checksums. The writers
+format one sample's rows at a time and write them with one call.
+
+The readers take ``BLOCK_LINES`` lines at a time, so memory holds one
+block of text besides the arrays read so far. A block of plain numbers
+is parsed with one numpy call, and its column counts, integral ids and
+per-stream time order (also against the rows of earlier blocks) are
+checked with array operations. A block that fails a check, or holds
+anything else (quotes, ``\r``, ``#``, spaces, empty fields, ``nan``),
+is read again row by row under the per-line rules, which name the first
+offending line or accept the block as they always did. A byte that is
+not UTF-8 is reported before any fault on the other lines of its block.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -129,14 +143,27 @@ PRESETS: dict[str, SynthSpec] = {
 # ---------------------------------------------------------------------------
 
 def _poisson_times(rng, rate: float, span: float) -> np.ndarray:
-    """Event times of a Poisson process on (0, span)."""
-    tiny = np.finfo(np.float64).tiny
-    times = []
-    t = rng.exponential(1.0 / rate)
-    while t < span:
-        times.append(t)
-        t += max(rng.exponential(1.0 / rate), tiny)  # keep strictly increasing
-    return np.asarray(times)
+    """Event times of a Poisson process on (0, span).
+
+    Equal, bit for bit, to drawing exponential gaps one at a time and adding
+    them up until the first time at or past ``span``: ``cumsum`` adds in
+    order, so it rounds exactly as that loop does. The generator is then
+    left where the loop leaves it, after ``count + 1`` draws.
+    """
+    scale = 1.0 / rate
+    start = rng.bit_generator.state
+    size = int(rate * span + 4.0 * math.sqrt(rate * span)) + 16   # the mean count plus a margin
+    while True:
+        gaps = rng.exponential(scale, size)
+        gaps[1:] = np.maximum(gaps[1:], np.finfo(np.float64).tiny)   # keep strictly increasing
+        times = np.cumsum(gaps)
+        count = int(np.searchsorted(times, span))
+        rng.bit_generator.state = start
+        if count < size:
+            break
+        size *= 2
+    rng.exponential(scale, count + 1)
+    return times[:count]
 
 
 def _draw_signal(rng, spec: SynthSpec):
@@ -247,32 +274,67 @@ def split_samples(samples: list[ImtsSample], spec: SynthSpec) -> dict[str, list[
 # CSV + manifest I/O
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Lines per block when reading a CSV: a block's text and arrays take about
+# a megabyte, and its few dozen numpy calls cost well under a millisecond.
+BLOCK_LINES = 16384
+
+# The bytes a block may hold to take the array path: digits, signs, points,
+# exponent letters, the comma and the newline.
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[np.frombuffer(b"0123456789+-.eE,\n", dtype=np.uint8)] = True
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# Integers of this magnitude or more need not survive parsing as float64.
+_EXACT_INTEGER = 2.0 ** 53
+
+
+@dataclass(frozen=True)
+class Stream:
+    """The rows of one (series, variate) in a CSV file, in file order.
+
+    ``values`` holds observation values or query targets; it is None for a
+    query stream that lacks a target on some row.
+    """
+
+    times: np.ndarray
+    values: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.times.size
+
+
+_NO_ROWS = Stream(times=np.empty(0), values=np.empty(0))
 
 
 def write_observations(path, samples) -> None:
+    """One line per observation, written with one call per sample."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(OBS_HEADER)
+        fh.write(",".join(OBS_HEADER) + "\n")
         for sample in samples:
+            rows = []
             for series in sample.series:
-                for t, x in zip(series.times, series.values):
-                    writer.writerow([sample.sample_id, series.variate_id, _fmt(t), _fmt(x)])
+                head = f"{sample.sample_id},{series.variate_id},"
+                rows += [f"{head}{t!r},{x!r}\n"
+                         for t, x in zip(series.times.tolist(), series.values.tolist())]
+            fh.write("".join(rows))
 
 
 def write_queries(path, samples, with_targets: bool = True) -> None:
+    """One line per query, written with one call per sample. A missing
+    target is an empty field."""
     header = QUERY_HEADER if with_targets else QUERY_HEADER[:3]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for sample in samples:
+            rows = []
             for series, qt, tg in zip(sample.series, sample.query_times, sample.query_targets):
-                for j, t in enumerate(qt):
-                    row = [sample.sample_id, series.variate_id, _fmt(t)]
-                    if with_targets:
-                        row.append(_fmt(tg[j]) if tg is not None else "")
-                    writer.writerow(row)
+                head = f"{sample.sample_id},{series.variate_id},"
+                if not with_targets:
+                    rows += [f"{head}{t!r}\n" for t in qt.tolist()]
+                elif tg is None:
+                    rows += [f"{head}{t!r},\n" for t in qt.tolist()]
+                else:
+                    rows += [f"{head}{t!r},{x!r}\n" for t, x in zip(qt.tolist(), tg.tolist())]
+            fh.write("".join(rows))
 
 
 def _parse_float(text: str, path, line_no: int) -> float:
@@ -293,65 +355,169 @@ def _parse_id(text: str, path, line_no: int) -> int:
     return int(value)
 
 
-def _csv_rows(path):
-    """Yield (line number, row) for every row of a UTF-8 CSV file, header first."""
+def _csv_blocks(path):
+    """Yield the header row of a UTF-8 CSV file (None for an empty file),
+    then (number of its first line, its lines) for each block of at most
+    ``BLOCK_LINES`` lines."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            yield from enumerate(csv.reader(fh), start=1)
+            first = fh.readline()
+            yield next(csv.reader([first])) if first else None
+            line_no = 2
+            while lines := list(itertools.islice(fh, BLOCK_LINES)):
+                yield line_no, lines
+                line_no += len(lines)
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: not UTF-8 text: {err}") from err
 
 
-def read_observations(path) -> dict[int, dict[int, list]]:
-    """Parse an observation CSV into {series_id: {variate: [(t, x), ...]}}.
+def _plain_fields(lines: list[str], ncols: int) -> np.ndarray | None:
+    """The block as a (rows, ncols) float array, or None unless every line
+    holds ncols non-empty fields made of digits, signs, points and
+    exponents, separated by commas."""
+    text = "".join(lines)
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if not _PLAIN_BYTES[raw].all():
+        return None
+    # With no "\r", each line but the last ends in the only newline it
+    # holds. So when every ncols-th separator is a newline and the count is
+    # right, all other separators are commas, ncols - 1 to a line.
+    seps = np.flatnonzero((raw == _COMMA) | (raw == _NEWLINE))
+    if seps.size != len(lines) * ncols - 1 or not (raw[seps[ncols - 1 :: ncols]] == _NEWLINE).all():
+        return None
+    if (np.diff(seps, prepend=-1, append=raw.size) < 2).any():   # an empty field
+        return None
+    try:
+        fields = np.fromstring(text.replace("\n", ","), sep=",")
+    except (ValueError, DeprecationWarning):   # a token that is not a number
+        return None
+    if fields.size != seps.size + 1:   # older numpy warns and stops at such a token
+        return None
+    return fields.reshape(len(lines), ncols)
+
+
+def _last_time(parts, sid: int, var: int):
+    """The time on the last row read so far of (sid, var), or None."""
+    chunks = parts.get(sid, {}).get(var)
+    return chunks[-1][0][-1] if chunks else None
+
+
+def _array_groups(lines, ncols: int, parts, observations: bool):
+    """The block's rows as (sid, var, times, values) per stream, or None
+    when any row needs the per-line rules: a field that is not a plain
+    number, an id that is not an exact integer, or an observation time not
+    above the stream's previous one."""
+    fields = _plain_fields(lines, ncols)
+    if fields is None:
+        return None
+    ids = fields[:, :2]
+    if not ((np.abs(ids) < _EXACT_INTEGER).all() and (np.floor(ids) == ids).all()):
+        return None
+    order = np.lexsort((fields[:, 1], fields[:, 0]))   # stable: file order within a stream
+    sid, var, times = fields[order, 0], fields[order, 1], fields[order, 2]
+    values = fields[order, 3] if ncols == 4 else None
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (sid[1:] != sid[:-1]) | (var[1:] != var[:-1])
+    if observations and not (first[1:] | (times[1:] > times[:-1])).all():
+        return None
+    starts = np.flatnonzero(first)
+    stops = np.append(starts[1:], order.size)
+    groups = []
+    for s, v, lo, hi in zip(sid[starts].astype(np.int64).tolist(),
+                            var[starts].astype(np.int64).tolist(),
+                            starts.tolist(), stops.tolist()):
+        if observations:
+            last = _last_time(parts, s, v)
+            if last is not None and not times[lo] > last:
+                return None
+        groups.append((s, v, times[lo:hi], None if values is None else values[lo:hi]))
+    return groups
+
+
+def _row_groups(path, first_line: int, lines, ncols: int, parts, observations: bool,
+                require_targets: bool):
+    """The block's rows as (sid, var, times, values) per stream, parsed line
+    by line. Raises ``DataError`` naming the first line that breaks a rule.
+
+    Observations need a value, and their times must rise strictly within
+    each stream; a query may leave its target empty.
+    """
+    rows: dict[tuple[int, int], tuple[list, list]] = {}
+    for line_no, row in enumerate(csv.reader(lines), start=first_line):
+        if len(row) != ncols:
+            raise DataError(f"{path}:{line_no}: expected {ncols} columns, got {len(row)}")
+        sid = _parse_id(row[0], path, line_no)
+        var = _parse_id(row[1], path, line_no)
+        t = _parse_float(row[2], path, line_no)
+        value = None
+        if ncols == 4 and (observations or row[3] != ""):
+            value = _parse_float(row[3], path, line_no)
+        if require_targets and value is None:
+            raise DataError(f"{path}:{line_no}: missing target")
+        times, values = rows.setdefault((sid, var), ([], []))
+        if observations:
+            last = times[-1] if times else _last_time(parts, sid, var)
+            if last is not None and t <= last:
+                raise DataError(
+                    f"{path}:{line_no}: non-increasing time for series {sid}, variate {var}"
+                )
+        times.append(t)
+        values.append(value)
+    return [(sid, var, np.asarray(times),
+             None if any(x is None for x in values) else np.asarray(values))
+            for (sid, var), (times, values) in rows.items()]
+
+
+def _read_streams(path, blocks, ncols: int, observations: bool = False,
+                  require_targets: bool = False) -> dict[int, dict[int, Stream]]:
+    """Read the data lines of ``blocks`` into {series_id: {variate: Stream}}."""
+    parts: dict[int, dict[int, list]] = {}
+    for first_line, lines in blocks:
+        groups = _array_groups(lines, ncols, parts, observations)
+        if groups is None:
+            groups = _row_groups(path, first_line, lines, ncols, parts, observations,
+                                 require_targets)
+        for sid, var, times, values in groups:
+            parts.setdefault(sid, {}).setdefault(var, []).append((times, values))
+    return {sid: {var: _joined(chunks) for var, chunks in streams.items()}
+            for sid, streams in parts.items()}
+
+
+def _joined(chunks) -> Stream:
+    """One stream from its (times, values) pieces in file order."""
+    if len(chunks) == 1:
+        return Stream(*chunks[0])
+    values = [x for _, x in chunks]
+    return Stream(times=np.concatenate([t for t, _ in chunks]),
+                  values=None if any(x is None for x in values) else np.concatenate(values))
+
+
+def read_observations(path) -> dict[int, dict[int, Stream]]:
+    """Parse an observation CSV into {series_id: {variate: Stream}}.
 
     Rows of one (series, variate) must appear in strictly increasing time
     order; violations are rejected with the offending line number.
     """
-    table: dict[int, dict[int, list]] = {}
-    rows = _csv_rows(path)
-    _, header = next(rows, (1, None))
-    if header != OBS_HEADER:
+    blocks = _csv_blocks(path)
+    if next(blocks) != OBS_HEADER:
         raise DataError(f"{path}:1: expected header {','.join(OBS_HEADER)}")
-    for line_no, row in rows:
-        if len(row) != 4:
-            raise DataError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
-        sid = _parse_id(row[0], path, line_no)
-        var = _parse_id(row[1], path, line_no)
-        t = _parse_float(row[2], path, line_no)
-        x = _parse_float(row[3], path, line_no)
-        stream = table.setdefault(sid, {}).setdefault(var, [])
-        if stream and t <= stream[-1][0]:
-            raise DataError(
-                f"{path}:{line_no}: non-increasing time for series {sid}, variate {var}"
-            )
-        stream.append((t, x))
-    return table
+    return _read_streams(path, blocks, ncols=4, observations=True)
 
 
-def read_queries(path, require_targets: bool) -> dict[int, dict[int, list]]:
-    """Parse a query CSV into {series_id: {variate: [(t, target|None), ...]}}."""
-    table: dict[int, dict[int, list]] = {}
-    rows = _csv_rows(path)
-    _, header = next(rows, (1, None))
+def read_queries(path, require_targets: bool) -> dict[int, dict[int, Stream]]:
+    """Parse a query CSV into {series_id: {variate: Stream}} of query times
+    and targets."""
+    blocks = _csv_blocks(path)
+    header = next(blocks)
     if header not in (QUERY_HEADER, QUERY_HEADER[:3]):
         raise DataError(f"{path}:1: expected header {','.join(QUERY_HEADER)} (target optional)")
-    has_target = header == QUERY_HEADER
-    if require_targets and not has_target:
+    if require_targets and header != QUERY_HEADER:
         raise DataError(f"{path}: split files need the target column")
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise DataError(f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
-        sid = _parse_id(row[0], path, line_no)
-        var = _parse_id(row[1], path, line_no)
-        t = _parse_float(row[2], path, line_no)
-        target = None
-        if has_target and len(row) == 4 and row[3] != "":
-            target = _parse_float(row[3], path, line_no)
-        if require_targets and target is None:
-            raise DataError(f"{path}:{line_no}: missing target")
-        table.setdefault(sid, {}).setdefault(var, []).append((t, target))
-    return table
+    return _read_streams(path, blocks, ncols=len(header), require_targets=require_targets)
 
 
 def assemble_samples(obs_table, query_table) -> list[ImtsSample]:
@@ -371,19 +537,11 @@ def assemble_samples(obs_table, query_table) -> list[ImtsSample]:
             raise DataError(f"series {sid}: no variates")
         series, qtimes, qtargets = [], [], []
         for var in range(1, n + 1):
-            stream = obs.get(var, [])
-            series.append(
-                RawSeries(
-                    variate_id=var,
-                    times=np.asarray([t for t, _ in stream]),
-                    values=np.asarray([x for _, x in stream]),
-                )
-            )
-            qrows = queries.get(var, [])
-            qtimes.append(np.asarray([t for t, _ in qrows]))
-            targets = [tg for _, tg in qrows]
-            qtargets.append(None if any(tg is None for tg in targets) or not targets
-                            else np.asarray(targets))
+            stream = obs.get(var, _NO_ROWS)
+            series.append(RawSeries(variate_id=var, times=stream.times, values=stream.values))
+            query = queries.get(var, _NO_ROWS)
+            qtimes.append(query.times)
+            qtargets.append(query.values if len(query) else None)
         samples.append(
             ImtsSample(sample_id=sid, series=tuple(series),
                        query_times=tuple(qtimes), query_targets=tuple(qtargets))

@@ -172,7 +172,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) ->
     Returns the norm before clipping. When the plain sum of squares
     overflows, the norm is taken of the gradients divided by their largest
     magnitude and scaled back, so finite gradients are clipped to
-    ``max_norm`` rather than scaled by max_norm / inf = 0.
+    ``max_norm`` rather than scaled by max_norm / inf = 0. A gradient that
+    is not finite leaves every array untouched: ``adam_step`` skips the step.
     """
     with np.errstate(over="ignore"):
         total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -181,7 +182,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) ->
         if np.isfinite(peak) and peak > 0:
             total = peak * np.sqrt(sum(float(np.square(g / peak).sum())
                                        for g in grads.values()))
-    if total > max_norm and total > 0:
+    if np.isfinite(total) and total > max_norm and total > 0:
         scale = max_norm / total
         for g in grads.values():
             g *= scale

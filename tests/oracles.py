@@ -1,15 +1,24 @@
-"""Dense reference implementations of model layers, used only by tests.
+"""Straightforward reference implementations, used only by tests.
 
 The model smooths observed cells only, pools every variate in one batched
 pass and transforms rows with cached DFT matrices. These are the
 straightforward forms they replace: the convolution over every grid cell,
 per-variate pooling coefficients followed by a per-variate summary, and
 the packed transform by per-bin direct summation.
+
+The dataset code draws Poisson gaps in one call, writes a sample's rows
+with one call and parses CSV blocks with numpy. The references here draw
+one gap at a time, write each row with ``csv.writer`` and parse each row
+with ``csv.reader`` and ``float``.
 """
+
+import csv
 
 import numpy as np
 
 import imtscast.tape as T
+from imtscast.data import DataError
+from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
 from imtscast.model import _kernel_weights, _nonzero, time_encode
 from imtscast.tape import Tensor
@@ -83,3 +92,115 @@ def naive_dft_rows(x: np.ndarray) -> np.ndarray:
         ang = 2.0 * np.pi * j * grid / d
         out[:, d // 2 + j] = -(x @ np.sin(ang))
     return out
+
+
+def poisson_times_loop(rng, rate: float, span: float) -> np.ndarray:
+    """Poisson event times on (0, span), one exponential gap per draw."""
+    tiny = np.finfo(np.float64).tiny
+    times = []
+    t = rng.exponential(1.0 / rate)
+    while t < span:
+        times.append(t)
+        t += max(rng.exponential(1.0 / rate), tiny)  # keep strictly increasing
+    return np.asarray(times)
+
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def write_observations_rows(path, samples) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(OBS_HEADER)
+        for sample in samples:
+            for series in sample.series:
+                for t, x in zip(series.times, series.values):
+                    writer.writerow([sample.sample_id, series.variate_id, _fmt(t), _fmt(x)])
+
+
+def write_queries_rows(path, samples, with_targets: bool = True) -> None:
+    header = QUERY_HEADER if with_targets else QUERY_HEADER[:3]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for sample in samples:
+            for series, qt, tg in zip(sample.series, sample.query_times, sample.query_targets):
+                for j, t in enumerate(qt):
+                    row = [sample.sample_id, series.variate_id, _fmt(t)]
+                    if with_targets:
+                        row.append(_fmt(tg[j]) if tg is not None else "")
+                    writer.writerow(row)
+
+
+def _parse_float(text: str, path, line_no: int) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{path}:{line_no}: not a number: {text!r}")
+
+
+def _parse_id(text: str, path, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        value = _parse_float(text, path, line_no)
+    if not value.is_integer():
+        raise DataError(f"{path}:{line_no}: not an integer id: {text!r}")
+    return int(value)
+
+
+def _csv_rows(path):
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text: {err}") from err
+
+
+def read_observations_rows(path) -> dict[int, dict[int, list]]:
+    """{series_id: {variate: [(t, x), ...]}}, parsed row by row."""
+    table: dict[int, dict[int, list]] = {}
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header != OBS_HEADER:
+        raise DataError(f"{path}:1: expected header {','.join(OBS_HEADER)}")
+    for line_no, row in rows:
+        if len(row) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 columns, got {len(row)}")
+        sid = _parse_id(row[0], path, line_no)
+        var = _parse_id(row[1], path, line_no)
+        t = _parse_float(row[2], path, line_no)
+        x = _parse_float(row[3], path, line_no)
+        stream = table.setdefault(sid, {}).setdefault(var, [])
+        if stream and t <= stream[-1][0]:
+            raise DataError(
+                f"{path}:{line_no}: non-increasing time for series {sid}, variate {var}"
+            )
+        stream.append((t, x))
+    return table
+
+
+def read_queries_rows(path, require_targets: bool) -> dict[int, dict[int, list]]:
+    """{series_id: {variate: [(t, target or None), ...]}}, parsed row by row."""
+    table: dict[int, dict[int, list]] = {}
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header not in (QUERY_HEADER, QUERY_HEADER[:3]):
+        raise DataError(f"{path}:1: expected header {','.join(QUERY_HEADER)} (target optional)")
+    has_target = header == QUERY_HEADER
+    if require_targets and not has_target:
+        raise DataError(f"{path}: split files need the target column")
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} columns, got {len(row)}")
+        sid = _parse_id(row[0], path, line_no)
+        var = _parse_id(row[1], path, line_no)
+        t = _parse_float(row[2], path, line_no)
+        target = None
+        if has_target and len(row) == 4 and row[3] != "":
+            target = _parse_float(row[3], path, line_no)
+        if require_targets and target is None:
+            raise DataError(f"{path}:{line_no}: missing target")
+        table.setdefault(sid, {}).setdefault(var, []).append((t, target))
+    return table

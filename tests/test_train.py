@@ -128,6 +128,13 @@ class TestAdam:
         assert clipped == pytest.approx(CLIP_NORM, rel=1e-12)
         assert grads["a"][0] > 0 > grads["a"][1]
 
+    def test_clip_leaves_non_finite_gradients_untouched(self, recwarn):
+        # max_norm / inf = 0 would write inf * 0 = NaN into the arrays.
+        grads = {"a": np.array([np.inf, 4.0]), "b": np.array([3.0])}
+        assert clip_gradients(grads) == np.inf
+        assert grads["a"].tolist() == [np.inf, 4.0] and grads["b"].tolist() == [3.0]
+        assert not recwarn.list
+
 
 def tiny_dataset(seed=0, n_samples=6):
     spec = SynthSpec(n_variates=2, n_samples=n_samples, mean_observations=6.0,
