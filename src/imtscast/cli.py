@@ -1,4 +1,4 @@
-"""Command-line surface: gen, train, eval, predict, gradcheck, bench, inspect.
+"""Command-line surface: gen, train, eval, predict, gradcheck, inspect.
 
 Exit codes: 0 success, 2 usage or validation problem, 3 numeric failure
 (divergence or a failed gradient check). Every command that writes files
@@ -6,8 +6,8 @@ also echoes its effective configuration next to them. All commands are
 deterministic given their flags and seed.
 """
 
-# Pin BLAS/OpenMP to one thread before numpy loads: keeps timings stable for
-# the scaling benchmark and removes a source of run-to-run nondeterminism.
+# Pin BLAS/OpenMP to one thread before numpy loads: keeps timings stable and
+# removes a source of run-to-run nondeterminism.
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -18,15 +18,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, TrainConfig, validate
-from .data import AlignedTriplet, DataError, align
+from .data import DataError, align
 from .datasets import (
     PRESETS,
     SynthSpec,
@@ -38,8 +36,8 @@ from .datasets import (
     write_dataset,
 )
 from .model import ModelParams, attention_maps, forward
-from .tape import NonFiniteError, Tape, grad_check
-from .train import DivergenceError, build_loss, evaluate, train
+from .tape import NonFiniteError, grad_check
+from .train import DivergenceError, build_loss, evaluate, inference_chunks, train
 
 OUTPUT_DIR_ENV = "IMTSCAST_OUT"
 
@@ -298,14 +296,17 @@ def _cmd_predict(args) -> int:
 
     # One row per query, grouped by series and variate, in query-file order
     # within each (series, variate).
+    samples = [sample for sample in assemble_samples(obs_table, query_table)
+               if sample.sample_id in query_table]
     rows = []
-    for sample in assemble_samples(obs_table, query_table):
-        if sample.sample_id not in query_table:
-            continue
-        res = forward(Tape(grad=False), params, align(sample), sample.query_times)
-        for var, (times, preds) in enumerate(zip(sample.query_times, res.per_variate()), 1):
-            for t, value in zip(times, preds):
-                rows.append([sample.sample_id, var, repr(float(t)), repr(float(value))])
+    for span, res in inference_chunks(params, [align(sample) for sample in samples],
+                                      [sample.query_times for sample in samples]):
+        per_variate = res.per_variate()
+        for b, sample in enumerate(samples[span.start : span.stop]):
+            own = per_variate[b * sample.n_variates : (b + 1) * sample.n_variates]
+            for var, (times, preds) in enumerate(zip(sample.query_times, own), 1):
+                for t, value in zip(times, preds):
+                    rows.append([sample.sample_id, var, repr(float(t)), repr(float(value))])
     out_path = Path(args.out) if args.out else Path("predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -355,69 +356,6 @@ def _cmd_gradcheck(args) -> int:
         _echo_config(out, "gradcheck", {"model": cfg.to_dict(), "tol": args.tol,
                                         "step": args.step})
     return EXIT_OK if report.ok else EXIT_NUMERIC
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def synthetic_triplet(n_variates: int, length: int, seed: int = 0) -> AlignedTriplet:
-    rng = np.random.default_rng([seed, n_variates, length])
-    return AlignedTriplet(
-        times=np.linspace(0.0, 1.0, length),
-        values=rng.standard_normal((length, n_variates)),
-        mask=np.ones((length, n_variates)),
-    )
-
-
-def forward_seconds(params: ModelParams, n_variates: int, length: int,
-                    queries_per_variate: int, reps: int) -> list[float]:
-    """Wall time of one full forward pass, repeated; first rep is warmup."""
-    triplet = synthetic_triplet(n_variates, length)
-    queries = [np.linspace(1.01, 1.2, queries_per_variate) for _ in range(n_variates)]
-    times = []
-    for _ in range(reps + 1):
-        start = time.perf_counter()
-        forward(Tape(grad=False), params, triplet, queries)
-        times.append(time.perf_counter() - start)
-    return times[1:]
-
-
-def _cmd_bench(args) -> int:
-    cfg, _extras = _resolve_config(args)
-    params = ModelParams.init(cfg)
-    lengths = [int(x) for x in args.lengths.split(",")]
-    variate_counts = [int(x) for x in args.variates_list.split(",")]
-    if not lengths or not variate_counts:
-        raise UsageError("bench: need at least one grid length and one variate count")
-    rows = []
-    for length in lengths:
-        secs = forward_seconds(params, variate_counts[0], length, args.queries, args.reps)
-        rows.append(("L", length, statistics.median(secs)))
-    for n in variate_counts:
-        secs = forward_seconds(params, n, lengths[0], args.queries, args.reps)
-        rows.append(("N", n, statistics.median(secs)))
-    print(f"param_count={params.param_count()} (independent of grid length)")
-    for kind, size, sec in rows:
-        print(f"{kind}={size:<6d} median_forward_s={sec:.6f}")
-    for kind in ("L", "N"):
-        series = [(size, sec) for k, size, sec in rows if k == kind]
-        for (s1, t1), (s2, t2) in zip(series, series[1:]):
-            if s2 == 2 * s1:
-                print(f"ratio {kind} {s1}->{s2}: {t2 / t1:.2f}")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sweep", "size", "median_seconds", "reps"])
-            for kind, size, sec in rows:
-                writer.writerow([kind, size, repr(sec), args.reps])
-        _echo_config(out, "bench", {
-            "model": cfg.to_dict(), "lengths": lengths,
-            "variates": variate_counts, "reps": args.reps, "queries": args.queries,
-        })
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--step", type=float, default=1e-4)
     gc.add_argument("--out", default=None)
     gc.set_defaults(func=_cmd_gradcheck)
-
-    be = sub.add_parser("bench", help="forward wall time vs grid length and variate count")
-    _add_model_flags(be)
-    be.add_argument("--lengths", default="256,512,1024,2048")
-    be.add_argument("--variates-list", default="8,16,32,64")
-    be.add_argument("--reps", type=int, default=20)
-    be.add_argument("--queries", type=int, default=4)
-    be.add_argument("--out", default=None)
-    be.set_defaults(func=_cmd_bench)
 
     ins = sub.add_parser("inspect", help="dump per-block/head attention maps")
     ins.add_argument("--checkpoint", required=True)

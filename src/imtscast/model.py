@@ -20,7 +20,12 @@ batched matmuls.
 
 All layers run on the differentiation tape; parameters live in a flat
 name -> array dict so the optimizer, serialization and gradient checks can
-treat them uniformly.
+treat them uniformly. A training tape keeps what its VJP closures capture
+until backward, and that memory bounds how many samples a chunk can hold.
+Three nodes exist to keep less: ``rff_features`` differentiates from its
+own output, and ``_smoothing_layers`` and ``_attend`` recompute their
+largest intermediate in backward. ``tape_bytes`` sums what a chunk's tape
+keeps; ``train.chunk_spans`` budgets chunks by it.
 """
 
 from __future__ import annotations
@@ -209,6 +214,48 @@ def expected_param_count(cfg: TrainConfig) -> int:
     return conv + te + pool + cfg.blocks * block + d * d + head
 
 
+def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int,
+               observed: int, queries: int) -> int:
+    """Bytes that the VJP closures of a training tape keep until backward
+    for one chunk: ``samples`` samples of ``n_variates`` variates padded to
+    ``grid_length``, with ``observed`` observed cells and ``queries`` query
+    times in all.
+
+    Each term counts the arrays one stage's closures keep, once however many
+    closures share them (see ``train.chunk_spans``, which budgets chunks by
+    this sum). Every parameter, feature draw and DFT matrix is counted, kept
+    or not, so the sum is an upper bound.
+    """
+    d, dte, k, heads = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.heads
+    rows = samples * n_variates
+    times = samples * grid_length
+    mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
+    floats = (
+        # encode: the conv taps (3, P) and placement index (P,); the grid
+        # times, the sin and cos inputs and the time encoding (B*L, 2*d_te)
+        (4 * observed if cfg.use_preconv else 0) + times * 2 * dte
+        # pool: the kernel exponent and weights (B, L, K) x2, the mask and
+        # the masked series (B*N, L) x2, the quotient and its denominator
+        # (B*N, K) x2, the summary with its flag (B*N, K+1)
+        + times * 2 * k + rows * grid_length * 2 + rows * (3 * k + 1)
+        # per block: two layernorms (B*N, d+1), the spectral coefficients,
+        # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
+        # mask (bytes), the features of Q and K (B*N*H, R) x2, [V | 1] and
+        # the attention quotient with its denominator (B*N*H, d_h+1) x2
+        + cfg.blocks * rows * (8 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
+        # the output projection's input (B*N, d)
+        + rows * d
+        # head and loss per query: row index, time, sin and cos inputs,
+        # features (d + d_te), two hidden layers with relu masks, residual
+        # and weight
+        + queries * (3 * d + mask + 2 * dte + 4)
+        # parameters, feature draws, the DFT pair and a few tiny arrays
+        + expected_param_count(cfg) + k + cfg.blocks * (d // heads + 1) * cfg.rff_dim // 2
+        + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
+    )
+    return 8 * floats
+
+
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
@@ -241,11 +288,32 @@ def conv_smooth(values: np.ndarray, mask: np.ndarray, p: dict[str, Tensor]) -> T
     flat = np.flatnonzero(mask)
     padded = np.pad(values, ((0, 0), (1, 1))).reshape(-1)     # rows of L+2
     centre = flat + 2 * (flat // length) + 1                   # cell positions in ``padded``
-    taps = p["conv.w1"].tape.const(
-        np.stack([padded[centre - 1], padded[centre], padded[centre + 1]]))   # (3, P)
-    hidden = T.relu(p["conv.w1"] @ taps + p["conv.b1"])        # (C, P)
-    out = p["conv.w2"] @ hidden + p["conv.b2"]                 # (1, P)
+    taps = np.stack([padded[centre - 1], padded[centre], padded[centre + 1]])   # (3, P)
+    out = _smoothing_layers(taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
     return T.place(out, flat, (n, length))
+
+
+def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
+                      b2: Tensor) -> Tensor:
+    """Both conv layers as one node; backward recomputes the (C, P) hidden layer from the taps."""
+    # Each step is the numpy call of the primitive it replaces (matmul, add,
+    # relu), so the output and the adjoints are bitwise those primitives'.
+    w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
+
+    def hidden():
+        pre = np.matmul(w1d, taps) + b1d
+        mask = pre > 0
+        return pre * mask, mask
+
+    h, _ = hidden()
+
+    def vjp(g):
+        h, mask = hidden()
+        g_pre = (w2d.swapaxes(-1, -2) @ g) * mask
+        return (g_pre @ taps.swapaxes(-1, -2), g_pre.sum(axis=1, keepdims=True),
+                g @ h.swapaxes(-1, -2), g.sum(axis=1, keepdims=True))
+
+    return w1.tape.record("smoothing_layers", np.matmul(w2d, h) + b2d, (w1, b1, w2, b2), vjp)
 
 
 def encode_series(rows: Tensor, tcol: Tensor, mask: np.ndarray, p: dict[str, Tensor],
@@ -319,24 +387,23 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
     Layout is the cos block then the sin block, scaled by 1/sqrt(R); inner
     products of two feature rows then estimate exp(-|x-y|^2/2)/2 for
     standard-normal frequency draws. The map is one tape node whose VJP
-    reuses the forward's cos and sin, so each trig value is computed once.
+    reads the derivatives off its own output (d cos = -sin, d sin = cos),
+    so it keeps no array beyond the features the attention keeps anyway.
     """
     proj = x @ omega + phase                                   # (rows, R/2)
     half = proj.data.shape[1]
     scale = 1.0 / np.sqrt(2 * half)
-    c, s = np.cos(proj.data), np.sin(proj.data)
+    out = np.concatenate([np.cos(proj.data), np.sin(proj.data)], axis=1) * scale
 
     def vjp(g):
-        return ((g[:, half:] * c - g[:, :half] * s) * scale,)
+        return (g[:, half:] * out[:, :half] - g[:, :half] * out[:, half:],)
 
-    return x.tape.record("rff_features", np.concatenate([c, s], axis=1) * scale,
-                         (proj,), vjp)
+    return x.tape.record("rff_features", out, (proj,), vjp)
 
 
 def _split_heads(x: Tensor, samples: int, n: int, heads: int) -> Tensor:
-    """Regroup rows laid out (sample, variate, head, w) in row-major order,
-    such as (B*N, H*w) or (B*N*H, w), into (B*H, N, w): one stack entry per
-    (sample, head)."""
+    """Regroup (B*N, H*w) rows, sample-major with head h in columns
+    [h*w, (h+1)*w), into (B*H, N, w): one stack entry per (sample, head)."""
     width = x.data.size // (samples * n * heads)
     split = T.permute(x.reshape((samples, n, heads, width)), (0, 2, 1, 3))
     return split.reshape((samples * heads,) + split.data.shape[2:])
@@ -350,6 +417,20 @@ def _merge_heads(x: Tensor, samples: int) -> Tensor:
     return merged.reshape((samples * n, heads * width))
 
 
+def _attend(fq: Tensor, fk_t: Tensor, vv: Tensor) -> Tensor:
+    """``fq @ (fk_t @ vv)`` as one node; backward recomputes the (B*H, R, d_h+1) ``fk_t @ vv``."""
+    # The same numpy calls as two matmul nodes, so the output and the
+    # adjoints are bitwise theirs.
+    qd, kd, vd = fq.data, fk_t.data, vv.data
+
+    def vjp(g):
+        g_kv = qd.swapaxes(-1, -2) @ g                         # (B*H, R, d_h+1)
+        return (g @ np.matmul(kd, vd).swapaxes(-1, -2), g_kv @ vd.swapaxes(-1, -2),
+                kd.swapaxes(-1, -2) @ g_kv)
+
+    return fq.tape.record("attend", np.matmul(qd, np.matmul(kd, vd)), (fq, fk_t, vv), vjp)
+
+
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
                      stats: dict | None = None, samples: int = 1,
                      capture: list | None = None) -> Tensor:
@@ -358,11 +439,15 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
     [h*d_h, (h+1)*d_h); d_h is the row count of ``omega``. Per sample and
     head, the numerator phi(Q) (phi(K)^T V) and the denominator
-    phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix. One
-    feature map covers the (B*N*H, d_h) rows; the features and [V | 1] are
-    regrouped into (B*H, N, .) stacks, one stacked matmul against a
-    transposed view of phi(K) forms every phi(K)^T [V | 1], and one more
-    yields every numerator and denominator. Random features are
+    phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix.
+
+    Layout: ``q``, ``k`` and ``v`` are first regrouped into (B*H, N, d_h)
+    stacks, one entry per (sample, head), so the only regrouping copies are
+    d_h wide. One feature map per stack runs over its (B*H*N, d_h) rows and
+    the R-wide features are born in the (B*H, N, R) layout as a view. One
+    node (``_attend``) forms every phi(K)^T [V | 1] and, from it, every
+    numerator and denominator; it recomputes that (B*H, R, d_h+1) summary
+    in backward rather than keeping it. Random features are
     sign-indefinite, so the denominator is guarded by a small epsilon; each
     (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
     counted as collapsed in ``stats``.
@@ -374,13 +459,17 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     total, d = q.data.shape
     d_head = omega.data.shape[0]
     heads, n = d // d_head, total // samples
-    fq = _split_heads(rff_features(q.reshape((total * heads, d_head)), omega, phase),
-                      samples, n, heads)                       # (B*H, N, R)
-    fk = _split_heads(rff_features(k.reshape((total * heads, d_head)), omega, phase),
-                      samples, n, heads)
+    stack = samples * heads
+
+    def features(x):
+        rows = _split_heads(x, samples, n, heads).reshape((stack * n, d_head))
+        phi = rff_features(rows, omega, phase)
+        return phi.reshape((stack, n, phi.data.shape[1]))      # (B*H, N, R)
+
+    fq, fk = features(q), features(k)
     values = _split_heads(v, samples, n, heads)                # (B*H, N, d_h)
-    ones = q.tape.const(np.ones((samples * heads, n, 1)))
-    both = fq @ (fk.T @ T.concat([values, ones], axis=2))      # (B*H, N, d_h+1)
+    ones = q.tape.const(np.ones((stack, n, 1)))
+    both = _attend(fq, fk.T, T.concat([values, ones], axis=2))   # (B*H, N, d_h+1)
     num, den = both[:, :, :d_head], both[:, :, d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(

@@ -1,7 +1,7 @@
 """Optimizer, objectives, metrics and the chunked training loop.
 
-Each shuffled batch runs as a few chunks: runs of consecutive samples (in
-batch order) that share the variate count N, padded to their longest grid
+Each shuffled batch runs in chunks: runs of consecutive samples (in batch
+order) that share the variate count N, padded to their longest grid
 (``data.pad_chunk``). A chunk runs forward and backward on one tape, so the
 per-op cost of the tape is paid once per chunk rather than once per sample.
 Padding is exact: padded cells have mask 0, pooling multiplies both its
@@ -10,17 +10,21 @@ already sees zeros past the end of a grid. The chunk loss is the sum of its
 samples' losses, so the summed chunk gradients divided by the batch size
 are the batch-mean gradient. Validation runs over the same kind of chunks.
 
-A chunk's padded cells B*N*L_max stay within ``CHUNK_CELLS``; a sample
-larger than that forms a chunk of one. The budget is set by memory: a
-chunk's tape keeps every activation until backward. The smoothing
-convolution's (C, P) hidden layer grows with the P observed cells only;
-the grid-wide (B*N, L_max) arrays of encode and pool and the kernel
-weights grow with the padded cell count. At 8192 cells a sinusoid-a chunk
-holds about 16 samples. Doubling the budget raised sinusoid-a training
-from a median of 1703 to 2043 samples/s (perfbench, 5 seeds each, 2-vCPU
-VM, one BLAS thread), but also the peak resident memory
-of a run from 67.0 to 75.5 MB, 13% more, past the 10% bound the benchmark
-sets on it; the budget stays at 8192.
+A chunk's training tape keeps the arrays its VJP closures need until
+backward; ``model.tape_bytes`` sums them from the chunk's padded shape, its
+observed cells and its queries. A chunk grows while that sum stays within
+``CHUNK_TAPE_BYTES``; a sample over the budget forms a chunk of one. The
+budget is set by memory, and ``train`` holds the previous chunk's tape
+while the next forward runs, so two tapes are alive at once. At 4 MiB:
+- a whole 32-sample sinusoid-a batch is one chunk (at most ~3.7 MB, about
+  22.5 floats per padded cell);
+- a 128-variate predict-wide chunk holds 2-3 samples (~4 MB, where its
+  8192-cell chunks kept ~6.5 MB before the recompute nodes in ``model``);
+- a long-grid sample (~2.8 MB) is a chunk of one.
+The 8192-cell budget this replaced split a sinusoid-a batch into about
+three chunks. Against it, sinusoid-a training rose from a median of 2130
+to 2801 samples/s and the run's peak resident memory from 57.2 to 61.3 MB
+(perfbench, 10 alternating pairs, 2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from . import tape as T
 from .config import TrainConfig
 from .data import AlignedTriplet, DataError, align
-from .model import ForwardResult, ModelParams, forward
+from .model import ForwardResult, ModelParams, forward, tape_bytes
 from .tape import NonFiniteError, Tape, Tensor
 
 log = logging.getLogger(__name__)
@@ -238,39 +242,63 @@ def _prepare(samples) -> list[_Prepared]:
     return prepared
 
 
-CHUNK_CELLS = 8192   # padded cells B*N*L_max per chunk; see the module docstring
+CHUNK_TAPE_BYTES = 4 * 2**20   # model.tape_bytes per chunk; see the module docstring
 
 
-def chunk_spans(triplets) -> list[range]:
+def chunk_spans(triplets, query_counts, cfg: TrainConfig) -> list[range]:
     """Split a sequence of aligned samples into chunks, keeping their order.
 
-    Each chunk is a run of consecutive samples with the same variate count
-    whose padded cells (samples * N * longest grid) stay within
-    ``CHUNK_CELLS``. A chunk always holds at least one sample, so a sample
-    over the budget forms a chunk of one.
+    ``query_counts`` holds each sample's number of query times. Each chunk
+    is a run of consecutive samples with the same variate count whose tape
+    estimate (``model.tape_bytes`` for ``cfg``) stays within
+    ``CHUNK_TAPE_BYTES``. A chunk always holds at least one sample, so a
+    sample over the budget forms a chunk of one.
     """
     spans = []
-    start, n, longest = 0, None, 0
-    for i, trip in enumerate(triplets):
+    start, n, longest, observed, queries = 0, None, 0, 0, 0
+    for i, (trip, count) in enumerate(zip(triplets, query_counts, strict=True)):
+        own = int(np.count_nonzero(trip.mask))
         grown = max(longest, trip.grid_length)
-        if i > start and trip.n_variates == n and (i - start + 1) * n * grown <= CHUNK_CELLS:
-            longest = grown
+        joins = i > start and trip.n_variates == n and tape_bytes(
+            cfg, i - start + 1, n, grown, observed + own, queries + count) <= CHUNK_TAPE_BYTES
+        if joins:
+            longest, observed, queries = grown, observed + own, queries + count
             continue
         if i > start:
             spans.append(range(start, i))
-        start, n, longest = i, trip.n_variates, trip.grid_length
+        start, n, longest, observed, queries = i, trip.n_variates, trip.grid_length, own, count
     if len(triplets) > start:
         spans.append(range(start, len(triplets)))
     return spans
 
 
-def _chunks(prepared: list[_Prepared]) -> list[list[_Prepared]]:
-    return [prepared[span.start : span.stop]
-            for span in chunk_spans([prep.triplet for prep in prepared])]
+def _chunks(prepared: list[_Prepared], cfg: TrainConfig) -> list[list[_Prepared]]:
+    spans = chunk_spans([prep.triplet for prep in prepared],
+                        [prep.targets_flat.size for prep in prepared], cfg)
+    return [prepared[span.start : span.stop] for span in spans]
 
 
 def _chunk_forward(tp: Tape, params: ModelParams, chunk: list[_Prepared]) -> ForwardResult:
     return forward(tp, params, [m.triplet for m in chunk], [m.queries for m in chunk])
+
+
+def inference_chunks(params: ModelParams, triplets, queries):
+    """Forward passes over aligned samples in chunks, for inference.
+
+    ``queries`` holds one list of query-time arrays per sample. Yields
+    (span, ForwardResult) per chunk of ``chunk_spans``, in order; each
+    forward runs on a ``Tape(grad=False)``, which keeps no VJP closures, so
+    its predictions are bitwise those of a training tape's forward on the
+    same chunk. Keep only arrays from a result, so that nothing holds a
+    chunk's tape past the next forward pass.
+    """
+    counts = [sum(q.size for q in qs) for qs in queries]
+    for span in chunk_spans(triplets, counts, params.cfg):
+        # ``res`` holds the previous chunk's tape until this forward pass has
+        # run, so its memory is reused (see the training loop in ``train``).
+        res = forward(Tape(grad=False), params, triplets[span.start : span.stop],
+                      queries[span.start : span.stop])
+        yield span, res
 
 
 def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
@@ -281,21 +309,16 @@ def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
 def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = None):
     """Pooled metrics over every queried point of ``samples``.
 
-    Samples run in chunks (see ``chunk_spans``), each forward on a
-    ``Tape(grad=False)``, which keeps no VJP closures; the predictions are
-    bitwise those of a training tape's forward. Returns (metrics dict, list
-    of per-sample flat prediction arrays). Only the arrays are kept, so
-    nothing holds a chunk's tape after its forward pass.
+    Samples run through ``inference_chunks``. Returns (metrics dict, list
+    of per-sample flat prediction arrays).
     """
     if prepared is None:
         prepared = _prepare(samples)
-    preds, targets = [], []
-    for chunk in _chunks(prepared):
-        # ``res`` holds the previous chunk's tape until this forward pass has
-        # run, so its memory is reused (see the training loop in ``train``).
-        res = _chunk_forward(Tape(grad=False), params, chunk)
+    preds = []
+    for _span, res in inference_chunks(params, [m.triplet for m in prepared],
+                                       [m.queries for m in prepared]):
         preds.extend(res.per_sample())
-        targets.extend(m.targets_flat for m in chunk)
+    targets = [m.targets_flat for m in prepared]
     stats = metrics(np.concatenate(preds), np.concatenate(targets))
     return stats, preds
 
@@ -330,7 +353,7 @@ def train(train_samples, val_samples, cfg: TrainConfig,
             for lo in range(0, order.size, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
                 acc: dict[str, np.ndarray] = {}
-                for chunk in _chunks([train_prep[i] for i in batch]):
+                for chunk in _chunks([train_prep[i] for i in batch], cfg):
                     # ``res`` and ``loss`` keep the previous chunk's tape
                     # alive until this chunk's forward pass has run. Its
                     # freed arrays then sit below live ones and get reused;

@@ -31,3 +31,38 @@ def random_sample(rng, max_variates=6, max_obs=12, allow_empty_variates=True) ->
 def tiny_config() -> TrainConfig:
     return TrainConfig(hidden=16, heads=2, rff_dim=16, kernels=4,
                        conv_channels=4, time_dim=8, blocks=2, seed=0)
+
+
+def _captured_arrays(obj, out: list) -> None:
+    """Collect the arrays a VJP closure reaches through its cells, tuples
+    and lists, and the closures it captures in turn."""
+    if isinstance(obj, np.ndarray):
+        out.append(obj)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _captured_arrays(item, out)
+    elif getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            try:
+                _captured_arrays(cell.cell_contents, out)
+            except ValueError:   # a cell not yet filled
+                pass
+
+
+def retained_bytes(tape) -> int:
+    """Bytes that the VJP closures of ``tape`` keep alive until backward.
+
+    Each captured array counts by the buffer that owns its memory, once
+    however many closures (or views) reach it.
+    """
+    owners = {}
+    for _parents, vjp in tape.nodes:
+        if vjp is None:
+            continue
+        arrays: list = []
+        _captured_arrays(vjp, arrays)
+        for arr in arrays:
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr
+    return sum(arr.nbytes for arr in owners.values())

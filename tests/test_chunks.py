@@ -9,9 +9,10 @@ import pytest
 
 from imtscast.config import TrainConfig
 from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
-from imtscast.model import ModelParams, forward, linear_attention
+from imtscast.datasets import PRESETS, generate
+from imtscast.model import ModelParams, forward, linear_attention, tape_bytes
 from imtscast.tape import Tape
-from imtscast.train import CHUNK_CELLS, build_loss, chunk_spans, sample_losses
+from imtscast.train import CHUNK_TAPE_BYTES, build_loss, chunk_spans, sample_losses
 
 from conftest import random_sample
 
@@ -71,7 +72,8 @@ class TestChunkEquivalence:
         # training splits it.
         samples = draw_samples(len(name), [3, 3, 3, 2, 2, 3, 3, 1])
         model = ModelParams.init(config(**CONFIGS[name]), seed=3)
-        spans = chunk_spans([align(s) for s in samples])
+        spans = chunk_spans([align(s) for s in samples],
+                            [sum(s.query_counts()) for s in samples], model.cfg)
         assert len(spans) < len(samples)
 
         chunk_loss, chunk_grads, chunk_per_sample = 0.0, {}, []
@@ -154,33 +156,83 @@ def triplet(n, length):
                           mask=np.ones((length, n)))
 
 
+BUDGET_CFG = TrainConfig()
+
+
+def estimate(triplets, counts):
+    """``tape_bytes`` of the chunk the samples would form together."""
+    return tape_bytes(BUDGET_CFG, len(triplets), triplets[0].n_variates,
+                      max(t.grid_length for t in triplets),
+                      sum(int(t.mask.sum()) for t in triplets), sum(counts))
+
+
+def fitting(n, length, queries=0):
+    """How many (n, length) samples with ``queries`` queries each fit the budget."""
+    fit = 1
+    while estimate([triplet(n, length)] * (fit + 1), [queries] * (fit + 1)) <= CHUNK_TAPE_BYTES:
+        fit += 1
+    return fit
+
+
 class TestChunking:
     def test_order_kept_n_shared_and_budget_held(self):
         rng = np.random.default_rng(7)
-        triplets = [triplet(int(rng.integers(1, 4)), int(rng.integers(1, 2000)))
-                    for _ in range(200)]
-        spans = chunk_spans(triplets)
+        triplets = []
+        for _ in range(200):
+            trip = triplet(int(rng.integers(1, 4)), int(rng.integers(1, 2000)))
+            # Sparse masks: the observed cells enter the budget, not the padded ones.
+            mask = (rng.uniform(size=trip.mask.shape) < 0.5).astype(float)
+            triplets.append(AlignedTriplet(times=trip.times, values=trip.values * mask,
+                                           mask=mask))
+        counts = [int(rng.integers(0, 20)) for _ in triplets]
+        spans = chunk_spans(triplets, counts, BUDGET_CFG)
         assert [i for span in spans for i in span] == list(range(len(triplets)))
-        for span in spans:
+        assert any(len(span) > 2 for span in spans)
+        for span, following in zip(spans, spans[1:] + [None]):
             members = triplets[span.start : span.stop]
             assert len(members) >= 1
             assert len({t.n_variates for t in members}) == 1
-            cells = len(members) * members[0].n_variates * max(t.grid_length for t in members)
-            assert len(members) == 1 or cells <= CHUNK_CELLS
+            own = counts[span.start : span.stop]
+            assert len(members) == 1 or estimate(members, own) <= CHUNK_TAPE_BYTES
+            if following is not None and triplets[span.stop].n_variates == members[0].n_variates:
+                # Maximal: the next sample would have broken the budget.
+                assert estimate(members + [triplets[span.stop]],
+                                own + [counts[span.stop]]) > CHUNK_TAPE_BYTES
 
     def test_chunks_are_maximal(self):
-        # 16 samples of 512 cells fill the budget exactly; the 17th opens a
-        # new chunk, as does a change of variate count.
-        triplets = [triplet(4, 128)] * 17 + [triplet(2, 128)] * 2
-        assert chunk_spans(triplets) == [range(0, 16), range(16, 17), range(17, 19)]
+        # ``fit`` samples fill the budget; the next opens a new chunk, as
+        # does a change of variate count.
+        fit = fitting(4, 128)
+        assert fit > 2
+        triplets = [triplet(4, 128)] * (fit + 1) + [triplet(2, 128)] * 2
+        assert chunk_spans(triplets, [0] * len(triplets), BUDGET_CFG) == [
+            range(0, fit), range(fit, fit + 1), range(fit + 1, fit + 3)]
+
+    def test_queries_count_toward_the_budget(self):
+        fit = fitting(4, 128)
+        assert fitting(4, 128, queries=200) < fit
+        triplets = [triplet(4, 128)] * fit
+        assert chunk_spans(triplets, [200] * fit, BUDGET_CFG)[0] == range(0, fitting(4, 128, 200))
 
     def test_oversized_sample_forms_a_chunk_of_one(self):
-        big = CHUNK_CELLS // 2 + 1
+        big = 3
+        while estimate([triplet(2, big)], [0]) <= CHUNK_TAPE_BYTES:
+            big *= 2
         triplets = [triplet(2, 3), triplet(2, big), triplet(2, 3), triplet(2, 3)]
-        assert chunk_spans(triplets) == [range(0, 1), range(1, 2), range(2, 4)]
+        assert chunk_spans(triplets, [0] * 4, BUDGET_CFG) == [
+            range(0, 1), range(1, 2), range(2, 4)]
+
+    def test_a_sinusoid_a_batch_is_one_chunk(self):
+        # The reference task's 32-sample batches each run as one chunk.
+        samples = generate(PRESETS["sinusoid-a"])[:320]
+        triplets = [align(s) for s in samples]
+        counts = [sum(s.query_counts()) for s in samples]
+        for lo in range(0, len(samples), 32):
+            batch = slice(lo, lo + 32)
+            assert chunk_spans(triplets[batch], counts[batch], BUDGET_CFG) == [range(0, 32)]
 
     def test_empty_batch_has_no_chunks(self):
-        assert chunk_spans([]) == []
+        assert chunk_spans([], [], BUDGET_CFG) == []
 
 
 class TestPadding:

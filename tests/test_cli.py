@@ -7,8 +7,17 @@ import pytest
 
 from imtscast.cli import ABLATION_FLAGS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MODEL_FLAGS, main
 from imtscast.config import RETIRED_KEYS, TrainConfig
-from imtscast.datasets import PRESETS, write_dataset
-from imtscast.model import ModelParams
+from imtscast.data import align
+from imtscast.datasets import (
+    PRESETS,
+    assemble_samples,
+    read_observations,
+    read_queries,
+    write_dataset,
+)
+from imtscast.model import ModelParams, forward
+from imtscast.tape import Tape
+from imtscast.train import chunk_spans
 
 TINY_FLAGS = ["--hidden", "8", "--heads", "2", "--rff-dim", "8", "--kernels", "2",
               "--conv-channels", "2", "--time-dim", "4"]
@@ -43,6 +52,52 @@ class TestPredict:
                   newline="") as fh:
             predicted = list(csv.reader(fh))[1:]
         assert [row[:3] for row in predicted] == [row[:3] for row in rows]
+
+
+    def test_chunked_predictions_match_per_sample_forwards(self, tmp_path):
+        # ``predict`` runs the same chunked loop as ``eval``; every value in
+        # the CSV agrees with its sample's forward on its own to 1e-12 relative.
+        data, checkpoint = tiny_run(tmp_path)
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "--checkpoint", str(checkpoint),
+                     "--observations", str(data / "test_obs.csv"),
+                     "--queries", str(data / "test_queries.csv"), "--out", str(out)]) == EXIT_OK
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["series_id", "variate", "time", "prediction"]
+
+        params = ModelParams.load(checkpoint)
+        samples = assemble_samples(read_observations(data / "test_obs.csv"),
+                                   read_queries(data / "test_queries.csv", require_targets=False))
+        spans = chunk_spans([align(s) for s in samples],
+                            [sum(s.query_counts()) for s in samples], params.cfg)
+        assert any(len(span) > 1 for span in spans)
+        want = []
+        for sample in samples:
+            res = forward(Tape(grad=False), params, align(sample), sample.query_times)
+            for var, (times, preds) in enumerate(zip(sample.query_times, res.per_variate()), 1):
+                want += [(sample.sample_id, var, t, value) for t, value in zip(times, preds)]
+        assert len(rows) == len(want) > 0
+        scale = max(abs(value) for *_key, value in want)
+        for row, (sid, var, t, value) in zip(rows, want):
+            assert (int(row[0]), int(row[1]), float(row[2])) == (sid, var, t)
+            assert abs(float(row[3]) - value) <= 1e-12 * scale
+
+    def test_non_finite_forward_exits_3(self, tmp_path, capsys):
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        # A zero kernel bandwidth makes the pooling weights 0/0.
+        doc["params"]["pool.log_alpha"]["data"] = [-1e4] * 2
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["predict", "--checkpoint", str(checkpoint),
+                     "--observations", str(data / "test_obs.csv"),
+                     "--queries", str(data / "test_queries.csv"),
+                     "--out", str(tmp_path / "predictions.csv")]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: div: produced non-finite values")
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        assert main(["bench"]) == EXIT_USAGE
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestEndToEnd:

@@ -5,10 +5,13 @@ import pytest
 
 import imtscast.tape as T
 from imtscast.config import TrainConfig
-from imtscast.data import AlignedTriplet, DataError, align, normalize_times
+from imtscast.data import AlignedTriplet, DataError, align, normalize_times, pad_chunk
+from imtscast.datasets import PRESETS, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ModelParams,
+    _attend,
+    _smoothing_layers,
     attention_block,
     attention_maps,
     conv_smooth,
@@ -18,12 +21,13 @@ from imtscast.model import (
     linear_attention,
     pool_all,
     rff_features,
+    tape_bytes,
     time_encode,
 )
 from imtscast.tape import Tape, grad_check
 from imtscast.train import build_loss
 
-from conftest import random_sample
+from conftest import random_sample, retained_bytes
 from oracles import pool_coefficients, pool_summary
 
 
@@ -315,6 +319,186 @@ class TestRandomFeatures:
         report = grad_check(build, {"x": x, "omega": omega, "phase": phase},
                             step=1e-4, tol=1e-4)
         assert report.ok, report.lines()
+
+    @pytest.mark.parametrize("r", [16, 12])
+    def test_output_based_adjoint_equals_the_primitive_composition(self, r):
+        # The VJP reads d cos = -sin and d sin = cos off the scaled output,
+        # which re-associates the 1/sqrt(R) scaling: bitwise when that is a
+        # power of two (R = 16), within 1e-12 relative otherwise.
+        omega, phase = self.feature_draw(3, r, seed=11)
+        rng = np.random.default_rng(12)
+        x, probe = rng.standard_normal((5, 3)), rng.standard_normal((5, r))
+
+        def composed(t):
+            proj = t @ omega + phase
+            return T.concat([T.cos(proj), T.sin(proj)], axis=1) * (1.0 / np.sqrt(r))
+
+        outs, grads = [], []
+        for fn in (lambda t: rff_features(t, t.tape.const(omega), t.tape.const(phase)),
+                   composed):
+            tape = Tape()
+            out = fn(tape.param("x", x))
+            outs.append(out.data)
+            grads.append(tape.backward((out * tape.const(probe)).sum())["x"])
+        assert np.array_equal(outs[0], outs[1])
+        if r == 16:
+            assert np.array_equal(grads[0], grads[1])
+        assert np.abs(grads[0] - grads[1]).max() <= 1e-12 * np.abs(grads[1]).max()
+
+
+class TestRecomputeNodes:
+    """The fused nodes that recompute an intermediate in backward instead of
+    keeping it: finite-difference checks of every input, and outputs and
+    adjoints bitwise equal to the primitives they replace."""
+
+    def smoothing_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        taps = rng.standard_normal((3, 7))
+        return taps, {"w1": rng.standard_normal((4, 3)), "b1": rng.standard_normal((4, 1)),
+                      "w2": rng.standard_normal((1, 4)), "b2": rng.standard_normal((1, 1))}
+
+    def attend_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return {"fq": rng.standard_normal((2, 5, 6)), "fk": rng.standard_normal((2, 5, 6)),
+                "vv": rng.standard_normal((2, 5, 3))}
+
+    def test_smoothing_layers_gradients(self):
+        taps, params = self.smoothing_inputs(0)
+        probe = np.random.default_rng(1).standard_normal((1, 7))
+
+        def build(tape, b):
+            out = _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"])
+            return (out * tape.const(probe)).sum()
+
+        report = grad_check(build, params, step=1e-5, tol=1e-5)
+        assert report.ok, report.lines()
+
+    def test_attend_gradients(self):
+        params = self.attend_inputs(2)
+        probe = np.random.default_rng(3).standard_normal((2, 5, 3))
+
+        def build(tape, b):
+            return (_attend(b["fq"], b["fk"].T, b["vv"]) * tape.const(probe)).sum()
+
+        report = grad_check(build, params, step=1e-5, tol=1e-5)
+        assert report.ok, report.lines()
+
+    @pytest.mark.parametrize("node", ["smoothing_layers", "attend"])
+    def test_fused_node_is_bitwise_its_primitives(self, node):
+        if node == "smoothing_layers":
+            taps, params = self.smoothing_inputs(4)
+            fused = lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"])
+            unfused = lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
+                                 + b["b2"])
+        else:
+            params = self.attend_inputs(5)
+            fused = lambda b: _attend(b["fq"], b["fk"].T, b["vv"])
+            unfused = lambda b: b["fq"] @ (b["fk"].T @ b["vv"])
+        shape_tape = Tape()
+        probe = np.random.default_rng(6).standard_normal(unfused(
+            {k: shape_tape.const(v) for k, v in params.items()}).data.shape)
+        results = []
+        for fn in (fused, unfused):
+            tape = Tape()
+            out = fn({name: tape.param(name, arr) for name, arr in params.items()})
+            grads = tape.backward((out * tape.const(probe)).sum())
+            results.append((out.data, grads))
+        assert np.array_equal(results[0][0], results[1][0])
+        for name in params:
+            assert np.array_equal(results[0][1][name], results[1][1][name]), name
+
+
+class TestTapeMemory:
+    """What a training tape keeps until backward, counted by
+    ``conftest.retained_bytes``, against the budget estimate."""
+
+    def chunk(self, samples, cfg):
+        tape = Tape()
+        model = ModelParams.init(cfg, seed=0)
+        triplets = [align(s) for s in samples]
+        res = forward(tape, model, triplets, [s.query_times for s in samples])
+        build_loss(res, np.concatenate([t for s in samples for t in s.query_targets]))
+        padded = pad_chunk(triplets)
+        estimate = tape_bytes(cfg, padded.samples, padded.n_variates, padded.grid_length,
+                              int(padded.mask.sum()), res.predictions.data.shape[0])
+        cells = padded.samples * padded.n_variates * padded.grid_length
+        return retained_bytes(tape), estimate, cells
+
+    def test_sinusoid_a_chunk_keeps_under_23_floats_per_padded_cell(self):
+        # A whole 32-sample batch of the reference task (B=32, N=5, L=118);
+        # the estimate that budgets chunks is within 1% above the count.
+        kept, estimate, cells = self.chunk(generate(PRESETS["sinusoid-a"])[:32], TrainConfig())
+        assert kept / 8 / cells < 23.0
+        assert kept <= estimate <= 1.01 * kept
+
+    @pytest.mark.parametrize("cfg_kw", [
+        dict(), dict(heads=1), dict(use_preconv=False), dict(use_pool_gate=False),
+        dict(hidden=6, heads=3, rff_dim=10, kernels=3, conv_channels=2, time_dim=5, blocks=2),
+    ])
+    def test_estimate_bounds_what_the_tape_keeps(self, cfg_kw):
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 7):
+            samples = []
+            while len(samples) < 4:
+                sample = random_sample(rng, max_variates=n)
+                if sample.n_variates == n and sum(sample.query_counts()):
+                    samples.append(sample)
+            kept, estimate, _cells = self.chunk(samples, TrainConfig(**cfg_kw))
+            assert kept <= estimate <= 1.1 * kept, (n, kept, estimate)
+
+
+def dense_triplet(n, length, seed=0):
+    """Every variate observed at every grid time."""
+    rng = np.random.default_rng([seed, n, length])
+    return AlignedTriplet(times=np.linspace(0.0, 1.0, length),
+                          values=rng.standard_normal((length, n)), mask=np.ones((length, n)))
+
+
+class TestCountedCost:
+    """The paper's cost claims as counts, not timings: one forward's
+    recorded floats grow linearly in the variate count N and the grid
+    length L, no node holds N^2 entries (quadratic attention would), and
+    the node and parameter counts do not depend on N or L."""
+
+    def record(self, monkeypatch, n, length):
+        sizes = []
+        record = Tape.record
+
+        def spy(self, op, data, *args, **kwargs):
+            out = record(self, op, data, *args, **kwargs)
+            sizes.append(out.data.size)
+            return out
+
+        monkeypatch.setattr(Tape, "record", spy)
+        tape = Tape()
+        queries = [np.linspace(1.01, 1.2, 2) for _ in range(n)]
+        forward(tape, ModelParams.init(TrainConfig(), seed=0), dense_triplet(n, length), queries)
+        monkeypatch.undo()
+        return sizes, tape
+
+    def test_recorded_floats_grow_linearly_in_n_and_l(self, monkeypatch):
+        # Affine in one size with the other fixed: the second difference
+        # over a doubling ladder is exactly zero.
+        for ladder in ([(16, 16), (32, 16), (64, 16)], [(8, 256), (8, 512), (8, 1024)]):
+            f1, f2, f4 = (sum(self.record(monkeypatch, n, length)[0]) for n, length in ladder)
+            assert f4 - f2 == 2 * (f2 - f1) > 0, ladder
+
+    def test_no_node_holds_n_squared_entries(self, monkeypatch):
+        n = 512
+        biggest = max(self.record(monkeypatch, n, 8)[0])
+        assert biggest < n * n
+        assert biggest == 2 * max(self.record(monkeypatch, n // 2, 8)[0])
+
+    def test_node_and_parameter_counts_do_not_depend_on_n_or_l(self, monkeypatch):
+        counts = set()
+        for n, length in [(2, 16), (64, 16), (2, 1024)]:
+            sizes, tape = self.record(monkeypatch, n, length)
+            registered = sum(int(np.prod(shape)) for _index, shape in tape.params.values())
+            counts.add((len(sizes), len(tape.params), registered))
+        assert len(counts) == 1
+        _nodes, params, registered = counts.pop()
+        assert params == len(ModelParams.init(TrainConfig()).arrays)
+        assert registered == expected_param_count(TrainConfig())
 
 
 class TestLinearAttention:

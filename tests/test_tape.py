@@ -256,7 +256,8 @@ def test_stacked_matmul_matches_per_entry_matmul():
 def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     """The primitive table gradchecks exactly the ops a training step and
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
-    ``rff_features`` lives in the model and is gradchecked there."""
+    The model's own fused nodes (``rff_features``, ``smoothing_layers`` and
+    ``attend``) live in the model and are gradchecked there."""
     from conftest import random_sample
 
     from imtscast.config import TrainConfig
@@ -288,7 +289,8 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(Tape().param("x", np.ones(shape)))
-    assert (model_ops - ops, ops - model_ops) == ({"rff_features"}, set())
+    assert (model_ops - ops, ops - model_ops) == (
+        {"rff_features", "smoothing_layers", "attend"}, set())
 
 
 def test_place_puts_entries_at_flat_positions():

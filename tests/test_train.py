@@ -181,7 +181,9 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(train_module, "Tape", tracked_tape)
         stats, preds = evaluate(params, samples)
-        assert len(tapes) == len(chunk_spans([align(s) for s in samples]))
+        spans = chunk_spans([align(s) for s in samples],
+                            [sum(s.query_counts()) for s in samples], params.cfg)
+        assert len(tapes) == len(spans)
         assert all(ref() is None for ref in tapes)
         assert np.concatenate(preds).size == sum(q.size for s in samples for q in s.query_times)
 
@@ -191,7 +193,8 @@ class TestTrainingLoop:
         _stats, preds = evaluate(params, samples)
         triplets = [align(s) for s in samples]
         want = []
-        for span in chunk_spans(triplets):
+        for span in chunk_spans(triplets, [sum(s.query_counts()) for s in samples],
+                                params.cfg):
             res = forward(Tape(), params, triplets[span.start : span.stop],
                           [samples[i].query_times for i in span])
             want.extend(res.per_sample())
