@@ -12,7 +12,7 @@ from .data import AlignedTriplet, ImtsSample, RawSeries, align, normalize_times
 from .datasets import PRESETS, SynthSpec, generate, read_dataset, write_dataset
 from .model import ModelParams, expected_param_count, forward
 from .tape import Tape, Tensor, grad_check
-from .train import adam_step, evaluate, metrics, mse_loss, train
+from .train import adam_step, evaluate, metrics, train
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "generate",
     "grad_check",
     "metrics",
-    "mse_loss",
     "normalize_times",
     "read_dataset",
     "train",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 
@@ -56,8 +57,22 @@ class TrainConfig:
         return cls(**data)
 
 
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
 def validate(cfg: TrainConfig) -> None:
-    """Raise ConfigError for shapes that cannot be built."""
+    """Raise ConfigError for values of the wrong type and shapes that cannot
+    be built.
+
+    Integer fields take ``int`` only (not ``bool``, and not a float such as
+    32.0); ``learning_rate`` takes a finite positive ``int`` or ``float``;
+    the ``use_*`` switches take ``bool`` only.
+    """
+    for f in fields(cfg):
+        value, kind = getattr(cfg, f.name), type(f.default)
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{f.name} must be {_KINDS[kind]}, got {value!r}")
     if cfg.kernels < 2:
         raise ConfigError("kernels must be >= 2")
     if cfg.conv_channels < 1:
@@ -72,11 +87,13 @@ def validate(cfg: TrainConfig) -> None:
         raise ConfigError(f"rff_dim must be even and >= 2, got {cfg.rff_dim}")
     if cfg.blocks < 1:
         raise ConfigError("blocks must be >= 1")
-    if cfg.learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
+    if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+        raise ConfigError(f"learning_rate must be finite and positive, got {cfg.learning_rate!r}")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if cfg.max_epochs < 1:
         raise ConfigError("max_epochs must be >= 1")
     if cfg.patience < 1:
         raise ConfigError("patience must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")

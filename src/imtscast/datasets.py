@@ -30,7 +30,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,20 +94,6 @@ class SynthSpec:
         doc = asdict(self)
         doc["split"] = list(self.split) if self.split is not None else None
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SynthSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise DataError(f"spec: unknown keys: {', '.join(unknown)}")
-        doc = dict(doc)
-        for key in ("amplitude_range", "frequency_range", "phase_range", "damping_range"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
-        if doc.get("split") is not None:
-            doc["split"] = tuple(doc["split"])
-        return cls(**doc)
 
 
 PRESETS: dict[str, SynthSpec] = {
@@ -590,8 +576,14 @@ def write_dataset(spec: SynthSpec, out_dir) -> Path:
     return manifest_path
 
 
-def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict[str, list[ImtsSample]]:
-    """Load the requested splits of a written dataset, verifying checksums."""
+def read_dataset(manifest_path, splits=SPLIT_NAMES) -> dict[str, list[ImtsSample]]:
+    """Load the requested splits of a written dataset.
+
+    Every file a requested split names must match its SHA-256 in the
+    manifest's ``checksums``; a missing, malformed or mismatching entry
+    raises DataError, as does a sample count that differs from the
+    manifest's.
+    """
     manifest_path = Path(manifest_path)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -602,7 +594,7 @@ def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict
         raise DataError(f"{manifest_path}: not a dataset manifest")
     if not isinstance(manifest.get("splits"), dict):
         raise DataError(f"{manifest_path}: manifest has no splits")
-    if verify and not isinstance(manifest.get("checksums"), dict):
+    if not isinstance(manifest.get("checksums"), dict):
         raise DataError(f"{manifest_path}: manifest has no checksums")
     base = manifest_path.parent
     out = {}
@@ -619,11 +611,8 @@ def read_dataset(manifest_path, splits=SPLIT_NAMES, verify: bool = True) -> dict
             rel = entry[key]
             if not isinstance(rel, str):
                 raise DataError(f"{manifest_path}: split {name} {key} is not a file name")
-            if verify:
-                actual = _sha256(base / rel)
-                expected = manifest["checksums"].get(rel)
-                if actual != expected:
-                    raise DataError(f"{base / rel}: checksum mismatch (file modified?)")
+            if _sha256(base / rel) != manifest["checksums"].get(rel):
+                raise DataError(f"{base / rel}: checksum mismatch (file modified?)")
         obs = read_observations(base / entry["observations"])
         queries = read_queries(base / entry["queries"], require_targets=True)
         out[name] = assemble_samples(obs, queries)

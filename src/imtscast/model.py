@@ -52,7 +52,6 @@ class ModelParams:
     cfg: TrainConfig
     arrays: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
-    rff_seed: int
 
     @classmethod
     def init(cls, cfg: TrainConfig, seed: int | None = None) -> "ModelParams":
@@ -107,8 +106,7 @@ class ModelParams:
 
         # The random feature draws are sampled once, stored with the model
         # and never trained.
-        rff_seed = int(seed)
-        rff_rng = np.random.default_rng([rff_seed, 0xF0F0])
+        rff_rng = np.random.default_rng([int(seed), 0xF0F0])
         d_head = d // cfg.heads
         buffers: dict[str, np.ndarray] = {
             "pool.centers": np.linspace(0.0, 1.0, k)[None, :],
@@ -116,7 +114,7 @@ class ModelParams:
         for b in range(cfg.blocks):
             buffers[f"blocks.{b}.omega"] = rff_rng.standard_normal((d_head, cfg.rff_dim // 2))
             buffers[f"blocks.{b}.phase"] = rff_rng.uniform(0.0, 2.0 * np.pi, (1, cfg.rff_dim // 2))
-        return cls(cfg=cfg, arrays=arrays, buffers=buffers, rff_seed=rff_seed)
+        return cls(cfg=cfg, arrays=arrays, buffers=buffers)
 
     def bind(self, tp: Tape) -> dict[str, Tensor]:
         """Register all learnables on a tape; buffers come along as constants."""
@@ -133,14 +131,12 @@ class ModelParams:
             cfg=self.cfg,
             arrays={k: v.copy() for k, v in self.arrays.items()},
             buffers={k: v.copy() for k, v in self.buffers.items()},
-            rff_seed=self.rff_seed,
         )
 
     def save(self, path) -> None:
         doc = {
             "format": "imtscast-checkpoint-1",
             "config": self.cfg.to_dict(),
-            "rff_seed": self.rff_seed,
             "params": {
                 n: {"shape": list(a.shape), "data": a.ravel().tolist()}
                 for n, a in self.arrays.items()
@@ -160,7 +156,8 @@ class ModelParams:
 
         Raises DataError for invalid JSON, missing sections, or parameter and
         buffer names or shapes that differ from what ``init`` builds for the
-        stored config.
+        stored config. An ``rff_seed`` entry, which older checkpoints carry,
+        is ignored: the feature draws are read from the stored buffers.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -169,13 +166,12 @@ class ModelParams:
             raise DataError(f"{path}: not a valid checkpoint: {err}") from err
         if not isinstance(doc, dict) or doc.get("format") != "imtscast-checkpoint-1":
             raise DataError(f"{path}: not a checkpoint file")
-        missing = [key for key in ("config", "rff_seed", "params", "buffers") if key not in doc]
+        missing = [key for key in ("config", "params", "buffers") if key not in doc]
         if missing:
             raise DataError(f"{path}: checkpoint has no {', '.join(missing)}")
         try:
             cfg = TrainConfig.from_dict(doc["config"])
             reference = cls.init(cfg)
-            rff_seed = int(doc["rff_seed"])
         except (ConfigError, TypeError, ValueError) as err:
             raise DataError(f"{path}: bad checkpoint config: {err}") from err
 
@@ -199,7 +195,6 @@ class ModelParams:
             cfg=cfg,
             arrays=restore("params", reference.arrays),
             buffers=restore("buffers", reference.buffers),
-            rff_seed=rff_seed,
         )
 
 

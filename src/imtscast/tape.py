@@ -436,10 +436,13 @@ def place(a: Tensor, index, shape) -> Tensor:
     return a.tape.record("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
-def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(a: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part).
 
-    The epsilon sits inside the square root, so a constant row maps to
+    ``LAYERNORM_EPS`` sits inside the square root, so a constant row maps to
     exactly zero instead of dividing by zero.
     """
     x = a.data
@@ -449,7 +452,7 @@ def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + LAYERNORM_EPS)
     y = xc / s
 
     def vjp(g):
@@ -484,14 +487,19 @@ class GradCheckReport:
         ]
 
 
+GRAD_CHECK_REL_FLOOR = 1e-3   # smallest relative-error denominator in grad_check
+
+
 def grad_check(build, params: dict[str, np.ndarray], step: float = 1e-4,
-               tol: float = 1e-4, rel_floor: float = 1e-3) -> GradCheckReport:
+               tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
     ``build(tape, bound)`` must rebuild the same scalar loss from the bound
-    parameter tensors, deterministically. The relative error denominator is
-    floored at ``rel_floor`` so that parameters with near-zero gradients are
-    judged on an absolute scale where finite differencing has no signal.
+    parameter tensors, deterministically. Each entry's error is
+    |analytic - fd| / max(|analytic|, |fd|, ``GRAD_CHECK_REL_FLOOR``), and a
+    parameter group passes when its largest error is at most ``tol``. The
+    floor judges near-zero gradients on an absolute scale, where finite
+    differencing has no signal.
     """
     tape = Tape()
     bound = {name: tape.param(name, arr) for name, arr in params.items()}
@@ -519,7 +527,7 @@ def grad_check(build, params: dict[str, np.ndarray], step: float = 1e-4,
             flat[i] = orig
             fd[i] = (up - down) / (2.0 * step)
         got = analytic[name].ravel()
-        denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), rel_floor)
+        denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), GRAD_CHECK_REL_FLOOR)
         rel = np.abs(got - fd) / denom
         worst = float(rel.max()) if rel.size else 0.0
         entries.append(GradCheckEntry(name, worst, worst <= tol))

@@ -1,4 +1,4 @@
-"""Optimizer, objectives, metrics and the chunked training loop.
+"""Optimizer, objective, metrics and the chunked training loop.
 
 Each shuffled batch runs in chunks: runs of consecutive samples (in batch
 order) that share the variate count N, padded to their longest grid
@@ -18,24 +18,18 @@ budget is set by memory, and ``train`` holds the previous chunk's tape
 while the next forward runs, so two tapes are alive at once. At 4 MiB:
 - a whole 32-sample sinusoid-a batch is one chunk (at most ~3.7 MB, about
   22.5 floats per padded cell);
-- a 128-variate predict-wide chunk holds 2-3 samples (~4 MB, where its
-  8192-cell chunks kept ~6.5 MB before the recompute nodes in ``model``);
+- a 128-variate predict-wide chunk holds 2-3 samples (~4 MB);
 - a long-grid sample (~2.8 MB) is a chunk of one.
-The 8192-cell budget this replaced split a sinusoid-a batch into about
-three chunks. Against it, sinusoid-a training rose from a median of 2130
-to 2801 samples/s and the run's peak resident memory from 57.2 to 61.3 MB
-(perfbench, 10 alternating pairs, 2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tape as T
 from .config import TrainConfig
 from .data import AlignedTriplet, DataError, align
 from .model import ForwardResult, ModelParams, forward, tape_bytes
@@ -59,29 +53,8 @@ class DivergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# objectives and metrics
+# objective and metrics
 # ---------------------------------------------------------------------------
-
-def mse_loss(predictions, targets) -> float:
-    """Variate-averaged squared error.
-
-    ``predictions``/``targets`` hold one array per variate. Each variate is
-    averaged over its own queries first, then variates are averaged;
-    variates without queries are excluded from the outer mean. This is the
-    training objective, distinct from the pooled reporting metrics.
-    """
-    terms = []
-    for pred, target in zip(predictions, targets):
-        pred = np.asarray(pred, dtype=np.float64)
-        target = np.asarray(target, dtype=np.float64)
-        if pred.size == 0:
-            continue
-        resid = pred - target
-        terms.append(float(np.mean(resid * resid)))
-    if not terms:
-        raise DataError("mse_loss: every variate has zero queries")
-    return float(np.mean(terms))
-
 
 def metrics(predictions, targets) -> dict[str, float]:
     """Pooled MSE/MAE over all queried points (the reporting metrics)."""
@@ -95,39 +68,33 @@ def metrics(predictions, targets) -> dict[str, float]:
     return {"mse": float(np.mean(resid * resid)), "mae": float(np.mean(np.abs(resid)))}
 
 
-def _query_weights(result: ForwardResult) -> tuple[np.ndarray, np.ndarray]:
-    """Per-query loss weights and the sample of each query.
+def _query_weights(result: ForwardResult) -> np.ndarray:
+    """Per-query weights of the training objective.
 
-    A query of sample b carries 1 / (variates of b with queries * queries of
-    its variate), so summing a sample's weighted squared errors gives the
-    per-variate-mean-then-mean form of ``mse_loss``.
+    The objective of one sample is its variate-averaged squared error: each
+    variate's squared errors are averaged over that variate's queries, and
+    those means are averaged over the variates that have queries (a variate
+    without queries is left out). A query of sample b therefore carries
+    1 / (variates of b with queries * queries of its variate).
     """
     counts = np.asarray(result.counts).reshape(result.samples, -1)
     active = (counts > 0).sum(axis=1)
     if (active == 0).any():
         raise DataError("build_loss: sample has no queries")
-    sample_of = np.repeat(np.arange(result.samples), counts.sum(axis=1))
-    weights = 1.0 / (active[sample_of] * np.repeat(counts.ravel(), counts.ravel()))
-    return weights, sample_of
+    per_variate = np.repeat(counts.ravel(), counts.ravel())
+    return 1.0 / (np.repeat(active, counts.sum(axis=1)) * per_variate)
 
 
 def build_loss(result: ForwardResult, targets_flat: np.ndarray) -> Tensor:
-    """Tape-side variate-averaged squared error, summed over the chunk's samples.
+    """The training objective of a chunk: the sum over its samples of each
+    sample's variate-averaged squared error (see ``_query_weights``).
 
-    Expressed as a single weighted sum (see ``_query_weights``); for a chunk
-    of one it is that sample's variate-averaged squared error.
+    Expressed as a single weighted sum on the chunk's tape.
     """
-    weights, _ = _query_weights(result)
+    weights = _query_weights(result)
     tp = result.predictions.tape
     resid = result.predictions - tp.const(targets_flat[:, None])
     return (resid * resid * tp.const(weights[:, None])).sum()
-
-
-def sample_losses(result: ForwardResult, targets_flat: np.ndarray) -> np.ndarray:
-    """Each sample's share of ``build_loss``, as plain numbers."""
-    weights, sample_of = _query_weights(result)
-    resid = result.predictions.data.ravel() - targets_flat
-    return np.bincount(sample_of, weights=resid * resid * weights, minlength=result.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +245,6 @@ def _chunks(prepared: list[_Prepared], cfg: TrainConfig) -> list[list[_Prepared]
     return [prepared[span.start : span.stop] for span in spans]
 
 
-def _chunk_forward(tp: Tape, params: ModelParams, chunk: list[_Prepared]) -> ForwardResult:
-    return forward(tp, params, [m.triplet for m in chunk], [m.queries for m in chunk])
-
-
 def inference_chunks(params: ModelParams, triplets, queries):
     """Forward passes over aligned samples in chunks, for inference.
 
@@ -348,7 +311,7 @@ def train(train_samples, val_samples, cfg: TrainConfig,
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
         order = shuffled_order(cfg.seed, epoch, len(train_prep))
-        epoch_losses = []
+        loss_sum = 0.0
         try:
             for lo in range(0, order.size, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
@@ -361,10 +324,10 @@ def train(train_samples, val_samples, cfg: TrainConfig,
                     # pass faults fresh pages back in (on long grids, ~4x
                     # the page faults and 10-15% slower epochs).
                     tp = Tape()
-                    res = _chunk_forward(tp, params, chunk)
-                    targets = np.concatenate([m.targets_flat for m in chunk])
-                    loss = build_loss(res, targets)
-                    epoch_losses.extend(sample_losses(res, targets).tolist())
+                    res = forward(tp, params, [m.triplet for m in chunk],
+                                  [m.queries for m in chunk])
+                    loss = build_loss(res, np.concatenate([m.targets_flat for m in chunk]))
+                    loss_sum += float(loss.data)
                     for name, g in tp.backward(loss).items():
                         if name in acc:
                             acc[name] = acc[name] + g
@@ -381,7 +344,7 @@ def train(train_samples, val_samples, cfg: TrainConfig,
                 checkpoint=best if best is not None else params.copy(),
                 history=history,
             ) from err
-        train_loss = float(np.mean(epoch_losses))
+        train_loss = loss_sum / order.size
         record = EpochRecord(
             epoch=epoch,
             train_loss=train_loss,
@@ -414,9 +377,10 @@ def mean_predictor_baseline(train_samples, eval_samples) -> float:
     """Pooled MSE of predicting each variate's training-split mean value.
 
     The reference point for the learning-capability check: any model worth
-    shipping should at least halve this.
+    shipping should at least halve this. Variates are matched by column;
+    one that no training sample observes predicts 0.
     """
-    n = train_samples[0].n_variates
+    n = max(sample.n_variates for sample in [*train_samples, *eval_samples])
     sums = np.zeros(n)
     counts = np.zeros(n)
     for sample in train_samples:

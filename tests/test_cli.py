@@ -247,6 +247,79 @@ class TestMalformedInput:
             assert str(manifest) in errors[0] and key in errors[0]
 
 
+class TestConfigValues:
+    # A value of the wrong type, a non-finite learning rate or a negative
+    # seed is a usage error, caught before any training (a truthy "no" must
+    # not switch the stage on).
+    @pytest.mark.parametrize("key, config, flags", [
+        ("hidden", {"model": {"hidden": "32"}}, []),
+        ("hidden", {"model": {"hidden": 32.0}}, []),
+        ("kernels", {"model": {"kernels": 4.5}}, []),
+        ("learning_rate", {"model": {"learning_rate": "0.1"}}, []),
+        ("seed", {"seed": "x"}, []),
+        ("use_preconv", {"model": {"use_preconv": "no"}}, []),
+        ("use_pool_gate", {"model": {"use_pool_gate": 0}}, []),
+        ("blocks", {"model": {"blocks": True}}, []),
+        ("learning_rate", {}, ["--lr", "nan"]),
+        ("learning_rate", {}, ["--lr", "inf"]),
+        ("seed", {}, ["--seed", "-1"]),
+    ], ids=["hidden_string", "hidden_float", "kernels_fraction", "lr_string", "seed_string",
+            "preconv_string", "pool_gate_int", "blocks_bool", "lr_nan", "lr_inf",
+            "seed_negative"])
+    def test_train_exits_2_with_one_error_line(self, tmp_path, capsys, key, config, flags):
+        data, _checkpoint = tiny_run(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path), *flags, "--max-epochs", "1",
+                     "--data", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert key in errors[0]
+        assert not (tmp_path / "run" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", "8"), ("hidden", 8.0), ("kernels", 2.5), ("learning_rate", "0.1"),
+        ("learning_rate", float("nan")), ("seed", "x"), ("use_preconv", "no"),
+    ])
+    def test_checkpoint_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["config"][key] = value
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--data", str(data / "manifest.json")]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert "bad checkpoint config" in errors[0] and key in errors[0]
+
+
+class TestCheckpointFormat:
+    def test_a_checkpoint_with_rff_seed_predicts_bitwise_like_one_without(self, tmp_path):
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        assert "rff_seed" not in doc
+        # The older layout: the seed of the feature draws after the config.
+        old = {"format": doc["format"], "config": doc["config"],
+               "rff_seed": doc["config"]["seed"], "params": doc["params"],
+               "buffers": doc["buffers"]}
+        old_path = tmp_path / "old_checkpoint.json"
+        old_path.write_text(json.dumps(old, indent=1) + "\n", encoding="utf-8")
+        outputs = []
+        for path in (checkpoint, old_path):
+            out = tmp_path / f"predictions_{path.stem}.csv"
+            assert main(["predict", "--checkpoint", str(path),
+                         "--observations", str(data / "test_obs.csv"),
+                         "--queries", str(data / "test_queries.csv"),
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+        resaved = tmp_path / "resaved.json"
+        ModelParams.load(old_path).save(resaved)
+        assert resaved.read_bytes() == checkpoint.read_bytes()
+
+
 class TestDivergence:
     def test_forced_divergence_exits_3_and_keeps_history_and_checkpoint(self, tmp_path,
                                                                         capsys, recwarn):

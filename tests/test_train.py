@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from imtscast.config import TrainConfig
-from imtscast.data import DataError, align
+from imtscast.data import DataError, ImtsSample, RawSeries, align
 from imtscast.datasets import PRESETS, SynthSpec, generate, split_samples
-from imtscast.model import ModelParams, forward
+from imtscast.model import ForwardResult, ModelParams, forward
 from imtscast.train import (
     CLIP_NORM,
     AdamState,
     DivergenceError,
     adam_step,
+    build_loss,
     chunk_spans,
     clip_gradients,
     evaluate,
     mean_predictor_baseline,
     metrics,
-    mse_loss,
     shuffled_order,
     train,
 )
@@ -29,28 +29,46 @@ from imtscast.tape import Tape
 train_module = importlib.import_module("imtscast.train")
 
 
+def objective(predictions, targets, counts, samples=1):
+    """``build_loss`` of a hand-built chunk: flat predictions and targets,
+    queries per variate sample after sample."""
+    tape = Tape()
+    result = ForwardResult(tape.const(np.asarray(predictions, dtype=float)[:, None]),
+                           list(counts), samples)
+    return float(build_loss(result, np.asarray(targets, dtype=float)).data)
+
+
 class TestLossAndMetrics:
     def test_perfect_predictions(self):
-        assert mse_loss([[1.0, 2.0]], [[1.0, 2.0]]) == 0.0
+        assert objective([1.0, 2.0], [1.0, 2.0], [2]) == 0.0
 
     def test_variate_averaged_hand_case(self):
         # variate 1: one query with residual 2; variate 2: two with residual 0
-        loss = mse_loss([[2.0], [1.0, 1.0]], [[0.0], [1.0, 1.0]])
+        loss = objective([2.0, 1.0, 1.0], [0.0, 1.0, 1.0], [1, 2])
         assert loss == pytest.approx(2.0, abs=0)
 
     def test_queryless_variate_excluded(self):
-        assert mse_loss([[], [1.0]], [[], [0.0]]) == pytest.approx(1.0, abs=0)
+        assert objective([1.0], [0.0], [0, 1]) == pytest.approx(1.0, abs=0)
 
     def test_no_queries_anywhere_rejected(self):
-        with pytest.raises(DataError, match="zero queries"):
-            mse_loss([[], []], [[], []])
+        with pytest.raises(DataError, match="no queries"):
+            objective([], [], [0, 0])
 
     def test_variate_weighting_differs_from_pooled(self):
-        preds = [[1.0], [0.0, 0.0]]
-        targets = [[0.0], [0.0, 0.0]]
-        assert mse_loss(preds, targets) == pytest.approx(0.5)
+        assert objective([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1, 2]) == pytest.approx(0.5)
         pooled = metrics([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         assert pooled["mse"] == pytest.approx(1.0 / 3.0)
+
+    def test_chunk_objective_sums_each_samples_variate_average(self):
+        # Sample 1 has two variates with queries: residual 2 alone, and
+        # residuals 1 and 0, so (4 + 0.5) / 2. Sample 2 has one: residuals
+        # 1 and 3, so 5. Pooling the chunk's 5 queries would give 3.
+        first = ([2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1, 2, 0])
+        second = ([1.0, 3.0], [0.0, 0.0], [0, 0, 2])
+        assert objective(*first) == 2.25 and objective(*second) == 5.0
+        chunk = objective(first[0] + second[0], first[1] + second[1],
+                          first[2] + second[2], samples=2)
+        assert chunk == 7.25
 
     def test_metrics_symmetric_residuals(self):
         out = metrics([1.0, -1.0], [0.0, 0.0])
@@ -255,6 +273,36 @@ class TestTrainingLoop:
             flat.append(type(s)(sample_id=s.sample_id, series=series,
                                 query_times=s.query_times, query_targets=targets))
         assert mean_predictor_baseline(flat, flat) == pytest.approx(0.0, abs=1e-28)
+
+    def test_baseline_sizes_its_means_by_the_widest_sample(self):
+        # Training means: variate 1 (1 + 3) / 2 = 2, variate 2 6 / 1 = 6,
+        # variate 3 never observed in training, so 0. Queried targets 5
+        # (variate 1), 4 (variate 2) and 1, 3 (variate 3) give squared
+        # errors 9, 4, 1 and 9: a pooled MSE of 23 / 4.
+        def sample(values, targets):
+            series = tuple(RawSeries(v + 1, np.arange(1.0, len(vals) + 1), np.array(vals))
+                           for v, vals in enumerate(values))
+            times = tuple(np.arange(10.0, 10.0 + len(t)) for t in targets)
+            return ImtsSample(sample_id=len(values), series=series, query_times=times,
+                              query_targets=tuple(np.array(t, dtype=float) for t in targets))
+
+        train_split = [sample([[1.0, 3.0]], [[0.0]]), sample([[], [6.0]], [[], [0.0]])]
+        eval_split = [sample([[0.0], [0.0], [0.0]], [[5.0], [4.0], [1.0, 3.0]])]
+        assert mean_predictor_baseline(train_split, eval_split) == 23 / 4
+
+    def test_train_loss_is_the_mean_of_each_samples_objective(self):
+        # One batch holds the whole split, so every chunk loss of the epoch
+        # is taken at the initial parameters.
+        samples = tiny_dataset(seed=9, n_samples=7)
+        cfg = tiny_cfg(batch_size=5, max_epochs=1)
+        result = train(samples[:5], samples[5:], cfg)
+        initial = ModelParams.init(cfg)
+        want = [
+            float(build_loss(forward(Tape(), initial, align(s), s.query_times),
+                             np.concatenate(s.query_targets)).data)
+            for s in samples[:5]
+        ]
+        assert result.history[0].train_loss == pytest.approx(np.mean(want), rel=1e-12)
 
 
 class TestLearnability:
