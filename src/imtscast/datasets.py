@@ -70,16 +70,19 @@ class SynthSpec:
             raise DataError("spec: n_variates must be >= 1")
         if self.n_samples < 1:
             raise DataError("spec: n_samples must be >= 1")
-        if self.window <= 0:
-            raise DataError("spec: window must be positive")
-        if self.mean_observations <= 0:
-            raise DataError("spec: mean_observations (sampling intensity) must be positive")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise DataError("spec: window must be positive and finite")
+        if not (math.isfinite(self.mean_observations) and self.mean_observations > 0):
+            raise DataError("spec: mean_observations (sampling intensity) must be positive "
+                            "and finite")
         if not 0.0 < self.horizon_frac < 1.0:
             raise DataError("spec: horizon_frac must lie in (0, 1)")
         if self.queries_per_variate < 0:
             raise DataError("spec: queries_per_variate must be >= 0")
-        if self.noise_std < 0:
-            raise DataError("spec: noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise DataError("spec: noise_std must be finite and >= 0")
+        if self.seed < 0:
+            raise DataError("spec: seed must be >= 0")
         if self.mode not in ("independent", "shared", "mixed"):
             raise DataError(f"spec: unknown mode {self.mode!r}")
         if self.signal not in ("sinusoid", "damped", "trend"):

@@ -18,14 +18,21 @@ know where one sample ends: pooling reads it from the (B, L) grid times,
 attention takes the sample count, and both reshape to per-sample stacks for
 batched matmuls.
 
-All layers run on the differentiation tape; parameters live in a flat
-name -> array dict so the optimizer, serialization and gradient checks can
-treat them uniformly. A training tape keeps what its VJP closures capture
-until backward, and that memory bounds how many samples a chunk can hold.
-Three nodes exist to keep less: ``rff_features`` differentiates from its
-own output, and ``_smoothing_layers`` and ``_attend`` recompute their
-largest intermediate in backward. ``tape_bytes`` sums what a chunk's tape
-keeps; ``train.chunk_spans`` budgets chunks by it.
+All layers run on the differentiation tape. The learnables live in one
+flat float64 vector with a named view per array (``ModelParams``), so a
+forward binds them with one finiteness check and the optimizer updates
+them in a handful of vector operations; serialization and gradient checks
+use the named views.
+
+A training tape keeps what its VJP closures capture until backward, and
+that memory bounds how many samples a chunk can hold. Five nodes exist to
+keep less: ``rff_features`` differentiates from its own output, and
+``_smoothing_layers``, ``_attend``, ``time_encode`` and ``_kernel_weights``
+recompute their largest intermediates in backward (the conv's hidden
+layer, the KV summary, the sin and cos arguments, the Gaussian exponent).
+The last two also replace grid-wide chains of 9 and 10 nodes, which cuts
+the fixed per-node cost of every forward. ``tape_bytes`` sums what a
+chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from . import tape as T
 from .config import ConfigError, TrainConfig, validate
 from .data import AlignedTriplet, DataError, normalize_times, pad_chunk
 from .fourier import irfft_rows, rfft_rows
-from .tape import Tape, Tensor
+from .tape import NonFiniteError, Tape, Tensor
 
 ATTENTION_EPS = 1e-6          # guard for sign-indefinite random-feature denominators
 DEGENERATE_DENOM = 1e-12      # below this (pre-guard) a row counts as collapsed
@@ -47,11 +54,28 @@ DEGENERATE_DENOM = 1e-12      # below this (pre-guard) a row counts as collapsed
 
 @dataclass
 class ModelParams:
-    """Flat registry of every learnable array plus the frozen feature draws."""
+    """Flat registry of every learnable array plus the frozen feature draws.
+
+    The learnables live in one flat float64 vector, ``flat``, in the order
+    of ``arrays``; each entry of ``arrays`` is a view of its segment. The
+    arrays passed in are copied into a new vector. Write parameters in
+    place (``arrays[name][...] = x``); rebinding a dict entry would detach
+    it from ``flat``.
+    """
 
     cfg: TrainConfig
     arrays: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = [np.asarray(a, dtype=np.float64) for a in self.arrays.values()]
+        self.flat = np.concatenate([a.ravel() for a in parts]) if parts else np.empty(0)
+        views, offset = {}, 0
+        for name, arr in zip(self.arrays, parts):
+            views[name] = self.flat[offset : offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        self.arrays = views
 
     @classmethod
     def init(cls, cfg: TrainConfig, seed: int | None = None) -> "ModelParams":
@@ -117,19 +141,20 @@ class ModelParams:
         return cls(cfg=cfg, arrays=arrays, buffers=buffers)
 
     def bind(self, tp: Tape) -> dict[str, Tensor]:
-        """Register all learnables on a tape; buffers come along as constants."""
-        bound = {name: tp.param(name, arr) for name, arr in self.arrays.items()}
+        """Register all learnables on a tape, checking the flat vector's
+        finiteness once; buffers come along as constants."""
+        bound = tp.param_vector(self.flat, self.arrays)
         for name, arr in self.buffers.items():
             bound[name] = tp.const(arr)
         return bound
 
     def param_count(self) -> int:
-        return int(sum(a.size for a in self.arrays.values()))
+        return int(self.flat.size)
 
     def copy(self) -> "ModelParams":
         return ModelParams(
             cfg=self.cfg,
-            arrays={k: v.copy() for k, v in self.arrays.items()},
+            arrays=self.arrays,
             buffers={k: v.copy() for k, v in self.buffers.items()},
         )
 
@@ -154,10 +179,11 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint written by ``save``.
 
-        Raises DataError for invalid JSON, missing sections, or parameter and
+        Raises DataError for invalid JSON, missing sections, parameter and
         buffer names or shapes that differ from what ``init`` builds for the
-        stored config. An ``rff_seed`` entry, which older checkpoints carry,
-        is ignored: the feature draws are read from the stored buffers.
+        stored config, or entries holding NaN or infinite values. An
+        ``rff_seed`` entry, which older checkpoints carry, is ignored: the
+        feature draws are read from the stored buffers.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -180,7 +206,8 @@ class ModelParams:
             if not isinstance(section, dict) or set(section) != set(expected):
                 raise DataError(f"{path}: {key} names differ from what the config builds")
             out = {}
-            for name, entry in section.items():
+            for name in expected:   # the order ``init`` builds, whatever the file's
+                entry = section[name]
                 try:
                     arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
                 except (KeyError, TypeError, ValueError) as err:
@@ -188,6 +215,8 @@ class ModelParams:
                 if arr.shape != expected[name].shape:
                     raise DataError(f"{path}: {key} {name!r} has shape {arr.shape}, "
                                     f"the config builds {expected[name].shape}")
+                if not np.isfinite(arr).all():
+                    raise DataError(f"{path}: {key} {name!r} holds non-finite values")
                 out[name] = arr
             return out
 
@@ -227,12 +256,12 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
     mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
     floats = (
         # encode: the conv taps (3, P) and placement index (P,); the grid
-        # times, the sin and cos inputs and the time encoding (B*L, 2*d_te)
-        (4 * observed if cfg.use_preconv else 0) + times * 2 * dte
-        # pool: the kernel exponent and weights (B, L, K) x2, the mask and
-        # the masked series (B*N, L) x2, the quotient and its denominator
-        # (B*N, K) x2, the summary with its flag (B*N, K+1)
-        + times * 2 * k + rows * grid_length * 2 + rows * (3 * k + 1)
+        # times and the time encoding (B*L, 1 + d_te)
+        (4 * observed if cfg.use_preconv else 0) + times * (1 + dte)
+        # pool: the normalized times and the kernel weights (B, L, 1 + K),
+        # the mask and the masked series (B*N, L) x2, the quotient and its
+        # denominator (B*N, K) x2, the summary with its flag (B*N, K+1)
+        + times * (1 + k) + rows * grid_length * 2 + rows * (3 * k + 1)
         # per block: two layernorms (B*N, d+1), the spectral coefficients,
         # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
         # mask (bytes), the features of Q and K (B*N*H, R) x2, [V | 1] and
@@ -240,10 +269,9 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         + cfg.blocks * rows * (8 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
         # the output projection's input (B*N, d)
         + rows * d
-        # head and loss per query: row index, time, sin and cos inputs,
-        # features (d + d_te), two hidden layers with relu masks, residual
-        # and weight
-        + queries * (3 * d + mask + 2 * dte + 4)
+        # head and loss per query: row index, time, features (d + d_te),
+        # two hidden layers with relu masks, residual and weight
+        + queries * (3 * d + mask + dte + 5)
         # parameters, feature draws, the DFT pair and a few tiny arrays
         + expected_param_count(cfg) + k + cfg.blocks * (d // heads + 1) * cfg.rff_dim // 2
         + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
@@ -258,12 +286,33 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
 def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Continuous time encoding of a (M, 1) column of raw times -> (M, d_te).
 
-    Concatenation order: [linear term, sin branch, cos branch].
+    Concatenation order: [linear term, sin branch, cos branch]. The times
+    are data, so no gradient flows back to them. One node; backward
+    recomputes the sin and cos arguments from the times, so the node keeps
+    only the (M, 1) column.
     """
-    lin = tcol @ p["te.w_s"] + p["te.b_s"]
-    s = T.sin(tcol @ p["te.w_p"] + p["te.b_p"])
-    c = T.cos(tcol @ p["te.w_c"] + p["te.b_c"])
-    return T.concat([lin, s, c], axis=1)
+    # Each step is the numpy call of the primitive chain it replaces (three
+    # matmuls and adds, sin, cos, concat), so the output and the adjoints
+    # are bitwise that chain's.
+    t = tcol.data
+    names = ("te.w_s", "te.b_s", "te.w_p", "te.b_p", "te.w_c", "te.b_c")
+    ws, bs, wp, bp, wc, bc = (p[name].data for name in names)
+    n_sin = wp.shape[1]
+
+    with np.errstate(over="ignore", invalid="ignore"):   # record() raises instead
+        out = np.concatenate([np.matmul(t, ws) + bs, np.sin(np.matmul(t, wp) + bp),
+                              np.cos(np.matmul(t, wc) + bc)], axis=1)
+
+    def vjp(g):
+        g_lin, g_s, g_c = g[:, :1], g[:, 1 : 1 + n_sin], g[:, 1 + n_sin :]
+        g_p = g_s * np.cos(np.matmul(t, wp) + bp)
+        g_q = g_c * (-np.sin(np.matmul(t, wc) + bc))
+        t_t = t.swapaxes(-1, -2)
+        return (t_t @ g_lin, g_lin.sum(axis=0, keepdims=True),
+                t_t @ g_p, g_p.sum(axis=0, keepdims=True),
+                t_t @ g_q, g_q.sum(axis=0, keepdims=True))
+
+    return tcol.tape.record("time_encode", out, tuple(p[name] for name in names), vjp)
 
 
 def conv_smooth(values: np.ndarray, mask: np.ndarray, p: dict[str, Tensor]) -> Tensor:
@@ -342,10 +391,39 @@ def _nonzero(den: Tensor) -> Tensor:
     return den + den.tape.const((den.data == 0.0).astype(np.float64))
 
 
-def _kernel_weights(t_norm: Tensor, p: dict[str, Tensor]) -> Tensor:
-    diff = t_norm - p["pool.centers"]                          # (L, K)
-    sig2 = T.exp(p["pool.log_alpha"] * 2.0)                    # (1, K)
-    return T.exp(diff * diff * (-0.5) / sig2)
+def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """Gaussian affinity of each normalized time to each kernel centre:
+    (..., L, 1) times -> (..., L, K) weights exp(-(t - c)^2 / (2 sigma^2)),
+    sigma = exp(log_alpha).
+
+    One node, differentiated for ``pool.log_alpha`` only (the centres are
+    a frozen buffer, the times data). Backward recomputes the exponent from
+    the times, so the node keeps the weights and the (..., L, 1) times.
+    """
+    # The numpy calls of the primitive chain it replaces (sub, mul, exp,
+    # mul, mul, div, exp), so the output and the adjoint are bitwise that
+    # chain's. The exponent is checked: exp would map its -inf to 0.
+    log_alpha = p["pool.log_alpha"]
+    la, centers = log_alpha.data, p["pool.centers"].data
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sig2 = np.exp(la * 2.0)
+
+        def exponent():
+            diff = t_norm - centers
+            return diff * diff * -0.5 / sig2
+
+        ex = exponent()
+    if not (np.isfinite(sig2).all() and np.isfinite(ex).all()):
+        raise NonFiniteError("kernel_weights: produced non-finite values")
+    weights = np.exp(ex)
+
+    def vjp(g):
+        g_sig2 = T.unbroadcast(-((g * weights) / sig2) * exponent(), sig2.shape)
+        return (g_sig2 * sig2 * 2.0,)
+
+    # exp of a finite exponent <= 0 lies in [0, 1]: no second check.
+    return log_alpha.tape.append("kernel_weights", weights, (log_alpha,), vjp)
 
 
 def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
@@ -364,7 +442,7 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     tp = xhat.tape
     total, length = xhat.data.shape
     samples = t_norm.shape[0]
-    weights = _kernel_weights(tp.const(t_norm[:, :, None]), p)   # (B, L, K)
+    weights = _kernel_weights(t_norm[:, :, None], p)           # (B, L, K)
     stacked = (samples, total // samples, length)
     mask = tp.const(mask_rows.reshape(stacked))
     num = (xhat.reshape(stacked) * mask) @ weights            # (B, N, K)
@@ -393,7 +471,8 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
     def vjp(g):
         return (g[:, half:] * out[:, :half] - g[:, :half] * out[:, half:],)
 
-    return x.tape.record("rff_features", out, (proj,), vjp)
+    # cos and sin of a finite ``proj``, scaled: finite, so no check.
+    return x.tape.append("rff_features", out, (proj,), vjp)
 
 
 def _split_heads(x: Tensor, samples: int, n: int, heads: int) -> Tensor:

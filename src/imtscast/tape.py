@@ -12,19 +12,30 @@ as ``None``: the binary primitives skip that parent's adjoint, and
 
 ``Tape.backward`` walks the nodes once in reverse insertion order and
 returns a gradient for every registered parameter (zeros for parameters the
-loss never touched). On a ``Tape(grad=False)`` no parameter needs a
-gradient, so the tape stores no closure at all and ``backward`` raises;
-inference runs the same primitives on such a tape. Tensors are treated as
-immutable once recorded; a tape must not be shared across threads, but
-distinct tapes are independent.
+loss never touched). Parameters registered as views of one flat vector
+(``Tape.param_vector``) can have their gradients added into one flat
+vector of the same layout (``backward(loss, into=...)``). On a
+``Tape(grad=False)`` no parameter needs a gradient, so the tape stores no
+closure at all and ``backward`` raises; inference runs the same primitives
+on such a tape. Tensors are treated as immutable once recorded; a tape
+must not be shared across threads, but distinct tapes are independent.
 
-All math is double precision. Any operation producing a NaN/Inf raises
-``NonFiniteError`` immediately, which keeps divergence diagnosable at the
-op that caused it.
+All math is double precision, and every tensor on a tape is finite. A
+leaf is checked when it enters the tape (``const``, ``param``,
+``param_vector``), and so is the output of every primitive that can turn
+finite inputs into inf or NaN: ``add``, ``sub``, ``mul``, ``div``,
+``matmul``, ``sum``, ``layernorm`` and any custom ``Tape.record`` call.
+The primitives that only move, select, clamp or bound finite values skip
+the check (``reshape``, ``transpose``, ``permute``, ``slice``, ``concat``,
+``take_rows``, ``place``, ``relu`` and ``sigmoid``) by appending their
+node with ``Tape.append``: by induction their outputs are finite too. So
+a NaN/Inf raises ``NonFiniteError`` at, and named after, the first op
+that produced it, which keeps divergence diagnosable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +137,19 @@ class Tape:
         """Append one node. ``vjp(grad)`` must return one array (or None) per parent.
 
         Public so that custom primitives (e.g. spectral transforms, test
-        fixtures) can participate in differentiation. The node keeps ``vjp``
-        only if some parent needs a gradient; adjoints it returns for the
-        other parents are dropped.
+        fixtures) can participate in differentiation. Raises
+        ``NonFiniteError`` naming ``op`` if ``data`` is not finite. The node
+        keeps ``vjp`` only if some parent needs a gradient; adjoints it
+        returns for the other parents are dropped.
         """
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"{op}: produced non-finite values")
+        return self.append(op, arr, parents, vjp)
+
+    def append(self, op: str, data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+        """``record`` without the finiteness check, for a float64 array that
+        cannot hold inf or NaN when its parents are finite."""
         needs = False
         for p in parents:
             if p.tape is not self:
@@ -142,10 +159,10 @@ class Tape:
         index = len(self.nodes)
         if needs:
             self.nodes.append(
-                (tuple(p._index if p.needs_grad else None for p in parents), vjp))
+                (tuple([p._index if p.needs_grad else None for p in parents]), vjp))
         else:
             self.nodes.append(_NO_GRAD)
-        return Tensor(arr, self, index, needs)
+        return Tensor(data, self, index, needs)
 
     def const(self, data) -> Tensor:
         """Record a leaf that receives no gradient."""
@@ -162,11 +179,34 @@ class Tape:
         self.params[name] = (t._index, t.data.shape)
         return t
 
-    def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
+    def param_vector(self, flat: np.ndarray, views: dict[str, np.ndarray]) -> dict[str, Tensor]:
+        """Register named views of one flat float64 vector as parameter leaves.
+
+        ``views`` tile ``flat`` in order, the layout ``backward(into=...)``
+        reads. One finiteness check of ``flat`` covers every leaf; the error
+        names the first entry that is not finite.
+        """
+        if not np.isfinite(flat).all():
+            bad = next(name for name, view in views.items() if not np.isfinite(view).all())
+            raise NonFiniteError(f"param {bad}: non-finite values")
+        bound = {}
+        for name, view in views.items():
+            if name in self.params:
+                raise TapeError(f"parameter {name!r} registered twice")
+            t = self.append("param", view, (), None)
+            t.needs_grad = self.grad
+            self.params[name] = (t._index, view.shape)
+            bound[name] = t
+        return bound
+
+    def backward(self, loss: Tensor, into: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Accumulate adjoints of ``loss`` for every registered parameter.
 
         Visits nodes in reverse insertion order exactly once; parameters not
-        reachable from the loss get zero gradients.
+        reachable from the loss get zero gradients. With ``into``, a flat
+        vector holding one segment per parameter in registration order (the
+        layout of ``param_vector``), each gradient is added into its segment
+        and the returned arrays are those segments.
         """
         if not self.grad:
             raise TapeError("backward: the tape was built with grad=False")
@@ -191,10 +231,23 @@ class Tape:
                 else:
                     grads[pi] = grads[pi] + pg
             grads[i] = None  # free intermediate adjoints early
-        return {
-            name: (np.zeros(shape) if grads[index] is None else grads[index])
-            for name, (index, shape) in self.params.items()
-        }
+        if into is None:
+            return {
+                name: (np.zeros(shape) if grads[index] is None else grads[index])
+                for name, (index, shape) in self.params.items()
+            }
+        sizes = [math.prod(shape) for _index, shape in self.params.values()]
+        if sum(sizes) != into.size:
+            raise TapeError(f"backward: into has {into.size} entries, the parameters "
+                            f"{sum(sizes)}")
+        out, offset = {}, 0
+        for (name, (index, shape)), size in zip(self.params.items(), sizes):
+            segment = into[offset : offset + size].reshape(shape)
+            if grads[index] is not None:
+                segment += grads[index]
+            out[name] = segment
+            offset += size
+        return out
 
 
 def _lift(t, other) -> Tensor:
@@ -203,7 +256,7 @@ def _lift(t, other) -> Tensor:
     return t.tape.const(other)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (adjoint of numpy broadcasting)."""
     if g.shape == shape:
         return g
@@ -216,70 +269,79 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor):
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcastable")
+def _broadcast_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not broadcastable")
 
 
 # The binary primitives and ``concat`` read their operands' ``needs_grad``
 # into plain bools when they record: an operand that needs no gradient gets a
 # None adjoint, and only the arrays the remaining adjoints use are captured.
 # A closure must not capture a Tensor, which points back at its tape; that
-# would make the tape a reference cycle.
+# would make the tape a reference cycle. Shapes are checked by numpy itself:
+# its broadcast error is raised again as a ShapeError.
 
 def add(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
-    _check_broadcast("add", a, b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _broadcast_error("add", a, b) from None
     ash, bsh = a.data.shape, b.data.shape
     ga, gb = a.needs_grad, b.needs_grad
     return a.tape.record(
-        "add", a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, ash) if ga else None, _unbroadcast(g, bsh) if gb else None),
+        "add", out, (a, b),
+        lambda g: (unbroadcast(g, ash) if ga else None, unbroadcast(g, bsh) if gb else None),
     )
 
 
 def sub(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
-    _check_broadcast("sub", a, b)
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _broadcast_error("sub", a, b) from None
     ash, bsh = a.data.shape, b.data.shape
     ga, gb = a.needs_grad, b.needs_grad
     return a.tape.record(
-        "sub", a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, ash) if ga else None, _unbroadcast(-g, bsh) if gb else None),
+        "sub", out, (a, b),
+        lambda g: (unbroadcast(g, ash) if ga else None, unbroadcast(-g, bsh) if gb else None),
     )
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
-    _check_broadcast("mul", a, b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise _broadcast_error("mul", a, b) from None
     ash, bsh = a.data.shape, b.data.shape
     ad = a.data if b.needs_grad else None
     bd = b.data if a.needs_grad else None
     return a.tape.record(
-        "mul", a.data * b.data, (a, b),
-        lambda g: (None if bd is None else _unbroadcast(g * bd, ash),
-                   None if ad is None else _unbroadcast(g * ad, bsh)),
+        "mul", out, (a, b),
+        lambda g: (None if bd is None else unbroadcast(g * bd, ash),
+                   None if ad is None else unbroadcast(g * ad, bsh)),
     )
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _lift(a, b)
-    _check_broadcast("div", a, b)
     ash, bsh = a.data.shape, b.data.shape
     ga, gb = a.needs_grad, b.needs_grad
     bd = b.data
-    with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
-        out = a.data / bd
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
+            out = a.data / bd
+    except ValueError:
+        raise _broadcast_error("div", a, b) from None
 
     def vjp(g):
         # -(g / b) * (a / b) rather than -g * a / (b * b): the square of a
         # |b| below ~1e-154 underflows, which makes the adjoint 0/0 even
         # where a is 0, and subnormal squares lose digits.
         g_over_b = g / bd
-        return (_unbroadcast(g_over_b, ash) if ga else None,
-                _unbroadcast(-g_over_b * out, bsh) if gb else None)
+        return (unbroadcast(g_over_b, ash) if ga else None,
+                unbroadcast(-g_over_b * out, bsh) if gb else None)
 
     return a.tape.record("div", out, (a, b), vjp)
 
@@ -300,33 +362,19 @@ def matmul(a: Tensor, b) -> Tensor:
     )
 
 
+# The primitives below that call ``append`` rather than ``record`` only move,
+# select, clamp or bound their input's values, so finite inputs give finite
+# outputs and the check is skipped (see the module docstring).
+
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return a.tape.record("relu", a.data * mask, (a,), lambda g: (g * mask,))
+    return a.tape.append("relu", np.asarray(a.data * mask), (a,), lambda g: (g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    return a.tape.record("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-# sin and cos compute their derivative inside the VJP, so a forward that is
-# never differentiated pays for one trig pass, not two.
-
-def sin(a: Tensor) -> Tensor:
-    ad = a.data
-    return a.tape.record("sin", np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
-
-
-def cos(a: Tensor) -> Tensor:
-    ad = a.data
-    return a.tape.record("cos", np.cos(ad), (a,), lambda g: (g * (-np.sin(ad)),))
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # record() raises instead
-        e = np.exp(a.data)
-    return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+    with np.errstate(over="ignore"):   # exp(-a) = inf for a << 0 gives s = 0
+        s = np.asarray(1.0 / (1.0 + np.exp(-a.data)))
+    return a.tape.append("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -359,7 +407,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(out)
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    return tape.record("concat", data, tuple(tensors), vjp)
+    return tape.append("concat", data, tuple(tensors), vjp)
 
 
 def narrow(a: Tensor, key) -> Tensor:
@@ -372,12 +420,12 @@ def narrow(a: Tensor, key) -> Tensor:
         z[key] = g
         return (z,)
 
-    return a.tape.record("slice", np.ascontiguousarray(out), (a,), vjp)
+    return a.tape.append("slice", np.ascontiguousarray(out), (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
-    return a.tape.record(
+    return a.tape.append(
         "reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
     )
 
@@ -387,7 +435,7 @@ def transpose(a: Tensor) -> Tensor:
     adjoint swaps them back."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: needs at least two axes, got shape {a.data.shape}")
-    return a.tape.record("transpose", a.data.swapaxes(-1, -2), (a,),
+    return a.tape.append("transpose", a.data.swapaxes(-1, -2), (a,),
                          lambda g: (g.swapaxes(-1, -2),))
 
 
@@ -398,7 +446,7 @@ def permute(a: Tensor, axes) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"permute: {axes} is not a permutation of {a.data.ndim} axes")
     inverse = tuple(int(ax) for ax in np.argsort(axes))
-    return a.tape.record(
+    return a.tape.append(
         "permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
         lambda g: (g.transpose(inverse),),
     )
@@ -416,7 +464,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return a.tape.record("take_rows", a.data[idx], (a,), vjp)
+    return a.tape.append("take_rows", a.data[idx], (a,), vjp)
 
 
 def place(a: Tensor, index, shape) -> Tensor:
@@ -433,7 +481,7 @@ def place(a: Tensor, index, shape) -> Tensor:
         raise ShapeError(f"place: {a.data.size} entries for {idx.size} positions")
     out = np.zeros(shape)
     out.reshape(-1)[idx] = a.data.reshape(-1)
-    return a.tape.record("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
+    return a.tape.append("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
 LAYERNORM_EPS = 1e-5

@@ -16,10 +16,14 @@ observed cells and its queries. A chunk grows while that sum stays within
 ``CHUNK_TAPE_BYTES``; a sample over the budget forms a chunk of one. The
 budget is set by memory, and ``train`` holds the previous chunk's tape
 while the next forward runs, so two tapes are alive at once. At 4 MiB:
-- a whole 32-sample sinusoid-a batch is one chunk (at most ~3.7 MB, about
-  22.5 floats per padded cell);
+- a whole 32-sample sinusoid-a batch is one chunk (at most ~2.9 MB, about
+  17.2 floats per padded cell);
 - a 128-variate predict-wide chunk holds 2-3 samples (~4 MB);
-- a long-grid sample (~2.8 MB) is a chunk of one.
+- a long-grid chunk holds two samples (~1.95 MB each, ~3.9 MB together).
+
+The optimizer works on flat vectors laid out as ``ModelParams.flat``: each
+chunk's backward adds its gradients into one batch vector, which is then
+divided by the batch size, clipped and handed to ``adam_step``.
 """
 
 from __future__ import annotations
@@ -103,60 +107,53 @@ def build_loss(result: ForwardResult, targets_flat: np.ndarray) -> Tensor:
 
 @dataclass
 class AdamState:
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
+    """Moment estimates, flat vectors laid out as ``ModelParams.flat``."""
+
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
 
     @classmethod
     def init(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            first={k: np.zeros_like(v) for k, v in params.arrays.items()},
-            second={k: np.zeros_like(v) for k, v in params.arrays.items()},
-        )
+        return cls(first=np.zeros_like(params.flat), second=np.zeros_like(params.flat))
 
 
-def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float) -> bool:
-    """One bias-corrected update, in place. Skips the step (returning False)
-    if any gradient is non-finite."""
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            log.warning("adam_step: non-finite gradient for %s, step skipped", name)
-            return False
+def adam_step(flat: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> bool:
+    """One bias-corrected update of the flat parameter vector, in place.
+    Skips the step (returning False) if any gradient is non-finite."""
+    if not np.isfinite(grads).all():
+        log.warning("adam_step: non-finite gradient, step skipped")
+        return False
     state.step += 1
     c1 = 1.0 - BETA1 ** state.step
     c2 = 1.0 - BETA2 ** state.step
-    for name, g in grads.items():
-        m = state.first[name]
-        v = state.second[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.first, state.second
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * (grads * grads)
+    flat -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return True
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_gradients(grads: np.ndarray, max_norm: float = CLIP_NORM) -> float:
+    """Scale a flat gradient vector in place so its L2 norm is at most
+    ``max_norm``.
 
     Returns the norm before clipping. When the plain sum of squares
     overflows, the norm is taken of the gradients divided by their largest
     magnitude and scaled back, so finite gradients are clipped to
     ``max_norm`` rather than scaled by max_norm / inf = 0. A gradient that
-    is not finite leaves every array untouched: ``adam_step`` skips the step.
+    is not finite leaves the vector untouched: ``adam_step`` skips the step.
     """
     with np.errstate(over="ignore"):
-        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if not np.isfinite(total):
-        peak = max((float(np.abs(g).max()) for g in grads.values() if g.size), default=0.0)
+        total = float(np.sqrt((grads * grads).sum()))
+    if not np.isfinite(total) and grads.size:
+        peak = float(np.abs(grads).max())
         if np.isfinite(peak) and peak > 0:
-            total = peak * np.sqrt(sum(float(np.square(g / peak).sum())
-                                       for g in grads.values()))
+            total = peak * float(np.sqrt(np.square(grads / peak).sum()))
     if np.isfinite(total) and total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        grads *= max_norm / total
     return total
 
 
@@ -315,7 +312,7 @@ def train(train_samples, val_samples, cfg: TrainConfig,
         try:
             for lo in range(0, order.size, cfg.batch_size):
                 batch = order[lo : lo + cfg.batch_size]
-                acc: dict[str, np.ndarray] = {}
+                acc = np.zeros_like(params.flat)
                 for chunk in _chunks([train_prep[i] for i in batch], cfg):
                     # ``res`` and ``loss`` keep the previous chunk's tape
                     # alive until this chunk's forward pass has run. Its
@@ -328,15 +325,10 @@ def train(train_samples, val_samples, cfg: TrainConfig,
                                   [m.queries for m in chunk])
                     loss = build_loss(res, np.concatenate([m.targets_flat for m in chunk]))
                     loss_sum += float(loss.data)
-                    for name, g in tp.backward(loss).items():
-                        if name in acc:
-                            acc[name] = acc[name] + g
-                        else:
-                            acc[name] = g
-                for name in acc:
-                    acc[name] = acc[name] / batch.size
+                    tp.backward(loss, into=acc)
+                acc /= batch.size
                 clip_gradients(acc)
-                adam_step(params.arrays, acc, state, cfg.learning_rate)
+                adam_step(params.flat, acc, state, cfg.learning_rate)
             val_stats, _ = evaluate(params, val_samples, val_prep)
         except NonFiniteError as err:
             raise DivergenceError(

@@ -6,6 +6,11 @@ straightforward forms they replace: the convolution over every grid cell,
 per-variate pooling coefficients followed by a per-variate summary, and
 the packed transform by per-bin direct summation.
 
+The time encoding and the kernel weights are one tape node each in the
+model. ``chain_time_encode`` and ``chain_kernel_weights`` are the primitive
+chains those nodes replace, built from the tape's primitives and the
+``sin``, ``cos`` and ``exp`` nodes below, which the tape no longer has.
+
 The dataset code draws Poisson gaps in one call, writes a sample's rows
 with one call and parses CSV blocks with numpy. The references here draw
 one gap at a time, write each row with ``csv.writer`` and parse each row
@@ -22,6 +27,40 @@ from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
 from imtscast.model import _kernel_weights, _nonzero, time_encode
 from imtscast.tape import Tensor
+
+
+# sin and cos compute their derivative inside the VJP, as the retired tape
+# primitives did.
+
+def sin(a: Tensor) -> Tensor:
+    ad = a.data
+    return a.tape.record("sin", np.sin(ad), (a,), lambda g: (g * np.cos(ad),))
+
+
+def cos(a: Tensor) -> Tensor:
+    ad = a.data
+    return a.tape.record("cos", np.cos(ad), (a,), lambda g: (g * (-np.sin(ad)),))
+
+
+def exp(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):  # record() raises instead
+        e = np.exp(a.data)
+    return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+
+
+def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """``model.time_encode`` as nine primitive nodes."""
+    lin = tcol @ p["te.w_s"] + p["te.b_s"]
+    s = sin(tcol @ p["te.w_p"] + p["te.b_p"])
+    c = cos(tcol @ p["te.w_c"] + p["te.b_c"])
+    return T.concat([lin, s, c], axis=1)
+
+
+def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """``model._kernel_weights`` as a chain of primitive nodes."""
+    diff = p["pool.log_alpha"].tape.const(t_norm) - p["pool.centers"]
+    sig2 = exp(p["pool.log_alpha"] * 2.0)
+    return exp(diff * diff * (-0.5) / sig2)
 
 
 def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -63,7 +102,7 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
     every column with at least one observation sums to exactly one. Columns
     with no observed support are all zeros.
     """
-    weights = _kernel_weights(t_norm, p) * mask_col            # (L, K)
+    weights = _kernel_weights(t_norm.data, p) * mask_col       # (L, K)
     colsum = weights.sum(axis=0, keepdims=True)
     return weights / _nonzero(colsum)
 

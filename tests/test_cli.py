@@ -93,7 +93,8 @@ class TestPredict:
                      "--observations", str(data / "test_obs.csv"),
                      "--queries", str(data / "test_queries.csv"),
                      "--out", str(tmp_path / "predictions.csv")]) == EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("error: div: produced non-finite values")
+        assert capsys.readouterr().err.startswith(
+            "error: kernel_weights: produced non-finite values")
 
     def test_bench_subcommand_is_gone(self, capsys):
         assert main(["bench"]) == EXIT_USAGE
@@ -318,6 +319,50 @@ class TestCheckpointFormat:
         resaved = tmp_path / "resaved.json"
         ModelParams.load(old_path).save(resaved)
         assert resaved.read_bytes() == checkpoint.read_bytes()
+
+
+class TestGenValues:
+    # A negative seed or a non-finite rate, window or noise level ended in
+    # numpy's traceback (or, for the noise, in a data error about the
+    # generated values); each is a usage error with one line.
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--seed", "-1", "seed"),
+        ("--window", "nan", "window"),
+        ("--window", "inf", "window"),
+        ("--mean-obs", "inf", "mean_observations"),
+        ("--mean-obs", "nan", "mean_observations"),
+        ("--noise-std", "nan", "noise_std"),
+        ("--noise-std", "inf", "noise_std"),
+    ])
+    def test_gen_exits_2_with_one_error_line(self, tmp_path, capsys, flag, value, key):
+        out = tmp_path / "data"
+        assert main(["gen", "--samples", "3", "--variates", "2", flag, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: spec: {key} "), errors
+        assert not (out / "manifest.json").exists()
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("section, name, value", [
+        ("params", "pool.gate", "NaN"),
+        ("params", "head.w3", "Infinity"),
+        ("buffers", "blocks.0.omega", "-Infinity"),
+    ])
+    def test_predict_exits_2_naming_the_entry(self, tmp_path, capsys, section, name, value):
+        # JSON's NaN and Infinity are bad data, not a numeric failure (3).
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc[section][name]["data"][0] = float(value.replace("Infinity", "inf"))
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert value in checkpoint.read_text(encoding="utf-8")
+        assert main(["predict", "--checkpoint", str(checkpoint),
+                     "--observations", str(data / "test_obs.csv"),
+                     "--queries", str(data / "test_queries.csv"),
+                     "--out", str(tmp_path / "predictions.csv")]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert f"{section} {name!r} holds non-finite values" in errors[0]
 
 
 class TestDivergence:

@@ -11,6 +11,7 @@ from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ModelParams,
     _attend,
+    _kernel_weights,
     _smoothing_layers,
     attention_block,
     attention_maps,
@@ -28,7 +29,14 @@ from imtscast.tape import Tape, grad_check
 from imtscast.train import build_loss
 
 from conftest import random_sample, retained_bytes
-from oracles import pool_coefficients, pool_summary
+from oracles import (
+    chain_kernel_weights,
+    chain_time_encode,
+    cos,
+    pool_coefficients,
+    pool_summary,
+    sin,
+)
 
 
 def bound_params(model, tape):
@@ -331,7 +339,7 @@ class TestRandomFeatures:
 
         def composed(t):
             proj = t @ omega + phase
-            return T.concat([T.cos(proj), T.sin(proj)], axis=1) * (1.0 / np.sqrt(r))
+            return T.concat([cos(proj), sin(proj)], axis=1) * (1.0 / np.sqrt(r))
 
         outs, grads = [], []
         for fn in (lambda t: rff_features(t, t.tape.const(omega), t.tape.const(phase)),
@@ -349,7 +357,8 @@ class TestRandomFeatures:
 class TestRecomputeNodes:
     """The fused nodes that recompute an intermediate in backward instead of
     keeping it: finite-difference checks of every input, and outputs and
-    adjoints bitwise equal to the primitives they replace."""
+    adjoints bitwise equal to the primitives they replace. The time encoding
+    and the kernel weights are gradchecked in the tape's primitive table."""
 
     def smoothing_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -361,6 +370,17 @@ class TestRecomputeNodes:
         rng = np.random.default_rng(seed)
         return {"fq": rng.standard_normal((2, 5, 6)), "fk": rng.standard_normal((2, 5, 6)),
                 "vv": rng.standard_normal((2, 5, 3))}
+
+    def time_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        widths = {"te.w_s": 1, "te.b_s": 1, "te.w_p": 3, "te.b_p": 3, "te.w_c": 4, "te.b_c": 4}
+        return (rng.uniform(-3.0, 12.0, (9, 1)),
+                {name: rng.standard_normal((1, w)) for name, w in widths.items()})
+
+    def kernel_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        t_norm = np.sort(rng.uniform(0.0, 1.0, (2, 7)), axis=1)[:, :, None]
+        return t_norm, {"pool.log_alpha": np.log(rng.uniform(0.05, 1.0, (1, 5)))}
 
     def test_smoothing_layers_gradients(self):
         taps, params = self.smoothing_inputs(0)
@@ -383,17 +403,38 @@ class TestRecomputeNodes:
         report = grad_check(build, params, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
 
-    @pytest.mark.parametrize("node", ["smoothing_layers", "attend"])
-    def test_fused_node_is_bitwise_its_primitives(self, node):
+    def fused_and_unfused(self, node):
+        """(parameter arrays, fused node, the primitive chain it replaces)."""
+        centers = np.linspace(0.0, 1.0, 5)[None, :]
+
+        def with_centers(b):
+            tape = b["pool.log_alpha"].tape
+            return {**b, "pool.centers": tape.const(centers)}
+
         if node == "smoothing_layers":
             taps, params = self.smoothing_inputs(4)
-            fused = lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"])
-            unfused = lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
-                                 + b["b2"])
-        else:
-            params = self.attend_inputs(5)
-            fused = lambda b: _attend(b["fq"], b["fk"].T, b["vv"])
-            unfused = lambda b: b["fq"] @ (b["fk"].T @ b["vv"])
+            return (params,
+                    lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"]),
+                    lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
+                               + b["b2"]))
+        if node == "attend":
+            return (self.attend_inputs(5),
+                    lambda b: _attend(b["fq"], b["fk"].T, b["vv"]),
+                    lambda b: b["fq"] @ (b["fk"].T @ b["vv"]))
+        if node == "time_encode":
+            times, params = self.time_inputs(6)
+            return (params,
+                    lambda b: time_encode(b["te.w_s"].tape.const(times), b),
+                    lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b))
+        t_norm, params = self.kernel_inputs(7)
+        return (params,
+                lambda b: _kernel_weights(t_norm, with_centers(b)),
+                lambda b: chain_kernel_weights(t_norm, with_centers(b)))
+
+    @pytest.mark.parametrize("node", ["smoothing_layers", "attend", "time_encode",
+                                      "kernel_weights"])
+    def test_fused_node_is_bitwise_its_primitives(self, node):
+        params, fused, unfused = self.fused_and_unfused(node)
         shape_tape = Tape()
         probe = np.random.default_rng(6).standard_normal(unfused(
             {k: shape_tape.const(v) for k, v in params.items()}).data.shape)
@@ -406,6 +447,58 @@ class TestRecomputeNodes:
         assert np.array_equal(results[0][0], results[1][0])
         for name in params:
             assert np.array_equal(results[0][1][name], results[1][1][name]), name
+
+    @pytest.mark.parametrize("times,scale,bias", [
+        (1e308, 10.0, 0.0),       # the linear term overflows
+        (1e300, 1e10, 0.0),       # every matmul overflows, sin and cos of inf
+        (1e308, 1.0, 1.7e308),    # an add overflows
+        (-1e308, -10.0, -1.7e308),
+        (5.0, 1e300, 0.0),        # large but finite arguments of sin and cos
+    ])
+    def test_time_encode_raises_wherever_its_chain_raised(self, times, scale, bias):
+        params = {name: np.full((1, 1 if name in ("te.w_s", "te.b_s") else 3),
+                                bias if ".b_" in name else scale)
+                  for name in ("te.w_s", "te.b_s", "te.w_p", "te.b_p", "te.w_c", "te.b_c")}
+        self.same_failures(lambda b: time_encode(b["te.w_s"].tape.const([[times]]), b),
+                           lambda b: chain_time_encode(b["te.w_s"].tape.const([[times]]), b),
+                           params, "time_encode")
+
+    @pytest.mark.parametrize("log_alpha,centre", [
+        (-1e4, 0.5),       # sigma^2 underflows to 0: exponent 0/0 and -inf, exp -> 0
+        (-400.0, 0.5),
+        (400.0, 0.5),      # sigma^2 overflows: the exponent alone would read -0
+        (1e308, 0.5),      # 2 * log_alpha overflows
+        (-1e308, 0.5),
+        (0.0, 1e200),      # the squared distance overflows
+        (-300.0, 0.25),    # tiny but finite weights
+        (0.0, 0.5),
+    ])
+    def test_kernel_weights_raise_wherever_their_chain_raised(self, log_alpha, centre):
+        t_norm = np.array([[[0.0], [0.25], [1.0]]])
+        centers = np.array([[0.25, centre]])
+
+        def with_centers(b):
+            return {**b, "pool.centers": b["pool.log_alpha"].tape.const(centers)}
+
+        self.same_failures(lambda b: _kernel_weights(t_norm, with_centers(b)),
+                           lambda b: chain_kernel_weights(t_norm, with_centers(b)),
+                           {"pool.log_alpha": np.full((1, 2), log_alpha)}, "kernel_weights")
+
+    def same_failures(self, fused, chain, params, name):
+        """``fused`` raises NonFiniteError, naming itself, exactly where
+        ``chain`` raised it, and otherwise gives the chain's values."""
+        results = []
+        with np.errstate(all="ignore"):
+            for fn in (fused, chain):
+                tape = Tape()
+                try:
+                    results.append(fn({k: tape.param(k, v) for k, v in params.items()}).data)
+                except T.NonFiniteError as err:
+                    results.append(str(err))
+        if isinstance(results[1], str):
+            assert results[0] == f"{name}: produced non-finite values"
+        else:
+            assert np.array_equal(results[0], results[1])
 
 
 class TestTapeMemory:
@@ -425,10 +518,11 @@ class TestTapeMemory:
         return retained_bytes(tape), estimate, cells
 
     def test_sinusoid_a_chunk_keeps_under_23_floats_per_padded_cell(self):
-        # A whole 32-sample batch of the reference task (B=32, N=5, L=118);
-        # the estimate that budgets chunks is within 1% above the count.
+        # A whole 32-sample batch of the reference task (B=32, N=5, L=118)
+        # keeps 17.19 floats per padded cell; the estimate that budgets
+        # chunks is within 1% above the count.
         kept, estimate, cells = self.chunk(generate(PRESETS["sinusoid-a"])[:32], TrainConfig())
-        assert kept / 8 / cells < 23.0
+        assert kept / 8 / cells < 17.2
         assert kept <= estimate <= 1.01 * kept
 
     @pytest.mark.parametrize("cfg_kw", [
@@ -460,21 +554,28 @@ class TestCountedCost:
     length L, no node holds N^2 entries (quadratic attention would), and
     the node and parameter counts do not depend on N or L."""
 
-    def record(self, monkeypatch, n, length):
-        sizes = []
-        record = Tape.record
+    def record(self, monkeypatch, n, length, queries=2):
+        """Sizes of every node one forward appends, its tape, and how many
+        of those nodes ran the finiteness check (``Tape.record``)."""
+        sizes, checked = [], []
+        append, record = Tape.append, Tape.record
 
-        def spy(self, op, data, *args, **kwargs):
-            out = record(self, op, data, *args, **kwargs)
+        def spy_append(self, op, data, *args, **kwargs):
+            out = append(self, op, data, *args, **kwargs)
             sizes.append(out.data.size)
             return out
 
-        monkeypatch.setattr(Tape, "record", spy)
+        def spy_record(self, *args, **kwargs):
+            checked.append(1)
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tape, "append", spy_append)
+        monkeypatch.setattr(Tape, "record", spy_record)
         tape = Tape()
-        queries = [np.linspace(1.01, 1.2, 2) for _ in range(n)]
-        forward(tape, ModelParams.init(TrainConfig(), seed=0), dense_triplet(n, length), queries)
+        times = [np.linspace(1.01, 1.2, queries) for _ in range(n)]
+        forward(tape, ModelParams.init(TrainConfig(), seed=0), dense_triplet(n, length), times)
         monkeypatch.undo()
-        return sizes, tape
+        return sizes, tape, len(checked)
 
     def test_recorded_floats_grow_linearly_in_n_and_l(self, monkeypatch):
         # Affine in one size with the other fixed: the second difference
@@ -492,13 +593,23 @@ class TestCountedCost:
     def test_node_and_parameter_counts_do_not_depend_on_n_or_l(self, monkeypatch):
         counts = set()
         for n, length in [(2, 16), (64, 16), (2, 1024)]:
-            sizes, tape = self.record(monkeypatch, n, length)
+            sizes, tape, _checked = self.record(monkeypatch, n, length)
             registered = sum(int(np.prod(shape)) for _index, shape in tape.params.values())
             counts.add((len(sizes), len(tape.params), registered))
         assert len(counts) == 1
         _nodes, params, registered = counts.pop()
         assert params == len(ModelParams.init(TrainConfig()).arrays)
         assert registered == expected_param_count(TrainConfig())
+
+    def test_fixed_cost_of_one_forward(self, monkeypatch):
+        # A default-config forward of one sample with 2 grid times and 1
+        # query records 128 nodes. 60 run the finiteness check: 15 constant
+        # leaves and 45 nodes that compute. The 32 parameter leaves share
+        # one check of the flat vector, and the other 36 nodes only move,
+        # select or bound finite values.
+        sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
+        assert len(sizes) == len(tape.nodes) == 128
+        assert checked == 60
 
 
 class TestLinearAttention:
@@ -806,6 +917,47 @@ class TestModelParams:
                 del doc["buffers"]["blocks.0.omega"]
             path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match=message):
+            ModelParams.load(path)
+
+    def test_arrays_are_views_of_one_flat_vector(self):
+        cfg = block_config()
+        model = ModelParams.init(cfg, seed=13)
+        assert model.flat.shape == (expected_param_count(cfg),)
+        assert np.array_equal(model.flat,
+                              np.concatenate([a.ravel() for a in model.arrays.values()]))
+        model.arrays["out.w"][0, 0] = 7.5
+        assert 7.5 in model.flat
+        twin = model.copy()
+        twin.flat[:] = 0.0
+        assert model.arrays["out.w"][0, 0] == 7.5 and not twin.arrays["out.w"].any()
+        tape = Tape()
+        bound = model.bind(tape)
+        assert all(np.shares_memory(bound[name].data, model.flat) for name in model.arrays)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_parameter_raises_at_bind(self, value):
+        model = ModelParams.init(block_config(), seed=13)
+        model.arrays["pool.gate"][0, 1] = value
+        rng = np.random.default_rng(14)
+        sample = random_sample(rng, allow_empty_variates=False)
+        tape = Tape()
+        with pytest.raises(T.NonFiniteError, match="^param pool.gate: non-finite"):
+            forward(tape, model, align(sample), sample.query_times)
+        assert len(tape.nodes) == 0
+
+    def test_load_keeps_the_init_order_and_rejects_non_finite_entries(self, tmp_path):
+        path = tmp_path / "ck.json"
+        model = ModelParams.init(block_config(), seed=13)
+        model.save(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"] = dict(reversed(doc["params"].items()))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = ModelParams.load(path)
+        assert list(loaded.arrays) == list(model.arrays)
+        assert np.array_equal(loaded.flat, model.flat)
+        doc["buffers"]["pool.centers"]["data"][1] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="buffers 'pool.centers' holds non-finite"):
             ModelParams.load(path)
 
     def test_frozen_feature_draws_are_standard_normal_scale(self):

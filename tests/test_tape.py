@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import imtscast.tape as T
+from imtscast.model import _attend, _kernel_weights, _smoothing_layers, rff_features, time_encode
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, grad_check
 
 
@@ -36,8 +38,9 @@ class TestForward:
         tape = Tape()
         with pytest.raises(ShapeError, match="matmul"):
             T.matmul(const(tape, np.ones((2, 3))), const(tape, np.ones((2, 3))))
-        with pytest.raises(ShapeError, match="add"):
-            const(tape, np.ones((2, 3))) + const(tape, np.ones((4,)))
+        for op in ("add", "sub", "mul", "div"):
+            with pytest.raises(ShapeError, match=rf"{op}: shapes \(2, 3\) and \(4,\)"):
+                getattr(T, op)(const(tape, np.ones((2, 3))), const(tape, np.ones((4,))))
 
     def test_non_finite_result_rejected(self):
         tape = Tape()
@@ -86,7 +89,7 @@ class TestBackward:
             tape = Tape()
             w = tape.param("w", x)
             f = (w * w).sum()
-            g = T.sin(w).sum()
+            g = T.sigmoid(w).sum()
             return tape.backward(f * a + g * b)["w"]
 
         ga = grad_of(1.0, 0.0)
@@ -118,12 +121,31 @@ class TestBackward:
         assert tape.backward(loss)["w"].tolist() == [8.0]
 
 
+TE_NAMES = ("te.w_s", "te.b_s", "te.w_p", "te.b_p", "te.w_c", "te.b_c")
+TIMES = np.linspace(-1.0, 2.0, 5)[:, None]
+T_NORM = np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)
+CENTERS = np.linspace(0.0, 1.0, 4)[None, :]
+OMEGA = np.random.default_rng(7).standard_normal((4, 3))
+PHASE = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (1, 3))
+BIG = 1.7e308   # twice this overflows
+
+
+def time_encode_of_rows(t):
+    """The time encoding with the six ``te.*`` parameters taken from the
+    rows of a (6, 3) tensor: scalar linear terms, three sin and three cos."""
+    p = {name: t[i : i + 1, : 1 if i < 2 else 3] for i, name in enumerate(TE_NAMES)}
+    return time_encode(t.tape.const(TIMES), p)
+
+
 PRIMITIVE_CASES = [
     ("relu", lambda t: T.relu(t), (3, 4)),
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
-    ("sin", lambda t: T.sin(t), (3, 4)),
-    ("cos", lambda t: T.cos(t), (3, 4)),
-    ("exp", lambda t: T.exp(t), (3, 4)),
+    # The model's fused nodes built on one input tensor.
+    ("time_encode", lambda t: time_encode_of_rows(t), (6, 3)),
+    ("rff_features", lambda t: rff_features(t, t.tape.const(OMEGA), t.tape.const(PHASE)),
+     (3, 4)),
+    ("kernel_weights", lambda t: _kernel_weights(
+        T_NORM, {"pool.log_alpha": t, "pool.centers": t.tape.const(CENTERS)}), (1, 4)),
     ("sum_all", lambda t: t.sum().reshape((1, 1)), (3, 4)),
     ("sum_axis0", lambda t: t.sum(axis=0, keepdims=True), (3, 4)),
     ("sum_axis1", lambda t: t.sum(axis=1), (3, 4)),
@@ -213,7 +235,7 @@ class TestGradientFlags:
         for op in (lambda t, k: scale(t, k), lambda t, k: k * t):
             tape = Tape()
             w = tape.param("w", x)
-            grads.append(tape.backward((T.sin(op(w, const(tape, c))) * w).sum())["w"])
+            grads.append(tape.backward((T.sigmoid(op(w, const(tape, c))) * w).sum())["w"])
         assert np.array_equal(grads[0], grads[1])
 
     def test_no_grad_tape_records_the_same_values_and_no_closures(self):
@@ -256,8 +278,8 @@ def test_stacked_matmul_matches_per_entry_matmul():
 def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     """The primitive table gradchecks exactly the ops a training step and
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
-    The model's own fused nodes (``rff_features``, ``smoothing_layers`` and
-    ``attend``) live in the model and are gradchecked there."""
+    The model's fused nodes ``smoothing_layers`` and ``attend`` take several
+    inputs and are gradchecked in the model's tests."""
     from conftest import random_sample
 
     from imtscast.config import TrainConfig
@@ -266,13 +288,13 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     from imtscast.train import build_loss
 
     ops: set[str] = set()
-    record = Tape.record
+    append = Tape.append   # every node, checked or not, is appended here
 
     def spy(self, op, *args, **kwargs):
         ops.add(op)
-        return record(self, op, *args, **kwargs)
+        return append(self, op, *args, **kwargs)
 
-    monkeypatch.setattr(Tape, "record", spy)
+    monkeypatch.setattr(Tape, "append", spy)
     rng = np.random.default_rng(9)
     samples = []
     while len(samples) < 3:
@@ -289,8 +311,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(Tape().param("x", np.ones(shape)))
-    assert (model_ops - ops, ops - model_ops) == (
-        {"rff_features", "smoothing_layers", "attend"}, set())
+    assert (model_ops - ops, ops - model_ops) == ({"smoothing_layers", "attend"}, set())
 
 
 def test_place_puts_entries_at_flat_positions():
@@ -386,3 +407,131 @@ class TestGradCheck:
             return T.sigmoid(bound["w"] @ bound["w"]).sum()
 
         assert not grad_check(build, params, step=1e-4, tol=1e-14).ok
+
+
+class TestFiniteness:
+    """Every tensor on a tape is finite: leaves are checked when they enter,
+    and so is every primitive that can turn finite inputs into inf or NaN.
+    The others only move, select, clamp or bound finite values."""
+
+    # The unchecked primitives, each on a (3, 4) input. The feature map's
+    # projection (a checked matmul and add) passes its input through.
+    UNCHECKED = {
+        "reshape": lambda t: t.reshape((2, 6)),
+        "transpose": lambda t: t.T,
+        "permute": lambda t: T.permute(t.reshape((3, 2, 2)), (2, 0, 1)),
+        "slice": lambda t: t[1:3, 0:2],
+        "concat": lambda t: T.concat([t, t], axis=0),
+        "take_rows": lambda t: T.take_rows(t, np.array([2, 0, 2])),
+        "place": lambda t: T.place(t, np.arange(12)[::-1], (4, 3)),
+        "relu": T.relu,
+        "sigmoid": T.sigmoid,
+        "rff_features": lambda t: rff_features(t, t.tape.const(np.eye(4)),
+                                               t.tape.const(np.zeros((1, 4)))),
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(allow_nan=False,
+                                                             allow_infinity=False)
+                      | st.sampled_from([1.79e308, -1.79e308])))
+    def test_unchecked_primitives_map_finite_to_finite(self, x):
+        for op, fn in self.UNCHECKED.items():
+            assert np.isfinite(fn(Tape().param("x", x)).data).all(), op
+
+    def test_the_unchecked_primitives_skip_the_check(self, monkeypatch):
+        checked = []
+        record = Tape.record
+
+        def spy(self, op, *args, **kwargs):
+            checked.append(op)
+            return record(self, op, *args, **kwargs)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        for op, fn in self.UNCHECKED.items():
+            checked.clear()
+            fn(Tape().param("x", np.ones((3, 4))))
+            assert checked and op not in checked, (op, checked)
+
+    CHECKED = {
+        "add": lambda tp: tp.const([BIG]) + tp.const([BIG]),
+        "sub": lambda tp: tp.const([BIG]) - tp.const([-BIG]),
+        "mul": lambda tp: tp.const([1e200]) * tp.const([1e200]),
+        "div": lambda tp: tp.const([1.0]) / tp.const([1e-320]),
+        "matmul": lambda tp: tp.const([[1e200]]) @ tp.const([[1e200]]),
+        "sum": lambda tp: tp.const([BIG, BIG]).sum(),
+        "layernorm": lambda tp: T.layernorm(tp.const([[BIG, BIG]])),
+        "time_encode": lambda tp: time_encode(tp.const([[1e308]]), {
+            name: tp.const(np.full((1, 1 if i < 2 else 3), 10.0))
+            for i, name in enumerate(TE_NAMES)}),
+        # sigma^2 = exp(-2e4) underflows to 0, so the exponent is -inf (and
+        # 0/0 at a centre): exp would map it to a finite 0.
+        "kernel_weights": lambda tp: _kernel_weights(T_NORM, {
+            "pool.log_alpha": tp.const(np.full((1, 4), -1e4)),
+            "pool.centers": tp.const(CENTERS)}),
+        "smoothing_layers": lambda tp: _smoothing_layers(
+            np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
+                                      for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
+        "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 2), 1e200)) for _ in range(3))),
+    }
+
+    @pytest.mark.parametrize("op", sorted(CHECKED))
+    def test_checked_primitive_names_itself_on_overflow(self, op):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
+                                                      match=rf"^{op}: produced non-finite"):
+            self.CHECKED[op](Tape())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_leaves_and_custom_records_are_checked(self, bad):
+        tape = Tape()
+        with pytest.raises(NonFiniteError, match="^const:"):
+            tape.const([1.0, bad])
+        with pytest.raises(NonFiniteError, match="^param:"):
+            tape.param("w", np.array([bad]))
+        with pytest.raises(NonFiniteError, match="^my_op:"):
+            tape.record("my_op", np.array([[bad]]), (), None)
+
+    def test_param_vector_names_the_non_finite_entry(self):
+        flat = np.arange(5.0)
+        views = {"a": flat[:2], "b": flat[2:].reshape(1, 3)}
+        flat[3] = np.nan
+        with pytest.raises(NonFiniteError, match="^param b:"):
+            Tape().param_vector(flat, views)
+
+
+class TestParamVector:
+    def vector(self):
+        flat = np.array([1.0, -2.0, 0.5, 3.0, 4.0])
+        return flat, {"a": flat[:2], "b": flat[2:].reshape(3, 1)}
+
+    def test_leaves_are_the_views(self):
+        flat, views = self.vector()
+        tape = Tape()
+        bound = tape.param_vector(flat, views)
+        assert bound["b"].data is views["b"] and bound["b"].needs_grad
+        assert not Tape(grad=False).param_vector(flat, views)["a"].needs_grad
+        assert {k: v[1] for k, v in tape.params.items()} == {"a": (2,), "b": (3, 1)}
+        with pytest.raises(TapeError, match="registered twice"):
+            tape.param_vector(flat, views)
+
+    def test_backward_into_adds_each_gradient_into_its_segment(self):
+        flat, views = self.vector()
+        acc = np.full(5, 10.0)
+        for _ in range(2):
+            tape = Tape()
+            p = tape.param_vector(flat, views)
+            loss = (p["a"] * p["a"]).sum() + (p["b"] * 3.0).sum()
+            want = tape.backward(loss)
+            got = tape.backward(loss, into=acc)
+            assert set(got) == {"a", "b"} and np.shares_memory(got["b"], acc)
+        assert acc.tolist() == (10.0 + 2 * np.concatenate([2.0 * flat[:2], [3.0] * 3])).tolist()
+        assert want["b"].tolist() == [[3.0]] * 3
+
+    def test_backward_into_leaves_unreached_segments_and_checks_the_size(self):
+        flat, views = self.vector()
+        tape = Tape()
+        p = tape.param_vector(flat, views)
+        acc = np.ones(5)
+        tape.backward((p["a"] * 2.0).sum(), into=acc)
+        assert acc.tolist() == [3.0, 3.0, 1.0, 1.0, 1.0]
+        with pytest.raises(TapeError, match="into has 4 entries, the parameters 5"):
+            tape.backward((p["a"] * 2.0).sum(), into=np.ones(4))

@@ -91,67 +91,79 @@ class TestLossAndMetrics:
 
 
 class TestAdam:
+    """The optimizer and the clip work on flat vectors, laid out as
+    ``ModelParams.flat``."""
+
+    def state(self, size):
+        return AdamState(first=np.zeros(size), second=np.zeros(size))
+
     def test_zero_gradients_leave_parameters_unchanged(self):
-        arrays = {"w": np.array([1.0, -2.0])}
-        state = AdamState(first={"w": np.zeros(2)}, second={"w": np.zeros(2)})
-        adam_step(arrays, {"w": np.zeros(2)}, state, lr=1e-2)
-        assert arrays["w"].tolist() == [1.0, -2.0]
+        flat = np.array([1.0, -2.0])
+        adam_step(flat, np.zeros(2), self.state(2), lr=1e-2)
+        assert flat.tolist() == [1.0, -2.0]
 
     def test_first_step_is_signed_learning_rate(self):
-        arrays = {"w": np.array([0.0, 0.0])}
-        state = AdamState(first={"w": np.zeros(2)}, second={"w": np.zeros(2)})
-        adam_step(arrays, {"w": np.array([0.3, -7.0])}, state, lr=1e-3)
-        assert np.allclose(arrays["w"], [-1e-3, 1e-3], rtol=1e-6)
+        flat = np.array([0.0, 0.0])
+        adam_step(flat, np.array([0.3, -7.0]), self.state(2), lr=1e-3)
+        assert np.allclose(flat, [-1e-3, 1e-3], rtol=1e-6)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
-        arrays = {"w": np.array([0.0])}
-        state = AdamState(first={"w": np.zeros(1)}, second={"w": np.zeros(1)})
-        g = {"w": np.array([0.5])}
+        flat = np.array([0.0])
+        state = self.state(1)
+        g = np.array([0.5])
         lr = 1e-3
-        prev = arrays["w"].copy()
+        prev = flat.copy()
         for _ in range(500):
-            prev = arrays["w"].copy()
-            adam_step(arrays, g, state, lr)
-        assert abs(abs(arrays["w"][0] - prev[0]) - lr) < 1e-5
+            prev = flat.copy()
+            adam_step(flat, g, state, lr)
+        assert abs(abs(flat[0] - prev[0]) - lr) < 1e-5
 
     @pytest.mark.parametrize("lr", [1e-3, 1e-2])
     def test_single_step_decreases_quadratic(self, lr):
-        arrays = {"w": np.array([3.0])}
-        state = AdamState(first={"w": np.zeros(1)}, second={"w": np.zeros(1)})
-        before = arrays["w"][0] ** 2
-        adam_step(arrays, {"w": 2.0 * arrays["w"]}, state, lr)
-        assert arrays["w"][0] ** 2 < before
+        flat = np.array([3.0])
+        before = flat[0] ** 2
+        adam_step(flat, 2.0 * flat, self.state(1), lr)
+        assert flat[0] ** 2 < before
 
     def test_non_finite_gradient_skips_step(self):
-        arrays = {"w": np.array([1.0])}
-        state = AdamState(first={"w": np.zeros(1)}, second={"w": np.zeros(1)})
-        applied = adam_step(arrays, {"w": np.array([np.nan])}, state, lr=1e-2)
+        flat = np.array([1.0])
+        state = self.state(1)
+        applied = adam_step(flat, np.array([np.nan]), state, lr=1e-2)
         assert not applied
-        assert arrays["w"][0] == 1.0 and state.step == 0
+        assert flat[0] == 1.0 and state.step == 0
 
     def test_clip_rescales_to_max_norm(self):
-        grads = {"a": np.array([30.0]), "b": np.array([40.0])}
+        grads = np.array([30.0, 40.0])
         total = clip_gradients(grads, max_norm=5.0)
         assert total == pytest.approx(50.0)
-        clipped = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        assert clipped == pytest.approx(5.0)
+        assert np.sqrt((grads * grads).sum()) == pytest.approx(5.0)
 
     def test_clip_of_finite_gradients_whose_squares_overflow(self):
         # 1e200 ** 2 overflows: the plain norm is inf and max_norm / inf
         # would zero the gradients, so Adam would take a zero step.
-        grads = {"a": np.array([1e200, -1e200]), "b": np.array([1e199])}
+        grads = np.array([1e200, -1e200, 1e199])
         total = clip_gradients(grads)
         assert total == pytest.approx(np.sqrt(2.01) * 1e200, rel=1e-12)
-        clipped = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        assert clipped == pytest.approx(CLIP_NORM, rel=1e-12)
-        assert grads["a"][0] > 0 > grads["a"][1]
+        assert np.sqrt((grads * grads).sum()) == pytest.approx(CLIP_NORM, rel=1e-12)
+        assert grads[0] > 0 > grads[1]
 
     def test_clip_leaves_non_finite_gradients_untouched(self, recwarn):
-        # max_norm / inf = 0 would write inf * 0 = NaN into the arrays.
-        grads = {"a": np.array([np.inf, 4.0]), "b": np.array([3.0])}
+        # max_norm / inf = 0 would write inf * 0 = NaN into the vector.
+        grads = np.array([np.inf, 4.0, 3.0])
         assert clip_gradients(grads) == np.inf
-        assert grads["a"].tolist() == [np.inf, 4.0] and grads["b"].tolist() == [3.0]
+        assert grads.tolist() == [np.inf, 4.0, 3.0]
         assert not recwarn.list
+
+    def test_state_is_laid_out_as_the_parameter_vector(self):
+        params = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
+                                              conv_channels=2, time_dim=4), seed=0)
+        state = AdamState.init(params)
+        assert state.first.shape == state.second.shape == params.flat.shape
+        grads = np.ones_like(params.flat)
+        before = params.arrays["out.w"].copy()
+        assert adam_step(params.flat, grads, state, lr=1e-3)
+        # The named arrays are views of the vector the step updated.
+        assert np.allclose(params.arrays["out.w"], before - 1e-3, rtol=0, atol=1e-9)
 
 
 def tiny_dataset(seed=0, n_samples=6):
