@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -330,17 +331,20 @@ def _toy_sample_spec(seed: int) -> SynthSpec:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be finite and > 0, got {args.step:g}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol:g}")
     cfg, _extras = _resolve_config(args)
     sample = generate(_toy_sample_spec(cfg.seed + 101))[0]
     triplet = align(sample)
     model = ModelParams.init(cfg)
     targets = np.concatenate([t for t in sample.query_targets])
 
-    def build(tp, bound):
-        res = forward(tp, model, triplet, sample.query_times, bound=bound)
-        return build_loss(res, targets)
+    def build(tp):
+        return build_loss(forward(tp, model, triplet, sample.query_times), targets)
 
-    report = grad_check(build, model.arrays, step=args.step, tol=args.tol)
+    report = grad_check(build, model.flat, model.arrays, step=args.step, tol=args.tol)
     for line in report.lines():
         print(line)
     print(f"{'PASS' if report.ok else 'FAIL'}: {sum(e.ok for e in report.entries)}"

@@ -21,8 +21,8 @@ batched matmuls.
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
 forward binds them with one finiteness check and the optimizer updates
-them in a handful of vector operations; serialization and gradient checks
-use the named views.
+them in a handful of vector operations; serialization uses the named
+views, and the gradient check moves entries of the vector in place.
 
 A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
@@ -69,13 +69,7 @@ class ModelParams:
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parts = [np.asarray(a, dtype=np.float64) for a in self.arrays.values()]
-        self.flat = np.concatenate([a.ravel() for a in parts]) if parts else np.empty(0)
-        views, offset = {}, 0
-        for name, arr in zip(self.arrays, parts):
-            views[name] = self.flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-        self.arrays = views
+        self.flat, self.arrays = T.flat_views(self.arrays)
 
     @classmethod
     def init(cls, cfg: TrainConfig, seed: int | None = None) -> "ModelParams":
@@ -616,16 +610,15 @@ class ForwardResult:
         return out
 
 
-def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None = None,
-            bound: dict[str, Tensor] | None = None) -> ForwardResult:
+def forward(tp: Tape, model: ModelParams, chunk, queries,
+            capture: list | None = None) -> ForwardResult:
     """Run the full pipeline for a chunk of samples on the given tape.
 
     ``chunk`` is one AlignedTriplet with ``queries`` one array of future
     times per variate (a chunk of one), or a sequence of triplets that share
     the variate count with ``queries`` one such list per triplet.
-    Deterministic given parameters and inputs. Pass ``bound`` to reuse
-    parameter tensors already registered on the tape (the gradient checker
-    does this); otherwise the model binds itself.
+    Deterministic given parameters and inputs. The model registers its
+    flat parameter vector on the tape (``ModelParams.bind``).
     """
     cfg = model.cfg
     if isinstance(chunk, AlignedTriplet):
@@ -638,12 +631,7 @@ def forward(tp: Tape, model: ModelParams, chunk, queries, capture: list | None =
     for qs in queries:
         if len(qs) != n:
             raise DataError(f"forward: expected {n} query lists, got {len(qs)}")
-    if bound is None:
-        p = model.bind(tp)
-    else:
-        p = dict(bound)
-        for name, arr in model.buffers.items():
-            p.setdefault(name, tp.const(arr))
+    p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 
     rows = tp.const(padded.values)                             # (B*N, L)

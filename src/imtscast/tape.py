@@ -10,21 +10,23 @@ temporaries. A node that needs a gradient lists each parent that needs none
 as ``None``: the binary primitives skip that parent's adjoint, and
 ``Tape.backward`` drops any adjoint a custom VJP still returns for it.
 
-``Tape.backward`` walks the nodes once in reverse insertion order and
-returns a gradient for every registered parameter (zeros for parameters the
-loss never touched). Parameters registered as views of one flat vector
-(``Tape.param_vector``) can have their gradients added into one flat
-vector of the same layout (``backward(loss, into=...)``). On a
-``Tape(grad=False)`` no parameter needs a gradient, so the tape stores no
-closure at all and ``backward`` raises; inference runs the same primitives
-on such a tape. Tensors are treated as immutable once recorded; a tape
-must not be shared across threads, but distinct tapes are independent.
+Parameters enter a tape one way only: as named views of one flat float64
+vector (``flat_views`` builds such a vector, ``Tape.param_vector``
+registers it). That is also ``Tape.backward``'s one gradient layout: it
+walks the nodes once in reverse insertion order and adds each parameter's
+gradient into the matching segment of a flat vector, a fresh zero vector
+unless ``into`` is given, and returns the segments as named views (zeros
+for parameters the loss never touched). On a ``Tape(grad=False)`` no
+parameter needs a gradient, so the tape stores no closure at all and
+``backward`` raises; inference runs the same primitives on such a tape.
+Tensors are treated as immutable once recorded; a tape must not be shared
+across threads, but distinct tapes are independent.
 
 All math is double precision, and every tensor on a tape is finite. A
-leaf is checked when it enters the tape (``const``, ``param``,
-``param_vector``), and so is the output of every primitive that can turn
-finite inputs into inf or NaN: ``add``, ``sub``, ``mul``, ``div``,
-``matmul``, ``sum``, ``layernorm`` and any custom ``Tape.record`` call.
+leaf is checked when it enters the tape (``const``, ``param_vector``),
+and so is the output of every primitive that can turn finite inputs into
+inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
+``layernorm`` and any custom ``Tape.record`` call.
 The primitives that only move, select, clamp or bound finite values skip
 the check (``reshape``, ``transpose``, ``permute``, ``slice``, ``concat``,
 ``take_rows``, ``place``, ``relu`` and ``sigmoid``) by appending their
@@ -81,32 +83,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(self.tape.const(other), self)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(self.tape.const(other), self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, key):
         return narrow(self, key)
@@ -170,15 +157,6 @@ class Tape:
             return data
         return self.record("const", data, (), None)
 
-    def param(self, name: str, data) -> Tensor:
-        """Record a named leaf whose gradient ``backward`` reports."""
-        if name in self.params:
-            raise TapeError(f"parameter {name!r} registered twice")
-        t = self.record("param", data, (), None)
-        t.needs_grad = self.grad
-        self.params[name] = (t._index, t.data.shape)
-        return t
-
     def param_vector(self, flat: np.ndarray, views: dict[str, np.ndarray]) -> dict[str, Tensor]:
         """Register named views of one flat float64 vector as parameter leaves.
 
@@ -200,13 +178,14 @@ class Tape:
         return bound
 
     def backward(self, loss: Tensor, into: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Accumulate adjoints of ``loss`` for every registered parameter.
+        """Add the adjoints of ``loss`` into a flat gradient vector.
 
-        Visits nodes in reverse insertion order exactly once; parameters not
-        reachable from the loss get zero gradients. With ``into``, a flat
-        vector holding one segment per parameter in registration order (the
-        layout of ``param_vector``), each gradient is added into its segment
-        and the returned arrays are those segments.
+        Visits nodes in reverse insertion order exactly once. The vector,
+        ``into`` or else a fresh zero vector, holds one segment per
+        registered parameter in registration order (the layout of
+        ``param_vector``); each gradient is added into its segment, and the
+        segments are returned as named views. Parameters not reachable from
+        the loss add nothing.
         """
         if not self.grad:
             raise TapeError("backward: the tape was built with grad=False")
@@ -214,6 +193,12 @@ class Tape:
             raise TapeError("backward: loss was recorded on a different tape")
         if loss.data.size != 1:
             raise TapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+        sizes = [math.prod(shape) for _index, shape in self.params.values()]
+        if into is None:
+            into = np.zeros(sum(sizes))
+        elif sum(sizes) != into.size:
+            raise TapeError(f"backward: into has {into.size} entries, the parameters "
+                            f"{sum(sizes)}")
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[loss._index] = np.ones_like(loss.data)
         for i in range(loss._index, -1, -1):
@@ -231,15 +216,6 @@ class Tape:
                 else:
                     grads[pi] = grads[pi] + pg
             grads[i] = None  # free intermediate adjoints early
-        if into is None:
-            return {
-                name: (np.zeros(shape) if grads[index] is None else grads[index])
-                for name, (index, shape) in self.params.items()
-            }
-        sizes = [math.prod(shape) for _index, shape in self.params.values()]
-        if sum(sizes) != into.size:
-            raise TapeError(f"backward: into has {into.size} entries, the parameters "
-                            f"{sum(sizes)}")
         out, offset = {}, 0
         for (name, (index, shape)), size in zip(self.params.items(), sizes):
             segment = into[offset : offset + size].reshape(shape)
@@ -248,6 +224,21 @@ class Tape:
             out[name] = segment
             offset += size
         return out
+
+
+def flat_views(arrays: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Copy named arrays into one new flat float64 vector, in order.
+
+    Returns the vector and a view of each array's segment, shaped like the
+    array: the layout ``Tape.param_vector`` registers.
+    """
+    parts = [np.asarray(a, dtype=np.float64) for a in arrays.values()]
+    flat = np.concatenate([a.ravel() for a in parts]) if parts else np.empty(0)
+    views, offset = {}, 0
+    for name, arr in zip(arrays, parts):
+        views[name] = flat[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return flat, views
 
 
 def _lift(t, other) -> Tensor:
@@ -538,45 +529,46 @@ class GradCheckReport:
 GRAD_CHECK_REL_FLOOR = 1e-3   # smallest relative-error denominator in grad_check
 
 
-def grad_check(build, params: dict[str, np.ndarray], step: float = 1e-4,
+def grad_check(build, flat: np.ndarray, views: dict[str, np.ndarray], step: float = 1e-4,
                tol: float = 1e-4) -> GradCheckReport:
     """Compare tape gradients against central finite differences.
 
-    ``build(tape, bound)`` must rebuild the same scalar loss from the bound
-    parameter tensors, deterministically. Each entry's error is
+    ``views`` are named views of the flat float64 vector ``flat`` (see
+    ``flat_views``). ``build(tape)`` must register them on the tape
+    (``Tape.param_vector``) and return the same scalar loss from their
+    current values, deterministically; the analytic gradient is
+    ``backward``'s into a vector of ``flat``'s layout. Each entry
+    ``flat[i]`` is moved by +-``step`` in place, one loss evaluation each on
+    a ``Tape(grad=False)``, and restored even when ``build`` raises, so
+    ``flat`` ends bitwise as it began. Each entry's error is
     |analytic - fd| / max(|analytic|, |fd|, ``GRAD_CHECK_REL_FLOOR``), and a
-    parameter group passes when its largest error is at most ``tol``. The
-    floor judges near-zero gradients on an absolute scale, where finite
-    differencing has no signal.
+    view passes when its largest error is at most ``tol``; the report lists
+    the views in order. The floor judges near-zero gradients on an absolute
+    scale, where finite differencing has no signal.
     """
+    analytic = np.zeros_like(flat)
     tape = Tape()
-    bound = {name: tape.param(name, arr) for name, arr in params.items()}
-    loss = build(tape, bound)
-    analytic = tape.backward(loss)
+    tape.backward(build(tape), into=analytic)
 
-    def value_at(current: dict[str, np.ndarray]) -> float:
-        t = Tape(grad=False)
-        b = {name: t.param(name, arr) for name, arr in current.items()}
-        return float(build(t, b).data)
+    def value() -> float:
+        return float(build(Tape(grad=False)).data)
 
-    entries = []
-    for name, base in params.items():
-        work = dict(params)
-        arr = base.copy()
-        work[name] = arr
-        flat = arr.ravel()
-        fd = np.zeros(arr.size)
-        for i in range(arr.size):
-            orig = flat[i]
+    fd = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        try:
             flat[i] = orig + step
-            up = value_at(work)
+            up = value()
             flat[i] = orig - step
-            down = value_at(work)
+            down = value()
+        finally:
             flat[i] = orig
-            fd[i] = (up - down) / (2.0 * step)
-        got = analytic[name].ravel()
-        denom = np.maximum(np.maximum(np.abs(got), np.abs(fd)), GRAD_CHECK_REL_FLOOR)
-        rel = np.abs(got - fd) / denom
-        worst = float(rel.max()) if rel.size else 0.0
+        fd[i] = (up - down) / (2.0 * step)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), GRAD_CHECK_REL_FLOOR)
+    rel = np.abs(analytic - fd) / denom
+    entries, offset = [], 0
+    for name, view in views.items():
+        worst = float(rel[offset : offset + view.size].max()) if view.size else 0.0
         entries.append(GradCheckEntry(name, worst, worst <= tol))
+        offset += view.size
     return GradCheckReport(entries, tol=tol, step=step)

@@ -3,6 +3,7 @@ import pytest
 
 from imtscast.config import TrainConfig
 from imtscast.data import ImtsSample, RawSeries
+from imtscast.tape import flat_views
 
 
 def random_sample(rng, max_variates=6, max_obs=12, allow_empty_variates=True) -> ImtsSample:
@@ -25,6 +26,11 @@ def random_sample(rng, max_variates=6, max_obs=12, allow_empty_variates=True) ->
         series[0] = RawSeries(variate_id=1, times=np.array([1.0]), values=np.array([0.5]))
     return ImtsSample(sample_id=int(rng.integers(0, 10_000)), series=tuple(series),
                       query_times=tuple(qtimes), query_targets=tuple(qtargets))
+
+
+def bind(tape, **arrays):
+    """Register ``arrays`` on ``tape`` as views of one new flat vector."""
+    return tape.param_vector(*flat_views(arrays))
 
 
 @pytest.fixture

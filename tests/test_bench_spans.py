@@ -3,10 +3,14 @@
 ``perfbench/tracing.py`` wraps public functions by name (``encode_series``,
 ``pool_all``, ``rfft_rows`` on the model module, ``Tape.backward``). A
 rename or a bypass in the model would only show up as missing per-layer
-metrics in a benchmark run, so one traced forward and backward runs here.
+metrics in a benchmark run, so one traced forward and backward runs here,
+and one traced training epoch checks the ``train.*`` spans and the values
+their hooks read (``clip_gradients``' norm, ``adam_step``'s flag and
+``Tape.backward``'s tape).
 ``perfbench/tests`` has its own conftest and runs as a separate suite.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +44,23 @@ def test_layer_spans_fire_and_wrappers_are_restored(monkeypatch):
                  "fourier.rfft", "tape.backward"):
         assert name in fired, name
     assert tracer.restored()
+
+
+def test_a_training_epoch_fires_the_train_spans_and_gives_finite_metrics(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    samples = generate(PRESETS["sinusoid-tiny"])
+    cfg = TrainConfig(max_epochs=1, batch_size=4)
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.targets()):
+        tracing.train_module.train(samples[:16], samples[16:], cfg)
+    assert tracer.restored()
+    fired = {span.name for span in tracer.spans}
+    for name in ("train.clip", "train.adam", "train.build_loss", "train.evaluate",
+                 "tape.backward"):
+        assert name in fired, name
+    metrics = tracing.layer_metrics(tracer.spans, tracing.train_module.CLIP_NORM)
+    assert math.isfinite(metrics["train.grad_norm_p50"])
+    assert metrics["train.steps"] > 0
+    assert 0.0 <= metrics["train.clipped_frac"] <= 1.0

@@ -395,6 +395,19 @@ class TestGradcheck:
         assert all(row[2] == "1" for row in rows)
         assert main(["gradcheck", *TINY_FLAGS, "--tol", "1e-12"]) == EXIT_NUMERIC
 
+    # A zero step ended in a ZeroDivisionError traceback, a non-finite one in
+    # a numeric failure (3), and a NaN or negative tol ran the whole check to
+    # print FAIL; each is a usage error, reported before any work.
+    @pytest.mark.parametrize("arg", ["--step=0", "--step=nan", "--step=inf", "--step=-1e-4",
+                                     "--tol=nan", "--tol=inf", "--tol=-1"])
+    def test_a_bad_step_or_tol_exits_2_with_one_error_line(self, capsys, arg):
+        assert main(["gradcheck", *TINY_FLAGS, arg]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        flag = arg.split("=")[0]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {flag} must be "), errors
+        assert captured.out == ""
+
 
 class TestRetiredKeys:
     def test_kept_values_load_and_predict_bitwise_like_the_untouched_checkpoint(self, tmp_path):

@@ -14,18 +14,19 @@ from imtscast.model import ModelParams, conv_smooth, forward
 from imtscast.tape import Tape
 from imtscast.train import build_loss
 
+from conftest import bind
 from oracles import dense_conv_smooth, dense_encode_series
 from test_chunks import close, config, draw_samples, targets_of
 
 
 def conv_params(tape, channels, seed):
     rng = np.random.default_rng(seed)
-    return {
-        "conv.w1": tape.param("conv.w1", rng.standard_normal((channels, 3))),
-        "conv.b1": tape.param("conv.b1", rng.standard_normal((channels, 1))),
-        "conv.w2": tape.param("conv.w2", rng.standard_normal((1, channels))),
-        "conv.b2": tape.param("conv.b2", rng.standard_normal((1, 1))),
-    }
+    return bind(tape, **{
+        "conv.w1": rng.standard_normal((channels, 3)),
+        "conv.b1": rng.standard_normal((channels, 1)),
+        "conv.w2": rng.standard_normal((1, channels)),
+        "conv.b2": rng.standard_normal((1, 1)),
+    })
 
 
 def random_mask(rng, shape, density):

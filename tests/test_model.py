@@ -25,10 +25,10 @@ from imtscast.model import (
     tape_bytes,
     time_encode,
 )
-from imtscast.tape import Tape, grad_check
+from imtscast.tape import Tape, flat_views, grad_check
 from imtscast.train import build_loss
 
-from conftest import random_sample, retained_bytes
+from conftest import bind, random_sample, retained_bytes
 from oracles import (
     chain_kernel_weights,
     chain_time_encode,
@@ -319,13 +319,13 @@ class TestRandomFeatures:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((4, 3))
         probe = rng.standard_normal((4, 8))
+        flat, views = flat_views({"x": x, "omega": omega, "phase": phase})
 
-        def build(tape, bound):
-            phi = rff_features(bound["x"], bound["omega"], bound["phase"])
-            return (phi * tape.const(probe)).sum()
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            return (rff_features(p["x"], p["omega"], p["phase"]) * tape.const(probe)).sum()
 
-        report = grad_check(build, {"x": x, "omega": omega, "phase": phase},
-                            step=1e-4, tol=1e-4)
+        report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
         assert report.ok, report.lines()
 
     @pytest.mark.parametrize("r", [16, 12])
@@ -345,7 +345,7 @@ class TestRandomFeatures:
         for fn in (lambda t: rff_features(t, t.tape.const(omega), t.tape.const(phase)),
                    composed):
             tape = Tape()
-            out = fn(tape.param("x", x))
+            out = fn(bind(tape, x=x)["x"])
             outs.append(out.data)
             grads.append(tape.backward((out * tape.const(probe)).sum())["x"])
         assert np.array_equal(outs[0], outs[1])
@@ -385,22 +385,25 @@ class TestRecomputeNodes:
     def test_smoothing_layers_gradients(self):
         taps, params = self.smoothing_inputs(0)
         probe = np.random.default_rng(1).standard_normal((1, 7))
+        flat, views = flat_views(params)
 
-        def build(tape, b):
+        def build(tape):
+            b = tape.param_vector(flat, views)
             out = _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"])
             return (out * tape.const(probe)).sum()
 
-        report = grad_check(build, params, step=1e-5, tol=1e-5)
+        report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
 
     def test_attend_gradients(self):
-        params = self.attend_inputs(2)
+        flat, views = flat_views(self.attend_inputs(2))
         probe = np.random.default_rng(3).standard_normal((2, 5, 3))
 
-        def build(tape, b):
+        def build(tape):
+            b = tape.param_vector(flat, views)
             return (_attend(b["fq"], b["fk"].T, b["vv"]) * tape.const(probe)).sum()
 
-        report = grad_check(build, params, step=1e-5, tol=1e-5)
+        report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
 
     def fused_and_unfused(self, node):
@@ -441,7 +444,7 @@ class TestRecomputeNodes:
         results = []
         for fn in (fused, unfused):
             tape = Tape()
-            out = fn({name: tape.param(name, arr) for name, arr in params.items()})
+            out = fn(bind(tape, **params))
             grads = tape.backward((out * tape.const(probe)).sum())
             results.append((out.data, grads))
         assert np.array_equal(results[0][0], results[1][0])
@@ -492,7 +495,7 @@ class TestRecomputeNodes:
             for fn in (fused, chain):
                 tape = Tape()
                 try:
-                    results.append(fn({k: tape.param(k, v) for k, v in params.items()}).data)
+                    results.append(fn(bind(tape, **params)).data)
                 except T.NonFiniteError as err:
                     results.append(str(err))
         if isinstance(results[1], str):
@@ -856,11 +859,10 @@ class TestForward:
         model = ModelParams.init(cfg, seed=11)
         targets = np.concatenate(sample.query_targets)
 
-        def build(tape, bound):
-            res = forward(tape, model, triplet, sample.query_times, bound=bound)
-            return build_loss(res, targets)
+        def build(tape):
+            return build_loss(forward(tape, model, triplet, sample.query_times), targets)
 
-        report = grad_check(build, model.arrays, step=1e-4, tol=1e-4)
+        report = grad_check(build, model.flat, model.arrays, step=1e-4, tol=1e-4)
         assert report.ok, "\n".join(report.lines())
 
 

@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 import imtscast.tape as T
 from imtscast.model import _attend, _kernel_weights, _smoothing_layers, rff_features, time_encode
-from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, grad_check
+from conftest import bind
+
+from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
 
 def const(tape, x):
@@ -56,21 +58,20 @@ class TestForward:
 class TestBackward:
     def test_quadratic(self):
         tape = Tape()
-        w = tape.param("w", np.array([1.0, 2.0]))
+        w = bind(tape, w=np.array([1.0, 2.0]))["w"]
         loss = (w * w).sum()
         grads = tape.backward(loss)
         assert grads["w"].tolist() == [2.0, 4.0]
 
     def test_unreachable_parameter_gets_zeros(self):
         tape = Tape()
-        w = tape.param("w", np.array([1.0, 2.0]))
-        tape.param("unused", np.array([[3.0]]))
-        grads = tape.backward((w * w).sum())
+        p = bind(tape, w=np.array([1.0, 2.0]), unused=np.array([[3.0]]))
+        grads = tape.backward((p["w"] * p["w"]).sum())
         assert grads["unused"].tolist() == [[0.0]]
 
     def test_loss_must_be_scalar(self):
         tape = Tape()
-        w = tape.param("w", np.array([1.0, 2.0]))
+        w = bind(tape, w=np.array([1.0, 2.0]))["w"]
         with pytest.raises(TapeError, match="scalar"):
             tape.backward(w * w)
 
@@ -87,7 +88,7 @@ class TestBackward:
 
         def grad_of(a, b):
             tape = Tape()
-            w = tape.param("w", x)
+            w = bind(tape, w=x)["w"]
             f = (w * w).sum()
             g = T.sigmoid(w).sum()
             return tape.backward(f * a + g * b)["w"]
@@ -104,7 +105,7 @@ class TestBackward:
 
         def run():
             tape = Tape()
-            wt = tape.param("w", w)
+            wt = bind(tape, w=w)["w"]
             out = T.relu(const(tape, x) @ wt)
             loss = T.layernorm(out).sum()
             return loss.data.copy(), tape.backward(loss)["w"]
@@ -116,7 +117,7 @@ class TestBackward:
 
     def test_fanout_accumulates(self):
         tape = Tape()
-        w = tape.param("w", np.array([3.0]))
+        w = bind(tape, w=np.array([3.0]))["w"]
         loss = (w * w + w * 2.0).sum()  # d/dw = 2w + 2
         assert tape.backward(loss)["w"].tolist() == [8.0]
 
@@ -154,7 +155,9 @@ PRIMITIVE_CASES = [
     ("reshape", lambda t: t.reshape((2, 6)), (3, 4)),
     ("slice", lambda t: t[1:3, 0:2], (3, 4)),
     ("broadcast", lambda t: t * np.arange(1.0, 6.0).reshape(5, 1, 1), (2, 4)),
-    ("neg", lambda t: -t, (3, 4)),
+    # A constant as the left operand of mul, whose adjoint the VJP skips.
+    # Ids carry the row's position: keep this row in slot 13.
+    ("mul_const_left", lambda t: T.mul(t.tape.const(np.linspace(-1.0, 2.0, 4)), t), (3, 4)),
     ("take_rows", lambda t: T.take_rows(t, np.array([0, 2, 2, 1])), (3, 4)),
     ("matmul", lambda t: t @ np.arange(12.0).reshape(4, 3), (3, 4)),
     ("div_const", lambda t: t / np.linspace(1.0, 2.0, 4), (3, 4)),
@@ -171,8 +174,8 @@ PRIMITIVE_CASES = [
     # A constant as the left operand, whose adjoint the VJP skips.
     ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
      (3, 4)),
-    ("sub_const_left", lambda t: 1.0 - t, (3, 4)),
-    ("div_const_left", lambda t: 1.0 / (t * t + 1.0), (3, 4)),
+    ("sub_const_left", lambda t: T.sub(t.tape.const(1.0), t), (3, 4)),
+    ("div_const_left", lambda t: T.div(t.tape.const(1.0), t * t + 1.0), (3, 4)),
     ("concat_const_first", lambda t: T.concat([t.tape.const(np.ones((3, 2))), t], axis=1),
      (3, 4)),
 ]
@@ -185,10 +188,12 @@ def test_every_primitive_passes_gradient_check(name, fn, shape):
     # Project to a scalar with fixed random weights to cover the Jacobian.
     probe = rng.standard_normal(fn(Tape().const(x)).data.shape)
 
-    def build(tape, bound):
-        return (fn(bound["x"]) * tape.const(probe)).sum()
+    flat, views = flat_views({"x": x})
 
-    report = grad_check(build, {"x": x}, step=1e-5, tol=1e-5)
+    def build(tape):
+        return (fn(tape.param_vector(flat, views)["x"]) * tape.const(probe)).sum()
+
+    report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
     assert report.ok, report.lines()
 
 
@@ -201,7 +206,7 @@ def test_every_primitive_frees_its_tape(name, fn, shape):
     try:
         for grad in (True, False):
             tape = Tape(grad=grad)
-            loss = fn(tape.param("x", x)).sum()
+            loss = fn(bind(tape, x=x)["x"]).sum()
             if grad:
                 tape.backward(loss)
             ref = weakref.ref(tape)
@@ -214,7 +219,7 @@ def test_every_primitive_frees_its_tape(name, fn, shape):
 class TestGradientFlags:
     def test_flags_follow_the_parents(self):
         tape = Tape()
-        w, c = tape.param("w", np.ones(2)), const(tape, np.ones(2))
+        w, c = bind(tape, w=np.ones(2))["w"], const(tape, np.ones(2))
         assert (w.needs_grad, c.needs_grad) == (True, False)
         assert (c * c).needs_grad is False and (c * w).needs_grad is True
         assert tape.nodes[(c + c)._index] == ((), None)
@@ -234,7 +239,7 @@ class TestGradientFlags:
         grads = []
         for op in (lambda t, k: scale(t, k), lambda t, k: k * t):
             tape = Tape()
-            w = tape.param("w", x)
+            w = bind(tape, w=x)["w"]
             grads.append(tape.backward((T.sigmoid(op(w, const(tape, c))) * w).sum())["w"])
         assert np.array_equal(grads[0], grads[1])
 
@@ -257,7 +262,7 @@ class TestGradientFlags:
         assert np.array_equal(got.data, want.data)
         assert len(bare.nodes) == len(taped.nodes)
         assert all(node == ((), None) for node in bare.nodes)
-        assert not any(t.needs_grad for t in (got, bare.param("extra", np.ones(1))))
+        assert not any(t.needs_grad for t in (got, bind(bare, extra=np.ones(1))["extra"]))
         with pytest.raises(TapeError, match="grad=False"):
             bare.backward(got.sum())
 
@@ -310,7 +315,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     model_ops, ops = ops, set()
 
     for _name, fn, shape in PRIMITIVE_CASES:
-        fn(Tape().param("x", np.ones(shape)))
+        fn(bind(Tape(), x=np.ones(shape))["x"])
     assert (model_ops - ops, ops - model_ops) == ({"smoothing_layers", "attend"}, set())
 
 
@@ -325,8 +330,8 @@ def test_place_puts_entries_at_flat_positions():
 class TestDivisionAdjoint:
     def grads(self, a, b):
         tape = Tape()
-        pa, pb = tape.param("a", np.array([a])), tape.param("b", np.array([b]))
-        return tape.backward((pa / pb).sum())
+        p = bind(tape, a=np.array([a]), b=np.array([b]))
+        return tape.backward((p["a"] / p["b"]).sum())
 
     def test_zero_numerator_over_tiny_denominator(self):
         # b * b underflows to 0 here, so -g * a / (b * b) would be 0 / 0.
@@ -349,33 +354,37 @@ def test_permute_rejects_a_non_permutation():
 
 def test_relu_at_kink_uses_zero_subgradient():
     tape = Tape()
-    w = tape.param("w", np.array([0.0]))
+    w = bind(tape, w=np.array([0.0]))["w"]
     assert tape.backward(T.relu(w).sum())["w"].tolist() == [0.0]
+
+
+def bad_square(t):
+    """x**2 with a deliberately wrong vector-Jacobian product (3x, not 2x)."""
+    return t.tape.record("bad_square", t.data**2, (t,), lambda g: (3.0 * t.data * g,))
 
 
 class TestGradCheck:
     def test_sigmoid_matmul_chain_passes(self):
         rng = np.random.default_rng(3)
-        params = {"w": rng.standard_normal((4, 2)), "b": rng.standard_normal((1, 2))}
+        flat, views = flat_views({"w": rng.standard_normal((4, 2)),
+                                  "b": rng.standard_normal((1, 2))})
         x = rng.standard_normal((5, 4))
 
-        def build(tape, bound):
-            return T.sigmoid(tape.const(x) @ bound["w"] + bound["b"]).sum()
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            return T.sigmoid(tape.const(x) @ p["w"] + p["b"]).sum()
 
-        assert grad_check(build, params, step=1e-4, tol=1e-4).ok
+        assert grad_check(build, flat, views, step=1e-4, tol=1e-4).ok
 
     def test_wrong_hand_gradient_fails(self):
         # Negative control: a custom primitive with a deliberately wrong
         # vector-Jacobian product must be caught.
-        def bad_square(t):
-            return t.tape.record(
-                "bad_square", t.data**2, (t,), lambda g: (3.0 * t.data * g,)
-            )
+        flat, views = flat_views({"x": np.array([1.0, -2.0])})
 
-        def build(tape, bound):
-            return bad_square(bound["x"]).sum()
+        def build(tape):
+            return bad_square(tape.param_vector(flat, views)["x"]).sum()
 
-        report = grad_check(build, {"x": np.array([1.0, -2.0])}, step=1e-4, tol=1e-4)
+        report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
         assert not report.ok
 
     def test_kernel_pool_log_bandwidths_pass(self):
@@ -387,26 +396,74 @@ class TestGradCheck:
         mask[0, 0] = 1.0
         centers = np.linspace(0, 1, 4)[None, :]
         probe = rng.standard_normal((9, 4))
+        flat, views = flat_views({"pool.log_alpha": np.log(0.25) * np.ones((1, 4))})
 
-        def build(tape, bound):
-            p = {"pool.log_alpha": bound["log_alpha"], "pool.centers": tape.const(centers)}
+        def build(tape):
+            p = {**tape.param_vector(flat, views), "pool.centers": tape.const(centers)}
             coeffs = pool_coefficients(tape.const(t_norm), tape.const(mask), p)
             return (coeffs * tape.const(probe)).sum()
 
-        report = grad_check(build, {"log_alpha": np.log(0.25) * np.ones((1, 4))},
-                            step=1e-4, tol=1e-4)
+        report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
         assert report.ok, report.lines()
 
     def test_tolerance_floor_documented_by_failure(self):
         # At an absurdly tight tolerance the finite-difference noise floor
         # itself fails the check; this pins the method's resolution.
         rng = np.random.default_rng(5)
-        params = {"w": rng.standard_normal((3, 3))}
+        flat, views = flat_views({"w": rng.standard_normal((3, 3))})
 
-        def build(tape, bound):
-            return T.sigmoid(bound["w"] @ bound["w"]).sum()
+        def build(tape):
+            w = tape.param_vector(flat, views)["w"]
+            return T.sigmoid(w @ w).sum()
 
-        assert not grad_check(build, params, step=1e-4, tol=1e-14).ok
+        assert not grad_check(build, flat, views, step=1e-4, tol=1e-14).ok
+
+    def test_a_wrong_vjp_fails_only_its_own_view(self):
+        rng = np.random.default_rng(6)
+        flat, views = flat_views({"a": rng.standard_normal((2, 3)),
+                                  "b": rng.standard_normal(4),
+                                  "c": rng.standard_normal((1, 1))})
+
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            return (T.sigmoid(p["a"]).sum() + bad_square(p["b"]).sum()
+                    + (p["c"] * p["c"]).sum())
+
+        report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
+        assert [(e.name, e.ok) for e in report.entries] == [
+            ("a", True), ("b", False), ("c", True)]
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-14])
+    def test_flat_is_bitwise_unchanged_after_a_report(self, tol):
+        # Passes at 1e-4 and fails at 1e-14 (see the floor test above).
+        rng = np.random.default_rng(7)
+        flat, views = flat_views({"w": rng.standard_normal((3, 3)),
+                                  "b": rng.standard_normal((1, 3))})
+        before = flat.tobytes()
+
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            return T.sigmoid(p["w"] @ p["w"] + p["b"]).sum()
+
+        report = grad_check(build, flat, views, step=1e-4, tol=tol)
+        assert report.ok == (tol == 1e-4)
+        assert flat.tobytes() == before
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_flat_is_restored_when_build_raises_at_a_perturbed_point(self, sign):
+        # The loss is finite at the base point; moving the first entry away
+        # from zero overflows it to inf, which build's param_vector rejects:
+        # at +step for sign 1, at -step for sign -1.
+        flat, views = flat_views({"x": np.array([sign * BIG, 0.5]), "y": np.ones((1, 2))})
+        before = flat.tobytes()
+
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            return (p["x"] * 0.5).sum() + p["y"].sum()
+
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^param x:"):
+            grad_check(build, flat, views, step=1e307)
+        assert flat.tobytes() == before
 
 
 class TestFiniteness:
@@ -436,7 +493,7 @@ class TestFiniteness:
                       | st.sampled_from([1.79e308, -1.79e308])))
     def test_unchecked_primitives_map_finite_to_finite(self, x):
         for op, fn in self.UNCHECKED.items():
-            assert np.isfinite(fn(Tape().param("x", x)).data).all(), op
+            assert np.isfinite(fn(bind(Tape(), x=x)["x"]).data).all(), op
 
     def test_the_unchecked_primitives_skip_the_check(self, monkeypatch):
         checked = []
@@ -449,7 +506,7 @@ class TestFiniteness:
         monkeypatch.setattr(Tape, "record", spy)
         for op, fn in self.UNCHECKED.items():
             checked.clear()
-            fn(Tape().param("x", np.ones((3, 4))))
+            fn(Tape().const(np.ones((3, 4))))
             assert checked and op not in checked, (op, checked)
 
     CHECKED = {
@@ -485,14 +542,13 @@ class TestFiniteness:
         tape = Tape()
         with pytest.raises(NonFiniteError, match="^const:"):
             tape.const([1.0, bad])
-        with pytest.raises(NonFiniteError, match="^param:"):
-            tape.param("w", np.array([bad]))
+        with pytest.raises(NonFiniteError, match="^param w:"):
+            bind(tape, w=np.array([bad]))
         with pytest.raises(NonFiniteError, match="^my_op:"):
             tape.record("my_op", np.array([[bad]]), (), None)
 
     def test_param_vector_names_the_non_finite_entry(self):
-        flat = np.arange(5.0)
-        views = {"a": flat[:2], "b": flat[2:].reshape(1, 3)}
+        flat, views = flat_views({"a": np.arange(2.0), "b": np.arange(2.0, 5.0).reshape(1, 3)})
         flat[3] = np.nan
         with pytest.raises(NonFiniteError, match="^param b:"):
             Tape().param_vector(flat, views)
@@ -500,8 +556,7 @@ class TestFiniteness:
 
 class TestParamVector:
     def vector(self):
-        flat = np.array([1.0, -2.0, 0.5, 3.0, 4.0])
-        return flat, {"a": flat[:2], "b": flat[2:].reshape(3, 1)}
+        return flat_views({"a": np.array([1.0, -2.0]), "b": np.array([[0.5], [3.0], [4.0]])})
 
     def test_leaves_are_the_views(self):
         flat, views = self.vector()
