@@ -337,12 +337,12 @@ def _cmd_gradcheck(args) -> int:
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol:g}")
     cfg, _extras = _resolve_config(args)
     sample = generate(_toy_sample_spec(cfg.seed + 101))[0]
-    triplet = align(sample)
+    block = align(sample)
     model = ModelParams.init(cfg)
     targets = np.concatenate([t for t in sample.query_targets])
 
     def build(tp):
-        return build_loss(forward(tp, model, triplet, sample.query_times), targets)
+        return build_loss(forward(tp, model, block, sample.query_times), targets)
 
     report = grad_check(build, model.flat, model.arrays, step=args.step, tol=args.tol)
     for line in report.lines():

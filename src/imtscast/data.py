@@ -3,15 +3,16 @@
 An irregular multivariate sample is a list of per-variate observation
 streams at mutually unaligned timestamps, plus future query times per
 variate. ``align`` merges every timestamp into one sorted grid and
-produces a zero-filled value matrix with a binary observedness mask, which
-is the representation all downstream stages consume. ``pad_chunk`` stacks
-several aligned samples with the same variate count into one padded block
-so that they can run through the model together.
+produces a zero-filled value matrix with a binary observedness mask: an
+``AlignedTriplet`` holding one sample, in the row layout the model reads.
+``pad_chunk`` stacks such blocks with the same variate count into one
+padded block, so that several samples run through the model together; a
+sample is a block of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,24 +109,7 @@ class ImtsSample:
 
 @dataclass(frozen=True)
 class AlignedTriplet:
-    """Shared time grid, zero-filled value matrix and observedness mask."""
-
-    times: np.ndarray   # (L,) strictly increasing
-    values: np.ndarray  # (L, N), zero where unobserved
-    mask: np.ndarray    # (L, N) in {0, 1}
-
-    @property
-    def grid_length(self) -> int:
-        return self.times.size
-
-    @property
-    def n_variates(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class PaddedChunk:
-    """Aligned samples with a common variate count N, padded to one grid length.
+    """Aligned samples with a common variate count N on one grid length: a block.
 
     Rows are sample-major: row ``b*N + n`` is variate n of sample b. Cells
     past a sample's own grid have value 0 and mask 0, so every stage that
@@ -135,10 +119,9 @@ class PaddedChunk:
     them to exactly 1 under ``normalize_times``.
     """
 
-    values: np.ndarray  # (B*N, L_max), zero where unobserved or padded
-    mask: np.ndarray    # (B*N, L_max) in {0, 1}
-    times: np.ndarray   # (B, L_max); past its grid, each row repeats its last time
-    n_variates: int
+    times: np.ndarray   # (B, L); past its grid, each row repeats its last time
+    values: np.ndarray  # (B*N, L), zero where unobserved or padded
+    mask: np.ndarray    # (B*N, L) in {0, 1}
 
     @property
     def samples(self) -> int:
@@ -148,50 +131,66 @@ class PaddedChunk:
     def grid_length(self) -> int:
         return self.times.shape[1]
 
+    @property
+    def n_variates(self) -> int:
+        return self.values.shape[0] // self.samples
 
-def pad_chunk(triplets) -> PaddedChunk:
-    """Stack aligned samples that share N into one padded chunk."""
-    triplets = list(triplets)
-    if not triplets:
+
+def pad_chunk(blocks) -> AlignedTriplet:
+    """Stack blocks that share N into one block padded to the longest grid.
+
+    A lone block is returned as it is, not copied. Otherwise each block's
+    rows are copied as one slab into the new block.
+    """
+    blocks = list(blocks)
+    if not blocks:
         raise DataError("pad_chunk: needs at least one sample")
-    n = triplets[0].n_variates
-    if any(t.n_variates != n for t in triplets):
+    if len(blocks) == 1:
+        return blocks[0]
+    n = blocks[0].n_variates
+    if any(blk.n_variates != n for blk in blocks):
         raise DataError("pad_chunk: samples in one chunk must have the same variate count")
-    length = max(t.grid_length for t in triplets)
-    values = np.zeros((len(triplets) * n, length))
-    mask = np.zeros((len(triplets) * n, length))
-    times = np.empty((len(triplets), length))
-    for b, t in enumerate(triplets):
-        values[b * n : (b + 1) * n, : t.grid_length] = t.values.T
-        mask[b * n : (b + 1) * n, : t.grid_length] = t.mask.T
-        times[b, : t.grid_length] = t.times
-        times[b, t.grid_length :] = t.times[-1]
-    return PaddedChunk(values=values, mask=mask, times=times, n_variates=n)
+    length = max(blk.grid_length for blk in blocks)
+    samples = sum(blk.samples for blk in blocks)
+    values = np.zeros((samples * n, length))
+    mask = np.zeros((samples * n, length))
+    times = np.empty((samples, length))
+    b = 0
+    for blk in blocks:
+        rows, cols = slice(b * n, (b + blk.samples) * n), slice(0, blk.grid_length)
+        values[rows, cols] = blk.values
+        mask[rows, cols] = blk.mask
+        times[b : b + blk.samples, cols] = blk.times
+        times[b : b + blk.samples, blk.grid_length :] = blk.times[:, -1:]
+        b += blk.samples
+    return AlignedTriplet(times=times, values=values, mask=mask)
 
 
 def align(sample: ImtsSample) -> AlignedTriplet:
     """Merge all variates' timestamps into one sorted, deduplicated grid.
 
-    Timestamps are compared bitwise on their float64 representation. Rejects
-    samples with zero observations in total.
+    Returns a block of one: (N, L) values and mask, (1, L) times.
+    Timestamps are compared by value on their float64 representation, so
+    ``-0.0`` and ``0.0`` share one grid time. Rejects samples with zero
+    observations in total.
     """
     if sample.total_observations() == 0:
         raise DataError(f"sample {sample.sample_id}: cannot align, no observations at all")
-    times, rows = np.unique(np.concatenate([s.times for s in sample.series]),
+    times, cols = np.unique(np.concatenate([s.times for s in sample.series]),
                             return_inverse=True)
     n = sample.n_variates
-    cols = np.repeat(np.arange(n), [len(s) for s in sample.series])
-    values = np.zeros((times.size, n))
-    mask = np.zeros((times.size, n))
+    rows = np.repeat(np.arange(n), [len(s) for s in sample.series])
+    values = np.zeros((n, times.size))
+    mask = np.zeros((n, times.size))
     values[rows, cols] = np.concatenate([s.values for s in sample.series])
     mask[rows, cols] = 1.0
-    return AlignedTriplet(times=times, values=values, mask=mask)
+    return AlignedTriplet(times=times[None, :], values=values, mask=mask)
 
 
 def normalize_times(times: np.ndarray) -> np.ndarray:
     """Min-max map of each row of grid times onto [0, 1].
 
-    ``times`` is the (B, L) array of ``PaddedChunk.times``, one
+    ``times`` is the (B, L) array of ``AlignedTriplet.times``, one
     non-decreasing row per sample. Each row is scaled by its own first and
     last time, so all variates of a sample share one mapping (after
     alignment they share one canonical timeline). Padded cells repeat the

@@ -307,19 +307,16 @@ def write_observations(path, samples) -> None:
             fh.write("".join(rows))
 
 
-def write_queries(path, samples, with_targets: bool = True) -> None:
+def write_queries(path, samples) -> None:
     """One line per query, written with one call per sample. A missing
     target is an empty field."""
-    header = QUERY_HEADER if with_targets else QUERY_HEADER[:3]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(QUERY_HEADER) + "\n")
         for sample in samples:
             rows = []
             for series, qt, tg in zip(sample.series, sample.query_times, sample.query_targets):
                 head = f"{sample.sample_id},{series.variate_id},"
-                if not with_targets:
-                    rows += [f"{head}{t!r}\n" for t in qt.tolist()]
-                elif tg is None:
+                if tg is None:
                     rows += [f"{head}{t!r},\n" for t in qt.tolist()]
                 else:
                     rows += [f"{head}{t!r},{x!r}\n" for t, x in zip(qt.tolist(), tg.tolist())]
@@ -512,16 +509,21 @@ def read_queries(path, require_targets: bool) -> dict[int, dict[int, Stream]]:
 def assemble_samples(obs_table, query_table) -> list[ImtsSample]:
     """Join observation and query tables into validated samples.
 
-    Variate ids are 1-based in files; a variate present only in the query
-    table becomes an empty observation stream (legal: the pooling stage
-    carries an explicit has-observations flag).
+    Variate ids are 1-based in files; a variate id below 1 raises
+    DataError. A variate present only in the query table becomes an empty
+    observation stream (legal: the pooling stage carries an explicit
+    has-observations flag).
     """
     sample_ids = sorted(set(obs_table) | set(query_table))
     samples = []
     for sid in sample_ids:
         obs = obs_table.get(sid, {})
         queries = query_table.get(sid, {})
-        n = max(list(obs) + list(queries), default=0)
+        ids = list(obs) + list(queries)
+        if min(ids, default=1) < 1:
+            raise DataError(f"series {sid}: variate {min(ids)} is below 1 "
+                            "(variate ids start at 1)")
+        n = max(ids, default=0)
         if n < 1:
             raise DataError(f"series {sid}: no variates")
         series, qtimes, qtargets = [], [], []

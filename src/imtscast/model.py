@@ -11,12 +11,12 @@ at those cells alone (its taps still see the zero-filled neighbours) and
 places its output on the grid; the rest of the grid, mostly unobserved on
 long sparse series, costs no convolution work and no backward work.
 
-The forward pass runs a chunk of B samples that share the variate count N
-(see ``data.pad_chunk``); one sample is a chunk of one. Every layer works
-on (B*N, .) rows in sample-major order. Only pooling and attention need to
-know where one sample ends: pooling reads it from the (B, L) grid times,
-attention takes the sample count, and both reshape to per-sample stacks for
-batched matmuls.
+The forward pass runs one block of B samples that share the variate count
+N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
+on the block's (B*N, .) rows in sample-major order. Only pooling and
+attention need to know where one sample ends: pooling reads it from the
+(B, L) grid times, attention takes the sample count, and both reshape to
+per-sample stacks for batched matmuls.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import tape as T
 from .config import ConfigError, TrainConfig, validate
-from .data import AlignedTriplet, DataError, normalize_times, pad_chunk
+from .data import AlignedTriplet, DataError, normalize_times
 from .fourier import irfft_rows, rfft_rows
 from .tape import NonFiniteError, Tape, Tensor
 
@@ -610,46 +610,39 @@ class ForwardResult:
         return out
 
 
-def forward(tp: Tape, model: ModelParams, chunk, queries,
+def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
             capture: list | None = None) -> ForwardResult:
-    """Run the full pipeline for a chunk of samples on the given tape.
+    """Run the full pipeline for a block of samples on the given tape.
 
-    ``chunk`` is one AlignedTriplet with ``queries`` one array of future
-    times per variate (a chunk of one), or a sequence of triplets that share
-    the variate count with ``queries`` one such list per triplet.
-    Deterministic given parameters and inputs. The model registers its
-    flat parameter vector on the tape (``ModelParams.bind``).
+    ``queries`` holds one array of future times per row of ``block``, in
+    its sample-major row order; for a block of one, one array per variate.
+    The block is read, never written. Deterministic given parameters and
+    inputs. The model registers its flat parameter vector on the tape
+    (``ModelParams.bind``).
     """
     cfg = model.cfg
-    if isinstance(chunk, AlignedTriplet):
-        chunk, queries = [chunk], [queries]
-    padded = pad_chunk(chunk)
-    samples, n, length = padded.samples, padded.n_variates, padded.grid_length
-    if len(queries) != samples:
-        raise DataError(f"forward: expected {samples} query sets, got {len(queries)}")
-    queries = [[np.asarray(q, dtype=np.float64) for q in qs] for qs in queries]
-    for qs in queries:
-        if len(qs) != n:
-            raise DataError(f"forward: expected {n} query lists, got {len(qs)}")
+    samples, length = block.samples, block.grid_length
+    queries = [np.asarray(q, dtype=np.float64) for q in queries]
+    if len(queries) != block.values.shape[0]:
+        raise DataError(f"forward: expected {block.values.shape[0]} query arrays, "
+                        f"one per row, got {len(queries)}")
     p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 
-    rows = tp.const(padded.values)                             # (B*N, L)
-    tcol = tp.const(padded.times.reshape((samples * length, 1)))   # (B*L, 1)
+    rows = tp.const(block.values)                              # (B*N, L)
+    tcol = tp.const(block.times.reshape((samples * length, 1)))    # (B*L, 1)
 
-    xhat = encode_series(rows, tcol, padded.mask, p, use_conv=cfg.use_preconv)
-    z = pool_all(xhat, padded.mask, normalize_times(padded.times), p,
+    xhat = encode_series(rows, tcol, block.mask, p, use_conv=cfg.use_preconv)
+    z = pool_all(xhat, block.mask, normalize_times(block.times), p,
                  use_gate=cfg.use_pool_gate)
 
     for b in range(cfg.blocks):
         z = attention_block(z, b, p, cfg, stats=stats, capture=capture, samples=samples)
     summary = z @ p["out.w"]                                   # (B*N, d)
 
-    counts = [q.size for qs in queries for q in qs]
-    row_idx = np.repeat(np.arange(samples * n), counts)
-    flat_times = (
-        np.concatenate([q for qs in queries for q in qs]) if sum(counts) else np.empty(0)
-    )
+    counts = [q.size for q in queries]
+    row_idx = np.repeat(np.arange(len(counts)), counts)
+    flat_times = np.concatenate(queries) if sum(counts) else np.empty(0)
     tq = tp.const(flat_times[:, None])
     feats = T.concat([T.take_rows(summary, row_idx), time_encode(tq, p)], axis=1)
     hidden = T.relu(feats @ p["head.w1"] + p["head.b1"])
@@ -668,7 +661,7 @@ class AttentionMap:
     degenerate_rows: int
 
 
-def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) -> list[AttentionMap]:
+def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> list[AttentionMap]:
     """Materialize per-block/head variate-attention maps for inspection.
 
     Uses the quadratic-order evaluation (phi(Q) phi(K)^T, explicitly
@@ -676,12 +669,13 @@ def attention_maps(model: ModelParams, triplet: AlignedTriplet, queries=None) ->
     builds the (N, N) matrix. The quadratic output must agree with the
     linear-order output up to association-order roundoff. The features,
     values and linear-order output are the stacks the forward pass already
-    holds (see ``linear_attention``); for one sample, stack entry h is head h.
+    holds (see ``linear_attention``); ``block`` holds one sample, so stack
+    entry h is head h.
     """
     if queries is None:
-        queries = [np.empty(0) for _ in range(triplet.n_variates)]
+        queries = [np.empty(0) for _ in range(block.n_variates)]
     capture: list = []
-    forward(Tape(grad=False), model, triplet, queries, capture=capture)
+    forward(Tape(grad=False), model, block, queries, capture=capture)
     maps = []
     for entry in capture:
         for head, phi_q in enumerate(entry["phi_q"]):

@@ -1,8 +1,10 @@
 """Optimizer, objective, metrics and the chunked training loop.
 
 Each shuffled batch runs in chunks: runs of consecutive samples (in batch
-order) that share the variate count N, padded to their longest grid
-(``data.pad_chunk``). A chunk runs forward and backward on one tape, so the
+order) that share the variate count N. ``data.pad_chunk`` stacks a chunk's
+aligned samples into one block padded to their longest grid (a chunk of one
+is its sample's own block, not a copy), and its query arrays are passed in
+the block's row order. A chunk runs forward and backward on one tape, so the
 per-op cost of the tape is paid once per chunk rather than once per sample.
 Padding is exact: padded cells have mask 0, pooling multiplies both its
 numerator and its denominator by the mask, and the smoothing convolution
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .data import AlignedTriplet, DataError, align
+from .data import AlignedTriplet, DataError, align, pad_chunk
 from .model import ForwardResult, ModelParams, forward, tape_bytes
 from .tape import NonFiniteError, Tape, Tensor
 
@@ -180,7 +182,7 @@ class TrainResult:
 
 @dataclass
 class _Prepared:
-    triplet: AlignedTriplet
+    block: AlignedTriplet
     queries: list[np.ndarray]
     targets_flat: np.ndarray
 
@@ -198,7 +200,7 @@ def _prepare(samples) -> list[_Prepared]:
             targets.append(np.empty(0) if tg is None else tg)
         prepared.append(
             _Prepared(
-                triplet=align(sample),
+                block=align(sample),
                 queries=list(sample.query_times),
                 targets_flat=np.concatenate(targets) if targets else np.empty(0),
             )
@@ -209,8 +211,9 @@ def _prepare(samples) -> list[_Prepared]:
 CHUNK_TAPE_BYTES = 4 * 2**20   # model.tape_bytes per chunk; see the module docstring
 
 
-def chunk_spans(triplets, query_counts, cfg: TrainConfig) -> list[range]:
-    """Split a sequence of aligned samples into chunks, keeping their order.
+def chunk_spans(blocks, query_counts, cfg: TrainConfig) -> list[range]:
+    """Split a sequence of aligned samples (blocks of one) into chunks,
+    keeping their order.
 
     ``query_counts`` holds each sample's number of query times. Each chunk
     is a run of consecutive samples with the same variate count whose tape
@@ -220,30 +223,31 @@ def chunk_spans(triplets, query_counts, cfg: TrainConfig) -> list[range]:
     """
     spans = []
     start, n, longest, observed, queries = 0, None, 0, 0, 0
-    for i, (trip, count) in enumerate(zip(triplets, query_counts, strict=True)):
-        own = int(np.count_nonzero(trip.mask))
-        grown = max(longest, trip.grid_length)
-        joins = i > start and trip.n_variates == n and tape_bytes(
+    for i, (blk, count) in enumerate(zip(blocks, query_counts, strict=True)):
+        own = int(np.count_nonzero(blk.mask))
+        grown = max(longest, blk.grid_length)
+        joins = i > start and blk.n_variates == n and tape_bytes(
             cfg, i - start + 1, n, grown, observed + own, queries + count) <= CHUNK_TAPE_BYTES
         if joins:
             longest, observed, queries = grown, observed + own, queries + count
             continue
         if i > start:
             spans.append(range(start, i))
-        start, n, longest, observed, queries = i, trip.n_variates, trip.grid_length, own, count
-    if len(triplets) > start:
-        spans.append(range(start, len(triplets)))
+        start, n, longest, observed, queries = i, blk.n_variates, blk.grid_length, own, count
+    if len(blocks) > start:
+        spans.append(range(start, len(blocks)))
     return spans
 
 
 def _chunks(prepared: list[_Prepared], cfg: TrainConfig) -> list[list[_Prepared]]:
-    spans = chunk_spans([prep.triplet for prep in prepared],
+    spans = chunk_spans([prep.block for prep in prepared],
                         [prep.targets_flat.size for prep in prepared], cfg)
     return [prepared[span.start : span.stop] for span in spans]
 
 
-def inference_chunks(params: ModelParams, triplets, queries):
-    """Forward passes over aligned samples in chunks, for inference.
+def inference_chunks(params: ModelParams, blocks, queries):
+    """Forward passes over aligned samples (blocks of one) in chunks, for
+    inference.
 
     ``queries`` holds one list of query-time arrays per sample. Yields
     (span, ForwardResult) per chunk of ``chunk_spans``, in order; each
@@ -253,11 +257,11 @@ def inference_chunks(params: ModelParams, triplets, queries):
     chunk's tape past the next forward pass.
     """
     counts = [sum(q.size for q in qs) for qs in queries]
-    for span in chunk_spans(triplets, counts, params.cfg):
+    for span in chunk_spans(blocks, counts, params.cfg):
         # ``res`` holds the previous chunk's tape until this forward pass has
         # run, so its memory is reused (see the training loop in ``train``).
-        res = forward(Tape(grad=False), params, triplets[span.start : span.stop],
-                      queries[span.start : span.stop])
+        res = forward(Tape(grad=False), params, pad_chunk(blocks[span.start : span.stop]),
+                      [q for qs in queries[span.start : span.stop] for q in qs])
         yield span, res
 
 
@@ -275,7 +279,7 @@ def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = No
     if prepared is None:
         prepared = _prepare(samples)
     preds = []
-    for _span, res in inference_chunks(params, [m.triplet for m in prepared],
+    for _span, res in inference_chunks(params, [m.block for m in prepared],
                                        [m.queries for m in prepared]):
         preds.extend(res.per_sample())
     targets = [m.targets_flat for m in prepared]
@@ -321,8 +325,8 @@ def train(train_samples, val_samples, cfg: TrainConfig,
                     # pass faults fresh pages back in (on long grids, ~4x
                     # the page faults and 10-15% slower epochs).
                     tp = Tape()
-                    res = forward(tp, params, [m.triplet for m in chunk],
-                                  [m.queries for m in chunk])
+                    res = forward(tp, params, pad_chunk([m.block for m in chunk]),
+                                  [q for m in chunk for q in m.queries])
                     loss = build_loss(res, np.concatenate([m.targets_flat for m in chunk]))
                     loss_sum += float(loss.data)
                     tp.backward(loss, into=acc)

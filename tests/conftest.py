@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from imtscast.config import TrainConfig
-from imtscast.data import ImtsSample, RawSeries
+from imtscast.data import ImtsSample, RawSeries, align, pad_chunk
 from imtscast.tape import flat_views
 
 
@@ -26,6 +26,13 @@ def random_sample(rng, max_variates=6, max_obs=12, allow_empty_variates=True) ->
         series[0] = RawSeries(variate_id=1, times=np.array([1.0]), values=np.array([0.5]))
     return ImtsSample(sample_id=int(rng.integers(0, 10_000)), series=tuple(series),
                       query_times=tuple(qtimes), query_targets=tuple(qtargets))
+
+
+def chunk_of(samples):
+    """``forward``'s inputs for a chunk of samples: their padded block and
+    their query arrays in its row order."""
+    return (pad_chunk([align(s) for s in samples]),
+            [q for s in samples for q in s.query_times])
 
 
 def bind(tape, **arrays):

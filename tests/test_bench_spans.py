@@ -17,11 +17,12 @@ import numpy as np
 
 import imtscast.model as model_module
 from imtscast.config import TrainConfig
-from imtscast.data import align
 from imtscast.datasets import PRESETS, generate
 from imtscast.model import ModelParams
 from imtscast.tape import Tape
 from imtscast.train import build_loss
+
+from conftest import chunk_of
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,8 +37,7 @@ def test_layer_spans_fire_and_wrappers_are_restored(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.installed(tracing.targets()):
         tape = Tape()
-        res = model_module.forward(tape, model, [align(s) for s in chunk],
-                                   [s.query_times for s in chunk])
+        res = model_module.forward(tape, model, *chunk_of(chunk))
         tape.backward(build_loss(res, targets))
     fired = {span.name for span in tracer.spans}
     for name in ("model.forward", "model.encode", "model.pool", "model.attention_block",

@@ -14,7 +14,7 @@ from imtscast.model import ModelParams, forward, linear_attention, tape_bytes
 from imtscast.tape import Tape
 from imtscast.train import CHUNK_TAPE_BYTES, build_loss, chunk_spans
 
-from conftest import random_sample
+from conftest import chunk_of, random_sample
 
 
 def draw_samples(seed, variate_counts):
@@ -43,7 +43,7 @@ def targets_of(samples):
 
 def run_chunk(model, samples):
     tape = Tape()
-    res = forward(tape, model, [align(s) for s in samples], [s.query_times for s in samples])
+    res = forward(tape, model, *chunk_of(samples))
     loss = build_loss(res, targets_of(samples))
     return res, loss, tape.backward(loss)
 
@@ -137,8 +137,7 @@ class TestChunkEquivalence:
         gc.disable()
         try:
             tape = Tape()
-            res = forward(tape, model, [align(s) for s in samples],
-                          [s.query_times for s in samples])
+            res = forward(tape, model, *chunk_of(samples))
             tape.backward(build_loss(res, targets_of(samples)))
             ref = weakref.ref(tape)
             del tape, res
@@ -148,8 +147,8 @@ class TestChunkEquivalence:
 
 
 def triplet(n, length):
-    return AlignedTriplet(times=np.arange(float(length)), values=np.ones((length, n)),
-                          mask=np.ones((length, n)))
+    return AlignedTriplet(times=np.arange(float(length))[None, :], values=np.ones((n, length)),
+                          mask=np.ones((n, length)))
 
 
 BUDGET_CFG = TrainConfig()
@@ -177,7 +176,8 @@ class TestChunking:
         for _ in range(200):
             trip = triplet(int(rng.integers(1, 4)), int(rng.integers(1, 2000)))
             # Sparse masks: the observed cells enter the budget, not the padded ones.
-            mask = (rng.uniform(size=trip.mask.shape) < 0.5).astype(float)
+            # Drawn (L, N) as before the layout change, so the cells are the same.
+            mask = (rng.uniform(size=trip.mask.shape[::-1]) < 0.5).T.astype(float)
             triplets.append(AlignedTriplet(times=trip.times, values=trip.values * mask,
                                            mask=mask))
         counts = [int(rng.integers(0, 20)) for _ in triplets]
@@ -241,12 +241,16 @@ class TestPadding:
         assert chunk.times.shape == (2, length)
         for b, t in enumerate(triplets):
             rows = slice(3 * b, 3 * b + 3)
-            assert np.array_equal(chunk.values[rows, : t.grid_length], t.values.T)
-            assert np.array_equal(chunk.mask[rows, : t.grid_length], t.mask.T)
+            assert np.array_equal(chunk.values[rows, : t.grid_length], t.values)
+            assert np.array_equal(chunk.mask[rows, : t.grid_length], t.mask)
             assert np.all(chunk.values[rows, t.grid_length :] == 0.0)
             assert np.all(chunk.mask[rows, t.grid_length :] == 0.0)
-            assert np.array_equal(chunk.times[b, : t.grid_length], t.times)
-            assert np.all(chunk.times[b, t.grid_length :] == t.times[-1])
+            assert np.array_equal(chunk.times[b, : t.grid_length], t.times[0])
+            assert np.all(chunk.times[b, t.grid_length :] == t.times[0, -1])
+
+    def test_a_lone_block_is_returned_as_it_is(self):
+        block = align(draw_samples(8, [3])[0])
+        assert pad_chunk([block]) is block
 
     def test_mixed_variate_counts_rejected(self):
         with pytest.raises(DataError, match="same variate count"):

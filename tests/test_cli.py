@@ -193,6 +193,7 @@ class TestMalformedInput:
         "manifest_without_samples", "manifest_without_queries", "manifest_without_checksums",
         "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
         "manifest_observations_not_a_string", "manifest_queries_not_a_string",
+        "variate_0_in_obs", "variate_-3_in_queries",
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         data, checkpoint = tiny_run(tmp_path)
@@ -227,6 +228,14 @@ class TestMalformedInput:
             observations = data
         elif case == "csv_not_utf8":
             observations.write_bytes(b"series_id,variate,time,value\n16,1,0.5,\xff\xfe\n")
+        elif case.startswith("variate_"):
+            # Rows with such ids used to be dropped: exit 0, no prediction for them.
+            _, variate, _, table = case.split("_")
+            path = data / f"test_{table}.csv"
+            header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+            sid, _var, *fields = first.split(",")
+            path.write_text("\n".join([header, ",".join([sid, variate, *fields]), *rest]) + "\n",
+                            encoding="utf-8")
         if case == "config_model_not_an_object":
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"model": [1]}), encoding="utf-8")
@@ -246,6 +255,9 @@ class TestMalformedInput:
             assert ":2: not an integer id" in errors[0]
         if case.endswith("_not_a_string"):
             assert str(manifest) in errors[0] and key in errors[0]
+        if case.startswith("variate_"):
+            assert errors[0] == f"error: series {sid}: variate {variate} is below 1 " \
+                "(variate ids start at 1)"
 
 
 class TestConfigValues:

@@ -37,13 +37,13 @@ class TestAlign:
         ])
         triplet = align(sample)
         assert triplet.grid_length == 8
-        assert triplet.mask.sum(axis=0).tolist() == [4.0, 4.0]
+        assert triplet.mask.sum(axis=1).tolist() == [4.0, 4.0]
 
     def test_single_variate_grid_is_its_own_times(self):
         times = [0.5, 1.5, 9.0]
         sample = make_sample([(times, [1.0, 2.0, 3.0])])
         triplet = align(sample)
-        assert np.array_equal(triplet.times, np.asarray(times))
+        assert np.array_equal(triplet.times[0], np.asarray(times))
         assert np.all(triplet.mask == 1.0)
 
     def test_identical_timestamp_sets_fully_overlap(self):
@@ -62,6 +62,22 @@ class TestAlign:
                 continue
             assert align(sample).grid_length == expected
 
+    def test_signed_zeros_share_one_grid_time(self):
+        # Times are compared by value: -0.0 == 0.0, so both land in cell 0.
+        sample = make_sample([([-0.0, 1.0], [1.0, 2.0]), ([0.0, 2.0], [3.0, 4.0])])
+        triplet = align(sample)
+        assert triplet.grid_length == 3
+        assert triplet.mask[:, 0].tolist() == [1.0, 1.0]
+        assert triplet.values[:, 0].tolist() == [1.0, 3.0]
+
+    def test_a_sample_is_a_block_of_one(self):
+        sample = make_sample([([0.0, 2.0], [3.0, 4.0]), ([1.0], [5.0]), ([], [])])
+        triplet = align(sample)
+        assert (triplet.samples, triplet.n_variates, triplet.grid_length) == (1, 3, 3)
+        assert triplet.values.shape == triplet.mask.shape == (3, 3)
+        assert triplet.times.shape == (1, 3)
+        assert triplet.values.tolist() == [[3.0, 0.0, 4.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]
+
     def test_empty_sample_rejected(self):
         sample = make_sample([([], [])], queries=[np.empty(0)])
         with pytest.raises(DataError, match="no observations"):
@@ -78,16 +94,16 @@ class TestAlign:
             triplet = align(sample)
             assert triplet.mask.sum() == sample.total_observations()
             per_variate = [len(s) for s in sample.series]
-            assert triplet.mask.sum(axis=0).tolist() == per_variate
+            assert triplet.mask.sum(axis=1).tolist() == per_variate
 
     def test_values_reconstruct_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             sample = random_sample(rng)
             triplet = align(sample)
-            for col, series in enumerate(sample.series):
-                rows = np.searchsorted(triplet.times, series.times)
-                assert np.array_equal(triplet.values[rows, col], series.values)
+            for row, series in enumerate(sample.series):
+                cols = np.searchsorted(triplet.times[0], series.times)
+                assert np.array_equal(triplet.values[row, cols], series.values)
 
     def test_zero_placeholder_where_unobserved(self):
         sample = make_sample([
@@ -103,11 +119,11 @@ class TestAlign:
         first = align(sample)
         # Rebuild a sample from the observed cells only and align again.
         series = []
-        for col in range(first.n_variates):
-            observed = first.mask[:, col] > 0
-            series.append(RawSeries(variate_id=col + 1,
-                                    times=first.times[observed],
-                                    values=first.values[observed, col]))
+        for row in range(first.n_variates):
+            observed = first.mask[row] > 0
+            series.append(RawSeries(variate_id=row + 1,
+                                    times=first.times[0, observed],
+                                    values=first.values[row, observed]))
         again = align(ImtsSample(sample_id=1, series=tuple(series),
                                  query_times=tuple(np.empty(0) for _ in series)))
         assert np.array_equal(first.times, again.times)
@@ -157,15 +173,15 @@ class TestNormalizeTimes:
 
     def test_shared_endpoints_identical_across_variates(self):
         # One row of times per sample: all of a sample's variates share it.
-        triplet = AlignedTriplet(times=np.array([0.0, 1.0, 4.0]), values=np.zeros((3, 3)),
+        triplet = AlignedTriplet(times=np.array([[0.0, 1.0, 4.0]]), values=np.zeros((3, 3)),
                                  mask=np.ones((3, 3)))
         norm = normalize_times(pad_chunk([triplet]).times)
         assert norm.tolist() == [[0.0, 0.25, 1.0]]
 
     def test_padded_cells_map_to_one_and_a_one_time_row_to_zero(self):
         triplets = [
-            AlignedTriplet(times=np.array(times), values=np.zeros((len(times), 2)),
-                           mask=np.ones((len(times), 2)))
+            AlignedTriplet(times=np.array([times]), values=np.zeros((2, len(times))),
+                           mask=np.ones((2, len(times))))
             for times in ([2.0, 3.0, 6.0], [0.1, 0.7, 0.9, 1.3, 2.9], [5.0])
         ]
         norm = normalize_times(pad_chunk(triplets).times)

@@ -227,6 +227,18 @@ class TestFileRoundTrip:
         with pytest.raises(DataError, match="checksum"):
             read_dataset(manifest)
 
+    @pytest.mark.parametrize("obs_variate, query_variate", [(0, 1), (1, -3)])
+    def test_variate_ids_below_1_are_rejected(self, tmp_path, obs_variate, query_variate):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"series_id,variate,time,value\n7,1,0.5,1.0\n7,{obs_variate},1.0,0.5\n",
+                       encoding="utf-8")
+        q = tmp_path / "q.csv"
+        q.write_text(f"series_id,variate,time,target\n7,{query_variate},5.0,1.0\n",
+                     encoding="utf-8")
+        low = min(obs_variate, query_variate)
+        with pytest.raises(DataError, match=f"^series 7: variate {low} is below 1"):
+            assemble_samples(read_observations(obs), read_queries(q, True))
+
     def test_query_only_variate_becomes_empty_stream(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text("series_id,variate,time,value\n0,1,1.0,0.5\n", encoding="utf-8")
@@ -269,7 +281,6 @@ class TestAgainstRowOracles:
         files = {
             "obs": (write_observations, write_observations_rows, (samples,)),
             "queries": (write_queries, write_queries_rows, (samples,)),
-            "no_targets": (write_queries, write_queries_rows, (samples, False)),
             "some_targets": (write_queries, write_queries_rows, (unlabeled,)),
         }
         for kind, (write, write_rows, args) in files.items():
@@ -277,6 +288,9 @@ class TestAgainstRowOracles:
             write_rows(tmp_path / f"{kind}_rows.csv", *args)
             assert (tmp_path / f"{kind}.csv").read_bytes() == \
                 (tmp_path / f"{kind}_rows.csv").read_bytes(), kind
+        # Query files without the target column come from outside; only
+        # the readers are compared on one.
+        write_queries_rows(tmp_path / "no_targets.csv", samples, False)
 
         obs = read_observations(tmp_path / "obs.csv")
         assert_tables_equal(obs, read_observations_rows(tmp_path / "obs.csv"))

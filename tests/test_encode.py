@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import imtscast.model as model_module
-from imtscast.data import ImtsSample, RawSeries, align
+from imtscast.data import ImtsSample, RawSeries
 from imtscast.model import ModelParams, conv_smooth, forward
 from imtscast.tape import Tape
 from imtscast.train import build_loss
 
-from conftest import bind
+from conftest import bind, chunk_of
 from oracles import dense_conv_smooth, dense_encode_series
 from test_chunks import close, config, draw_samples, targets_of
 
@@ -102,7 +102,7 @@ def chunk_result(model, samples, dense, monkeypatch):
         if dense:
             patch.setattr(model_module, "encode_series", dense_encode_series)
         tape = Tape()
-        res = forward(tape, model, [align(s) for s in samples], [s.query_times for s in samples])
+        res = forward(tape, model, *chunk_of(samples))
         grads = tape.backward(build_loss(res, targets_of(samples)))
     return res.predictions.data.copy(), grads
 

@@ -5,7 +5,7 @@ import pytest
 
 import imtscast.tape as T
 from imtscast.config import TrainConfig
-from imtscast.data import AlignedTriplet, DataError, align, normalize_times, pad_chunk
+from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
@@ -28,7 +28,7 @@ from imtscast.model import (
 from imtscast.tape import Tape, flat_views, grad_check
 from imtscast.train import build_loss
 
-from conftest import bind, random_sample, retained_bytes
+from conftest import bind, chunk_of, random_sample, retained_bytes
 from oracles import (
     chain_kernel_weights,
     chain_time_encode,
@@ -511,10 +511,9 @@ class TestTapeMemory:
     def chunk(self, samples, cfg):
         tape = Tape()
         model = ModelParams.init(cfg, seed=0)
-        triplets = [align(s) for s in samples]
-        res = forward(tape, model, triplets, [s.query_times for s in samples])
+        padded, queries = chunk_of(samples)
+        res = forward(tape, model, padded, queries)
         build_loss(res, np.concatenate([t for s in samples for t in s.query_targets]))
-        padded = pad_chunk(triplets)
         estimate = tape_bytes(cfg, padded.samples, padded.n_variates, padded.grid_length,
                               int(padded.mask.sum()), res.predictions.data.shape[0])
         cells = padded.samples * padded.n_variates * padded.grid_length
@@ -547,8 +546,9 @@ class TestTapeMemory:
 def dense_triplet(n, length, seed=0):
     """Every variate observed at every grid time."""
     rng = np.random.default_rng([seed, n, length])
-    return AlignedTriplet(times=np.linspace(0.0, 1.0, length),
-                          values=rng.standard_normal((length, n)), mask=np.ones((length, n)))
+    return AlignedTriplet(times=np.linspace(0.0, 1.0, length)[None, :],
+                          values=rng.standard_normal((length, n)).T.copy(),
+                          mask=np.ones((n, length)))
 
 
 class TestCountedCost:
@@ -812,9 +812,10 @@ class TestForward:
         rng = np.random.default_rng(6)
         n = 5
         length = 12
-        times = np.sort(rng.uniform(0, 1, size=length))
-        values = rng.standard_normal((length, n))
-        mask = (rng.uniform(size=(length, n)) < 0.7).astype(float)
+        times = np.sort(rng.uniform(0, 1, size=length))[None, :]
+        # Drawn (L, N) as before the layout change, so the cells are the same.
+        values = rng.standard_normal((length, n)).T.copy()
+        mask = (rng.uniform(size=(length, n)) < 0.7).astype(float).T.copy()
         values *= mask
         triplet = AlignedTriplet(times=times, values=values, mask=mask)
         queries = [np.sort(rng.uniform(1.0, 1.5, size=2)) for _ in range(n)]
@@ -823,13 +824,40 @@ class TestForward:
 
         base = forward(Tape(), model, triplet, queries)
         perm = np.random.default_rng(8).permutation(n)
-        permuted = AlignedTriplet(times=times, values=values[:, perm], mask=mask[:, perm])
+        permuted = AlignedTriplet(times=times, values=values[perm], mask=mask[perm])
         out = forward(Tape(), model, permuted, [queries[i] for i in perm])
 
         base_by_var = base.per_variate()
         perm_by_var = out.per_variate()
         for new_col, old_col in enumerate(perm):
             assert np.abs(perm_by_var[new_col] - base_by_var[old_col]).max() < 1e-10
+
+    def test_query_arrays_must_match_the_block_rows(self):
+        sample, model = self.sample_and_model(seed=11)
+        block = align(sample)
+        n = sample.n_variates
+        with pytest.raises(DataError, match=f"expected {n} query arrays, one per row, got {n - 1}"):
+            forward(Tape(), model, block, sample.query_times[:-1])
+        pair = pad_chunk([block, block])
+        with pytest.raises(DataError, match=f"expected {2 * n} query arrays, one per row, got {n}"):
+            forward(Tape(), model, pair, sample.query_times)
+
+    @pytest.mark.parametrize("use_preconv", [True, False])
+    def test_forward_and_backward_leave_the_block_unchanged(self, use_preconv):
+        # A block of one is the sample's own aligned arrays (no copy), and
+        # ``train`` re-reads them every epoch.
+        rng = np.random.default_rng(12)
+        sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
+        while not sum(sample.query_counts()):
+            sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
+        model = ModelParams.init(block_config(use_preconv=use_preconv), seed=12)
+        block = align(sample)
+        before = [arr.copy() for arr in (block.values, block.mask, block.times)]
+        tape = Tape()
+        res = forward(tape, model, block, sample.query_times)
+        tape.backward(build_loss(res, np.concatenate(sample.query_targets)))
+        after = (block.values, block.mask, block.times)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
     def test_zero_parameters_collapse_to_head_bias(self):
         sample, model = self.sample_and_model(seed=9)

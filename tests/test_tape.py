@@ -285,7 +285,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
     The model's fused nodes ``smoothing_layers`` and ``attend`` take several
     inputs and are gradchecked in the model's tests."""
-    from conftest import random_sample
+    from conftest import chunk_of, random_sample
 
     from imtscast.config import TrainConfig
     from imtscast.data import align
@@ -309,7 +309,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     model = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
                                          conv_channels=2, time_dim=4, blocks=2))
     tape = Tape()
-    res = forward(tape, model, [align(s) for s in samples], [s.query_times for s in samples])
+    res = forward(tape, model, *chunk_of(samples))
     tape.backward(build_loss(res, np.concatenate([t for s in samples for t in s.query_targets])))
     attention_maps(model, align(samples[0]), samples[0].query_times)
     model_ops, ops = ops, set()

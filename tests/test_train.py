@@ -24,6 +24,8 @@ from imtscast.train import (
 )
 from imtscast.tape import Tape
 
+from conftest import chunk_of
+
 # ``imtscast.train`` the attribute is the train() function re-exported by the
 # package, so the module is fetched by its full name.
 train_module = importlib.import_module("imtscast.train")
@@ -221,12 +223,10 @@ class TestTrainingLoop:
         samples = tiny_dataset(seed=8, n_samples=9)
         params = ModelParams.init(tiny_cfg(), seed=3)
         _stats, preds = evaluate(params, samples)
-        triplets = [align(s) for s in samples]
         want = []
-        for span in chunk_spans(triplets, [sum(s.query_counts()) for s in samples],
-                                params.cfg):
-            res = forward(Tape(), params, triplets[span.start : span.stop],
-                          [samples[i].query_times for i in span])
+        for span in chunk_spans([align(s) for s in samples],
+                                [sum(s.query_counts()) for s in samples], params.cfg):
+            res = forward(Tape(), params, *chunk_of(samples[span.start : span.stop]))
             want.extend(res.per_sample())
         assert len(preds) == len(want) == len(samples)
         assert all(np.array_equal(got, w) for got, w in zip(preds, want))
