@@ -509,9 +509,10 @@ def read_queries(path, require_targets: bool) -> dict[int, dict[int, Stream]]:
 def assemble_samples(obs_table, query_table) -> list[ImtsSample]:
     """Join observation and query tables into validated samples.
 
-    Variate ids are 1-based in files; a variate id below 1 raises
-    DataError. A variate present only in the query table becomes an empty
-    observation stream (legal: the pooling stage carries an explicit
+    Variate ids run 1..N in files; an id below 1, or one in 1..N that no
+    row of the series mentions (a mistyped large id leaves such a gap),
+    raises DataError. A variate present only in the query table becomes an
+    empty observation stream (legal: the pooling stage carries an explicit
     has-observations flag).
     """
     sample_ids = sorted(set(obs_table) | set(query_table))
@@ -528,6 +529,9 @@ def assemble_samples(obs_table, query_table) -> list[ImtsSample]:
             raise DataError(f"series {sid}: no variates")
         series, qtimes, qtargets = [], [], []
         for var in range(1, n + 1):
+            if var not in obs and var not in queries:
+                raise DataError(f"series {sid}: no row mentions variate {var}, but ids run "
+                                f"to {n} (variate ids are 1..N without gaps)")
             stream = obs.get(var, _NO_ROWS)
             series.append(RawSeries(variate_id=var, times=stream.times, values=stream.values))
             query = queries.get(var, _NO_ROWS)

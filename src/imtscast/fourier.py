@@ -6,8 +6,13 @@ Layout for even row length ``d``:
 
 The DC and Nyquist bins of a real signal have zero imaginary parts, so the
 spectrum occupies exactly ``d`` reals and the transform is an invertible
-linear map R^d -> R^d. The forward transform is unnormalized; the inverse
-carries the 1/d factor, so ``irfft_rows(rfft_rows(x)) == x``.
+linear map R^d -> R^d, with ``irfft_rows(rfft_rows(x)) == x``.
+
+The one convention is forward normalization (numpy's ``norm="forward"``):
+the forward transform carries the 1/d factor and the inverse none. Without
+it the attention blocks' projections would see a ~sqrt(d) larger scale,
+which in training drifts the random-feature kernel into saturation, where
+attention denominators collapse to roundoff and the loss spikes.
 
 Both directions are one matmul with a constant (d, d) matrix, built once per
 row length and shared read-only. The rows the model transforms are short
@@ -41,10 +46,10 @@ def _check_rows(x: np.ndarray) -> int:
 def dft_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (F, G) with ``rfft(x) = x @ F`` and ``irfft(y) = y @ G``.
 
-    Column j of F samples cos(2 pi j n / d) for the real bins and
-    -sin(2 pi j n / d) for the imaginary ones. G inverts F: the DC and
-    Nyquist rows carry weight 1/d, every other bin stands for a conjugate
-    pair and carries 2/d. Angles are reduced mod d before scaling so every
+    Column j of F samples cos(2 pi j n / d) / d for the real bins and
+    -sin(2 pi j n / d) / d for the imaginary ones. G inverts F: the DC and
+    Nyquist rows carry weight 1, every other bin stands for a conjugate
+    pair and carries 2. Angles are reduced mod d before scaling so every
     entry is computed from an argument in [0, 2 pi).
     """
     half = d // 2
@@ -53,12 +58,11 @@ def dft_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
     imag_bins = np.arange(1, half)
     ang_re = 2.0 * np.pi * (np.outer(n, real_bins) % d) / d     # (d, half+1)
     ang_im = 2.0 * np.pi * (np.outer(n, imag_bins) % d) / d     # (d, half-1)
-    forward = np.concatenate([np.cos(ang_re), -np.sin(ang_im)], axis=1)
-    weight = np.full(half + 1, 2.0 / d)
-    weight[0] = weight[half] = 1.0 / d
-    inverse = np.concatenate(
-        [np.cos(ang_re.T) * weight[:, None], -np.sin(ang_im.T) * (2.0 / d)], axis=0
-    )
+    forward = np.concatenate([np.cos(ang_re), -np.sin(ang_im)], axis=1) * (1.0 / d)
+    weight = np.full(half + 1, 2.0)
+    weight[0] = weight[half] = 1.0
+    inverse = np.concatenate([np.cos(ang_re.T) * weight[:, None], -np.sin(ang_im.T) * 2.0],
+                             axis=0)
     forward.setflags(write=False)
     inverse.setflags(write=False)
     return forward, inverse

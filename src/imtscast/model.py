@@ -14,9 +14,12 @@ long sparse series, costs no convolution work and no backward work.
 The forward pass runs one block of B samples that share the variate count
 N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
 on the block's (B*N, .) rows in sample-major order. Only pooling and
-attention need to know where one sample ends: pooling reads it from the
-(B, L) grid times, attention takes the sample count, and both reshape to
-per-sample stacks for batched matmuls.
+attention need to know where one sample ends. Encoding builds the (B, N, L)
+stack to broadcast each sample's time projection over its rows and hands
+pooling that stack, whose batched matmuls read it as it is. Attention
+takes the sample count and regroups its rows into per-(sample, head)
+stacks; the [V | 1] numerator/denominator trick of linear attention lives
+inside its one ``_attend`` node.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -363,14 +366,14 @@ def encode_series(rows: Tensor, tcol: Tensor, mask: np.ndarray, p: dict[str, Ten
     the B samples' grid times, one grid after another. ``mask`` marks the
     observed cells of ``rows``; the convolution runs only there (see
     ``conv_smooth``). The projection is added to each sample's N rows by
-    broadcasting, on the whole grid.
+    broadcasting, on the whole grid, so the result is the (B, N, L) stack
+    that pooling reads.
     """
     base = conv_smooth(rows.data, mask, p) if use_conv else rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
-    fused = base.reshape((samples, total // samples, length)) + tproj   # (B, N, L)
-    return fused.reshape((total, length))
+    return base.reshape((samples, total // samples, length)) + tproj
 
 
 def _nonzero(den: Tensor) -> Tensor:
@@ -422,9 +425,10 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
 
 def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
              p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
-    """Pool every variate of every sample at once: (B*N, L) -> (B*N, d).
+    """Pool every variate of every sample at once: (B, N, L) -> (B*N, d).
 
-    ``mask_rows`` is (B*N, L), sample-major, and ``t_norm`` holds the (B, L)
+    ``xhat`` is the (B, N, L) stack of ``encode_series``, ``mask_rows`` its
+    (B*N, L) mask, sample-major, and ``t_norm`` holds the (B, L)
     normalized grid times of ``data.normalize_times``. A sample's variates
     share its grid, so one (L, K) kernel-weight matrix serves all N of its
     rows. The (B, L, K) weights meet the masked rows in one batched matmul
@@ -434,14 +438,11 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     ``xhat`` is read at observed cells only.
     """
     tp = xhat.tape
-    total, length = xhat.data.shape
-    samples = t_norm.shape[0]
     weights = _kernel_weights(t_norm[:, :, None], p)           # (B, L, K)
-    stacked = (samples, total // samples, length)
-    mask = tp.const(mask_rows.reshape(stacked))
-    num = (xhat.reshape(stacked) * mask) @ weights            # (B, N, K)
+    mask = tp.const(mask_rows.reshape(xhat.data.shape))
+    num = (xhat * mask) @ weights                              # (B, N, K)
     den = mask @ weights
-    pooled = (num / _nonzero(den)).reshape((total, weights.data.shape[2]))
+    pooled = (num / _nonzero(den)).reshape((mask_rows.shape[0], weights.data.shape[2]))
     if use_gate:
         pooled = pooled * T.sigmoid(p["pool.gate"])
     flags = tp.const((mask_rows.sum(axis=1, keepdims=True) > 0).astype(np.float64))
@@ -471,10 +472,10 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
 
 def _split_heads(x: Tensor, samples: int, n: int, heads: int) -> Tensor:
     """Regroup (B*N, H*w) rows, sample-major with head h in columns
-    [h*w, (h+1)*w), into (B*H, N, w): one stack entry per (sample, head)."""
+    [h*w, (h+1)*w), into the (B, H, N, w) stack; each caller reshapes it
+    once to the layout it reads."""
     width = x.data.size // (samples * n * heads)
-    split = T.permute(x.reshape((samples, n, heads, width)), (0, 2, 1, 3))
-    return split.reshape((samples * heads,) + split.data.shape[2:])
+    return T.permute(x.reshape((samples, n, heads, width)), (0, 2, 1, 3))
 
 
 def _merge_heads(x: Tensor, samples: int) -> Tensor:
@@ -485,18 +486,23 @@ def _merge_heads(x: Tensor, samples: int) -> Tensor:
     return merged.reshape((samples * n, heads * width))
 
 
-def _attend(fq: Tensor, fk_t: Tensor, vv: Tensor) -> Tensor:
-    """``fq @ (fk_t @ vv)`` as one node; backward recomputes the (B*H, R, d_h+1) ``fk_t @ vv``."""
-    # The same numpy calls as two matmul nodes, so the output and the
-    # adjoints are bitwise theirs.
-    qd, kd, vd = fq.data, fk_t.data, vv.data
+def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
+    """phi(Q) (phi(K)^T [V | 1]) from (B*H, N, .) stacks as one node, which
+    forms phi(K)^T and [V | 1] itself; backward recomputes the (B*H, R, d_h+1)
+    summary. Output: (B*H, N, d_h+1), numerators then denominators."""
+    # The same numpy calls as the transpose, concat and two matmul nodes
+    # they replace, so the output and the adjoints are bitwise theirs.
+    qd, kd = fq.data, fk.data.swapaxes(-1, -2)
+    d_head = values.data.shape[2]
+    vd = np.concatenate([values.data, np.ones(values.data.shape[:2] + (1,))], axis=2)
 
     def vjp(g):
         g_kv = qd.swapaxes(-1, -2) @ g                         # (B*H, R, d_h+1)
-        return (g @ np.matmul(kd, vd).swapaxes(-1, -2), g_kv @ vd.swapaxes(-1, -2),
-                kd.swapaxes(-1, -2) @ g_kv)
+        return (g @ np.matmul(kd, vd).swapaxes(-1, -2),
+                (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2),
+                (kd.swapaxes(-1, -2) @ g_kv)[:, :, :d_head])
 
-    return fq.tape.record("attend", np.matmul(qd, np.matmul(kd, vd)), (fq, fk_t, vv), vjp)
+    return fq.tape.record("attend", np.matmul(qd, np.matmul(kd, vd)), (fq, fk, values), vjp)
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
@@ -509,7 +515,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     head, the numerator phi(Q) (phi(K)^T V) and the denominator
     phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix.
 
-    Layout: ``q``, ``k`` and ``v`` are first regrouped into (B*H, N, d_h)
+    Layout: ``q``, ``k`` and ``v`` are first regrouped into (B, H, N, d_h)
     stacks, one entry per (sample, head), so the only regrouping copies are
     d_h wide. One feature map per stack runs over its (B*H*N, d_h) rows and
     the R-wide features are born in the (B*H, N, R) layout as a view. One
@@ -535,9 +541,8 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
         return phi.reshape((stack, n, phi.data.shape[1]))      # (B*H, N, R)
 
     fq, fk = features(q), features(k)
-    values = _split_heads(v, samples, n, heads)                # (B*H, N, d_h)
-    ones = q.tape.const(np.ones((stack, n, 1)))
-    both = _attend(fq, fk.T, T.concat([values, ones], axis=2))   # (B*H, N, d_h+1)
+    values = _split_heads(v, samples, n, heads).reshape((stack, n, d_head))
+    both = _attend(fq, fk, values)                             # (B*H, N, d_h+1)
     num, den = both[:, :, :d_head], both[:, :, d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
@@ -550,21 +555,15 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     return _merge_heads(out, samples)
 
 
-def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfig,
+def attention_block(z: Tensor, block: int, p: dict[str, Tensor],
                     stats: dict | None = None, capture: list | None = None,
                     samples: int = 1) -> Tensor:
     """One pre-norm block: spectral mixing across each sample's variates, then
     an MLP. ``z`` is (B*N, d), sample-major."""
     pre = f"blocks.{block}."
-    d = cfg.hidden
 
     normed = T.layernorm(z) * p[pre + "ln1_g"] + p[pre + "ln1_b"]
-    # Forward-normalized spectral pair (1/d here, d before the inverse): the
-    # packed transform itself is unnormalized, which would hand the
-    # projections a ~sqrt(d) coefficient scale; in training that drifts the
-    # random-feature kernel into saturation, where attention denominators
-    # collapse to roundoff and the loss spikes.
-    coeffs = rfft_rows(normed) * (1.0 / d)                     # (B*N, d)
+    coeffs = rfft_rows(normed)                                 # (B*N, d), forward-normalized
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
@@ -572,7 +571,7 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor], cfg: TrainConfi
                                 stats=stats, samples=samples, capture=capture)
     if capture is not None:
         capture[-1]["block"] = block
-    mixed = z + irfft_rows(mixed_in * float(d))
+    mixed = z + irfft_rows(mixed_in)
     normed2 = T.layernorm(mixed) * p[pre + "ln2_g"] + p[pre + "ln2_b"]
     inner = T.relu(normed2 @ p[pre + "mlp_w1"] + p[pre + "mlp_b1"])
     return mixed + inner @ p[pre + "mlp_w2"] + p[pre + "mlp_b2"]
@@ -637,7 +636,7 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
                  use_gate=cfg.use_pool_gate)
 
     for b in range(cfg.blocks):
-        z = attention_block(z, b, p, cfg, stats=stats, capture=capture, samples=samples)
+        z = attention_block(z, b, p, stats=stats, capture=capture, samples=samples)
     summary = z @ p["out.w"]                                   # (B*N, d)
 
     counts = [q.size for q in queries]

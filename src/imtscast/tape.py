@@ -28,10 +28,10 @@ and so is the output of every primitive that can turn finite inputs into
 inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
 ``layernorm`` and any custom ``Tape.record`` call.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``reshape``, ``transpose``, ``permute``, ``slice``, ``concat``,
-``take_rows``, ``place``, ``relu`` and ``sigmoid``) by appending their
-node with ``Tape.append``: by induction their outputs are finite too. So
-a NaN/Inf raises ``NonFiniteError`` at, and named after, the first op
+the check (``reshape``, ``permute``, ``slice``, ``concat``, ``take_rows``,
+``place``, ``relu`` and ``sigmoid``) by appending their node with
+``Tape.append``: by induction their outputs are finite too. So a NaN/Inf
+raises ``NonFiniteError`` at, and named after, the first op
 that produced it, which keeps divergence diagnosable.
 """
 
@@ -65,14 +65,6 @@ class Tensor:
         self.tape = tape
         self._index = index
         self.needs_grad = needs_grad
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -153,8 +145,6 @@ class Tape:
 
     def const(self, data) -> Tensor:
         """Record a leaf that receives no gradient."""
-        if isinstance(data, Tensor):
-            return data
         return self.record("const", data, (), None)
 
     def param_vector(self, flat: np.ndarray, views: dict[str, np.ndarray]) -> dict[str, Tensor]:
@@ -419,15 +409,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return a.tape.append(
         "reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
     )
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes, as a view of ``a``'s data (no copy); the
-    adjoint swaps them back."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: needs at least two axes, got shape {a.data.shape}")
-    return a.tape.append("transpose", a.data.swapaxes(-1, -2), (a,),
-                         lambda g: (g.swapaxes(-1, -2),))
 
 
 def permute(a: Tensor, axes) -> Tensor:

@@ -352,8 +352,9 @@ def train(train_samples, val_samples, cfg: TrainConfig,
         if on_epoch is not None:
             on_epoch(record)
         if not np.isfinite(train_loss) or not np.isfinite(val_stats["mse"]):
+            what = "validation MSE" if np.isfinite(train_loss) else "training loss"
             raise DivergenceError(
-                f"training diverged at epoch {epoch}: non-finite loss",
+                f"training diverged at epoch {epoch}: non-finite {what}",
                 checkpoint=best if best is not None else params.copy(),
                 history=history,
             )

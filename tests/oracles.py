@@ -10,6 +10,9 @@ The time encoding and the kernel weights are one tape node each in the
 model. ``chain_time_encode`` and ``chain_kernel_weights`` are the primitive
 chains those nodes replace, built from the tape's primitives and the
 ``sin``, ``cos`` and ``exp`` nodes below, which the tape no longer has.
+The model's ``attend`` node forms phi(K)^T and [V | 1] itself;
+``chain_attend`` is the chain it replaces, and it and the pooling
+reference use the ``transpose`` node below, which the tape no longer has.
 
 The dataset code draws Poisson gaps in one call, writes a sample's rows
 with one call and parses CSV blocks with numpy. The references here draw
@@ -46,6 +49,18 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # record() raises instead
         e = np.exp(a.data)
     return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes as a view; the adjoint swaps them back."""
+    return a.tape.append("transpose", a.data.swapaxes(-1, -2), (a,),
+                         lambda g: (g.swapaxes(-1, -2),))
+
+
+def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
+    """``model._attend`` as transpose, concat and two matmul nodes."""
+    ones = fq.tape.const(np.ones(values.data.shape[:2] + (1,)))
+    return fq @ (transpose(fk) @ T.concat([values, ones], axis=2))
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -85,13 +100,12 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
 def dense_encode_series(rows: Tensor, tcol: Tensor, mask, p: dict[str, Tensor],
                         use_conv: bool = True) -> Tensor:
     """``model.encode_series`` with the convolution run on the whole grid;
-    ``mask`` is accepted and ignored."""
+    ``mask`` is accepted and ignored. Returns the (B, N, L) stack."""
     base = dense_conv_smooth(rows, p) if use_conv else rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
-    fused = base.reshape((samples, total // samples, length)) + tproj
-    return fused.reshape((total, length))
+    return base.reshape((samples, total // samples, length)) + tproj
 
 
 def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -110,7 +124,7 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
 def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
                  p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
     """Pool one variate (L, 1) into a (1, d) vector via its coefficients."""
-    pooled = (coeffs.T @ x_col).T                              # (1, K)
+    pooled = transpose(transpose(coeffs) @ x_col)              # (1, K)
     if use_gate:
         pooled = pooled * T.sigmoid(p["pool.gate"])
     flag = 1.0 if float(mask_col.data.sum()) > 0 else 0.0
@@ -119,7 +133,8 @@ def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
 
 
 def naive_dft_rows(x: np.ndarray) -> np.ndarray:
-    """O(d^2) reference transform in the same packing; test oracle only."""
+    """O(d^2) reference transform in the same packing and the same forward
+    normalization (1/d on the forward transform); test oracle only."""
     x = np.asarray(x, dtype=np.float64)
     d = _check_rows(x)
     grid = np.arange(d)
@@ -130,7 +145,7 @@ def naive_dft_rows(x: np.ndarray) -> np.ndarray:
     for j in range(1, d // 2):
         ang = 2.0 * np.pi * j * grid / d
         out[:, d // 2 + j] = -(x @ np.sin(ang))
-    return out
+    return out / d
 
 
 def poisson_times_loop(rng, rate: float, span: float) -> np.ndarray:

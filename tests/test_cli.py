@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -193,7 +194,7 @@ class TestMalformedInput:
         "manifest_without_samples", "manifest_without_queries", "manifest_without_checksums",
         "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
         "manifest_observations_not_a_string", "manifest_queries_not_a_string",
-        "variate_0_in_obs", "variate_-3_in_queries",
+        "variate_0_in_obs", "variate_-3_in_queries", "variate_id_gap",
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         data, checkpoint = tiny_run(tmp_path)
@@ -228,6 +229,13 @@ class TestMalformedInput:
             observations = data
         elif case == "csv_not_utf8":
             observations.write_bytes(b"series_id,variate,time,value\n16,1,0.5,\xff\xfe\n")
+        elif case == "variate_id_gap":
+            # Before, the gap filled with empty variates: a 50,000-variate sample.
+            path = data / "test_obs.csv"
+            header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+            sid, _var, *fields = first.split(",")
+            path.write_text("\n".join([header, ",".join([sid, "50000", *fields]), *rest]) + "\n",
+                            encoding="utf-8")
         elif case.startswith("variate_"):
             # Rows with such ids used to be dropped: exit 0, no prediction for them.
             _, variate, _, table = case.split("_")
@@ -255,15 +263,18 @@ class TestMalformedInput:
             assert ":2: not an integer id" in errors[0]
         if case.endswith("_not_a_string"):
             assert str(manifest) in errors[0] and key in errors[0]
-        if case.startswith("variate_"):
+        if case == "variate_id_gap":
+            assert errors[0] == f"error: series {sid}: no row mentions variate 3, but ids " \
+                "run to 50000 (variate ids are 1..N without gaps)"
+        elif case.startswith("variate_"):
             assert errors[0] == f"error: series {sid}: variate {variate} is below 1 " \
                 "(variate ids start at 1)"
 
 
 class TestConfigValues:
-    # A value of the wrong type, a non-finite learning rate or a negative
-    # seed is a usage error, caught before any training (a truthy "no" must
-    # not switch the stage on).
+    # A value of the wrong type, a non-finite learning rate, a negative seed,
+    # a shape the model cannot build or an unknown key is a usage error,
+    # caught before any training (a truthy "no" must not switch the stage on).
     @pytest.mark.parametrize("key, config, flags", [
         ("hidden", {"model": {"hidden": "32"}}, []),
         ("hidden", {"model": {"hidden": 32.0}}, []),
@@ -276,14 +287,27 @@ class TestConfigValues:
         ("learning_rate", {}, ["--lr", "nan"]),
         ("learning_rate", {}, ["--lr", "inf"]),
         ("seed", {}, ["--seed", "-1"]),
+        ("kernels", {"model": {"kernels": 1}}, []),
+        ("conv_channels", {"model": {"conv_channels": 0}}, []),
+        ("time_dim", {"model": {"time_dim": 2}}, []),
+        ("hidden", {"model": {"hidden": 7, "heads": 1}}, []),
+        ("heads", {"model": {"heads": 3}}, []),
+        ("rff_dim", {"model": {"rff_dim": 9}}, []),
+        ("blocks", {"model": {"blocks": 0}}, []),
+        ("batch_size", {"model": {"batch_size": 0}}, []),
+        ("max_epochs", {}, ["--max-epochs", "0"]),
+        ("patience", {"model": {"patience": 0}}, []),
+        ("dropout", {"model": {"dropout": 0.1}}, []),
     ], ids=["hidden_string", "hidden_float", "kernels_fraction", "lr_string", "seed_string",
             "preconv_string", "pool_gate_int", "blocks_bool", "lr_nan", "lr_inf",
-            "seed_negative"])
+            "seed_negative", "kernels_below_2", "conv_channels_zero", "time_dim_below_3",
+            "hidden_odd", "heads_not_dividing_hidden", "rff_dim_odd", "blocks_zero",
+            "batch_size_zero", "max_epochs_zero", "patience_zero", "unknown_model_key"])
     def test_train_exits_2_with_one_error_line(self, tmp_path, capsys, key, config, flags):
         data, _checkpoint = tiny_run(tmp_path)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["train", "--config", str(path), *flags, "--max-epochs", "1",
+        assert main(["train", "--config", str(path), "--max-epochs", "1", *flags,
                      "--data", str(data / "manifest.json"),
                      "--out", str(tmp_path / "run")]) == EXIT_USAGE
         errors = capsys.readouterr().err.splitlines()
@@ -392,6 +416,44 @@ class TestDivergence:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert (run / "history.csv").is_file()
         assert (run / "checkpoint.json").is_file()
+
+
+    def test_an_overflowing_validation_mse_exits_3_naming_it(self, tmp_path, capsys):
+        # Targets of 1e200 are finite, so ingestion accepts them; their
+        # squared errors overflow only in the validation MSE of epoch 1.
+        data = tmp_path / "data"
+        assert main(["gen", "--preset", "sinusoid-tiny", "--out", str(data)]) == EXIT_OK
+        assert main(["train", "--data", str(data / "manifest.json"), "--max-epochs", "1",
+                     "--out", str(tmp_path / "one_epoch")]) == EXIT_OK
+        queries = data / "val_queries.csv"
+        header, *rows = queries.read_text(encoding="utf-8").splitlines()
+        queries.write_text("\n".join([header] + [row.rsplit(",", 1)[0] + ",1e200"
+                                                  for row in rows]) + "\n", encoding="utf-8")
+        manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+        manifest["checksums"]["val_queries.csv"] = hashlib.sha256(queries.read_bytes()).hexdigest()
+        (data / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data / "manifest.json"), "--max-epochs", "3",
+                     "--out", str(run)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged at epoch 1: non-finite validation MSE"]
+        # The history holds the finished epoch, and the checkpoint its
+        # parameters: the ones a finite 1-epoch run saves.
+        def written(out):
+            history = csv.DictReader((out / "history.csv").read_text(encoding="utf-8")
+                                     .splitlines())
+            checkpoint = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))
+            return list(history), checkpoint
+
+        (epoch,), checkpoint = written(run)
+        (want,), want_checkpoint = written(tmp_path / "one_epoch")
+        assert (epoch["epoch"], epoch["train_loss"], epoch["val_mse"], epoch["val_mae"]) == (
+            "1", want["train_loss"], "inf", "1e+200")
+        assert checkpoint["config"]["max_epochs"] == 3
+        for section in ("params", "buffers"):
+            assert checkpoint[section] == want_checkpoint[section], section
 
 
 class TestGradcheck:

@@ -239,6 +239,18 @@ class TestFileRoundTrip:
         with pytest.raises(DataError, match=f"^series 7: variate {low} is below 1"):
             assemble_samples(read_observations(obs), read_queries(q, True))
 
+    def test_a_variate_id_gap_names_the_first_missing_id(self, tmp_path):
+        # Filling the gap would make one mistyped id a 50,000-variate sample.
+        # Variate 3 has query rows only, which is legal.
+        obs = tmp_path / "obs.csv"
+        obs.write_text("series_id,variate,time,value\n4,1,0.5,1.0\n4,2,0.7,1.0\n"
+                       "4,50000,1.0,0.5\n", encoding="utf-8")
+        q = tmp_path / "q.csv"
+        q.write_text("series_id,variate,time,target\n4,3,5.0,1.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="^series 4: no row mentions variate 4, but ids "
+                                            "run to 50000"):
+            assemble_samples(read_observations(obs), read_queries(q, True))
+
     def test_query_only_variate_becomes_empty_stream(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text("series_id,variate,time,value\n0,1,1.0,0.5\n", encoding="utf-8")

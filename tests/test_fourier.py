@@ -18,9 +18,10 @@ def irfft(packed):
 
 class TestForwardTransform:
     def test_constant_row_is_dc_only(self):
+        # Forward normalization: the DC bin is the row's mean.
         d, c = 16, 3.25
         out = rfft(np.full((1, d), c))
-        assert out[0, 0] == pytest.approx(c * d, abs=1e-10)
+        assert out[0, 0] == pytest.approx(c, abs=1e-10)
         assert np.allclose(out[0, 1:], 0.0, atol=1e-10)
 
     def test_pure_cosine_hits_single_bin(self):
@@ -28,7 +29,7 @@ class TestForwardTransform:
         row = np.cos(2 * np.pi * np.arange(d) / d)[None, :]
         out = rfft(row)
         expected = np.zeros(d)
-        expected[1] = d / 2
+        expected[1] = 0.5
         assert np.allclose(out[0], expected, atol=1e-10)
 
     def test_matches_naive_dft(self):
@@ -38,7 +39,7 @@ class TestForwardTransform:
 
     def test_smallest_case(self):
         out = naive_dft_rows(np.array([[3.0, 5.0]]))
-        assert np.allclose(out, [[8.0, -2.0]], atol=1e-12)
+        assert np.allclose(out, [[4.0, -1.0]], atol=1e-12)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ShapeError, match="even"):
@@ -61,7 +62,7 @@ class TestInverseTransform:
     def test_dc_inversion(self):
         d = 8
         spectrum = np.zeros((1, d))
-        spectrum[0, 0] = d
+        spectrum[0, 0] = 1.0
         assert np.allclose(irfft(spectrum), 1.0, atol=1e-12)
 
     def test_round_trip(self):
@@ -86,10 +87,11 @@ class TestAgainstOracle:
             x = rng.standard_normal((8, d))
             spectrum = rfft(x)
             # Packed bins 1..d/2-1 (real and imaginary parts) each stand for
-            # a conjugate pair; DC and Nyquist occur once.
+            # a conjugate pair; DC and Nyquist occur once. The bins carry
+            # 1/d, so their energy is scaled by d.
             pairs = np.full(d, 2.0)
             pairs[[0, d // 2]] = 1.0
-            lhs = (spectrum * spectrum) @ pairs / d
+            lhs = (spectrum * spectrum) @ pairs * d
             rhs = (x * x).sum(axis=1)
             assert np.allclose(lhs, rhs, rtol=1e-9)
 

@@ -30,12 +30,14 @@ from imtscast.train import build_loss
 
 from conftest import bind, chunk_of, random_sample, retained_bytes
 from oracles import (
+    chain_attend,
     chain_kernel_weights,
     chain_time_encode,
     cos,
     pool_coefficients,
     pool_summary,
     sin,
+    transpose,
 )
 
 
@@ -208,7 +210,7 @@ class TestKernelPooling:
         t = np.sort(rng.uniform(0, 1, size=9))[:, None]
         mask = np.ones((9, 1))
         coeffs = pool_coefficients(tape.const(t), tape.const(mask), p)
-        pooled = (coeffs.T @ tape.const(np.full((9, 1), 2.75))).data
+        pooled = (transpose(coeffs) @ tape.const(np.full((9, 1), 2.75))).data
         assert np.abs(pooled - 2.75).max() < 1e-12
 
     def test_empty_variate_flag_and_zero_summary(self):
@@ -270,11 +272,11 @@ class TestKernelPooling:
         mask_rows = (rng.uniform(size=(n, length)) < 0.6).astype(float)
         mask_rows[2] = 0.0  # one empty variate
         t_norm = np.sort(rng.uniform(0, 1, size=(1, length)))
-        z_fast = pool_all(xhat, mask_rows, t_norm, p).data
+        z_fast = pool_all(xhat.reshape((1, n, length)), mask_rows, t_norm, p).data
         for v in range(n):
             coeffs = pool_coefficients(tape.const(t_norm.T),
                                        tape.const(mask_rows[v][:, None]), p)
-            z_slow = pool_summary(xhat[v : v + 1, :].T, coeffs,
+            z_slow = pool_summary(transpose(xhat[v : v + 1, :]), coeffs,
                                   tape.const(mask_rows[v][:, None]), p).data
             assert np.abs(z_fast[v] - z_slow[0]).max() < 1e-12
 
@@ -369,7 +371,7 @@ class TestRecomputeNodes:
     def attend_inputs(self, seed):
         rng = np.random.default_rng(seed)
         return {"fq": rng.standard_normal((2, 5, 6)), "fk": rng.standard_normal((2, 5, 6)),
-                "vv": rng.standard_normal((2, 5, 3))}
+                "values": rng.standard_normal((2, 5, 3))}
 
     def time_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -397,11 +399,11 @@ class TestRecomputeNodes:
 
     def test_attend_gradients(self):
         flat, views = flat_views(self.attend_inputs(2))
-        probe = np.random.default_rng(3).standard_normal((2, 5, 3))
+        probe = np.random.default_rng(3).standard_normal((2, 5, 4))
 
         def build(tape):
             b = tape.param_vector(flat, views)
-            return (_attend(b["fq"], b["fk"].T, b["vv"]) * tape.const(probe)).sum()
+            return (_attend(b["fq"], b["fk"], b["values"]) * tape.const(probe)).sum()
 
         report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
@@ -422,8 +424,8 @@ class TestRecomputeNodes:
                                + b["b2"]))
         if node == "attend":
             return (self.attend_inputs(5),
-                    lambda b: _attend(b["fq"], b["fk"].T, b["vv"]),
-                    lambda b: b["fq"] @ (b["fk"].T @ b["vv"]))
+                    lambda b: _attend(b["fq"], b["fk"], b["values"]),
+                    lambda b: chain_attend(b["fq"], b["fk"], b["values"]))
         if node == "time_encode":
             times, params = self.time_inputs(6)
             return (params,
@@ -606,13 +608,13 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 128 nodes. 60 run the finiteness check: 15 constant
-        # leaves and 45 nodes that compute. The 32 parameter leaves share
-        # one check of the flat vector, and the other 36 nodes only move,
+        # query records 117 nodes. 55 run the finiteness check: 12 constant
+        # leaves and 43 nodes that compute. The 32 parameter leaves share
+        # one check of the flat vector, and the other 30 nodes only move,
         # select or bound finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 128
-        assert checked == 60
+        assert len(sizes) == len(tape.nodes) == 117
+        assert checked == 55
 
 
 class TestLinearAttention:
@@ -724,7 +726,7 @@ class TestAttentionBlock:
         tape = Tape()
         p = model.bind(tape)
         z = np.random.default_rng(0).standard_normal((5, cfg.hidden))
-        out = attention_block(tape.const(z), 0, p, cfg).data
+        out = attention_block(tape.const(z), 0, p).data
         assert np.abs(out - z).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 7])
@@ -734,7 +736,7 @@ class TestAttentionBlock:
         tape = Tape()
         p = model.bind(tape)
         z = np.random.default_rng(n).standard_normal((n, cfg.hidden))
-        assert attention_block(tape.const(z), 0, p, cfg).data.shape == (n, cfg.hidden)
+        assert attention_block(tape.const(z), 0, p).data.shape == (n, cfg.hidden)
 
     def test_tape_nodes_independent_of_head_count(self):
         z = np.random.default_rng(5).standard_normal((5, 16))
@@ -744,7 +746,7 @@ class TestAttentionBlock:
             tape = Tape()
             p = ModelParams.init(cfg, seed=6).bind(tape)
             before = len(tape.nodes)
-            attention_block(tape.const(z), 0, p, cfg)
+            attention_block(tape.const(z), 0, p)
             counts.append(len(tape.nodes) - before)
         assert counts[0] == counts[1]
 
@@ -759,7 +761,7 @@ class TestAttentionBlock:
         z = rng.standard_normal((5, 16))
 
         tape = Tape()
-        out = attention_block(tape.const(z), 0, model.bind(tape), cfg).data
+        out = attention_block(tape.const(z), 0, model.bind(tape)).data
 
         def ln(m):
             mu = m.mean(axis=-1, keepdims=True)
@@ -768,10 +770,9 @@ class TestAttentionBlock:
             return xc / np.sqrt(var + 1e-5)
 
         normed = ln(z) * arr["ln1_g"] + arr["ln1_b"]
-        # Forward-normalized spectral pair: 1/d after the forward transform,
-        # d before the inverse (see attention_block).
+        # The forward-normalized spectral pair (see ``fourier``).
         forward_dft, inverse_dft = dft_matrices(16)
-        coeff = normed @ forward_dft / 16
+        coeff = normed @ forward_dft
         qa, ka, va = coeff @ arr["wq"], coeff @ arr["wk"], coeff @ arr["wv"]
         heads = []
         for h in range(2):
@@ -786,7 +787,7 @@ class TestAttentionBlock:
             num = pq @ (pk.T @ v)
             den = pq @ pk.sum(axis=0)[:, None]
             heads.append(num / (den + 1e-6))
-        u = z + (np.concatenate(heads, axis=1) * 16) @ inverse_dft
+        u = z + np.concatenate(heads, axis=1) @ inverse_dft
         normed2 = ln(u) * arr["ln2_g"] + arr["ln2_b"]
         mlp = np.maximum(normed2 @ arr["mlp_w1"] + arr["mlp_b1"], 0.0) @ arr["mlp_w2"] + arr["mlp_b2"]
         expected = u + mlp

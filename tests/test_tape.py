@@ -75,6 +75,11 @@ class TestBackward:
         with pytest.raises(TapeError, match="scalar"):
             tape.backward(w * w)
 
+    def test_parent_from_other_tape_rejected(self):
+        tape, other = Tape(), Tape()
+        with pytest.raises(TapeError, match="^add: parent tensor belongs to a different tape"):
+            const(tape, [1.0]) + const(other, [2.0])
+
     def test_loss_from_other_tape_rejected(self):
         tape = Tape()
         other = Tape()
@@ -151,7 +156,8 @@ PRIMITIVE_CASES = [
     ("sum_axis0", lambda t: t.sum(axis=0, keepdims=True), (3, 4)),
     ("sum_axis1", lambda t: t.sum(axis=1), (3, 4)),
     ("layernorm", lambda t: T.layernorm(t), (3, 4)),
-    ("transpose", lambda t: t.T, (3, 4)),
+    # The model's transposes are permutes.
+    ("transpose", lambda t: T.permute(t, (1, 0)), (3, 4)),
     ("reshape", lambda t: t.reshape((2, 6)), (3, 4)),
     ("slice", lambda t: t[1:3, 0:2], (3, 4)),
     ("broadcast", lambda t: t * np.arange(1.0, 6.0).reshape(5, 1, 1), (2, 4)),
@@ -168,9 +174,9 @@ PRIMITIVE_CASES = [
     ("sub_self", lambda t: t - t * t, (3, 4)),
     ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
     ("matmul_stacked", lambda t: t @ np.arange(24.0).reshape(2, 4, 3), (2, 3, 4)),
-    # A transposed view as the left operand, as in phi(K)^T [V | 1]; t on
-    # both sides also checks the right operand's adjoint of a stacked matmul.
-    ("transpose_stacked", lambda t: t.T @ t, (2, 3, 4)),
+    # A transposed stack as the left operand; t on both sides also checks
+    # the right operand's adjoint of a stacked matmul.
+    ("transpose_stacked", lambda t: T.permute(t, (0, 2, 1)) @ t, (2, 3, 4)),
     # A constant as the left operand, whose adjoint the VJP skips.
     ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
      (3, 4)),
@@ -271,13 +277,13 @@ def test_stacked_matmul_matches_per_entry_matmul():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 5))
     tape = Tape()
-    out = (const(tape, a).T @ const(tape, b)).data
+    out = (T.permute(const(tape, a), (0, 2, 1)) @ const(tape, b)).data
     for i in range(3):
         assert np.abs(out[i] - a[i].T @ b[i]).max() < 1e-14
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(const(tape, a), const(tape, b))
     with pytest.raises(ShapeError, match="matmul"):
-        T.matmul(const(tape, a[:2]).T, const(tape, b))
+        T.matmul(T.permute(const(tape, a[:2]), (0, 2, 1)), const(tape, b))
 
 
 def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
@@ -317,6 +323,40 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(bind(Tape(), x=np.ones(shape))["x"])
     assert (model_ops - ops, ops - model_ops) == ({"smoothing_layers", "attend"}, set())
+
+
+def test_a_default_training_step_reaches_every_primitive(monkeypatch):
+    """Every primitive ``tape.py`` defines (a function that records a node)
+    runs in a default-config forward, ``build_loss`` and backward, so an
+    unused primitive fails here."""
+    import inspect
+    import re
+
+    from imtscast.config import TrainConfig
+    from imtscast.datasets import PRESETS, generate
+    from imtscast.model import ModelParams, forward
+    from imtscast.train import build_loss
+    from conftest import chunk_of
+
+    primitives = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                  if fn.__module__ == T.__name__
+                  and re.search(r"tape\.(record|append)\(", inspect.getsource(fn))}
+    assert {"matmul", "reshape", "permute", "layernorm"} <= primitives
+    reached: set[str] = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in primitives:
+        monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+    samples = generate(PRESETS["sinusoid-tiny"])[:2]
+    tape = Tape()
+    res = forward(tape, ModelParams.init(TrainConfig()), *chunk_of(samples))
+    tape.backward(build_loss(res, np.concatenate([t for s in samples for t in s.query_targets])))
+    assert primitives - reached == set()
 
 
 def test_place_puts_entries_at_flat_positions():
@@ -475,7 +515,6 @@ class TestFiniteness:
     # projection (a checked matmul and add) passes its input through.
     UNCHECKED = {
         "reshape": lambda t: t.reshape((2, 6)),
-        "transpose": lambda t: t.T,
         "permute": lambda t: T.permute(t.reshape((3, 2, 2)), (2, 0, 1)),
         "slice": lambda t: t[1:3, 0:2],
         "concat": lambda t: T.concat([t, t], axis=0),
