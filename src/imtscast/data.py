@@ -95,6 +95,10 @@ class ImtsSample:
                     f"sample {self.sample_id}, variate {s.variate_id}: targets do not "
                     "match query times"
                 )
+            if tg is not None and not np.isfinite(tg).all():
+                raise DataError(
+                    f"sample {self.sample_id}, variate {s.variate_id}: non-finite query target"
+                )
 
     @property
     def n_variates(self) -> int:

@@ -17,9 +17,9 @@ on the block's (B*N, .) rows in sample-major order. Only pooling and
 attention need to know where one sample ends. Encoding builds the (B, N, L)
 stack to broadcast each sample's time projection over its rows and hands
 pooling that stack, whose batched matmuls read it as it is. Attention
-takes the sample count and regroups its rows into per-(sample, head)
-stacks; the [V | 1] numerator/denominator trick of linear attention lives
-inside its one ``_attend`` node.
+takes the sample count and reads its rows as a (B, N, H, .) stack; the
+per-(sample, head) views its matmuls need and the [V | 1] numerator and
+denominator of linear attention live inside its one ``_attend`` node.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -76,65 +76,29 @@ class ModelParams:
 
     @classmethod
     def init(cls, cfg: TrainConfig, seed: int | None = None) -> "ModelParams":
-        """Seeded initialization: uniform(+-1/sqrt(fan_in)) weights, zero biases."""
+        """Seeded initialization from ``layout``: uniform(+-1/sqrt(fan_in))
+        weights, zero biases, unit layernorm gains."""
         validate(cfg)
         if seed is None:
             seed = cfg.seed
         rng = np.random.default_rng([int(seed), 0x5EED])
-        d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
-        n_sin = (dte - 1) // 2
-        n_cos = dte - 1 - n_sin
-
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
+        shapes, buffer_shapes = layout(cfg)
         arrays: dict[str, np.ndarray] = {}
-        arrays["conv.w1"] = uniform((c, 3), 3)
-        arrays["conv.b1"] = np.zeros((c, 1))
-        arrays["conv.w2"] = uniform((1, c), c)
-        arrays["conv.b2"] = np.zeros((1, 1))
-        arrays["te.w_s"] = uniform((1, 1), 1)
-        arrays["te.b_s"] = np.zeros((1, 1))
-        arrays["te.w_p"] = uniform((1, n_sin), 1)
-        arrays["te.b_p"] = np.zeros((1, n_sin))
-        arrays["te.w_c"] = uniform((1, n_cos), 1)
-        arrays["te.b_c"] = np.zeros((1, n_cos))
-        arrays["te.w_t"] = uniform((dte, 1), dte)
-        arrays["pool.log_alpha"] = np.full((1, k), np.log(1.0 / k))
-        arrays["pool.gate"] = np.zeros((1, k))
-        arrays["pool.w_proj"] = uniform((k + 1, d), k + 1)
-        for b in range(cfg.blocks):
-            p = f"blocks.{b}."
-            arrays[p + "wq"] = uniform((d, d), d)
-            arrays[p + "wk"] = uniform((d, d), d)
-            arrays[p + "wv"] = uniform((d, d), d)
-            arrays[p + "ln1_g"] = np.ones((1, d))
-            arrays[p + "ln1_b"] = np.zeros((1, d))
-            arrays[p + "ln2_g"] = np.ones((1, d))
-            arrays[p + "ln2_b"] = np.zeros((1, d))
-            arrays[p + "mlp_w1"] = uniform((d, 2 * d), d)
-            arrays[p + "mlp_b1"] = np.zeros((1, 2 * d))
-            arrays[p + "mlp_w2"] = uniform((2 * d, d), 2 * d)
-            arrays[p + "mlp_b2"] = np.zeros((1, d))
-        arrays["out.w"] = uniform((d, d), d)
-        arrays["head.w1"] = uniform((d + dte, d), d + dte)
-        arrays["head.b1"] = np.zeros((1, d))
-        arrays["head.w2"] = uniform((d, d), d)
-        arrays["head.b2"] = np.zeros((1, d))
-        arrays["head.w3"] = uniform((d, 1), d)
-        arrays["head.b3"] = np.zeros((1, 1))
+        for name, (shape, start) in shapes.items():
+            if isinstance(start, int):
+                bound = 1.0 / np.sqrt(start)
+                arrays[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                arrays[name] = np.full(shape, start)
 
         # The random feature draws are sampled once, stored with the model
         # and never trained.
         rff_rng = np.random.default_rng([int(seed), 0xF0F0])
-        d_head = d // cfg.heads
-        buffers: dict[str, np.ndarray] = {
-            "pool.centers": np.linspace(0.0, 1.0, k)[None, :],
-        }
+        buffers = {"pool.centers": np.linspace(0.0, 1.0, cfg.kernels)[None, :]}
         for b in range(cfg.blocks):
-            buffers[f"blocks.{b}.omega"] = rff_rng.standard_normal((d_head, cfg.rff_dim // 2))
-            buffers[f"blocks.{b}.phase"] = rff_rng.uniform(0.0, 2.0 * np.pi, (1, cfg.rff_dim // 2))
+            omega, phase = f"blocks.{b}.omega", f"blocks.{b}.phase"
+            buffers[omega] = rff_rng.standard_normal(buffer_shapes[omega])
+            buffers[phase] = rff_rng.uniform(0.0, 2.0 * np.pi, buffer_shapes[phase])
         return cls(cfg=cfg, arrays=arrays, buffers=buffers)
 
     def bind(self, tp: Tape) -> dict[str, Tensor]:
@@ -177,9 +141,10 @@ class ModelParams:
         """Read a checkpoint written by ``save``.
 
         Raises DataError for invalid JSON, missing sections, parameter and
-        buffer names or shapes that differ from what ``init`` builds for the
-        stored config, or entries holding NaN or infinite values. An
-        ``rff_seed`` entry, which older checkpoints carry, is ignored: the
+        buffer names or shapes that differ from the stored config's
+        ``layout``, or entries holding NaN or infinite values. Nothing larger
+        than the file's own data is allocated, whatever its config asks for.
+        An ``rff_seed`` entry, which older checkpoints carry, is ignored: the
         feature draws are read from the stored buffers.
         """
         try:
@@ -194,24 +159,29 @@ class ModelParams:
             raise DataError(f"{path}: checkpoint has no {', '.join(missing)}")
         try:
             cfg = TrainConfig.from_dict(doc["config"])
-            reference = cls.init(cfg)
+            validate(cfg)
         except (ConfigError, TypeError, ValueError) as err:
             raise DataError(f"{path}: bad checkpoint config: {err}") from err
+        # Every block owns parameter entries: this bounds the layout listed
+        # below by the file's size, whatever the config asks for.
+        if not isinstance(doc["params"], dict) or len(doc["params"]) < cfg.blocks:
+            raise DataError(f"{path}: params names differ from what the config builds")
+        shapes, buffer_shapes = layout(cfg)
 
         def restore(key, expected):
             section = doc[key]
             if not isinstance(section, dict) or set(section) != set(expected):
                 raise DataError(f"{path}: {key} names differ from what the config builds")
             out = {}
-            for name in expected:   # the order ``init`` builds, whatever the file's
+            for name, shape in expected.items():   # the layout's order, whatever the file's
                 entry = section[name]
                 try:
                     arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
                 except (KeyError, TypeError, ValueError) as err:
                     raise DataError(f"{path}: malformed {key} entry {name!r}: {err}") from err
-                if arr.shape != expected[name].shape:
+                if arr.shape != shape:
                     raise DataError(f"{path}: {key} {name!r} has shape {arr.shape}, "
-                                    f"the config builds {expected[name].shape}")
+                                    f"the config builds {shape}")
                 if not np.isfinite(arr).all():
                     raise DataError(f"{path}: {key} {name!r} holds non-finite values")
                 out[name] = arr
@@ -219,9 +189,49 @@ class ModelParams:
 
         return cls(
             cfg=cfg,
-            arrays=restore("params", reference.arrays),
-            buffers=restore("buffers", reference.buffers),
+            arrays=restore("params", {name: shape for name, (shape, _) in shapes.items()}),
+            buffers=restore("buffers", buffer_shapes),
         )
+
+
+def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
+    """Every array ``ModelParams.init`` builds for ``cfg``, without building it.
+
+    The learnables map name -> (shape, start) in flat-vector order: an int
+    ``start`` is the fan-in of a uniform(+-1/sqrt(fan_in)) draw, a float the
+    value every entry starts at. The buffers map name -> shape.
+    """
+    d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
+    n_sin = (dte - 1) // 2
+    n_cos = dte - 1 - n_sin
+    shapes = {
+        "conv.w1": ((c, 3), 3), "conv.b1": ((c, 1), 0.0),
+        "conv.w2": ((1, c), c), "conv.b2": ((1, 1), 0.0),
+        "te.w_s": ((1, 1), 1), "te.b_s": ((1, 1), 0.0),
+        "te.w_p": ((1, n_sin), 1), "te.b_p": ((1, n_sin), 0.0),
+        "te.w_c": ((1, n_cos), 1), "te.b_c": ((1, n_cos), 0.0), "te.w_t": ((dte, 1), dte),
+        "pool.log_alpha": ((1, k), float(np.log(1.0 / k))), "pool.gate": ((1, k), 0.0),
+        "pool.w_proj": ((k + 1, d), k + 1),
+    }
+    for b in range(cfg.blocks):
+        p = f"blocks.{b}."
+        shapes.update({
+            p + "wq": ((d, d), d), p + "wk": ((d, d), d), p + "wv": ((d, d), d),
+            p + "ln1_g": ((1, d), 1.0), p + "ln1_b": ((1, d), 0.0),
+            p + "ln2_g": ((1, d), 1.0), p + "ln2_b": ((1, d), 0.0),
+            p + "mlp_w1": ((d, 2 * d), d), p + "mlp_b1": ((1, 2 * d), 0.0),
+            p + "mlp_w2": ((2 * d, d), 2 * d), p + "mlp_b2": ((1, d), 0.0),
+        })
+    shapes.update({
+        "out.w": ((d, d), d), "head.w1": ((d + dte, d), d + dte), "head.b1": ((1, d), 0.0),
+        "head.w2": ((d, d), d), "head.b2": ((1, d), 0.0),
+        "head.w3": ((d, 1), d), "head.b3": ((1, 1), 0.0),
+    })
+    buffers = {"pool.centers": (1, k)}
+    for b in range(cfg.blocks):
+        buffers[f"blocks.{b}.omega"] = (d // cfg.heads, cfg.rff_dim // 2)
+        buffers[f"blocks.{b}.phase"] = (1, cfg.rff_dim // 2)
+    return shapes, buffers
 
 
 def expected_param_count(cfg: TrainConfig) -> int:
@@ -470,39 +480,30 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
     return x.tape.append("rff_features", out, (proj,), vjp)
 
 
-def _split_heads(x: Tensor, samples: int, n: int, heads: int) -> Tensor:
-    """Regroup (B*N, H*w) rows, sample-major with head h in columns
-    [h*w, (h+1)*w), into the (B, H, N, w) stack; each caller reshapes it
-    once to the layout it reads."""
-    width = x.data.size // (samples * n * heads)
-    return T.permute(x.reshape((samples, n, heads, width)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor, samples: int) -> Tensor:
-    """(B*H, N, w) -> (B*N, H*w), the inverse of ``_split_heads``."""
-    stack, n, width = x.data.shape
-    heads = stack // samples
-    merged = T.permute(x.reshape((samples, heads, n, width)), (0, 2, 1, 3))
-    return merged.reshape((samples * n, heads * width))
-
-
 def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
-    """phi(Q) (phi(K)^T [V | 1]) from (B*H, N, .) stacks as one node, which
-    forms phi(K)^T and [V | 1] itself; backward recomputes the (B*H, R, d_h+1)
-    summary. Output: (B*H, N, d_h+1), numerators then denominators."""
-    # The same numpy calls as the transpose, concat and two matmul nodes
-    # they replace, so the output and the adjoints are bitwise theirs.
-    qd, kd = fq.data, fk.data.swapaxes(-1, -2)
-    d_head = values.data.shape[2]
-    vd = np.concatenate([values.data, np.ones(values.data.shape[:2] + (1,))], axis=2)
+    """phi(Q) (phi(K)^T [V | 1]) from (B, N, H, .) stacks as one node, which
+    forms phi(K)^T and [V | 1] itself; backward recomputes the (B, H, R, d_h+1)
+    summary. Output: (B, N, H, d_h+1), numerators then denominators.
+
+    The per-(sample, head) stacks the matmuls read are (B, H, N, .) numpy
+    views, so no regrouping node is recorded."""
+    # The same numpy calls as the permute, reshape, transpose, concat and
+    # matmul nodes they replace, so the output and the adjoints are bitwise
+    # theirs.
+    qd, kd = fq.data.swapaxes(1, 2), fk.data.swapaxes(1, 2).swapaxes(-1, -2)
+    d_head = values.data.shape[3]
+    vd = np.concatenate([values.data, np.ones(values.data.shape[:3] + (1,))],
+                        axis=3).swapaxes(1, 2)
 
     def vjp(g):
-        g_kv = qd.swapaxes(-1, -2) @ g                         # (B*H, R, d_h+1)
-        return (g @ np.matmul(kd, vd).swapaxes(-1, -2),
-                (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2),
-                (kd.swapaxes(-1, -2) @ g_kv)[:, :, :d_head])
+        g = g.swapaxes(1, 2)
+        g_kv = qd.swapaxes(-1, -2) @ g                         # (B, H, R, d_h+1)
+        return ((g @ np.matmul(kd, vd).swapaxes(-1, -2)).swapaxes(1, 2),
+                (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2).swapaxes(1, 2),
+                (kd.swapaxes(-1, -2) @ g_kv)[..., :d_head].swapaxes(1, 2))
 
-    return fq.tape.record("attend", np.matmul(qd, np.matmul(kd, vd)), (fq, fk, values), vjp)
+    out = np.matmul(qd, np.matmul(kd, vd)).swapaxes(1, 2)
+    return fq.tape.record("attend", out, (fq, fk, values), vjp)
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
@@ -515,35 +516,35 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     head, the numerator phi(Q) (phi(K)^T V) and the denominator
     phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix.
 
-    Layout: ``q``, ``k`` and ``v`` are first regrouped into (B, H, N, d_h)
-    stacks, one entry per (sample, head), so the only regrouping copies are
-    d_h wide. One feature map per stack runs over its (B*H*N, d_h) rows and
-    the R-wide features are born in the (B*H, N, R) layout as a view. One
-    node (``_attend``) forms every phi(K)^T [V | 1] and, from it, every
-    numerator and denominator; it recomputes that (B*H, R, d_h+1) summary
-    in backward rather than keeping it. Random features are
+    Layout: attention keeps the model's sample-major rows, and heads are a
+    reshape: row r*H + h of the (B*N*H, d_h) view of ``q`` is head h of row
+    r. One feature map per operand runs over those rows, and its features,
+    like ``v``, are read as a (B, N, H, .) stack with one reshape. One node
+    (``_attend``) forms every phi(K)^T [V | 1] and, from it, every numerator
+    and denominator, in that same layout; it recomputes the (B, H, R, d_h+1)
+    summary in backward rather than keeping it. Random features are
     sign-indefinite, so the denominator is guarded by a small epsilon; each
     (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
-    counted as collapsed in ``stats``.
+    counted as collapsed in ``stats``. The (B, N, H, d_h) quotient is the
+    (B*N, d) output after one reshape.
 
-    With ``capture``, one dict of the (B*H, N, .) stacks is appended:
-    ``phi_q``, ``phi_k``, the head-split ``values`` and the pre-merge
-    ``linear_out``; stack entry b*H + h is sample b, head h.
+    With ``capture``, one dict of the forward's (B, N, H, .) stacks is
+    appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
+    ``linear_out``; entry [b, :, h] is sample b, head h.
     """
     total, d = q.data.shape
     d_head = omega.data.shape[0]
-    heads, n = d // d_head, total // samples
-    stack = samples * heads
+    heads = d // d_head
+    split = (samples, total // samples, heads)                 # (B, N, H)
 
     def features(x):
-        rows = _split_heads(x, samples, n, heads).reshape((stack * n, d_head))
-        phi = rff_features(rows, omega, phase)
-        return phi.reshape((stack, n, phi.data.shape[1]))      # (B*H, N, R)
+        phi = rff_features(x.reshape((total * heads, d_head)), omega, phase)
+        return phi.reshape(split + (phi.data.shape[1],))       # (B, N, H, R)
 
     fq, fk = features(q), features(k)
-    values = _split_heads(v, samples, n, heads).reshape((stack, n, d_head))
-    both = _attend(fq, fk, values)                             # (B*H, N, d_h+1)
-    num, den = both[:, :, :d_head], both[:, :, d_head:]
+    values = v.reshape(split + (d_head,))
+    both = _attend(fq, fk, values)                             # (B, N, H, d_h+1)
+    num, den = both[..., :d_head], both[..., d_head:]
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
             (np.abs(den.data) < DEGENERATE_DENOM).sum()
@@ -552,7 +553,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     if capture is not None:
         capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
                         "linear_out": out.data})
-    return _merge_heads(out, samples)
+    return out.reshape((total, d))
 
 
 def attention_block(z: Tensor, block: int, p: dict[str, Tensor],
@@ -667,9 +668,9 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
     normalized) purely for visualization; the model's own forward never
     builds the (N, N) matrix. The quadratic output must agree with the
     linear-order output up to association-order roundoff. The features,
-    values and linear-order output are the stacks the forward pass already
-    holds (see ``linear_attention``); ``block`` holds one sample, so stack
-    entry h is head h.
+    values and linear-order output are the (B, N, H, .) stacks the forward
+    pass already holds (see ``linear_attention``); ``block`` holds one
+    sample, so head h is ``[0, :, h]``.
     """
     if queries is None:
         queries = [np.empty(0) for _ in range(block.n_variates)]
@@ -677,19 +678,20 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
     forward(Tape(grad=False), model, block, queries, capture=capture)
     maps = []
     for entry in capture:
-        for head, phi_q in enumerate(entry["phi_q"]):
-            raw = phi_q @ entry["phi_k"][head].T               # (N, N)
+        for head in range(entry["phi_q"].shape[2]):
+            phi_q = entry["phi_q"][0, :, head]
+            raw = phi_q @ entry["phi_k"][0, :, head].T         # (N, N)
             rowsum = raw.sum(axis=1, keepdims=True)
             degenerate = np.abs(rowsum) < DEGENERATE_DENOM
             safe = np.where(degenerate, 1.0, rowsum)
-            quad_out = (raw @ entry["values"][head]) / (rowsum + ATTENTION_EPS)
+            quad_out = (raw @ entry["values"][0, :, head]) / (rowsum + ATTENTION_EPS)
             maps.append(
                 AttentionMap(
                     block=entry["block"],
                     head=head,
                     weights=raw / safe,
                     quadratic_out=quad_out,
-                    linear_out=entry["linear_out"][head],
+                    linear_out=entry["linear_out"][0, :, head],
                     degenerate_rows=int(degenerate.sum()),
                 )
             )

@@ -28,8 +28,8 @@ and so is the output of every primitive that can turn finite inputs into
 inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
 ``layernorm`` and any custom ``Tape.record`` call.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``reshape``, ``permute``, ``slice``, ``concat``, ``take_rows``,
-``place``, ``relu`` and ``sigmoid``) by appending their node with
+the check (``reshape``, ``slice``, ``concat``, ``take_rows``, ``place``,
+``relu`` and ``sigmoid``) by appending their node with
 ``Tape.append``: by induction their outputs are finite too. So a NaN/Inf
 raises ``NonFiniteError`` at, and named after, the first op
 that produced it, which keeps divergence diagnosable.
@@ -408,19 +408,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     old = a.data.shape
     return a.tape.append(
         "reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
-    )
-
-
-def permute(a: Tensor, axes) -> Tensor:
-    """Reorder the axes of ``a`` (``np.transpose``); the adjoint applies the
-    inverse permutation."""
-    axes = tuple(int(ax) for ax in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"permute: {axes} is not a permutation of {a.data.ndim} axes")
-    inverse = tuple(int(ax) for ax in np.argsort(axes))
-    return a.tape.append(
-        "permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
-        lambda g: (g.transpose(inverse),),
     )
 
 

@@ -10,9 +10,10 @@ The time encoding and the kernel weights are one tape node each in the
 model. ``chain_time_encode`` and ``chain_kernel_weights`` are the primitive
 chains those nodes replace, built from the tape's primitives and the
 ``sin``, ``cos`` and ``exp`` nodes below, which the tape no longer has.
-The model's ``attend`` node forms phi(K)^T and [V | 1] itself;
-``chain_attend`` is the chain it replaces, and it and the pooling
-reference use the ``transpose`` node below, which the tape no longer has.
+The model's ``attend`` node forms phi(K)^T and [V | 1] itself and reads
+its (B, N, H, .) inputs as per-(sample, head) stacks; ``chain_attend`` is
+the chain it replaces, and it and the pooling reference use the
+``transpose`` and ``permute`` nodes below, which the tape no longer has.
 
 The dataset code draws Poisson gaps in one call, writes a sample's rows
 with one call and parses CSV blocks with numpy. The references here draw
@@ -57,10 +58,25 @@ def transpose(a: Tensor) -> Tensor:
                          lambda g: (g.swapaxes(-1, -2),))
 
 
+def permute(a: Tensor, axes) -> Tensor:
+    """Reorder the axes of ``a`` into a new array; the adjoint applies the
+    inverse permutation."""
+    inverse = tuple(int(ax) for ax in np.argsort(axes))
+    return a.tape.append("permute", np.ascontiguousarray(a.data.transpose(axes)), (a,),
+                         lambda g: (g.transpose(inverse),))
+
+
 def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
-    """``model._attend`` as transpose, concat and two matmul nodes."""
-    ones = fq.tape.const(np.ones(values.data.shape[:2] + (1,)))
-    return fq @ (transpose(fk) @ T.concat([values, ones], axis=2))
+    """``model._attend`` as permute, reshape, transpose, concat and two
+    matmul nodes on (B*H, N, .) stacks."""
+    samples, n, heads, d_head = values.data.shape
+
+    def stack(x):
+        return permute(x, (0, 2, 1, 3)).reshape((samples * heads, n, x.data.shape[3]))
+
+    ones = fq.tape.const(np.ones((samples * heads, n, 1)))
+    out = stack(fq) @ (transpose(stack(fk)) @ T.concat([stack(values), ones], axis=2))
+    return permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:

@@ -146,7 +146,7 @@ class TestEndToEnd:
         assert main(["eval", "--checkpoint", str(tmp_path / "absent.json"),
                      "--data", str(data / "manifest.json")]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_config", "wrong_shape"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_config", "wrong_shape", "huge_config"])
     def test_malformed_checkpoint_exits_2(self, tmp_path, damage):
         data = tmp_path / "data"
         write_dataset(PRESETS["sinusoid-tiny"], data)
@@ -169,6 +169,9 @@ def damage_checkpoint(path, damage):
         del doc["config"]
     elif damage == "wrong_shape":
         doc["params"]["out.w"] = {"shape": [4, 4], "data": [0.0] * 16}
+    elif damage == "huge_config":
+        # Its d x d weights alone would take 8 TiB: refused without allocating them.
+        doc["config"].update(hidden=1048576, heads=1)
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
@@ -194,7 +197,7 @@ class TestMalformedInput:
         "manifest_without_samples", "manifest_without_queries", "manifest_without_checksums",
         "directory_as_observations", "csv_not_utf8", "config_model_not_an_object",
         "manifest_observations_not_a_string", "manifest_queries_not_a_string",
-        "variate_0_in_obs", "variate_-3_in_queries", "variate_id_gap",
+        "variate_0_in_obs", "variate_-3_in_queries", "variate_id_gap", "nan_target",
     ])
     def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
         data, checkpoint = tiny_run(tmp_path)
@@ -236,6 +239,16 @@ class TestMalformedInput:
             sid, _var, *fields = first.split(",")
             path.write_text("\n".join([header, ",".join([sid, "50000", *fields]), *rest]) + "\n",
                             encoding="utf-8")
+        elif case == "nan_target":
+            # float() parses "nan", so the reader passes it on to the sample.
+            queries = data / "test_queries.csv"
+            header, first, *rest = queries.read_text(encoding="utf-8").splitlines()
+            sid, variate, *_ = first.split(",")
+            queries.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",nan", *rest])
+                               + "\n", encoding="utf-8")
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            doc["checksums"]["test_queries.csv"] = hashlib.sha256(queries.read_bytes()).hexdigest()
+            manifest.write_text(json.dumps(doc), encoding="utf-8")
         elif case.startswith("variate_"):
             # Rows with such ids used to be dropped: exit 0, no prediction for them.
             _, variate, _, table = case.split("_")
@@ -249,7 +262,7 @@ class TestMalformedInput:
             config.write_text(json.dumps({"model": [1]}), encoding="utf-8")
             argv = ["train", "--config", str(config), "--data", str(manifest),
                     "--out", str(tmp_path / "run")]
-        elif case.startswith("manifest"):
+        elif case.startswith("manifest") or case == "nan_target":
             argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(manifest)]
         else:
             argv = ["predict", "--checkpoint", str(checkpoint),
@@ -263,6 +276,8 @@ class TestMalformedInput:
             assert ":2: not an integer id" in errors[0]
         if case.endswith("_not_a_string"):
             assert str(manifest) in errors[0] and key in errors[0]
+        if case == "nan_target":
+            assert errors[0].endswith(f"variate {variate}: non-finite query target"), errors
         if case == "variate_id_gap":
             assert errors[0] == f"error: series {sid}: no row mentions variate 3, but ids " \
                 "run to 50000 (variate ids are 1..N without gaps)"

@@ -144,6 +144,15 @@ class TestAlign:
         with pytest.raises(DataError, match="exceed the last observed"):
             make_sample([([0.0, 2.0], [0.0, 0.0])], queries=[np.array([1.5])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_target_rejected(self, bad):
+        series = tuple(RawSeries(variate_id=v, times=np.array([0.0]), values=np.array([1.0]))
+                       for v in (1, 2))
+        with pytest.raises(DataError, match="^sample 7, variate 2: non-finite query target$"):
+            ImtsSample(sample_id=7, series=series,
+                       query_times=(np.array([1.0]), np.array([1.0, 2.0])),
+                       query_targets=(np.array([0.5]), np.array([0.5, bad])))
+
 
 class TestNormalizeTimes:
     def row(self, times):

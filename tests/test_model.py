@@ -370,8 +370,8 @@ class TestRecomputeNodes:
 
     def attend_inputs(self, seed):
         rng = np.random.default_rng(seed)
-        return {"fq": rng.standard_normal((2, 5, 6)), "fk": rng.standard_normal((2, 5, 6)),
-                "values": rng.standard_normal((2, 5, 3))}
+        return {"fq": rng.standard_normal((2, 5, 2, 6)), "fk": rng.standard_normal((2, 5, 2, 6)),
+                "values": rng.standard_normal((2, 5, 2, 3))}
 
     def time_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -399,7 +399,7 @@ class TestRecomputeNodes:
 
     def test_attend_gradients(self):
         flat, views = flat_views(self.attend_inputs(2))
-        probe = np.random.default_rng(3).standard_normal((2, 5, 4))
+        probe = np.random.default_rng(3).standard_normal((2, 5, 2, 4))
 
         def build(tape):
             b = tape.param_vector(flat, views)
@@ -608,12 +608,12 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 117 nodes. 55 run the finiteness check: 12 constant
+        # query records 109 nodes. 55 run the finiteness check: 12 constant
         # leaves and 43 nodes that compute. The 32 parameter leaves share
-        # one check of the flat vector, and the other 30 nodes only move,
+        # one check of the flat vector, and the other 22 nodes only move,
         # select or bound finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 117
+        assert len(sizes) == len(tape.nodes) == 109
         assert checked == 55
 
 
@@ -931,6 +931,7 @@ class TestModelParams:
         ("no_config", "checkpoint has no config"),
         ("wrong_shape", "has shape"),
         ("missing_param", "names differ"),
+        ("huge_blocks", "names differ"),   # refused before its layout is listed
     ])
     def test_malformed_checkpoint_raises_data_error(self, tmp_path, damage, message):
         path = tmp_path / "ck.json"
@@ -944,6 +945,8 @@ class TestModelParams:
                 del doc["config"]
             elif damage == "wrong_shape":
                 doc["params"]["out.w"] = {"shape": [2, 2], "data": [0.0] * 4}
+            elif damage == "huge_blocks":
+                doc["config"]["blocks"] = 10**12
             else:
                 del doc["buffers"]["blocks.0.omega"]
             path.write_text(json.dumps(doc), encoding="utf-8")

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 import imtscast.tape as T
 from imtscast.model import _attend, _kernel_weights, _smoothing_layers, rff_features, time_encode
 from conftest import bind
+from oracles import transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -156,8 +157,10 @@ PRIMITIVE_CASES = [
     ("sum_axis0", lambda t: t.sum(axis=0, keepdims=True), (3, 4)),
     ("sum_axis1", lambda t: t.sum(axis=1), (3, 4)),
     ("layernorm", lambda t: T.layernorm(t), (3, 4)),
-    # The model's transposes are permutes.
-    ("transpose", lambda t: T.permute(t, (1, 0)), (3, 4)),
+    # Ids carry the row's position, so a retired row's slot is reused rather
+    # than shifting the rows after it. The slice attention takes of its
+    # (B, N, H, d_h+1) output.
+    ("slice_last_axis", lambda t: t.reshape((3, 2, 2))[..., 1:], (3, 4)),
     ("reshape", lambda t: t.reshape((2, 6)), (3, 4)),
     ("slice", lambda t: t[1:3, 0:2], (3, 4)),
     ("broadcast", lambda t: t * np.arange(1.0, 6.0).reshape(5, 1, 1), (2, 4)),
@@ -168,15 +171,15 @@ PRIMITIVE_CASES = [
     ("matmul", lambda t: t @ np.arange(12.0).reshape(4, 3), (3, 4)),
     ("div_const", lambda t: t / np.linspace(1.0, 2.0, 4), (3, 4)),
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
-    ("permute", lambda t: T.permute(t, (2, 0, 1)), (2, 3, 4)),
+    # A quotient by a broadcast column of its own input, as attention divides.
+    ("div_column_self", lambda t: t / (t[:, :1] * t[:, :1] + 1.0), (3, 4)),
     ("place", lambda t: T.place(t, np.array([7, 0, 3, 11, 5, 2]), (3, 4)), (2, 3)),
     ("add_self", lambda t: t + t * t, (3, 4)),
     ("sub_self", lambda t: t - t * t, (3, 4)),
     ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
     ("matmul_stacked", lambda t: t @ np.arange(24.0).reshape(2, 4, 3), (2, 3, 4)),
-    # A transposed stack as the left operand; t on both sides also checks
-    # the right operand's adjoint of a stacked matmul.
-    ("transpose_stacked", lambda t: T.permute(t, (0, 2, 1)) @ t, (2, 3, 4)),
+    # t on both sides also checks the right operand's adjoint of a stacked matmul.
+    ("matmul_stacked_self", lambda t: t @ t.reshape((2, 4, 3)), (2, 3, 4)),
     # A constant as the left operand, whose adjoint the VJP skips.
     ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
      (3, 4)),
@@ -277,13 +280,13 @@ def test_stacked_matmul_matches_per_entry_matmul():
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 4, 5))
     tape = Tape()
-    out = (T.permute(const(tape, a), (0, 2, 1)) @ const(tape, b)).data
+    out = (transpose(const(tape, a)) @ const(tape, b)).data
     for i in range(3):
         assert np.abs(out[i] - a[i].T @ b[i]).max() < 1e-14
     with pytest.raises(ShapeError, match="matmul"):
         T.matmul(const(tape, a), const(tape, b))
     with pytest.raises(ShapeError, match="matmul"):
-        T.matmul(T.permute(const(tape, a[:2]), (0, 2, 1)), const(tape, b))
+        T.matmul(transpose(const(tape, a[:2])), const(tape, b))
 
 
 def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
@@ -341,7 +344,7 @@ def test_a_default_training_step_reaches_every_primitive(monkeypatch):
     primitives = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
                   if fn.__module__ == T.__name__
                   and re.search(r"tape\.(record|append)\(", inspect.getsource(fn))}
-    assert {"matmul", "reshape", "permute", "layernorm"} <= primitives
+    assert {"matmul", "reshape", "layernorm"} <= primitives
     reached: set[str] = set()
 
     def spy(name, fn):
@@ -384,12 +387,6 @@ class TestDivisionAdjoint:
         grads = self.grads(1e-160, 1e-160)
         assert grads["a"][0] == pytest.approx(1e160, rel=1e-15)
         assert grads["b"][0] == pytest.approx(-1e160, rel=1e-15)
-
-
-def test_permute_rejects_a_non_permutation():
-    tape = Tape()
-    with pytest.raises(ShapeError, match="permute"):
-        T.permute(const(tape, np.ones((2, 3))), (0, 0))
 
 
 def test_relu_at_kink_uses_zero_subgradient():
@@ -515,7 +512,6 @@ class TestFiniteness:
     # projection (a checked matmul and add) passes its input through.
     UNCHECKED = {
         "reshape": lambda t: t.reshape((2, 6)),
-        "permute": lambda t: T.permute(t.reshape((3, 2, 2)), (2, 0, 1)),
         "slice": lambda t: t[1:3, 0:2],
         "concat": lambda t: T.concat([t, t], axis=0),
         "take_rows": lambda t: T.take_rows(t, np.array([2, 0, 2])),
@@ -567,7 +563,8 @@ class TestFiniteness:
         "smoothing_layers": lambda tp: _smoothing_layers(
             np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
-        "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 2), 1e200)) for _ in range(3))),
+        "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 1, 2), 1e200))
+                                       for _ in range(3))),
     }
 
     @pytest.mark.parametrize("op", sorted(CHECKED))
