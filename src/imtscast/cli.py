@@ -138,10 +138,14 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_config(args) -> tuple[TrainConfig, dict]:
-    """Merge config file and flags (flags win). Returns (config, extras)."""
+    """Merge config file and flags (flags win), where a file's top-level and
+    model seeds must agree. Returns (config, extras)."""
     doc = _load_config_file(args.config) if args.config else {}
     model_doc = dict(doc.get("model", {}))
     if "seed" in doc:
+        if model_doc.get("seed", doc["seed"]) != doc["seed"]:
+            raise UsageError(f"{args.config}: seed {doc['seed']!r} and model seed "
+                             f"{model_doc['seed']!r} differ")
         model_doc.setdefault("seed", doc["seed"])
     try:
         cfg = TrainConfig.from_dict(model_doc) if model_doc else TrainConfig()
@@ -272,7 +276,7 @@ def _cmd_eval(args) -> int:
     params = _load_checkpoint(args.checkpoint)
     splits = read_dataset(args.data, splits=(args.split,))
     samples = splits[args.split]
-    stats, _results = evaluate(params, samples)
+    stats = evaluate(params, samples)
     print(f"split={args.split} mse={stats['mse']!r} mae={stats['mae']!r}")
     if args.out:
         out = Path(args.out)

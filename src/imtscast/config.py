@@ -20,9 +20,10 @@ RETIRED_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything needed to build and train one model."""
+    """Everything needed to build and train one model. Immutable, so it can
+    key a cache; ``dataclasses.replace`` derives a changed copy."""
 
     kernels: int = 8           # Gaussian kernels in the time pooling stage
     conv_channels: int = 16    # channel width of the smoothing convolution

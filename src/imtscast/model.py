@@ -18,8 +18,9 @@ attention need to know where one sample ends. Encoding builds the (B, N, L)
 stack to broadcast each sample's time projection over its rows and hands
 pooling that stack, whose batched matmuls read it as it is. Attention
 takes the sample count and reads its rows as a (B, N, H, .) stack; the
-per-(sample, head) views its matmuls need and the [V | 1] numerator and
-denominator of linear attention live inside its one ``_attend`` node.
+per-(sample, head) views its matmuls need, the [V | 1] numerator and
+denominator of linear attention and their guarded quotient live inside
+its one ``_attend`` node.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -40,7 +41,10 @@ chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +81,21 @@ class ModelParams:
     @classmethod
     def init(cls, cfg: TrainConfig, seed: int | None = None) -> "ModelParams":
         """Seeded initialization from ``layout``: uniform(+-1/sqrt(fan_in))
-        weights, zero biases, unit layernorm gains."""
+        weights, zero biases, unit layernorm gains.
+
+        Raises ConfigError, before allocating anything, for a config whose
+        arrays need more bytes than the machine's physical memory."""
         validate(cfg)
         if seed is None:
             seed = cfg.seed
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, OSError, ValueError):   # not reported: no check
+            memory = math.inf
+        if 8 * _stored_floats(cfg) > memory:
+            raise ConfigError(f"the config has {expected_param_count(cfg):,} learnable "
+                              "parameters, more than fit in this machine's "
+                              f"{memory / 2**30:.1f} GiB of memory; lower hidden or blocks")
         rng = np.random.default_rng([int(seed), 0x5EED])
         shapes, buffer_shapes = layout(cfg)
         arrays: dict[str, np.ndarray] = {}
@@ -235,14 +250,15 @@ def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
 
 
 def expected_param_count(cfg: TrainConfig) -> int:
-    """Closed-form learnable parameter count from the config shapes."""
-    d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
-    conv = 3 * c + c + c + 1
-    te = 3 * dte  # scale pair + sin/cos branches (2*(dte-1)) + projection (dte)
-    pool = 2 * k + (k + 1) * d
-    block = 3 * d * d + 4 * d + (2 * d * d + 2 * d) + (2 * d * d + d)
-    head = (d + dte) * d + d + d * d + d + d + 1
-    return conv + te + pool + cfg.blocks * block + d * d + head
+    """Learnable parameter count of ``cfg``: the sizes of ``layout``'s learnables."""
+    return sum(math.prod(shape) for shape, _start in layout(cfg)[0].values())
+
+
+@functools.lru_cache(maxsize=8)
+def _stored_floats(cfg: TrainConfig) -> int:
+    """Floats of every array ``layout`` lists for ``cfg``, learnables and
+    buffers. Cached: ``train.chunk_spans`` asks once per sample."""
+    return expected_param_count(cfg) + sum(math.prod(shape) for shape in layout(cfg)[1].values())
 
 
 def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int,
@@ -280,8 +296,7 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         # two hidden layers with relu masks, residual and weight
         + queries * (3 * d + mask + dte + 5)
         # parameters, feature draws, the DFT pair and a few tiny arrays
-        + expected_param_count(cfg) + k + cfg.blocks * (d // heads + 1) * cfg.rff_dim // 2
-        + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
+        + _stored_floats(cfg) + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
     )
     return 8 * floats
 
@@ -480,30 +495,38 @@ def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
     return x.tape.append("rff_features", out, (proj,), vjp)
 
 
-def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
-    """phi(Q) (phi(K)^T [V | 1]) from (B, N, H, .) stacks as one node, which
-    forms phi(K)^T and [V | 1] itself; backward recomputes the (B, H, R, d_h+1)
-    summary. Output: (B, N, H, d_h+1), numerators then denominators.
+def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
+    """phi(Q) (phi(K)^T V) / (phi(Q) (phi(K)^T 1) + eps) from (B, N, H, .)
+    stacks as one node, which forms phi(K)^T and [V | 1] itself; backward
+    recomputes the (B, H, R, d_h+1) summary. Random features are
+    sign-indefinite, hence the ATTENTION_EPS guard. Returns the (B, N, H, d_h)
+    quotient and the pre-guard (B, N, H, 1) denominators as a plain array.
 
     The per-(sample, head) stacks the matmuls read are (B, H, N, .) numpy
     views, so no regrouping node is recorded."""
-    # The same numpy calls as the permute, reshape, transpose, concat and
-    # matmul nodes they replace, so the output and the adjoints are bitwise
-    # theirs.
+    # The same numpy calls as the permute, reshape, transpose, concat,
+    # matmul, slice, add and div nodes they replace, so the output and the
+    # adjoints are bitwise theirs.
     qd, kd = fq.data.swapaxes(1, 2), fk.data.swapaxes(1, 2).swapaxes(-1, -2)
     d_head = values.data.shape[3]
     vd = np.concatenate([values.data, np.ones(values.data.shape[:3] + (1,))],
                         axis=3).swapaxes(1, 2)
+    both = np.matmul(qd, np.matmul(kd, vd)).swapaxes(1, 2)    # (B, N, H, d_h+1)
+    den = both[..., d_head:]
+    guarded = den + ATTENTION_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):      # record() raises instead
+        out = both[..., :d_head] / guarded
 
     def vjp(g):
-        g = g.swapaxes(1, 2)
+        g_num = g / guarded
+        g = np.concatenate([g_num, (-g_num * out).sum(axis=3, keepdims=True)],
+                           axis=3).swapaxes(1, 2)
         g_kv = qd.swapaxes(-1, -2) @ g                         # (B, H, R, d_h+1)
         return ((g @ np.matmul(kd, vd).swapaxes(-1, -2)).swapaxes(1, 2),
                 (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2).swapaxes(1, 2),
                 (kd.swapaxes(-1, -2) @ g_kv)[..., :d_head].swapaxes(1, 2))
 
-    out = np.matmul(qd, np.matmul(kd, vd)).swapaxes(1, 2)
-    return fq.tape.record("attend", out, (fq, fk, values), vjp)
+    return fq.tape.record("attend", out, (fq, fk, values), vjp), den
 
 
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
@@ -520,13 +543,11 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     reshape: row r*H + h of the (B*N*H, d_h) view of ``q`` is head h of row
     r. One feature map per operand runs over those rows, and its features,
     like ``v``, are read as a (B, N, H, .) stack with one reshape. One node
-    (``_attend``) forms every phi(K)^T [V | 1] and, from it, every numerator
-    and denominator, in that same layout; it recomputes the (B, H, R, d_h+1)
-    summary in backward rather than keeping it. Random features are
-    sign-indefinite, so the denominator is guarded by a small epsilon; each
-    (row, head) whose pre-guard magnitude falls below DEGENERATE_DENOM is
-    counted as collapsed in ``stats``. The (B, N, H, d_h) quotient is the
-    (B*N, d) output after one reshape.
+    (``_attend``) forms every numerator and guarded denominator from them
+    and divides, in that same layout. Each (row, head) whose pre-guard
+    denominator's magnitude falls below DEGENERATE_DENOM is counted as
+    collapsed in ``stats``. The (B, N, H, d_h) quotient is the (B*N, d)
+    output after one reshape.
 
     With ``capture``, one dict of the forward's (B, N, H, .) stacks is
     appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
@@ -543,13 +564,11 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
 
     fq, fk = features(q), features(k)
     values = v.reshape(split + (d_head,))
-    both = _attend(fq, fk, values)                             # (B, N, H, d_h+1)
-    num, den = both[..., :d_head], both[..., d_head:]
+    out, den = _attend(fq, fk, values)                         # (B, N, H, d_h), (B, N, H, 1)
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
-            (np.abs(den.data) < DEGENERATE_DENOM).sum()
+            (np.abs(den) < DEGENERATE_DENOM).sum()
         )
-    out = num / (den + ATTENTION_EPS)
     if capture is not None:
         capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
                         "linear_out": out.data})
@@ -592,19 +611,11 @@ class ForwardResult:
 
     def per_variate(self) -> list[np.ndarray]:
         """One array per (sample, variate); for a chunk of one, per variate."""
-        return self._split(self.counts)
-
-    def per_sample(self) -> list[np.ndarray]:
-        """One flat array per sample."""
-        n = len(self.counts) // self.samples
-        return self._split([sum(self.counts[b * n : (b + 1) * n]) for b in range(self.samples)])
-
-    def _split(self, sizes) -> list[np.ndarray]:
         # A plain loop: np.split costs ~3x more for the many short parts of
         # a wide sample, and this runs on every predict request.
         flat = self.predictions.data.ravel()
         out, start = [], 0
-        for size in sizes:
+        for size in self.counts:
             out.append(flat[start : start + size].copy())
             start += size
         return out

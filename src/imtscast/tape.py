@@ -28,7 +28,7 @@ and so is the output of every primitive that can turn finite inputs into
 inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
 ``layernorm`` and any custom ``Tape.record`` call.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``reshape``, ``slice``, ``concat``, ``take_rows``, ``place``,
+the check (``reshape``, ``concat``, ``take_rows``, ``place``,
 ``relu`` and ``sigmoid``) by appending their node with
 ``Tape.append``: by induction their outputs are finite too. So a NaN/Inf
 raises ``NonFiniteError`` at, and named after, the first op
@@ -86,9 +86,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return narrow(self, key)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, node={self._index})"
@@ -389,19 +386,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return tape.append("concat", data, tuple(tensors), vjp)
-
-
-def narrow(a: Tensor, key) -> Tensor:
-    """Basic slicing (slices/ints only; no index arrays)."""
-    out = a.data[key]
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        z[key] = g
-        return (z,)
-
-    return a.tape.append("slice", np.ascontiguousarray(out), (a,), vjp)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -270,21 +270,17 @@ def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch, 0x0D0E]).permutation(count)
 
 
-def evaluate(params: ModelParams, samples, prepared: list[_Prepared] | None = None):
-    """Pooled metrics over every queried point of ``samples``.
-
-    Samples run through ``inference_chunks``. Returns (metrics dict, list
-    of per-sample flat prediction arrays).
-    """
+def evaluate(params: ModelParams, samples,
+             prepared: list[_Prepared] | None = None) -> dict[str, float]:
+    """Pooled metrics (``metrics``) over every queried point of ``samples``,
+    which run through ``inference_chunks``."""
     if prepared is None:
         prepared = _prepare(samples)
-    preds = []
-    for _span, res in inference_chunks(params, [m.block for m in prepared],
-                                       [m.queries for m in prepared]):
-        preds.extend(res.per_sample())
+    preds = [res.predictions.data.ravel()
+             for _span, res in inference_chunks(params, [m.block for m in prepared],
+                                                [m.queries for m in prepared])]
     targets = [m.targets_flat for m in prepared]
-    stats = metrics(np.concatenate(preds), np.concatenate(targets))
-    return stats, preds
+    return metrics(np.concatenate(preds), np.concatenate(targets))
 
 
 def train(train_samples, val_samples, cfg: TrainConfig,
@@ -333,7 +329,7 @@ def train(train_samples, val_samples, cfg: TrainConfig,
                 acc /= batch.size
                 clip_gradients(acc)
                 adam_step(params.flat, acc, state, cfg.learning_rate)
-            val_stats, _ = evaluate(params, val_samples, val_prep)
+            val_stats = evaluate(params, val_samples, val_prep)
         except NonFiniteError as err:
             raise DivergenceError(
                 f"training diverged at epoch {epoch}: {err}",

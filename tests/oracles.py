@@ -10,10 +10,14 @@ The time encoding and the kernel weights are one tape node each in the
 model. ``chain_time_encode`` and ``chain_kernel_weights`` are the primitive
 chains those nodes replace, built from the tape's primitives and the
 ``sin``, ``cos`` and ``exp`` nodes below, which the tape no longer has.
-The model's ``attend`` node forms phi(K)^T and [V | 1] itself and reads
-its (B, N, H, .) inputs as per-(sample, head) stacks; ``chain_attend`` is
-the chain it replaces, and it and the pooling reference use the
-``transpose`` and ``permute`` nodes below, which the tape no longer has.
+The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
+its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
+numerators by their guarded denominators; ``chain_attend`` is the chain
+it replaces. It and the other references use the ``transpose``,
+``permute`` and ``narrow`` nodes below, which the tape no longer has.
+
+``model.layout`` is the one table of the model's array shapes;
+``param_count_closed_form`` counts its learnables per stage instead.
 
 The dataset code draws Poisson gaps in one call, writes a sample's rows
 with one call and parses CSV blocks with numpy. The references here draw
@@ -29,7 +33,7 @@ import imtscast.tape as T
 from imtscast.data import DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
-from imtscast.model import _kernel_weights, _nonzero, time_encode
+from imtscast.model import ATTENTION_EPS, _kernel_weights, _nonzero, time_encode
 from imtscast.tape import Tensor
 
 
@@ -66,9 +70,23 @@ def permute(a: Tensor, axes) -> Tensor:
                          lambda g: (g.transpose(inverse),))
 
 
+def narrow(a: Tensor, key) -> Tensor:
+    """Basic slicing (slices and ints only) into a new array; the adjoint
+    scatters into zeros."""
+    shape = a.data.shape
+
+    def vjp(g):
+        z = np.zeros(shape)
+        z[key] = g
+        return (z,)
+
+    return a.tape.append("narrow", np.ascontiguousarray(a.data[key]), (a,), vjp)
+
+
 def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
-    """``model._attend`` as permute, reshape, transpose, concat and two
-    matmul nodes on (B*H, N, .) stacks."""
+    """``model._attend``'s quotient as permute, reshape, transpose, concat
+    and two matmul nodes on (B*H, N, .) stacks, then two narrow nodes, the
+    epsilon guard's add and a div."""
     samples, n, heads, d_head = values.data.shape
 
     def stack(x):
@@ -76,7 +94,9 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
 
     ones = fq.tape.const(np.ones((samples * heads, n, 1)))
     out = stack(fq) @ (transpose(stack(fk)) @ T.concat([stack(values), ones], axis=2))
-    return permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
+    both = permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
+    num, den = narrow(both, np.s_[..., :d_head]), narrow(both, np.s_[..., d_head:])
+    return num / (den + ATTENTION_EPS)
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -102,9 +122,9 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     padded = T.concat([zero, rows, zero], axis=1)              # (N, L+2)
     taps = T.concat(
         [
-            padded[:, 0:length].reshape((1, n * length)),
-            padded[:, 1 : length + 1].reshape((1, n * length)),
-            padded[:, 2 : length + 2].reshape((1, n * length)),
+            narrow(padded, np.s_[:, 0:length]).reshape((1, n * length)),
+            narrow(padded, np.s_[:, 1 : length + 1]).reshape((1, n * length)),
+            narrow(padded, np.s_[:, 2 : length + 2]).reshape((1, n * length)),
         ],
         axis=0,
     )                                                          # (3, N*L)
@@ -146,6 +166,18 @@ def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
     flag = 1.0 if float(mask_col.data.sum()) > 0 else 0.0
     withflag = T.concat([pooled, x_col.tape.const([[flag]])], axis=1)
     return withflag @ p["pool.w_proj"]                         # (1, d)
+
+
+def param_count_closed_form(cfg) -> int:
+    """Learnable parameter count of a config, counted per stage in closed
+    form rather than from ``model.layout``."""
+    d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
+    conv = 3 * c + c + c + 1
+    te = 3 * dte  # scale pair + sin/cos branches (2*(dte-1)) + projection (dte)
+    pool = 2 * k + (k + 1) * d
+    block = 3 * d * d + 4 * d + (2 * d * d + 2 * d) + (2 * d * d + d)
+    head = (d + dte) * d + d + d * d + d + d + 1
+    return conv + te + pool + cfg.blocks * block + d * d + head
 
 
 def naive_dft_rows(x: np.ndarray) -> np.ndarray:

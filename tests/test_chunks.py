@@ -101,13 +101,13 @@ class TestChunkEquivalence:
         model = ModelParams.init(config(**CONFIGS[name]), seed=4)
         chunk, _loss, _grads = run_chunk(model, samples)
         assert chunk.samples == len(samples)
-        per_sample = chunk.per_sample()
         per_variate = chunk.per_variate()
         degenerate = 0
         for b, sample in enumerate(samples):
             alone = forward(Tape(), model, align(sample), sample.query_times)
             degenerate += alone.stats["degenerate_rows"]
-            assert close(per_sample[b], alone.predictions.data.ravel(), 1e-12)
+            assert close(np.concatenate(per_variate[b * 4 : (b + 1) * 4]),
+                         alone.predictions.data.ravel(), 1e-12)
             for v, want in enumerate(alone.per_variate()):
                 assert close(per_variate[b * 4 + v], want, 1e-12)
         assert chunk.stats["degenerate_rows"] == degenerate

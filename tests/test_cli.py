@@ -313,11 +313,15 @@ class TestConfigValues:
         ("max_epochs", {}, ["--max-epochs", "0"]),
         ("patience", {"model": {"patience": 0}}, []),
         ("dropout", {"model": {"dropout": 0.1}}, []),
+        # 10,995,152,978,066 parameters: refused before anything is allocated.
+        ("hidden", {}, ["--hidden", "1048576", "--heads", "1"]),
+        ("seed", {"seed": 5, "model": {"seed": 3}}, []),
     ], ids=["hidden_string", "hidden_float", "kernels_fraction", "lr_string", "seed_string",
             "preconv_string", "pool_gate_int", "blocks_bool", "lr_nan", "lr_inf",
             "seed_negative", "kernels_below_2", "conv_channels_zero", "time_dim_below_3",
             "hidden_odd", "heads_not_dividing_hidden", "rff_dim_odd", "blocks_zero",
-            "batch_size_zero", "max_epochs_zero", "patience_zero", "unknown_model_key"])
+            "batch_size_zero", "max_epochs_zero", "patience_zero", "unknown_model_key",
+            "huge_hidden", "seeds_disagree"])
     def test_train_exits_2_with_one_error_line(self, tmp_path, capsys, key, config, flags):
         data, _checkpoint = tiny_run(tmp_path)
         path = tmp_path / "config.json"
@@ -483,6 +487,12 @@ class TestGradcheck:
         assert sorted(row[0] for row in rows) == sorted(ModelParams.init(cfg).arrays)
         assert all(row[2] == "1" for row in rows)
         assert main(["gradcheck", *TINY_FLAGS, "--tol", "1e-12"]) == EXIT_NUMERIC
+
+    def test_a_config_too_big_to_allocate_exits_2_with_one_error_line(self, capsys):
+        assert main(["gradcheck", "--hidden", "1048576", "--heads", "1"]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert "10,995,152,978,066 learnable parameters" in errors[0]
 
     # A zero step ended in a ZeroDivisionError traceback, a non-finite one in
     # a numeric failure (3), and a NaN or negative tol ran the whole check to

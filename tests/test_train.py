@@ -17,6 +17,7 @@ from imtscast.train import (
     chunk_spans,
     clip_gradients,
     evaluate,
+    inference_chunks,
     mean_predictor_baseline,
     metrics,
     shuffled_order,
@@ -198,7 +199,7 @@ class TestTrainingLoop:
         cfg = tiny_cfg(max_epochs=6)
         result = train(samples[:4], samples[4:], cfg)
         assert result.best_val_mse == min(h.val_mse for h in result.history)
-        stats, _ = evaluate(result.params, samples[4:])
+        stats = evaluate(result.params, samples[4:])
         assert stats["mse"] == pytest.approx(result.best_val_mse, rel=1e-12)
 
     def test_evaluate_frees_every_tape(self, monkeypatch):
@@ -212,9 +213,17 @@ class TestTrainingLoop:
             return tape
 
         monkeypatch.setattr(train_module, "Tape", tracked_tape)
-        stats, preds = evaluate(params, samples)
-        spans = chunk_spans([align(s) for s in samples],
-                            [sum(s.query_counts()) for s in samples], params.cfg)
+        evaluate(params, samples)
+        blocks = [align(s) for s in samples]
+        spans = chunk_spans(blocks, [sum(s.query_counts()) for s in samples], params.cfg)
+        assert len(tapes) == len(spans)
+        assert all(ref() is None for ref in tapes)
+
+        # A caller of ``inference_chunks`` that keeps only arrays frees
+        # every tape too.
+        tapes.clear()
+        preds = [res.predictions.data for _span, res in
+                 inference_chunks(params, blocks, [s.query_times for s in samples])]
         assert len(tapes) == len(spans)
         assert all(ref() is None for ref in tapes)
         assert np.concatenate(preds).size == sum(q.size for s in samples for q in s.query_times)
@@ -222,14 +231,16 @@ class TestTrainingLoop:
     def test_evaluate_predictions_equal_a_grad_tape_forward(self):
         samples = tiny_dataset(seed=8, n_samples=9)
         params = ModelParams.init(tiny_cfg(), seed=3)
-        _stats, preds = evaluate(params, samples)
-        want = []
-        for span in chunk_spans([align(s) for s in samples],
-                                [sum(s.query_counts()) for s in samples], params.cfg):
-            res = forward(Tape(), params, *chunk_of(samples[span.start : span.stop]))
-            want.extend(res.per_sample())
-        assert len(preds) == len(want) == len(samples)
-        assert all(np.array_equal(got, w) for got, w in zip(preds, want))
+        got, want = [], []
+        for span, res in inference_chunks(params, [align(s) for s in samples],
+                                          [s.query_times for s in samples]):
+            got.append(res.predictions.data)
+            want.append(forward(Tape(), params,
+                                *chunk_of(samples[span.start : span.stop])).predictions.data)
+        assert len(got) < len(samples)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        targets = np.concatenate([t for s in samples for t in s.query_targets])
+        assert evaluate(params, samples) == metrics(np.concatenate(want), targets)
 
     def test_history_is_finite(self):
         samples = tiny_dataset(seed=2)
@@ -324,6 +335,6 @@ class TestLearnability:
         spec = PRESETS["sinusoid-a"]
         splits = split_samples(generate(spec), spec)
         result = train(splits["train"], splits["val"], TrainConfig(max_epochs=30))
-        stats, _ = evaluate(result.params, splits["test"])
+        stats = evaluate(result.params, splits["test"])
         baseline = mean_predictor_baseline(splits["train"], splits["test"])
         assert stats["mse"] <= 0.5 * baseline, (stats["mse"], baseline)
