@@ -277,6 +277,9 @@ def _cmd_eval(args) -> int:
     splits = read_dataset(args.data, splits=(args.split,))
     samples = splits[args.split]
     stats = evaluate(params, samples)
+    if not np.isfinite(stats["mse"]):
+        raise NonFiniteError(f"{args.split} split: non-finite MSE ({stats['mse']!r}); the "
+                             "predictions' squared errors overflow")
     print(f"split={args.split} mse={stats['mse']!r} mae={stats['mae']!r}")
     if args.out:
         out = Path(args.out)

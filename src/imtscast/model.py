@@ -28,15 +28,22 @@ forward binds them with one finiteness check and the optimizer updates
 them in a handful of vector operations; serialization uses the named
 views, and the gradient check moves entries of the vector in place.
 
+The frozen buffers (the feature draws and the kernel centres) never enter
+the tape: ``init`` and ``load`` check them, and the two nodes that read
+them, ``positive_features`` and ``_kernel_weights``, take them as plain
+arrays and check their own outputs, so a non-finite value written into a
+buffer later still raises at the node that reads it.
+
 A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
-keep less: ``rff_features`` differentiates from its own output, and
-``_smoothing_layers``, ``_attend``, ``time_encode`` and ``_kernel_weights``
-recompute their largest intermediates in backward (the conv's hidden
-layer, the KV summary, the sin and cos arguments, the Gaussian exponent).
-The last two also replace grid-wide chains of 9 and 10 nodes, which cuts
-the fixed per-node cost of every forward. ``tape_bytes`` sums what a
-chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
+keep less: ``positive_features`` differentiates from its own output and
+its (rows, d_h) input, and ``_smoothing_layers``, ``_attend``,
+``time_encode`` and ``_kernel_weights`` recompute their largest
+intermediates in backward (the conv's hidden layer, the KV summary, the
+sin and cos arguments, the Gaussian exponent). The last two also replace
+grid-wide chains of 9 and 10 nodes, which cuts the fixed per-node cost of
+every forward. ``tape_bytes`` sums what a chunk's tape keeps;
+``train.chunk_spans`` budgets chunks by it.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,8 +62,13 @@ from .data import AlignedTriplet, DataError, normalize_times
 from .fourier import irfft_rows, rfft_rows
 from .tape import NonFiniteError, Tape, Tensor
 
-ATTENTION_EPS = 1e-6          # guard for sign-indefinite random-feature denominators
+# Positive features give positive attention denominators, except where
+# every feature of a row underflows to 0 (a query or the keys far from the
+# origin): the guard keeps that quotient 0 / eps = 0, and such a row counts
+# as collapsed.
+ATTENTION_EPS = 1e-6          # added to every denominator: guards underflow only
 DEGENERATE_DENOM = 1e-12      # below this (pre-guard) a row counts as collapsed
+CHECKPOINT_FORMAT = "imtscast-checkpoint-2"
 
 
 @dataclass
@@ -111,18 +123,16 @@ class ModelParams:
         rff_rng = np.random.default_rng([int(seed), 0xF0F0])
         buffers = {"pool.centers": np.linspace(0.0, 1.0, cfg.kernels)[None, :]}
         for b in range(cfg.blocks):
-            omega, phase = f"blocks.{b}.omega", f"blocks.{b}.phase"
+            omega = f"blocks.{b}.omega"
             buffers[omega] = rff_rng.standard_normal(buffer_shapes[omega])
-            buffers[phase] = rff_rng.uniform(0.0, 2.0 * np.pi, buffer_shapes[phase])
         return cls(cfg=cfg, arrays=arrays, buffers=buffers)
 
-    def bind(self, tp: Tape) -> dict[str, Tensor]:
+    def bind(self, tp: Tape) -> dict[str, Tensor | np.ndarray]:
         """Register all learnables on a tape, checking the flat vector's
-        finiteness once; buffers come along as constants."""
-        bound = tp.param_vector(self.flat, self.arrays)
-        for name, arr in self.buffers.items():
-            bound[name] = tp.const(arr)
-        return bound
+        finiteness once. The buffers come along as the plain arrays
+        ``init`` and ``load`` checked; the nodes that read them check their
+        own outputs (see the module docstring)."""
+        return {**tp.param_vector(self.flat, self.arrays), **self.buffers}
 
     def param_count(self) -> int:
         return int(self.flat.size)
@@ -136,7 +146,7 @@ class ModelParams:
 
     def save(self, path) -> None:
         doc = {
-            "format": "imtscast-checkpoint-1",
+            "format": CHECKPOINT_FORMAT,
             "config": self.cfg.to_dict(),
             "params": {
                 n: {"shape": list(a.shape), "data": a.ravel().tolist()}
@@ -155,19 +165,25 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint written by ``save``.
 
-        Raises DataError for invalid JSON, missing sections, parameter and
-        buffer names or shapes that differ from the stored config's
-        ``layout``, or entries holding NaN or infinite values. Nothing larger
-        than the file's own data is allocated, whatever its config asks for.
-        An ``rff_seed`` entry, which older checkpoints carry, is ignored: the
-        feature draws are read from the stored buffers.
+        Raises DataError for invalid JSON, a file of the retired
+        ``imtscast-checkpoint-1`` format (its model used the cos/sin feature
+        map), missing sections, parameter and buffer names or shapes that
+        differ from the stored config's ``layout``, or entries holding NaN
+        or infinite values. Nothing larger than the file's own data is
+        allocated, whatever its config asks for. An ``rff_seed`` entry,
+        which older checkpoints carry, is ignored: the feature draws are read
+        from the stored buffers.
         """
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except ValueError as err:  # invalid JSON or text encoding
             raise DataError(f"{path}: not a valid checkpoint: {err}") from err
-        if not isinstance(doc, dict) or doc.get("format") != "imtscast-checkpoint-1":
+        if isinstance(doc, dict) and doc.get("format") == "imtscast-checkpoint-1":
+            raise DataError(f"{path}: an imtscast-checkpoint-1 file, whose attention used the "
+                            "retired cos/sin random-feature map; this version uses positive "
+                            "random features, so retrain the model with imtscast train")
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: not a checkpoint file")
         missing = [key for key in ("config", "params", "buffers") if key not in doc]
         if missing:
@@ -245,20 +261,35 @@ def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
     buffers = {"pool.centers": (1, k)}
     for b in range(cfg.blocks):
         buffers[f"blocks.{b}.omega"] = (d // cfg.heads, cfg.rff_dim // 2)
-        buffers[f"blocks.{b}.phase"] = (1, cfg.rff_dim // 2)
     return shapes, buffers
+
+
+@functools.lru_cache(maxsize=8)
+def _layout_floats(cfg: TrainConfig) -> tuple[int, int]:
+    """Floats of the learnables and of the buffers ``layout`` lists for ``cfg``.
+
+    The layout is affine in ``blocks``, so it is listed at one and two
+    blocks only: a huge ``blocks`` is counted at once, before anything is
+    allocated. Cached: ``train.chunk_spans`` asks once per sample.
+    """
+    def listed(blocks):
+        shapes, buffers = layout(replace(cfg, blocks=blocks))
+        return (sum(math.prod(shape) for shape, _start in shapes.values()),
+                sum(math.prod(shape) for shape in buffers.values()))
+
+    (learn1, buf1), (learn2, buf2) = listed(1), listed(2)
+    extra = cfg.blocks - 1
+    return learn1 + extra * (learn2 - learn1), buf1 + extra * (buf2 - buf1)
 
 
 def expected_param_count(cfg: TrainConfig) -> int:
     """Learnable parameter count of ``cfg``: the sizes of ``layout``'s learnables."""
-    return sum(math.prod(shape) for shape, _start in layout(cfg)[0].values())
+    return _layout_floats(cfg)[0]
 
 
-@functools.lru_cache(maxsize=8)
 def _stored_floats(cfg: TrainConfig) -> int:
-    """Floats of every array ``layout`` lists for ``cfg``, learnables and
-    buffers. Cached: ``train.chunk_spans`` asks once per sample."""
-    return expected_param_count(cfg) + sum(math.prod(shape) for shape in layout(cfg)[1].values())
+    """Floats of every array ``layout`` lists for ``cfg``, learnables and buffers."""
+    return sum(_layout_floats(cfg))
 
 
 def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int,
@@ -287,9 +318,10 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         + times * (1 + k) + rows * grid_length * 2 + rows * (3 * k + 1)
         # per block: two layernorms (B*N, d+1), the spectral coefficients,
         # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
-        # mask (bytes), the features of Q and K (B*N*H, R) x2, [V | 1] and
-        # the attention quotient with its denominator (B*N*H, d_h+1) x2
-        + cfg.blocks * rows * (8 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
+        # mask (bytes), Q and K as the feature maps' (B*N*H, d_h) inputs
+        # and their features (B*N*H, R) x2, [V | 1] and the attention
+        # quotient with its denominator (B*N*H, d_h+1) x2
+        + cfg.blocks * rows * (10 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
         # the output projection's input (B*N, d)
         + rows * d
         # head and loss per query: row index, time, features (d + d_te),
@@ -419,14 +451,16 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     sigma = exp(log_alpha).
 
     One node, differentiated for ``pool.log_alpha`` only (the centres are
-    a frozen buffer, the times data). Backward recomputes the exponent from
-    the times, so the node keeps the weights and the (..., L, 1) times.
+    a frozen buffer, read as a plain array; the times are data). Backward
+    recomputes the exponent from the times, so the node keeps the weights
+    and the (..., L, 1) times.
     """
     # The numpy calls of the primitive chain it replaces (sub, mul, exp,
     # mul, mul, div, exp), so the output and the adjoint are bitwise that
-    # chain's. The exponent is checked: exp would map its -inf to 0.
+    # chain's. The exponent is checked: exp would map its -inf to 0, and a
+    # non-finite centre would go unnoticed.
     log_alpha = p["pool.log_alpha"]
-    la, centers = log_alpha.data, p["pool.centers"].data
+    la, centers = log_alpha.data, p["pool.centers"]
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sig2 = np.exp(la * 2.0)
@@ -474,32 +508,50 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     return T.concat([pooled, flags], axis=1) @ p["pool.w_proj"]
 
 
-def rff_features(x: Tensor, omega: Tensor, phase: Tensor) -> Tensor:
-    """Random Fourier feature map (rows, d_h) -> (rows, R).
+def positive_features(x: Tensor, omega: np.ndarray) -> Tensor:
+    """Positive random feature map (rows, d_h) -> (rows, R).
 
-    Layout is the cos block then the sin block, scaled by 1/sqrt(R); inner
-    products of two feature rows then estimate exp(-|x-y|^2/2)/2 for
-    standard-normal frequency draws. The map is one tape node whose VJP
-    reads the derivatives off its own output (d cos = -sin, d sin = cos),
-    so it keeps no array beyond the features the attention keeps anyway.
+    phi(x) = s [exp(x omega - |x|^2), exp(-x omega - |x|^2)] with the
+    frozen (d_h, R/2) standard-normal draw ``omega`` and s = 1/sqrt(2R):
+    the hyperbolic positive random features of Choromanski et al. 2021
+    (arXiv 2009.14794). The inner product of two feature rows is then an
+    unbiased estimate of exp(-|x-y|^2/2)/2, and it is never negative. The
+    scale enters the exponent as -log(s), so the map costs one exp per
+    feature and no multiply.
+
+    One checked node: ``x @ omega`` overflows for huge x. Its VJP reads the
+    derivatives off its own output and x, G = g * phi and
+    g_x = (G_+ - G_-) omega^T - 2 x sum(G), so it runs no transcendental and
+    keeps x beside the features the attention keeps anyway.
     """
-    proj = x @ omega + phase                                   # (rows, R/2)
-    half = proj.data.shape[1]
-    scale = 1.0 / np.sqrt(2 * half)
-    out = np.concatenate([np.cos(proj.data), np.sin(proj.data)], axis=1) * scale
+    # The numpy calls of the chain ``oracles.chain_positive_features`` (a
+    # matmul, the row sum of x * x plus -log(s), concat with the negated
+    # projection, sub and exp), so the output and the adjoint are bitwise
+    # that chain's.
+    xd = x.data
+    rows, half = xd.shape[0], omega.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):         # record() raises instead
+        proj = np.matmul(xd, omega)                            # (rows, R/2)
+        shift = (xd * xd).sum(axis=1, keepdims=True) + 0.5 * math.log(4 * half)
+        out = np.empty((rows, 2 * half))
+        np.subtract(proj, shift, out=out[:, :half])
+        np.subtract(-proj, shift, out=out[:, half:])
+        np.exp(out, out=out)
 
     def vjp(g):
-        return (g[:, half:] * out[:, :half] - g[:, :half] * out[:, half:],)
+        grad = g * out
+        return ((grad[:, :half] - grad[:, half:]) @ omega.swapaxes(-1, -2)
+                - xd * (2.0 * grad.sum(axis=1, keepdims=True)),)
 
-    # cos and sin of a finite ``proj``, scaled: finite, so no check.
-    return x.tape.append("rff_features", out, (proj,), vjp)
+    return x.tape.record("positive_features", out, (x,), vjp)
 
 
 def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
     """phi(Q) (phi(K)^T V) / (phi(Q) (phi(K)^T 1) + eps) from (B, N, H, .)
     stacks as one node, which forms phi(K)^T and [V | 1] itself; backward
-    recomputes the (B, H, R, d_h+1) summary. Random features are
-    sign-indefinite, hence the ATTENTION_EPS guard. Returns the (B, N, H, d_h)
+    recomputes the (B, H, R, d_h+1) summary. Positive features make every
+    denominator positive unless a row's features underflow to 0; the
+    ATTENTION_EPS guard keeps that quotient 0. Returns the (B, N, H, d_h)
     quotient and the pre-guard (B, N, H, 1) denominators as a plain array.
 
     The per-(sample, head) stacks the matmuls read are (B, H, N, .) numpy
@@ -529,15 +581,17 @@ def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]
     return fq.tape.record("attend", out, (fq, fk, values), vjp), den
 
 
-def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tensor,
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
                      stats: dict | None = None, samples: int = 1,
                      capture: list | None = None) -> Tensor:
     """Kernelized attention of every (sample, head) at once, in linear-cost order.
 
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
-    [h*d_h, (h+1)*d_h); d_h is the row count of ``omega``. Per sample and
-    head, the numerator phi(Q) (phi(K)^T V) and the denominator
-    phi(Q) (phi(K)^T 1) never materialize the (N, N) weight matrix.
+    [h*d_h, (h+1)*d_h); d_h is the row count of the frozen draw ``omega``
+    (see ``positive_features``). Per sample and head, the numerator
+    phi(Q) (phi(K)^T V) and the denominator phi(Q) (phi(K)^T 1) never
+    materialize the (N, N) weight matrix; the positive features make the
+    weights a Gaussian-kernel average of the values.
 
     Layout: attention keeps the model's sample-major rows, and heads are a
     reshape: row r*H + h of the (B*N*H, d_h) view of ``q`` is head h of row
@@ -545,21 +599,21 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     like ``v``, are read as a (B, N, H, .) stack with one reshape. One node
     (``_attend``) forms every numerator and guarded denominator from them
     and divides, in that same layout. Each (row, head) whose pre-guard
-    denominator's magnitude falls below DEGENERATE_DENOM is counted as
-    collapsed in ``stats``. The (B, N, H, d_h) quotient is the (B*N, d)
-    output after one reshape.
+    denominator falls below DEGENERATE_DENOM, which takes features that
+    underflow, is counted as collapsed in ``stats``. The (B, N, H, d_h)
+    quotient is the (B*N, d) output after one reshape.
 
     With ``capture``, one dict of the forward's (B, N, H, .) stacks is
     appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
     ``linear_out``; entry [b, :, h] is sample b, head h.
     """
     total, d = q.data.shape
-    d_head = omega.data.shape[0]
+    d_head = omega.shape[0]
     heads = d // d_head
     split = (samples, total // samples, heads)                 # (B, N, H)
 
     def features(x):
-        phi = rff_features(x.reshape((total * heads, d_head)), omega, phase)
+        phi = positive_features(x.reshape((total * heads, d_head)), omega)
         return phi.reshape(split + (phi.data.shape[1],))       # (B, N, H, R)
 
     fq, fk = features(q), features(k)
@@ -567,7 +621,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     out, den = _attend(fq, fk, values)                         # (B, N, H, d_h), (B, N, H, 1)
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
-            (np.abs(den) < DEGENERATE_DENOM).sum()
+            (den < DEGENERATE_DENOM).sum()
         )
     if capture is not None:
         capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
@@ -575,7 +629,7 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: Tensor, phase: Tens
     return out.reshape((total, d))
 
 
-def attention_block(z: Tensor, block: int, p: dict[str, Tensor],
+def attention_block(z: Tensor, block: int, p: dict[str, Tensor | np.ndarray],
                     stats: dict | None = None, capture: list | None = None,
                     samples: int = 1) -> Tensor:
     """One pre-norm block: spectral mixing across each sample's variates, then
@@ -587,8 +641,8 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor],
     q_all = coeffs @ p[pre + "wq"]
     k_all = coeffs @ p[pre + "wk"]
     v_all = coeffs @ p[pre + "wv"]
-    mixed_in = linear_attention(q_all, k_all, v_all, p[pre + "omega"], p[pre + "phase"],
-                                stats=stats, samples=samples, capture=capture)
+    mixed_in = linear_attention(q_all, k_all, v_all, p[pre + "omega"], stats=stats,
+                                samples=samples, capture=capture)
     if capture is not None:
         capture[-1]["block"] = block
     mixed = z + irfft_rows(mixed_in)
@@ -677,11 +731,14 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
 
     Uses the quadratic-order evaluation (phi(Q) phi(K)^T, explicitly
     normalized) purely for visualization; the model's own forward never
-    builds the (N, N) matrix. The quadratic output must agree with the
-    linear-order output up to association-order roundoff. The features,
-    values and linear-order output are the (B, N, H, .) stacks the forward
-    pass already holds (see ``linear_attention``); ``block`` holds one
-    sample, so head h is ``[0, :, h]``.
+    builds the (N, N) matrix. The positive features make every weight
+    non-negative, so a row is a convex combination of the values unless its
+    features underflow (a degenerate row, left unnormalized). The quadratic
+    output must agree with the linear-order output up to association-order
+    roundoff. The features, values and linear-order output are the
+    (B, N, H, .) stacks the forward pass already holds (see
+    ``linear_attention``); ``block`` holds one sample, so head h is
+    ``[0, :, h]``.
     """
     if queries is None:
         queries = [np.empty(0) for _ in range(block.n_variates)]
@@ -693,7 +750,7 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
             phi_q = entry["phi_q"][0, :, head]
             raw = phi_q @ entry["phi_k"][0, :, head].T         # (N, N)
             rowsum = raw.sum(axis=1, keepdims=True)
-            degenerate = np.abs(rowsum) < DEGENERATE_DENOM
+            degenerate = rowsum < DEGENERATE_DENOM
             safe = np.where(degenerate, 1.0, rowsum)
             quad_out = (raw @ entry["values"][0, :, head]) / (rowsum + ATTENTION_EPS)
             maps.append(

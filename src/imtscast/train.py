@@ -19,7 +19,7 @@ observed cells and its queries. A chunk grows while that sum stays within
 budget is set by memory, and ``train`` holds the previous chunk's tape
 while the next forward runs, so two tapes are alive at once. At 4 MiB:
 - a whole 32-sample sinusoid-a batch is one chunk (at most ~2.9 MB, about
-  17.2 floats per padded cell);
+  17.7 floats per padded cell);
 - a 128-variate predict-wide chunk holds 2-3 samples (~4 MB);
 - a long-grid chunk holds two samples (~1.95 MB each, ~3.9 MB together).
 
@@ -63,15 +63,19 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def metrics(predictions, targets) -> dict[str, float]:
-    """Pooled MSE/MAE over all queried points (the reporting metrics)."""
+    """Pooled MSE/MAE over all queried points (the reporting metrics).
+
+    Errors too large to square or sum read inf, with no numpy warning; the
+    caller decides what a non-finite metric means."""
     pred = np.asarray(predictions, dtype=np.float64).ravel()
     target = np.asarray(targets, dtype=np.float64).ravel()
     if pred.size == 0:
         raise DataError("metrics: empty query set")
     if pred.shape != target.shape:
         raise DataError(f"metrics: {pred.size} predictions vs {target.size} targets")
-    resid = pred - target
-    return {"mse": float(np.mean(resid * resid)), "mae": float(np.mean(np.abs(resid)))}
+    with np.errstate(over="ignore"):
+        resid = pred - target
+        return {"mse": float(np.mean(resid * resid)), "mae": float(np.mean(np.abs(resid)))}
 
 
 def _query_weights(result: ForwardResult) -> np.ndarray:

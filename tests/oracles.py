@@ -6,10 +6,11 @@ straightforward forms they replace: the convolution over every grid cell,
 per-variate pooling coefficients followed by a per-variate summary, and
 the packed transform by per-bin direct summation.
 
-The time encoding and the kernel weights are one tape node each in the
-model. ``chain_time_encode`` and ``chain_kernel_weights`` are the primitive
-chains those nodes replace, built from the tape's primitives and the
-``sin``, ``cos`` and ``exp`` nodes below, which the tape no longer has.
+The time encoding, the kernel weights and the feature map are one tape
+node each in the model. ``chain_time_encode``, ``chain_kernel_weights`` and
+``chain_positive_features`` are the primitive chains those nodes replace,
+built from the tape's primitives and the ``sin``, ``cos`` and ``exp`` nodes
+below, which the tape no longer has.
 The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
 its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
 numerators by their guarded denominators; ``chain_attend`` is the chain
@@ -26,6 +27,7 @@ with ``csv.reader`` and ``float``.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -105,6 +107,15 @@ def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     s = sin(tcol @ p["te.w_p"] + p["te.b_p"])
     c = cos(tcol @ p["te.w_c"] + p["te.b_c"])
     return T.concat([lin, s, c], axis=1)
+
+
+def chain_positive_features(x: Tensor, omega: np.ndarray) -> Tensor:
+    """``model.positive_features`` as a chain of primitive nodes: a matmul,
+    the row sum of x * x plus -log(s), concat with the projection times -1,
+    sub and exp."""
+    proj = x @ omega
+    shift = (x * x).sum(axis=1, keepdims=True) + 0.5 * math.log(4 * omega.shape[1])
+    return exp(T.concat([proj, proj * -1.0], axis=1) - shift)
 
 
 def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:

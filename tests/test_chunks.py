@@ -113,21 +113,21 @@ class TestChunkEquivalence:
         assert chunk.stats["degenerate_rows"] == degenerate
 
     def test_degenerate_rows_are_counted_per_sample_row_and_head(self):
-        # One frequency, no phase: keys 0 and pi have opposite features, so
-        # head 0's denominators are roundoff in a sample holding both keys.
-        # Sample 0 holds them in head 0 only, sample 1 in neither head.
+        # One frequency: a key at +-30 has features exp(+-30 - 900) = 0, so
+        # head 0's denominators are 0 in a sample whose keys are all there.
+        # Sample 0 has them in head 0 only, sample 1 in neither head: a key
+        # sum that mixed the samples would collapse no row.
         q = np.array([[0.3, 0.3], [0.7, 0.7], [0.3, 0.3], [0.7, 0.7]])
-        k = np.array([[0.0, 0.0], [np.pi, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        k = np.array([[30.0, 0.0], [-30.0, 0.2], [0.0, 0.0], [0.5, 0.0]])
         v = np.ones((4, 2))
-        omega, phase = np.ones((1, 1)), np.zeros((1, 1))
+        omega = np.ones((1, 1))
         tape = Tape()
         chunked, alone = {}, {}
-        out = linear_attention(tape.const(q), tape.const(k), tape.const(v), tape.const(omega),
-                               tape.const(phase), stats=chunked, samples=2)
+        out = linear_attention(tape.const(q), tape.const(k), tape.const(v), omega,
+                               stats=chunked, samples=2)
         for rows in (slice(0, 2), slice(2, 4)):
             single = linear_attention(tape.const(q[rows]), tape.const(k[rows]),
-                                      tape.const(v[rows]), tape.const(omega),
-                                      tape.const(phase), stats=alone)
+                                      tape.const(v[rows]), omega, stats=alone)
             assert close(out.data[rows], single.data, 1e-12)
         assert chunked["degenerate_rows"] == alone["degenerate_rows"] == 2
 

@@ -376,6 +376,32 @@ class TestCheckpointFormat:
         assert resaved.read_bytes() == checkpoint.read_bytes()
 
 
+class TestRetiredCheckpointFormat:
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    def test_a_cos_sin_feature_map_checkpoint_exits_2_saying_retrain(self, tmp_path, capsys,
+                                                                     command):
+        # An imtscast-checkpoint-1 file: the same arrays plus a phase draw
+        # per block, which the cos/sin feature map added to its projection.
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["format"] = "imtscast-checkpoint-1"
+        doc["buffers"]["blocks.0.phase"] = {"shape": [1, 4], "data": [0.5] * 4}
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        argv = {
+            "eval": ["--data", str(data / "manifest.json")],
+            "predict": ["--observations", str(data / "test_obs.csv"),
+                        "--queries", str(data / "test_queries.csv"),
+                        "--out", str(tmp_path / "predictions.csv")],
+            "inspect": ["--data", str(data / "manifest.json"), "--out", str(tmp_path / "maps")],
+        }[command]
+        assert main([command, "--checkpoint", str(checkpoint), *argv]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert "imtscast-checkpoint-1" in errors[0] and "cos/sin random-feature map" in errors[0]
+        assert "retrain" in errors[0]
+        assert not (tmp_path / "predictions.csv").exists() and not (tmp_path / "maps").exists()
+
+
 class TestGenValues:
     # A negative seed or a non-finite rate, window or noise level ended in
     # numpy's traceback (or, for the noise, in a data error about the
@@ -473,6 +499,25 @@ class TestDivergence:
         assert checkpoint["config"]["max_epochs"] == 3
         for section in ("params", "buffers"):
             assert checkpoint[section] == want_checkpoint[section], section
+
+
+class TestEvalOverflow:
+    def test_an_overflowing_test_mse_exits_3_with_one_error_line(self, tmp_path, capsys,
+                                                                  recwarn):
+        # Finite predictions near 1e298 whose squared errors overflow.
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["params"]["head.w1"]["data"] = [1e300] * len(doc["params"]["head.w1"]["data"])
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(data / "manifest.json"), "--out", str(out)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: test split: non-finite MSE (inf); the predictions' squared errors overflow"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
 
 class TestGradcheck:

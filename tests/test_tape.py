@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import imtscast.tape as T
-from imtscast.model import _attend, _kernel_weights, _smoothing_layers, rff_features, time_encode
+from imtscast.model import (
+    _attend,
+    _kernel_weights,
+    _smoothing_layers,
+    positive_features,
+    time_encode,
+)
 from conftest import bind
 from oracles import narrow, transpose
 
@@ -133,7 +139,6 @@ TIMES = np.linspace(-1.0, 2.0, 5)[:, None]
 T_NORM = np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)
 CENTERS = np.linspace(0.0, 1.0, 4)[None, :]
 OMEGA = np.random.default_rng(7).standard_normal((4, 3))
-PHASE = np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (1, 3))
 TAPS = np.random.default_rng(9).standard_normal((3, 5))
 BIG = 1.7e308   # twice this overflows
 
@@ -167,10 +172,9 @@ PRIMITIVE_CASES = [
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
     ("time_encode", lambda t: time_encode_of_rows(t), (6, 3)),
-    ("rff_features", lambda t: rff_features(t, t.tape.const(OMEGA), t.tape.const(PHASE)),
-     (3, 4)),
+    ("positive_features", lambda t: positive_features(t, OMEGA), (3, 4)),
     ("kernel_weights", lambda t: _kernel_weights(
-        T_NORM, {"pool.log_alpha": t, "pool.centers": t.tape.const(CENTERS)}), (1, 4)),
+        T_NORM, {"pool.log_alpha": t, "pool.centers": CENTERS}), (1, 4)),
     ("sum_all", lambda t: t.sum().reshape((1, 1)), (3, 4)),
     ("sum_axis0", lambda t: t.sum(axis=0, keepdims=True), (3, 4)),
     ("sum_axis1", lambda t: t.sum(axis=1), (3, 4)),
@@ -454,7 +458,7 @@ class TestGradCheck:
         flat, views = flat_views({"pool.log_alpha": np.log(0.25) * np.ones((1, 4))})
 
         def build(tape):
-            p = {**tape.param_vector(flat, views), "pool.centers": tape.const(centers)}
+            p = {**tape.param_vector(flat, views), "pool.centers": centers}
             coeffs = pool_coefficients(tape.const(t_norm), tape.const(mask), p)
             return (coeffs * tape.const(probe)).sum()
 
@@ -526,8 +530,7 @@ class TestFiniteness:
     and so is every primitive that can turn finite inputs into inf or NaN.
     The others only move, select, clamp or bound finite values."""
 
-    # The unchecked primitives, each on a (3, 4) input. The feature map's
-    # projection (a checked matmul and add) passes its input through.
+    # The unchecked primitives, each on a (3, 4) input.
     UNCHECKED = {
         "reshape": lambda t: t.reshape((2, 6)),
         "concat": lambda t: T.concat([t, t], axis=0),
@@ -535,8 +538,6 @@ class TestFiniteness:
         "place": lambda t: T.place(t, np.arange(12)[::-1], (4, 3)),
         "relu": T.relu,
         "sigmoid": T.sigmoid,
-        "rff_features": lambda t: rff_features(t, t.tape.const(np.eye(4)),
-                                               t.tape.const(np.zeros((1, 4)))),
     }
 
     @settings(max_examples=60, deadline=None)
@@ -576,7 +577,10 @@ class TestFiniteness:
         # 0/0 at a centre): exp would map it to a finite 0.
         "kernel_weights": lambda tp: _kernel_weights(T_NORM, {
             "pool.log_alpha": tp.const(np.full((1, 4), -1e4)),
-            "pool.centers": tp.const(CENTERS)}),
+            "pool.centers": CENTERS}),
+        # The projection overflows to inf, and so does |x|^2: exp(inf - inf).
+        "positive_features": lambda tp: positive_features(tp.const([[BIG, BIG]]),
+                                                          np.ones((2, 1))),
         "smoothing_layers": lambda tp: _smoothing_layers(
             np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
