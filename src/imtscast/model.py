@@ -19,7 +19,7 @@ stack to broadcast each sample's time projection over its rows and hands
 pooling that stack, whose batched matmuls read it as it is. Attention
 takes the sample count and reads its rows as a (B, N, H, .) stack; the
 per-(sample, head) views its matmuls need, the [V | 1] numerator and
-denominator of linear attention and their guarded quotient live inside
+denominator of linear attention and their floored quotient live inside
 its one ``_attend`` node.
 
 All layers run on the differentiation tape. The learnables live in one
@@ -37,7 +37,7 @@ buffer later still raises at the node that reads it.
 A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
 keep less: ``positive_features`` differentiates from its own output and
-its (rows, d_h) input, and ``_smoothing_layers``, ``_attend``,
+its (B, N, H, d_h) input, and ``_smoothing_layers``, ``_attend``,
 ``time_encode`` and ``_kernel_weights`` recompute their largest
 intermediates in backward (the conv's hidden layer, the KV summary, the
 sin and cos arguments, the Gaussian exponent). The last two also replace
@@ -62,12 +62,13 @@ from .data import AlignedTriplet, DataError, normalize_times
 from .fourier import irfft_rows, rfft_rows
 from .tape import NonFiniteError, Tape, Tensor
 
-# Positive features give positive attention denominators, except where
-# every feature of a row underflows to 0 (a query or the keys far from the
-# origin): the guard keeps that quotient 0 / eps = 0, and such a row counts
-# as collapsed.
-ATTENTION_EPS = 1e-6          # added to every denominator: guards underflow only
-DEGENERATE_DENOM = 1e-12      # below this (pre-guard) a row counts as collapsed
+# Positive features give positive attention denominators, which fall
+# toward 0 only where a query's features and the keys' barely meet (their
+# products underflow when the two lie far apart). A denominator at or below
+# ATTENTION_EPS is raised to it, so such a row's quotient shrinks toward 0
+# with finite gradients, and the row counts as collapsed; every other
+# quotient is exact.
+ATTENTION_EPS = 1e-6          # floor of every attention denominator
 CHECKPOINT_FORMAT = "imtscast-checkpoint-2"
 
 
@@ -170,9 +171,7 @@ class ModelParams:
         map), missing sections, parameter and buffer names or shapes that
         differ from the stored config's ``layout``, or entries holding NaN
         or infinite values. Nothing larger than the file's own data is
-        allocated, whatever its config asks for. An ``rff_seed`` entry,
-        which older checkpoints carry, is ignored: the feature draws are read
-        from the stored buffers.
+        allocated, whatever its config asks for.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -318,10 +317,10 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         + times * (1 + k) + rows * grid_length * 2 + rows * (3 * k + 1)
         # per block: two layernorms (B*N, d+1), the spectral coefficients,
         # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
-        # mask (bytes), Q and K as the feature maps' (B*N*H, d_h) inputs
-        # and their features (B*N*H, R) x2, [V | 1] and the attention
+        # mask (bytes), K as the keys' feature map's (B*N*H, d_h) input,
+        # the features of Q and K (B*N*H, R) x2, [V | 1] and the attention
         # quotient with its denominator (B*N*H, d_h+1) x2
-        + cfg.blocks * rows * (10 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
+        + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
         # the output projection's input (B*N, d)
         + rows * d
         # head and loss per query: row index, time, features (d + d_te),
@@ -508,71 +507,108 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     return T.concat([pooled, flags], axis=1) @ p["pool.w_proj"]
 
 
-def positive_features(x: Tensor, omega: np.ndarray) -> Tensor:
-    """Positive random feature map (rows, d_h) -> (rows, R).
+def positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) -> Tensor:
+    """Positive random feature map of a (B, N, H, d_h) stack -> (B, N, H, R).
 
     phi(x) = s [exp(x omega - |x|^2), exp(-x omega - |x|^2)] with the
     frozen (d_h, R/2) standard-normal draw ``omega`` and s = 1/sqrt(2R):
     the hyperbolic positive random features of Choromanski et al. 2021
-    (arXiv 2009.14794). The inner product of two feature rows is then an
-    unbiased estimate of exp(-|x-y|^2/2)/2, and it is never negative. The
-    scale enters the exponent as -log(s), so the map costs one exp per
-    feature and no multiply.
+    (arXiv 2009.14794). The inner product of two such rows is an unbiased
+    estimate of exp(-|x-y|^2/2)/2, and it is never negative.
+
+    The exponents are shifted so that the largest feature of each group is
+    s: each query row is its own group (``keys`` false), and all keys of
+    one (sample, head) form one (``keys`` true). A shift multiplies every
+    feature of a group by one positive factor, which cancels in attention's
+    quotient, so the kernel the attention estimates is unchanged. It keeps
+    the denominators far above ATTENTION_EPS wherever a query's features
+    meet the keys', and a query row's features can never all underflow.
+    A query row's |x|^2 is constant over its group, so it cancels and is
+    not computed. The scale enters the exponent as -log(s), so the map
+    costs one exp per feature and no multiply.
 
     One checked node: ``x @ omega`` overflows for huge x. Its VJP reads the
-    derivatives off its own output and x, G = g * phi and
-    g_x = (G_+ - G_-) omega^T - 2 x sum(G), so it runs no transcendental and
-    keeps x beside the features the attention keeps anyway.
+    derivatives off its own output and x: G = g * phi, less each group's
+    sum of G at the group's first largest feature (the shift's
+    derivative), then g_x = (G_+ - G_-) omega^T - 2 x sum(G), the last term
+    for keys only. It runs no transcendental. The keys' node keeps x beside
+    the features the attention keeps anyway; the queries' keeps no more.
     """
     # The numpy calls of the chain ``oracles.chain_positive_features`` (a
-    # matmul, the row sum of x * x plus -log(s), concat with the negated
-    # projection, sub and exp), so the output and the adjoint are bitwise
-    # that chain's.
+    # matmul, concat with the negated projection, for keys sub the row sum
+    # of x * x, then sub the gathered maximum plus -log(s), and exp), so the
+    # output and the adjoint are bitwise that chain's.
     xd = x.data
-    rows, half = xd.shape[0], omega.shape[1]
+    lead, d_head, half = xd.shape[:3], xd.shape[3], omega.shape[1]
+    axes = (1, 3) if keys else (3,)
     with np.errstate(over="ignore", invalid="ignore"):         # record() raises instead
-        proj = np.matmul(xd, omega)                            # (rows, R/2)
-        shift = (xd * xd).sum(axis=1, keepdims=True) + 0.5 * math.log(4 * half)
-        out = np.empty((rows, 2 * half))
-        np.subtract(proj, shift, out=out[:, :half])
-        np.subtract(-proj, shift, out=out[:, half:])
+        proj = np.matmul(xd.reshape(-1, d_head), omega).reshape(lead + (half,))
+        out = np.concatenate([proj, -proj], axis=3)            # (B, N, H, R) exponents
+        if keys:
+            out -= (xd * xd).sum(axis=3, keepdims=True)
+        np.subtract(out, out.max(axis=axes, keepdims=True) + 0.5 * math.log(4 * half),
+                    out=out)
         np.exp(out, out=out)
+    kept_x = xd if keys else None
 
     def vjp(g):
-        grad = g * out
-        return ((grad[:, :half] - grad[:, half:]) @ omega.swapaxes(-1, -2)
-                - xd * (2.0 * grad.sum(axis=1, keepdims=True)),)
+        grad = np.multiply(g, out, order="C")
+        total = grad.sum(axis=axes, keepdims=True)
+        grad.reshape(-1)[_first_maxima(out, keys)] -= total.reshape(-1)
+        g_x = np.matmul((grad[..., :half] - grad[..., half:]).reshape(-1, half),
+                        omega.swapaxes(-1, -2)).reshape(lead + (d_head,))
+        if kept_x is not None:
+            g_x = g_x - kept_x * (2.0 * grad.sum(axis=3, keepdims=True))
+        return (g_x,)
 
     return x.tape.record("positive_features", out, (x,), vjp)
 
 
+def _first_maxima(phi: np.ndarray, keys: bool) -> np.ndarray:
+    """Flat positions in the (B, N, H, R) features ``phi`` of each group's
+    first largest entry (see ``positive_features``), in the groups' C order.
+
+    That entry's exponent is the group's largest, the one the shift moved
+    to 0, unless exponents within rounding of the largest give the same
+    feature; the first of those is taken then."""
+    b, n, h, r = phi.shape
+    first = np.arange(b * n * h) * r + phi.argmax(axis=3).reshape(-1)   # of each row
+    if not keys:
+        return first
+    first = first.reshape(b, n, h)
+    row = phi.reshape(-1)[first].argmax(axis=1)                         # (B, H)
+    return np.take_along_axis(first, row[:, None, :], axis=1).reshape(-1)
+
+
 def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
-    """phi(Q) (phi(K)^T V) / (phi(Q) (phi(K)^T 1) + eps) from (B, N, H, .)
+    """phi(Q) (phi(K)^T V) / max(phi(Q) (phi(K)^T 1), eps) from (B, N, H, .)
     stacks as one node, which forms phi(K)^T and [V | 1] itself; backward
     recomputes the (B, H, R, d_h+1) summary. Positive features make every
-    denominator positive unless a row's features underflow to 0; the
-    ATTENTION_EPS guard keeps that quotient 0. Returns the (B, N, H, d_h)
-    quotient and the pre-guard (B, N, H, 1) denominators as a plain array.
+    denominator positive; one at or below the ATTENTION_EPS floor (features
+    that barely meet) gets the floor, which no gradient reaches. Returns the
+    (B, N, H, d_h) quotient and the unfloored (B, N, H, 1) denominators as
+    a plain array.
 
     The per-(sample, head) stacks the matmuls read are (B, H, N, .) numpy
     views, so no regrouping node is recorded."""
     # The same numpy calls as the permute, reshape, transpose, concat,
-    # matmul, slice, add and div nodes they replace, so the output and the
-    # adjoints are bitwise theirs.
+    # matmul, slice, mul, add and div nodes of ``oracles.chain_attend``, so
+    # the output and the adjoints are bitwise theirs.
     qd, kd = fq.data.swapaxes(1, 2), fk.data.swapaxes(1, 2).swapaxes(-1, -2)
     d_head = values.data.shape[3]
     vd = np.concatenate([values.data, np.ones(values.data.shape[:3] + (1,))],
                         axis=3).swapaxes(1, 2)
     both = np.matmul(qd, np.matmul(kd, vd)).swapaxes(1, 2)    # (B, N, H, d_h+1)
     den = both[..., d_head:]
-    guarded = den + ATTENTION_EPS
-    with np.errstate(divide="ignore", invalid="ignore"):      # record() raises instead
+    guarded = np.maximum(den, ATTENTION_EPS)
+    with np.errstate(invalid="ignore"):                       # record() raises instead
         out = both[..., :d_head] / guarded
 
     def vjp(g):
         g_num = g / guarded
-        g = np.concatenate([g_num, (-g_num * out).sum(axis=3, keepdims=True)],
-                           axis=3).swapaxes(1, 2)
+        g_den = np.where(guarded > ATTENTION_EPS,
+                         (-g_num * out).sum(axis=3, keepdims=True), 0.0)
+        g = np.concatenate([g_num, g_den], axis=3).swapaxes(1, 2)
         g_kv = qd.swapaxes(-1, -2) @ g                         # (B, H, R, d_h+1)
         return ((g @ np.matmul(kd, vd).swapaxes(-1, -2)).swapaxes(1, 2),
                 (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2).swapaxes(1, 2),
@@ -588,20 +624,21 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
 
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
     [h*d_h, (h+1)*d_h); d_h is the row count of the frozen draw ``omega``
-    (see ``positive_features``). Per sample and head, the numerator
+    (see ``positive_features``; the keys of a sample and head share one
+    shift, each query row has its own). Per sample and head, the numerator
     phi(Q) (phi(K)^T V) and the denominator phi(Q) (phi(K)^T 1) never
     materialize the (N, N) weight matrix; the positive features make the
     weights a Gaussian-kernel average of the values.
 
     Layout: attention keeps the model's sample-major rows, and heads are a
-    reshape: row r*H + h of the (B*N*H, d_h) view of ``q`` is head h of row
-    r. One feature map per operand runs over those rows, and its features,
-    like ``v``, are read as a (B, N, H, .) stack with one reshape. One node
-    (``_attend``) forms every numerator and guarded denominator from them
-    and divides, in that same layout. Each (row, head) whose pre-guard
-    denominator falls below DEGENERATE_DENOM, which takes features that
-    underflow, is counted as collapsed in ``stats``. The (B, N, H, d_h)
-    quotient is the (B*N, d) output after one reshape.
+    reshape: entry [b, n, h] of the (B, N, H, d_h) view of ``q`` is head h
+    of row b*N + n. ``q``, ``k`` and ``v`` are read as such stacks with one
+    reshape each, and one feature map per operand runs on its stack. One
+    node (``_attend``) forms every numerator and floored denominator from
+    them and divides, in that same layout. Each (row, head) whose
+    denominator is at or below the ATTENTION_EPS floor is counted as
+    collapsed in ``stats``. The (B, N, H, d_h) quotient is the (B*N, d)
+    output after one reshape.
 
     With ``capture``, one dict of the forward's (B, N, H, .) stacks is
     appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
@@ -612,16 +649,13 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     heads = d // d_head
     split = (samples, total // samples, heads)                 # (B, N, H)
 
-    def features(x):
-        phi = positive_features(x.reshape((total * heads, d_head)), omega)
-        return phi.reshape(split + (phi.data.shape[1],))       # (B, N, H, R)
-
-    fq, fk = features(q), features(k)
+    fq = positive_features(q.reshape(split + (d_head,)), omega)    # (B, N, H, R)
+    fk = positive_features(k.reshape(split + (d_head,)), omega, keys=True)
     values = v.reshape(split + (d_head,))
     out, den = _attend(fq, fk, values)                         # (B, N, H, d_h), (B, N, H, 1)
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
-            (den < DEGENERATE_DENOM).sum()
+            (den <= ATTENTION_EPS).sum()
         )
     if capture is not None:
         capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
@@ -733,10 +767,11 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
     normalized) purely for visualization; the model's own forward never
     builds the (N, N) matrix. The positive features make every weight
     non-negative, so a row is a convex combination of the values unless its
-    features underflow (a degenerate row, left unnormalized). The quadratic
-    output must agree with the linear-order output up to association-order
-    roundoff. The features, values and linear-order output are the
-    (B, N, H, .) stacks the forward pass already holds (see
+    sum is at or below the ATTENTION_EPS floor (a degenerate row, left
+    unnormalized). The feature shifts cancel in the normalized weights.
+    The quadratic output must agree with the linear-order output up to
+    association-order roundoff. The features, values and linear-order
+    output are the (B, N, H, .) stacks the forward pass already holds (see
     ``linear_attention``); ``block`` holds one sample, so head h is
     ``[0, :, h]``.
     """
@@ -750,9 +785,9 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
             phi_q = entry["phi_q"][0, :, head]
             raw = phi_q @ entry["phi_k"][0, :, head].T         # (N, N)
             rowsum = raw.sum(axis=1, keepdims=True)
-            degenerate = rowsum < DEGENERATE_DENOM
+            degenerate = rowsum <= ATTENTION_EPS
             safe = np.where(degenerate, 1.0, rowsum)
-            quad_out = (raw @ entry["values"][0, :, head]) / (rowsum + ATTENTION_EPS)
+            quad_out = (raw @ entry["values"][0, :, head]) / np.maximum(rowsum, ATTENTION_EPS)
             maps.append(
                 AttentionMap(
                     block=entry["block"],

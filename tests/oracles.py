@@ -13,7 +13,7 @@ built from the tape's primitives and the ``sin``, ``cos`` and ``exp`` nodes
 below, which the tape no longer has.
 The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
 its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
-numerators by their guarded denominators; ``chain_attend`` is the chain
+numerators by their floored denominators; ``chain_attend`` is the chain
 it replaces. It and the other references use the ``transpose``,
 ``permute`` and ``narrow`` nodes below, which the tape no longer has.
 
@@ -35,7 +35,7 @@ import imtscast.tape as T
 from imtscast.data import DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
-from imtscast.model import ATTENTION_EPS, _kernel_weights, _nonzero, time_encode
+from imtscast.model import ATTENTION_EPS, _first_maxima, _kernel_weights, _nonzero, time_encode
 from imtscast.tape import Tensor
 
 
@@ -88,7 +88,7 @@ def narrow(a: Tensor, key) -> Tensor:
 def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
     """``model._attend``'s quotient as permute, reshape, transpose, concat
     and two matmul nodes on (B*H, N, .) stacks, then two narrow nodes, the
-    epsilon guard's add and a div."""
+    floor as a mul by 0 or 1 and an add of 0 or ATTENTION_EPS, and a div."""
     samples, n, heads, d_head = values.data.shape
 
     def stack(x):
@@ -98,7 +98,8 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
     out = stack(fq) @ (transpose(stack(fk)) @ T.concat([stack(values), ones], axis=2))
     both = permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
     num, den = narrow(both, np.s_[..., :d_head]), narrow(both, np.s_[..., d_head:])
-    return num / (den + ATTENTION_EPS)
+    floored = den.data <= ATTENTION_EPS
+    return num / (den * (~floored).astype(np.float64) + np.where(floored, ATTENTION_EPS, 0.0))
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -109,13 +110,22 @@ def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     return T.concat([lin, s, c], axis=1)
 
 
-def chain_positive_features(x: Tensor, omega: np.ndarray) -> Tensor:
+def chain_positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) -> Tensor:
     """``model.positive_features`` as a chain of primitive nodes: a matmul,
-    the row sum of x * x plus -log(s), concat with the projection times -1,
-    sub and exp."""
-    proj = x @ omega
-    shift = (x * x).sum(axis=1, keepdims=True) + 0.5 * math.log(4 * omega.shape[1])
-    return exp(T.concat([proj, proj * -1.0], axis=1) - shift)
+    concat with the projection times -1, for keys sub the row sum of x * x,
+    then sub each group's first maximum (a ``take_rows`` gather) plus
+    -log(s), and exp."""
+    samples, n, heads, d_head = x.data.shape
+    half = omega.shape[1]
+    proj = (x.reshape((-1, d_head)) @ omega).reshape((samples, n, heads, half))
+    ex = T.concat([proj, proj * -1.0], axis=3)
+    if keys:
+        ex = ex - (x * x).sum(axis=3, keepdims=True)
+    axes, log_scale = ((1, 3) if keys else (3,)), 0.5 * math.log(4 * half)
+    features = np.exp(ex.data - (ex.data.max(axis=axes, keepdims=True) + log_scale))
+    peak = T.take_rows(ex.reshape((-1, 1)), _first_maxima(features, keys))
+    peak = peak.reshape((samples, 1, heads, 1) if keys else (samples, n, heads, 1))
+    return exp(ex - (peak + log_scale))
 
 
 def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:

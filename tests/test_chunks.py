@@ -113,12 +113,13 @@ class TestChunkEquivalence:
         assert chunk.stats["degenerate_rows"] == degenerate
 
     def test_degenerate_rows_are_counted_per_sample_row_and_head(self):
-        # One frequency: a key at +-30 has features exp(+-30 - 900) = 0, so
-        # head 0's denominators are 0 in a sample whose keys are all there.
-        # Sample 0 has them in head 0 only, sample 1 in neither head: a key
-        # sum that mixed the samples would collapse no row.
-        q = np.array([[0.3, 0.3], [0.7, 0.7], [0.3, 0.3], [0.7, 0.7]])
-        k = np.array([[30.0, 0.0], [-30.0, 0.2], [0.0, 0.0], [0.5, 0.0]])
+        # One frequency: keys at -400 and -390 have features s [0, 1] and 0,
+        # and queries at 400 and 390 have features s [1, 0], so head 0's
+        # denominators are 0 in a sample whose keys are all there. Sample 0
+        # has them in head 0 only, sample 1 in neither head: a key sum (or a
+        # key shift) that mixed the samples would collapse no row.
+        q = np.array([[400.0, 0.3], [390.0, 0.7], [400.0, 0.3], [390.0, 0.7]])
+        k = np.array([[-400.0, 0.0], [-390.0, 0.2], [0.0, 0.0], [0.5, 0.0]])
         v = np.ones((4, 2))
         omega = np.ones((1, 1))
         tape = Tape()

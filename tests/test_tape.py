@@ -172,7 +172,8 @@ PRIMITIVE_CASES = [
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
     ("time_encode", lambda t: time_encode_of_rows(t), (6, 3)),
-    ("positive_features", lambda t: positive_features(t, OMEGA), (3, 4)),
+    # The keys' features, shifted per (sample, head): two samples, two heads.
+    ("positive_features", lambda t: positive_features(t, OMEGA, keys=True), (2, 3, 2, 4)),
     ("kernel_weights", lambda t: _kernel_weights(
         T_NORM, {"pool.log_alpha": t, "pool.centers": CENTERS}), (1, 4)),
     ("sum_all", lambda t: t.sum().reshape((1, 1)), (3, 4)),
@@ -209,6 +210,8 @@ PRIMITIVE_CASES = [
     ("div_const_left", lambda t: T.div(t.tape.const(1.0), t * t + 1.0), (3, 4)),
     ("concat_const_first", lambda t: T.concat([t.tape.const(np.ones((3, 2))), t], axis=1),
      (3, 4)),
+    # The queries' features, shifted per row.
+    ("positive_features_queries", lambda t: positive_features(t, OMEGA), (2, 3, 2, 4)),
 ]
 
 
@@ -579,8 +582,8 @@ class TestFiniteness:
             "pool.log_alpha": tp.const(np.full((1, 4), -1e4)),
             "pool.centers": CENTERS}),
         # The projection overflows to inf, and so does |x|^2: exp(inf - inf).
-        "positive_features": lambda tp: positive_features(tp.const([[BIG, BIG]]),
-                                                          np.ones((2, 1))),
+        "positive_features": lambda tp: positive_features(tp.const([[[[BIG, BIG]]]]),
+                                                          np.ones((2, 1)), keys=True),
         "smoothing_layers": lambda tp: _smoothing_layers(
             np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
