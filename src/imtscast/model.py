@@ -36,14 +36,15 @@ buffer later still raises at the node that reads it.
 
 A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
-keep less: ``positive_features`` differentiates from its own output and
-its (B, N, H, d_h) input, and ``_smoothing_layers``, ``_attend``,
-``time_encode`` and ``_kernel_weights`` recompute their largest
-intermediates in backward (the conv's hidden layer, the KV summary, the
-sin and cos arguments, the Gaussian exponent). The last two also replace
-grid-wide chains of 9 and 10 nodes, which cuts the fixed per-node cost of
-every forward. ``tape_bytes`` sums what a chunk's tape keeps;
-``train.chunk_spans`` budgets chunks by it.
+keep less or to skip transcendental work in backward: ``positive_features``
+and ``time_encode`` differentiate from their own outputs (the former also
+from its (B, N, H, d_h) input), so neither runs a transcendental in
+backward, and ``_smoothing_layers``, ``_attend`` and ``_kernel_weights``
+recompute their largest intermediates in backward (the conv's hidden
+layer, the KV summary, the Gaussian exponent). ``time_encode`` and
+``_kernel_weights`` also replace grid-wide chains of 7 and 10 nodes, which
+cuts the fixed per-node cost of every forward. ``tape_bytes`` sums what a
+chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,15 @@ from .tape import NonFiniteError, Tape, Tensor
 # with finite gradients, and the row counts as collapsed; every other
 # quotient is exact.
 ATTENTION_EPS = 1e-6          # floor of every attention denominator
-CHECKPOINT_FORMAT = "imtscast-checkpoint-2"
+CHECKPOINT_FORMAT = "imtscast-checkpoint-3"
+# Checkpoint formats this version refuses, each with what changed since it.
+RETIRED_FORMATS = {
+    "imtscast-checkpoint-1": "whose attention used the retired cos/sin random-feature map; "
+                             "this version uses positive random features",
+    "imtscast-checkpoint-2": "whose time encoding drew its sin and cos columns from separate "
+                             "frequencies; this version replaced them with sin/cos pairs that "
+                             "share one frequency and phase each",
+}
 
 
 @dataclass
@@ -166,22 +175,24 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint written by ``save``.
 
-        Raises DataError for invalid JSON, a file of the retired
-        ``imtscast-checkpoint-1`` format (its model used the cos/sin feature
-        map), missing sections, parameter and buffer names or shapes that
-        differ from the stored config's ``layout``, or entries holding NaN
-        or infinite values. Nothing larger than the file's own data is
-        allocated, whatever its config asks for.
+        Raises DataError for invalid JSON, a file of a retired format
+        (``RETIRED_FORMATS``: ``imtscast-checkpoint-1``, whose model used the
+        cos/sin feature map, and ``imtscast-checkpoint-2``, whose time
+        encoding had separate sin and cos frequencies), missing sections,
+        parameter and buffer names or shapes that differ from the stored
+        config's ``layout``, or entries holding NaN or infinite values.
+        Nothing larger than the file's own data is allocated, whatever its
+        config asks for.
         """
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except ValueError as err:  # invalid JSON or text encoding
             raise DataError(f"{path}: not a valid checkpoint: {err}") from err
-        if isinstance(doc, dict) and doc.get("format") == "imtscast-checkpoint-1":
-            raise DataError(f"{path}: an imtscast-checkpoint-1 file, whose attention used the "
-                            "retired cos/sin random-feature map; this version uses positive "
-                            "random features, so retrain the model with imtscast train")
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if isinstance(fmt, str) and fmt in RETIRED_FORMATS:
+            raise DataError(f"{path}: an {fmt} file, {RETIRED_FORMATS[fmt]}, so retrain the "
+                            "model with imtscast train")
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise DataError(f"{path}: not a checkpoint file")
         missing = [key for key in ("config", "params", "buffers") if key not in doc]
@@ -232,14 +243,15 @@ def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
     value every entry starts at. The buffers map name -> shape.
     """
     d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
-    n_sin = (dte - 1) // 2
-    n_cos = dte - 1 - n_sin
+    # The time encoding's columns are [linear x (d_te - 2P) | sin x P | cos x P]:
+    # te.w_s, te.b_s scale and shift the linear ones, and the P sin/cos pairs
+    # share one frequency and phase each (te.w_f, te.b_f).
+    pairs = (dte - 1) // 2
     shapes = {
         "conv.w1": ((c, 3), 3), "conv.b1": ((c, 1), 0.0),
         "conv.w2": ((1, c), c), "conv.b2": ((1, 1), 0.0),
-        "te.w_s": ((1, 1), 1), "te.b_s": ((1, 1), 0.0),
-        "te.w_p": ((1, n_sin), 1), "te.b_p": ((1, n_sin), 0.0),
-        "te.w_c": ((1, n_cos), 1), "te.b_c": ((1, n_cos), 0.0), "te.w_t": ((dte, 1), dte),
+        "te.w_s": ((1, dte - 2 * pairs), 1), "te.b_s": ((1, dte - 2 * pairs), 0.0),
+        "te.w_f": ((1, pairs), 1), "te.b_f": ((1, pairs), 0.0), "te.w_t": ((dte, 1), dte),
         "pool.log_alpha": ((1, k), float(np.log(1.0 / k))), "pool.gate": ((1, k), 0.0),
         "pool.w_proj": ((k + 1, d), k + 1),
     }
@@ -323,9 +335,10 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
         # the output projection's input (B*N, d)
         + rows * d
-        # head and loss per query: row index, time, features (d + d_te),
-        # two hidden layers with relu masks, residual and weight
-        + queries * (3 * d + mask + dte + 5)
+        # head and loss per query: row index, time, its time encoding
+        # (d_te), features (d + d_te), two hidden layers with relu masks,
+        # residual and weight
+        + queries * (3 * d + mask + 2 * dte + 5)
         # parameters, feature draws, the DFT pair and a few tiny arrays
         + _stored_floats(cfg) + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
     )
@@ -339,31 +352,35 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
 def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Continuous time encoding of a (M, 1) column of raw times -> (M, d_te).
 
-    Concatenation order: [linear term, sin branch, cos branch]. The times
-    are data, so no gradient flows back to them. One node; backward
-    recomputes the sin and cos arguments from the times, so the node keeps
-    only the (M, 1) column.
+    Columns: [linear x (d_te - 2P) | sin x P | cos x P], P = (d_te - 1) // 2.
+    The linear columns are t w_s + b_s; sin/cos pair j shares one argument
+    theta_j = t w_f[j] + b_f[j], the linear-plus-periodic encoding of
+    Time2Vec (arXiv 1907.05321) and mTAN (arXiv 2101.10318). The times are
+    data, so no gradient flows back to them.
+
+    One node. Its VJP reads each pair's derivative off its own output,
+    g_theta = g_sin cos(theta) - g_cos sin(theta), so backward runs no
+    transcendental; the node keeps its output and the (M, 1) column.
     """
-    # Each step is the numpy call of the primitive chain it replaces (three
-    # matmuls and adds, sin, cos, concat), so the output and the adjoints
-    # are bitwise that chain's.
+    # Each step is the numpy call of the primitive chain it replaces (two
+    # matmuls and adds, sin and cos of the one argument, concat), so the
+    # output and the adjoints are bitwise that chain's.
     t = tcol.data
-    names = ("te.w_s", "te.b_s", "te.w_p", "te.b_p", "te.w_c", "te.b_c")
-    ws, bs, wp, bp, wc, bc = (p[name].data for name in names)
-    n_sin = wp.shape[1]
+    names = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")
+    ws, bs, wf, bf = (p[name].data for name in names)
+    n_lin, pairs = ws.shape[1], wf.shape[1]
 
     with np.errstate(over="ignore", invalid="ignore"):   # record() raises instead
-        out = np.concatenate([np.matmul(t, ws) + bs, np.sin(np.matmul(t, wp) + bp),
-                              np.cos(np.matmul(t, wc) + bc)], axis=1)
+        theta = np.matmul(t, wf) + bf
+        out = np.concatenate([np.matmul(t, ws) + bs, np.sin(theta), np.cos(theta)], axis=1)
+    sin, cos = out[:, n_lin : n_lin + pairs], out[:, n_lin + pairs :]
 
     def vjp(g):
-        g_lin, g_s, g_c = g[:, :1], g[:, 1 : 1 + n_sin], g[:, 1 + n_sin :]
-        g_p = g_s * np.cos(np.matmul(t, wp) + bp)
-        g_q = g_c * (-np.sin(np.matmul(t, wc) + bc))
+        g_lin = g[:, :n_lin]
+        g_theta = g[:, n_lin : n_lin + pairs] * cos - g[:, n_lin + pairs :] * sin
         t_t = t.swapaxes(-1, -2)
         return (t_t @ g_lin, g_lin.sum(axis=0, keepdims=True),
-                t_t @ g_p, g_p.sum(axis=0, keepdims=True),
-                t_t @ g_q, g_q.sum(axis=0, keepdims=True))
+                t_t @ g_theta, g_theta.sum(axis=0, keepdims=True))
 
     return tcol.tape.record("time_encode", out, tuple(p[name] for name in names), vjp)
 

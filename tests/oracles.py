@@ -103,11 +103,11 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """``model.time_encode`` as nine primitive nodes."""
+    """``model.time_encode`` as seven primitive nodes: the linear columns,
+    one shared argument, its sin and cos, and concat."""
     lin = tcol @ p["te.w_s"] + p["te.b_s"]
-    s = sin(tcol @ p["te.w_p"] + p["te.b_p"])
-    c = cos(tcol @ p["te.w_c"] + p["te.b_c"])
-    return T.concat([lin, s, c], axis=1)
+    theta = tcol @ p["te.w_f"] + p["te.b_f"]
+    return T.concat([lin, sin(theta), cos(theta)], axis=1)
 
 
 def chain_positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) -> Tensor:
@@ -194,7 +194,10 @@ def param_count_closed_form(cfg) -> int:
     form rather than from ``model.layout``."""
     d, dte, k, c = cfg.hidden, cfg.time_dim, cfg.kernels, cfg.conv_channels
     conv = 3 * c + c + c + 1
-    te = 3 * dte  # scale pair + sin/cos branches (2*(dte-1)) + projection (dte)
+    pairs = (dte - 1) // 2
+    # linear scale and shift per linear column, frequency and phase per
+    # sin/cos pair, projection
+    te = 2 * (dte - 2 * pairs) + 2 * pairs + dte
     pool = 2 * k + (k + 1) * d
     block = 3 * d * d + 4 * d + (2 * d * d + 2 * d) + (2 * d * d + d)
     head = (d + dte) * d + d + d * d + d + d + 1

@@ -313,7 +313,7 @@ class TestConfigValues:
         ("max_epochs", {}, ["--max-epochs", "0"]),
         ("patience", {"model": {"patience": 0}}, []),
         ("dropout", {"model": {"dropout": 0.1}}, []),
-        # 10,995,152,978,066 parameters: refused before anything is allocated.
+        # 10,995,152,978,052 parameters: refused before anything is allocated.
         ("hidden", {}, ["--hidden", "1048576", "--heads", "1"]),
         ("seed", {"seed": 5, "model": {"seed": 3}}, []),
     ], ids=["hidden_string", "hidden_float", "kernels_fraction", "lr_string", "seed_string",
@@ -377,15 +377,13 @@ class TestCheckpointFormat:
 
 
 class TestRetiredCheckpointFormat:
-    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
-    def test_a_cos_sin_feature_map_checkpoint_exits_2_saying_retrain(self, tmp_path, capsys,
-                                                                     command):
-        # An imtscast-checkpoint-1 file: the same arrays plus a phase draw
-        # per block, which the cos/sin feature map added to its projection.
+    def run_retired(self, tmp_path, capsys, command, fmt, retire):
+        """Exit code and stderr lines of ``command`` on a tiny checkpoint
+        relabelled ``fmt``, its document changed by ``retire``."""
         data, checkpoint = tiny_run(tmp_path)
         doc = json.loads(checkpoint.read_text(encoding="utf-8"))
-        doc["format"] = "imtscast-checkpoint-1"
-        doc["buffers"]["blocks.0.phase"] = {"shape": [1, 4], "data": [0.5] * 4}
+        doc["format"] = fmt
+        retire(doc)
         checkpoint.write_text(json.dumps(doc), encoding="utf-8")
         argv = {
             "eval": ["--data", str(data / "manifest.json")],
@@ -394,12 +392,44 @@ class TestRetiredCheckpointFormat:
                         "--out", str(tmp_path / "predictions.csv")],
             "inspect": ["--data", str(data / "manifest.json"), "--out", str(tmp_path / "maps")],
         }[command]
-        assert main([command, "--checkpoint", str(checkpoint), *argv]) == EXIT_USAGE
-        errors = capsys.readouterr().err.splitlines()
+        code = main([command, "--checkpoint", str(checkpoint), *argv])
+        assert not (tmp_path / "predictions.csv").exists() and not (tmp_path / "maps").exists()
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    def test_a_cos_sin_feature_map_checkpoint_exits_2_saying_retrain(self, tmp_path, capsys,
+                                                                     command):
+        # An imtscast-checkpoint-1 file: the same arrays plus a phase draw
+        # per block, which the cos/sin feature map added to its projection.
+        def retire(doc):
+            doc["buffers"]["blocks.0.phase"] = {"shape": [1, 4], "data": [0.5] * 4}
+
+        code, errors = self.run_retired(tmp_path, capsys, command, "imtscast-checkpoint-1",
+                                        retire)
+        assert code == EXIT_USAGE
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         assert "imtscast-checkpoint-1" in errors[0] and "cos/sin random-feature map" in errors[0]
         assert "retrain" in errors[0]
-        assert not (tmp_path / "predictions.csv").exists() and not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    def test_a_separate_frequency_time_encoding_checkpoint_exits_2_saying_retrain(
+            self, tmp_path, capsys, command):
+        # An imtscast-checkpoint-2 file at time_dim 4: one linear column, one
+        # sin column and two cos columns, each with its own frequency.
+        def retire(doc):
+            params = doc["params"]
+            for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f"):
+                del params[name]
+            for name, width in [("te.w_s", 1), ("te.b_s", 1), ("te.w_p", 1), ("te.b_p", 1),
+                                ("te.w_c", 2), ("te.b_c", 2)]:
+                params[name] = {"shape": [1, width], "data": [0.5] * width}
+
+        code, errors = self.run_retired(tmp_path, capsys, command, "imtscast-checkpoint-2",
+                                        retire)
+        assert code == EXIT_USAGE
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert "imtscast-checkpoint-2" in errors[0] and "separate frequencies" in errors[0]
+        assert "share one frequency" in errors[0] and "retrain" in errors[0]
 
 
 class TestGenValues:
@@ -537,7 +567,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--hidden", "1048576", "--heads", "1"]) == EXIT_USAGE
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
-        assert "10,995,152,978,066 learnable parameters" in errors[0]
+        assert "10,995,152,978,052 learnable parameters" in errors[0]
 
     # A zero step ended in a ZeroDivisionError traceback, a non-finite one in
     # a numeric failure (3), and a NaN or negative tol ran the whole check to

@@ -134,7 +134,7 @@ class TestBackward:
         assert tape.backward(loss)["w"].tolist() == [8.0]
 
 
-TE_NAMES = ("te.w_s", "te.b_s", "te.w_p", "te.b_p", "te.w_c", "te.b_c")
+TE_NAMES = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")
 TIMES = np.linspace(-1.0, 2.0, 5)[:, None]
 T_NORM = np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)
 CENTERS = np.linspace(0.0, 1.0, 4)[None, :]
@@ -144,8 +144,8 @@ BIG = 1.7e308   # twice this overflows
 
 
 def time_encode_of_rows(t):
-    """The time encoding with the six ``te.*`` parameters taken from the
-    rows of a (6, 3) tensor: scalar linear terms, three sin and three cos."""
+    """The time encoding with the four ``te.*`` parameters taken from the
+    rows of a (4, 3) tensor: scalar linear terms and three sin/cos pairs."""
     p = {name: narrow(t, np.s_[i : i + 1, : 1 if i < 2 else 3])
          for i, name in enumerate(TE_NAMES)}
     return time_encode(t.tape.const(TIMES), p)
@@ -171,7 +171,7 @@ PRIMITIVE_CASES = [
     ("relu", lambda t: T.relu(t), (3, 4)),
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
-    ("time_encode", lambda t: time_encode_of_rows(t), (6, 3)),
+    ("time_encode", lambda t: time_encode_of_rows(t), (4, 3)),
     # The keys' features, shifted per (sample, head): two samples, two heads.
     ("positive_features", lambda t: positive_features(t, OMEGA, keys=True), (2, 3, 2, 4)),
     ("kernel_weights", lambda t: _kernel_weights(
