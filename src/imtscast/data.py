@@ -3,11 +3,21 @@
 An irregular multivariate sample is a list of per-variate observation
 streams at mutually unaligned timestamps, plus future query times per
 variate. ``align`` merges every timestamp into one sorted grid and
-produces a zero-filled value matrix with a binary observedness mask: an
-``AlignedTriplet`` holding one sample, in the row layout the model reads.
-``pad_chunk`` stacks such blocks with the same variate count into one
-padded block, so that several samples run through the model together; a
-sample is a block of one.
+produces an ``AlignedTriplet`` holding one sample, in the row layout the
+model reads: the grid times, a binary observedness mask, and the
+observed-cell layout. ``pad_chunk`` stacks such blocks with the same
+variate count into one padded block, so that several samples run through
+the model together; a sample is a block of one.
+
+The observed-cell layout is what the smoothing convolution reads. On the
+zero-filled (B*N, L) grid, whose unobserved cells hold 0, it lists the P
+observed cells by sorted flat index (``cells``) and, for each, the grid
+values left of it, at it and right of it (``taps``). Because unobserved
+cells hold 0, a neighbour that is not observed, or that lies past either
+end of its row, reads exactly 0: the taps are the zero-padded
+convolution's own inputs. The layout is built once per sample, from the
+rows and columns of its observations, and never scans the grid; the dense
+grid itself is not stored (``AlignedTriplet.values`` rebuilds it).
 """
 
 from __future__ import annotations
@@ -116,16 +126,22 @@ class AlignedTriplet:
     """Aligned samples with a common variate count N on one grid length: a block.
 
     Rows are sample-major: row ``b*N + n`` is variate n of sample b. Cells
-    past a sample's own grid have value 0 and mask 0, so every stage that
-    masks (pooling) or zero-pads (the smoothing convolution) treats them
-    exactly as if the grid ended there. Each padded time repeats the
-    sample's last time, which keeps the times finite and in order and maps
-    them to exactly 1 under ``normalize_times``.
+    past a sample's own grid have mask 0 and hold 0 on the zero-filled
+    grid, so every stage that masks (pooling) or zero-pads (the smoothing
+    convolution) treats them exactly as if the grid ended there. Each
+    padded time repeats the sample's last time, which keeps the times
+    finite and in order and maps them to exactly 1 under
+    ``normalize_times``.
+
+    ``cells`` and ``taps`` are the observed-cell layout (see the module
+    docstring): the P observed cells' flat indices into the (B*N, L) grid,
+    ascending, and their (left, own, right) values on the zero-filled grid.
     """
 
     times: np.ndarray   # (B, L); past its grid, each row repeats its last time
-    values: np.ndarray  # (B*N, L), zero where unobserved or padded
     mask: np.ndarray    # (B*N, L) in {0, 1}
+    cells: np.ndarray   # (P,) flat indices of the observed cells, ascending
+    taps: np.ndarray    # (3, P) left, own and right value of each observed cell
 
     @property
     def samples(self) -> int:
@@ -137,14 +153,23 @@ class AlignedTriplet:
 
     @property
     def n_variates(self) -> int:
-        return self.values.shape[0] // self.samples
+        return self.mask.shape[0] // self.samples
+
+    @property
+    def values(self) -> np.ndarray:
+        """The zero-filled (B*N, L) grid, built anew from the layout on each call."""
+        out = np.zeros(self.mask.shape)
+        out.reshape(-1)[self.cells] = self.taps[1]
+        return out
 
 
 def pad_chunk(blocks) -> AlignedTriplet:
     """Stack blocks that share N into one block padded to the longest grid.
 
     A lone block is returned as it is, not copied. Otherwise each block's
-    rows are copied as one slab into the new block.
+    mask rows are copied as one slab into the new block, its ``cells`` are
+    re-based onto the new grid and the ``taps`` are concatenated: a tap
+    past a block's own grid already reads 0, as the padded grid holds.
     """
     blocks = list(blocks)
     if not blocks:
@@ -156,39 +181,59 @@ def pad_chunk(blocks) -> AlignedTriplet:
         raise DataError("pad_chunk: samples in one chunk must have the same variate count")
     length = max(blk.grid_length for blk in blocks)
     samples = sum(blk.samples for blk in blocks)
-    values = np.zeros((samples * n, length))
     mask = np.zeros((samples * n, length))
     times = np.empty((samples, length))
+    first_rows = []
     b = 0
     for blk in blocks:
         rows, cols = slice(b * n, (b + blk.samples) * n), slice(0, blk.grid_length)
-        values[rows, cols] = blk.values
         mask[rows, cols] = blk.mask
         times[b : b + blk.samples, cols] = blk.times
         times[b : b + blk.samples, blk.grid_length :] = blk.times[:, -1:]
+        first_rows.append(b * n)
         b += blk.samples
-    return AlignedTriplet(times=times, values=values, mask=mask)
+    # Each cell keeps its row within its block and its column: row r, col c
+    # of a block of grid length L' becomes (first row + r) * L + c.
+    counts = [blk.cells.size for blk in blocks]
+    row, col = np.divmod(np.concatenate([blk.cells for blk in blocks]),
+                         np.repeat([blk.grid_length for blk in blocks], counts))
+    row += np.repeat(first_rows, counts)
+    return AlignedTriplet(times=times, mask=mask, cells=row * length + col,
+                          taps=np.concatenate([blk.taps for blk in blocks], axis=1))
 
 
 def align(sample: ImtsSample) -> AlignedTriplet:
     """Merge all variates' timestamps into one sorted, deduplicated grid.
 
-    Returns a block of one: (N, L) values and mask, (1, L) times.
-    Timestamps are compared by value on their float64 representation, so
-    ``-0.0`` and ``0.0`` share one grid time. Rejects samples with zero
-    observations in total.
+    Returns a block of one: the (N, L) mask, (1, L) times and the
+    observed-cell layout. Timestamps are compared by value on their float64
+    representation, so ``-0.0`` and ``0.0`` share one grid time. Rejects
+    samples with zero observations in total.
+
+    Each variate's times increase strictly, so its observations land in
+    ascending columns of its own row, and the flat indices of the
+    observations, variate after variate, are already sorted. Two
+    consecutive ones are neighbours on the grid exactly when they differ
+    by 1 and the second is not at the start of a row; every other tap
+    reads 0.
     """
     if sample.total_observations() == 0:
         raise DataError(f"sample {sample.sample_id}: cannot align, no observations at all")
     times, cols = np.unique(np.concatenate([s.times for s in sample.series]),
                             return_inverse=True)
-    n = sample.n_variates
-    rows = np.repeat(np.arange(n), [len(s) for s in sample.series])
-    values = np.zeros((n, times.size))
-    mask = np.zeros((n, times.size))
-    values[rows, cols] = np.concatenate([s.values for s in sample.series])
-    mask[rows, cols] = 1.0
-    return AlignedTriplet(times=times[None, :], values=values, mask=mask)
+    n, length = sample.n_variates, times.size
+    cells = np.repeat(np.arange(0, n * length, length), [len(s) for s in sample.series])
+    cells += cols                      # each observation's row start plus its column
+    taps = np.zeros((3, cells.size))
+    own = taps[1]
+    np.concatenate([s.values for s in sample.series], out=own)
+    adjacent = cells[1:] - cells[:-1] == 1
+    adjacent &= cols[1:] != 0          # not the first cell of the next row
+    np.copyto(taps[0, 1:], own[:-1], where=adjacent)
+    np.copyto(taps[2, :-1], own[1:], where=adjacent)
+    mask = np.zeros((n, length))
+    mask.reshape(-1)[cells] = 1.0
+    return AlignedTriplet(times=times[None, :], mask=mask, cells=cells, taps=taps)
 
 
 def normalize_times(times: np.ndarray) -> np.ndarray:

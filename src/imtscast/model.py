@@ -7,9 +7,12 @@ mix variates, and a query-conditioned MLP head.
 
 Pooling multiplies the fused series by the mask before both of its sums,
 so it reads observed cells only. The smoothing convolution therefore runs
-at those cells alone (its taps still see the zero-filled neighbours) and
-places its output on the grid; the rest of the grid, mostly unobserved on
-long sparse series, costs no convolution work and no backward work.
+at those cells alone and places its output on the grid; the rest of the
+grid, mostly unobserved on long sparse series, costs no convolution work
+and no backward work. Which cells those are, and their taps on the
+zero-filled grid, is data: ``data.align`` builds that layout once per
+sample and ``data.pad_chunk`` re-bases it for a chunk, so a forward only
+reads it and never derives it from the grid.
 
 The forward pass runs one block of B samples that share the variate count
 N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
@@ -320,8 +323,9 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
     times = samples * grid_length
     mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
     floats = (
-        # encode: the conv taps (3, P) and placement index (P,); the grid
-        # times and the time encoding (B*L, 1 + d_te)
+        # encode: the block's conv taps (3, P) and the cells (P,) that
+        # place the conv's output (a chunk of one keeps its sample's own);
+        # the grid times and the time encoding (B*L, 1 + d_te)
         (4 * observed if cfg.use_preconv else 0) + times * (1 + dte)
         # pool: the normalized times and the kernel weights (B, L, 1 + K),
         # the mask and the masked series (B*N, L) x2, the quotient and its
@@ -385,26 +389,22 @@ def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     return tcol.tape.record("time_encode", out, tuple(p[name] for name in names), vjp)
 
 
-def conv_smooth(values: np.ndarray, mask: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+def conv_smooth(block: AlignedTriplet, p: dict[str, Tensor]) -> Tensor:
     """Width-3 then 1x1 convolution along time with zero same-padding,
-    evaluated at the observed cells only.
+    evaluated at the observed cells of ``block`` only: its (B*N, L) rows.
 
-    ``values`` is the (N, L) zero-filled data, one variate per row, and
-    ``mask`` marks its observed cells. The same filter bank applies to every
-    variate. Each observed cell's three taps come from the zero-padded rows
-    as one (3, P) constant, both layers run over those P columns, and the
-    (1, P) result is placed into a zero (N, L) grid. Unobserved cells hold
-    0 instead of the filters' response there; that is exact for the model,
-    since pooling, the only reader, multiplies every cell by the mask.
-    ``values`` is data, so no gradient flows back to it.
+    The same filter bank applies to every variate. Both layers run over the
+    block's (3, P) ``taps``, the observed cells' inputs on the zero-padded
+    grid (see ``data.AlignedTriplet``), and the (1, P) result is placed at
+    the block's ``cells`` in a zero grid. Unobserved cells hold 0 instead of
+    the filters' response there; that is exact for the model, since
+    pooling, the only reader, multiplies every cell by the mask. The taps
+    are data, so no gradient flows back to them, and they are not checked:
+    a non-finite tap makes the layers' output non-finite, and that node
+    raises.
     """
-    n, length = values.shape
-    flat = np.flatnonzero(mask)
-    padded = np.pad(values, ((0, 0), (1, 1))).reshape(-1)     # rows of L+2
-    centre = flat + 2 * (flat // length) + 1                   # cell positions in ``padded``
-    taps = np.stack([padded[centre - 1], padded[centre], padded[centre + 1]])   # (3, P)
-    out = _smoothing_layers(taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
-    return T.place(out, flat, (n, length))
+    out = _smoothing_layers(block.taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
+    return T.place(out, block.cells, block.mask.shape)
 
 
 def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -419,7 +419,9 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
         mask = pre > 0
         return pre * mask, mask
 
-    h, _ = hidden()
+    with np.errstate(over="ignore", invalid="ignore"):        # record() raises instead
+        h, _ = hidden()
+        out = np.matmul(w2d, h) + b2d
 
     def vjp(g):
         h, mask = hidden()
@@ -427,26 +429,25 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
         return (g_pre @ taps.swapaxes(-1, -2), g_pre.sum(axis=1, keepdims=True),
                 g @ h.swapaxes(-1, -2), g.sum(axis=1, keepdims=True))
 
-    return w1.tape.record("smoothing_layers", np.matmul(w2d, h) + b2d, (w1, b1, w2, b2), vjp)
+    return w1.tape.record("smoothing_layers", out, (w1, b1, w2, b2), vjp)
 
 
-def encode_series(rows: Tensor, tcol: Tensor, mask: np.ndarray, p: dict[str, Tensor],
+def encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
                   use_conv: bool = True) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
-    ``rows`` is (B*N, L), sample-major; ``tcol`` is the (B*L, 1) column of
-    the B samples' grid times, one grid after another. ``mask`` marks the
-    observed cells of ``rows``; the convolution runs only there (see
-    ``conv_smooth``). The projection is added to each sample's N rows by
-    broadcasting, on the whole grid, so the result is the (B, N, L) stack
-    that pooling reads.
+    ``tcol`` is the (B*L, 1) column of the block's grid times, one grid
+    after another. The convolution runs at the block's observed cells only
+    (see ``conv_smooth``); without it, the series is the block's
+    zero-filled grid, a checked constant. The projection is added to each
+    sample's N rows by broadcasting, on the whole grid, so the result is
+    the (B, N, L) stack that pooling reads.
     """
-    base = conv_smooth(rows.data, mask, p) if use_conv else rows
-    total, length = rows.data.shape
-    samples = tcol.data.shape[0] // length
+    base = conv_smooth(block, p) if use_conv else tcol.tape.const(block.values)
+    samples, length = block.samples, block.grid_length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
-    return base.reshape((samples, total // samples, length)) + tproj
+    return base.reshape((samples, block.n_variates, length)) + tproj
 
 
 def _nonzero(den: Tensor) -> Tensor:
@@ -739,16 +740,15 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
     cfg = model.cfg
     samples, length = block.samples, block.grid_length
     queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    if len(queries) != block.values.shape[0]:
-        raise DataError(f"forward: expected {block.values.shape[0]} query arrays, "
+    if len(queries) != block.mask.shape[0]:
+        raise DataError(f"forward: expected {block.mask.shape[0]} query arrays, "
                         f"one per row, got {len(queries)}")
     p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 
-    rows = tp.const(block.values)                              # (B*N, L)
     tcol = tp.const(block.times.reshape((samples * length, 1)))    # (B*L, 1)
 
-    xhat = encode_series(rows, tcol, block.mask, p, use_conv=cfg.use_preconv)
+    xhat = encode_series(block, tcol, p, use_conv=cfg.use_preconv)
     z = pool_all(xhat, block.mask, normalize_times(block.times), p,
                  use_gate=cfg.use_pool_gate)
 

@@ -7,21 +7,28 @@ is its sample's own block, not a copy), and its query arrays are passed in
 the block's row order. A chunk runs forward and backward on one tape, so the
 per-op cost of the tape is paid once per chunk rather than once per sample.
 Padding is exact: padded cells have mask 0, pooling multiplies both its
-numerator and its denominator by the mask, and the smoothing convolution
-already sees zeros past the end of a grid. The chunk loss is the sum of its
-samples' losses, so the summed chunk gradients divided by the batch size
-are the batch-mean gradient. Validation runs over the same kind of chunks.
+numerator and its denominator by the mask, and the smoothing convolution's
+taps already read zeros past the end of a grid. Each sample's observed-cell
+layout is built once, by ``align`` in ``_prepare``; a chunk re-bases its
+samples' layouts, and no epoch derives one from a grid. The chunk loss is
+the sum of its samples' losses, so the summed chunk gradients divided by
+the batch size are the batch-mean gradient. Validation runs over the same
+kind of chunks.
 
 A chunk's training tape keeps the arrays its VJP closures need until
 backward; ``model.tape_bytes`` sums them from the chunk's padded shape, its
 observed cells and its queries. A chunk grows while that sum stays within
 ``CHUNK_TAPE_BYTES``; a sample over the budget forms a chunk of one. The
 budget is set by memory, and ``train`` holds the previous chunk's tape
-while the next forward runs, so two tapes are alive at once. At 4 MiB:
+while the next forward runs, so two tapes are alive at once. At 4 MiB
+(what the tape keeps, counted on seed-1 data with the default config):
 - a whole 32-sample sinusoid-a batch is one chunk (at most ~2.9 MB, about
   17.7 floats per padded cell);
-- a 128-variate predict-wide chunk holds 2-3 samples (~4 MB);
-- a long-grid chunk holds two samples (~1.95 MB each, ~3.9 MB together).
+- a 128-variate predict-wide chunk holds 2-3 samples (~4.0-4.15 MB for 3);
+- a long-grid chunk holds two samples (~1.9 MB each, ~3.75-3.8 MB together).
+The conv's share is the chunk's layout, 32 bytes per observed cell: a
+chunk of one keeps its sample's own arrays, a larger chunk the copy that
+``pad_chunk`` made.
 
 The optimizer works on flat vectors laid out as ``ModelParams.flat``: each
 chunk's backward adds its gradients into one batch vector, which is then
@@ -228,7 +235,7 @@ def chunk_spans(blocks, query_counts, cfg: TrainConfig) -> list[range]:
     spans = []
     start, n, longest, observed, queries = 0, None, 0, 0, 0
     for i, (blk, count) in enumerate(zip(blocks, query_counts, strict=True)):
-        own = int(np.count_nonzero(blk.mask))
+        own = blk.cells.size
         grown = max(longest, blk.grid_length)
         joins = i > start and blk.n_variates == n and tape_bytes(
             cfg, i - start + 1, n, grown, observed + own, queries + count) <= CHUNK_TAPE_BYTES

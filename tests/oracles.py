@@ -6,6 +6,12 @@ straightforward forms they replace: the convolution over every grid cell,
 per-variate pooling coefficients followed by a per-variate summary, and
 the packed transform by per-bin direct summation.
 
+``data.align`` builds each sample's observed-cell layout from the rows and
+columns of its observations, and ``data.pad_chunk`` re-bases it for a
+chunk. ``dense_layout`` derives the same layout from a dense zero-filled
+grid and its mask, by scanning and padding the grid; ``grid_triplet``
+builds a block from such a grid with it.
+
 The time encoding, the kernel weights and the feature map are one tape
 node each in the model. ``chain_time_encode``, ``chain_kernel_weights`` and
 ``chain_positive_features`` are the primitive chains those nodes replace,
@@ -32,7 +38,7 @@ import math
 import numpy as np
 
 import imtscast.tape as T
-from imtscast.data import DataError
+from imtscast.data import AlignedTriplet, DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
 from imtscast.model import ATTENTION_EPS, _first_maxima, _kernel_weights, _nonzero, time_encode
@@ -135,6 +141,33 @@ def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     return exp(diff * diff * (-0.5) / sig2)
 
 
+def dense_layout(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The observed-cell layout of the (R, L) grid ``values`` under ``mask``:
+    the sorted flat indices of the observed cells, (P,), and each one's
+    left, own and right value on the zero-padded rows, (3, P)."""
+    length = values.shape[1]
+    flat = np.flatnonzero(mask)
+    padded = np.pad(values, ((0, 0), (1, 1))).reshape(-1)     # rows of L+2
+    centre = flat + 2 * (flat // length) + 1                   # cell positions in ``padded``
+    return flat, np.stack([padded[centre - 1], padded[centre], padded[centre + 1]])
+
+
+def grid_triplet(values: np.ndarray, mask: np.ndarray, times=None) -> AlignedTriplet:
+    """A block from its zero-filled (B*N, L) grid, its mask and its (B, L)
+    times; without times, a block of one whose grid times are all 0."""
+    cells, taps = dense_layout(values, mask)
+    if times is None:
+        times = np.zeros((1, values.shape[1]))
+    return AlignedTriplet(times=times, mask=mask, cells=cells, taps=taps)
+
+
+def zero_filled(block: AlignedTriplet) -> np.ndarray:
+    """The block's zero-filled (B*N, L) grid: each observed cell's own tap at its cell."""
+    grid = np.zeros(block.mask.size)
+    grid[block.cells] = block.taps[1]
+    return grid.reshape(block.mask.shape)
+
+
 def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Width-3 then 1x1 convolution along time with zero same-padding, at
     every cell of the (N, L) rows."""
@@ -154,10 +187,12 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     return out.reshape((n, length))
 
 
-def dense_encode_series(rows: Tensor, tcol: Tensor, mask, p: dict[str, Tensor],
+def dense_encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
                         use_conv: bool = True) -> Tensor:
-    """``model.encode_series`` with the convolution run on the whole grid;
-    ``mask`` is accepted and ignored. Returns the (B, N, L) stack."""
+    """``model.encode_series`` with the convolution run on the whole
+    zero-filled grid, rebuilt from the block's layout; the rest of the
+    layout is not read. Returns the (B, N, L) stack."""
+    rows = tcol.tape.const(zero_filled(block))
     base = dense_conv_smooth(rows, p) if use_conv else rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length

@@ -6,7 +6,8 @@ rename or a bypass in the model would only show up as missing per-layer
 metrics in a benchmark run, so one traced forward and backward runs here,
 and one traced training epoch checks the ``train.*`` spans and the values
 their hooks read (``clip_gradients``' norm, ``adam_step``'s flag and
-``Tape.backward``'s tape).
+``Tape.backward``'s tape). One traced ``align`` call checks what the
+``data.align`` hook reads off an aligned sample.
 ``perfbench/tests`` has its own conftest and runs as a separate suite.
 """
 
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import imtscast.data as data_module
 import imtscast.model as model_module
 from imtscast.config import TrainConfig
 from imtscast.datasets import PRESETS, generate
@@ -64,3 +66,18 @@ def test_a_training_epoch_fires_the_train_spans_and_gives_finite_metrics(monkeyp
     assert math.isfinite(metrics["train.grad_norm_p50"])
     assert metrics["train.steps"] > 0
     assert 0.0 <= metrics["train.clipped_frac"] <= 1.0
+
+
+def test_the_align_hook_reads_grid_length_cells_and_observed_counts(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    sample = generate(PRESETS["sinusoid-tiny"])[0]
+    tracer = tracing.Tracer()
+    with tracer.installed(tracing.targets()):
+        block = data_module.align(sample)
+    assert tracer.restored()
+    [span] = [span for span in tracer.spans if span.name == "data.align"]
+    assert span.counts == {"grid_len": block.grid_length,
+                           "cells": sample.n_variates * block.grid_length,
+                           "observed": sample.total_observations()}

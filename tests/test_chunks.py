@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from imtscast.config import TrainConfig
-from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
+from imtscast.data import DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, generate
 from imtscast.model import ModelParams, forward, linear_attention, tape_bytes
 from imtscast.tape import Tape
 from imtscast.train import CHUNK_TAPE_BYTES, build_loss, chunk_spans
 
 from conftest import chunk_of, random_sample
+from oracles import grid_triplet
 
 
 def draw_samples(seed, variate_counts):
@@ -148,8 +149,8 @@ class TestChunkEquivalence:
 
 
 def triplet(n, length):
-    return AlignedTriplet(times=np.arange(float(length))[None, :], values=np.ones((n, length)),
-                          mask=np.ones((n, length)))
+    return grid_triplet(np.ones((n, length)), np.ones((n, length)),
+                        np.arange(float(length))[None, :])
 
 
 BUDGET_CFG = TrainConfig()
@@ -179,8 +180,7 @@ class TestChunking:
             # Sparse masks: the observed cells enter the budget, not the padded ones.
             # Drawn (L, N) as before the layout change, so the cells are the same.
             mask = (rng.uniform(size=trip.mask.shape[::-1]) < 0.5).T.astype(float)
-            triplets.append(AlignedTriplet(times=trip.times, values=trip.values * mask,
-                                           mask=mask))
+            triplets.append(grid_triplet(trip.values * mask, mask, trip.times))
         counts = [int(rng.integers(0, 20)) for _ in triplets]
         spans = chunk_spans(triplets, counts, BUDGET_CFG)
         assert [i for span in spans for i in span] == list(range(len(triplets)))

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imtscast.data import (
-    AlignedTriplet,
     DataError,
     ImtsSample,
     RawSeries,
@@ -12,8 +11,10 @@ from imtscast.data import (
     normalize_times,
     pad_chunk,
 )
+from imtscast.datasets import SynthSpec, generate
 
 from conftest import random_sample
+from oracles import dense_layout, grid_triplet
 
 
 def make_sample(series_spec, queries=None):
@@ -154,6 +155,107 @@ class TestAlign:
                        query_targets=(np.array([0.5]), np.array([0.5, bad])))
 
 
+def reference_grid(sample):
+    """A sample's zero-filled (N, L) grid and mask, placed variate by
+    variate at the grid columns of its times."""
+    grid = np.unique(np.concatenate([s.times for s in sample.series]))
+    values = np.zeros((sample.n_variates, grid.size))
+    mask = np.zeros_like(values)
+    for row, series in enumerate(sample.series):
+        cols = np.searchsorted(grid, series.times)
+        values[row, cols] = series.values
+        mask[row, cols] = 1.0
+    return values, mask
+
+
+def same_layout(block, values, mask):
+    """``block``'s layout is bitwise the dense scan of ``values`` under ``mask``."""
+    cells, taps = dense_layout(values, mask)
+    assert block.cells.dtype == cells.dtype
+    assert block.cells.tolist() == cells.tolist()
+    assert block.taps.shape == taps.shape
+    assert block.taps.tobytes() == taps.tobytes()     # signed zeros included
+
+
+@st.composite
+def lattice_samples(draw, n_variates=None):
+    """Samples on a short integer time lattice, so that observed cells are
+    often adjacent, rows often start or end observed and variates are often
+    empty. Values include both signed zeros."""
+    n = n_variates or draw(st.integers(1, 4))
+    length = draw(st.integers(1, 7))
+    value = st.sampled_from([-0.0, 0.0, 2.5]) | st.floats(-1e3, 1e3)
+    series = []
+    for _ in range(n):
+        times = sorted(draw(st.sets(st.integers(0, length - 1))))
+        series.append((times, draw(st.lists(value, min_size=len(times), max_size=len(times)))))
+    if not any(times for times, _values in series):
+        series[0] = ([0], [-0.0])
+    return make_sample(series)
+
+
+# The grid's edge cases: the first and the last grid column observed, runs
+# of adjacent observed cells across rows, a variate with no observations,
+# a one-cell grid, and -0.0 values beside positive ones.
+LAYOUT_EDGES = [
+    make_sample([([0.0, 1.0, 2.0], [1.0, -2.0, 0.5]), ([], []), ([2.0], [0.3])]),
+    make_sample([([5.0], [-0.0])]),
+    make_sample([([5.0], [4.0]), ([], []), ([5.0], [-0.0])]),
+    make_sample([([1.0, 2.0], [-0.0, 3.0]), ([0.0, 1.0], [7.0, -0.0]), ([0.0, 2.0], [1.0, 2.0])]),
+]
+
+
+class TestObservedCellLayout:
+    @pytest.mark.parametrize("index", range(len(LAYOUT_EDGES)))
+    def test_align_equals_the_dense_scan_at_the_grid_edges(self, index):
+        sample = LAYOUT_EDGES[index]
+        same_layout(align(sample), *reference_grid(sample))
+
+    @given(lattice_samples())
+    @settings(max_examples=60, deadline=None)
+    def test_align_equals_the_dense_scan(self, sample):
+        block = align(sample)
+        values, mask = reference_grid(sample)
+        same_layout(block, values, mask)
+        assert np.array_equal(block.mask, mask)
+        assert block.values.tobytes() == values.tobytes()
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(lattice_samples(n), min_size=2,
+                                                         max_size=4)))
+    @example([LAYOUT_EDGES[0], LAYOUT_EDGES[2], LAYOUT_EDGES[3]])
+    @settings(max_examples=40, deadline=None)
+    def test_pad_chunk_rebases_the_layout_onto_the_padded_grid(self, samples):
+        blocks = [align(s) for s in samples]
+        assume(len({blk.grid_length for blk in blocks}) > 1)
+        chunk = pad_chunk(blocks)
+        grids = [reference_grid(s) for s in samples]
+        padded = np.zeros(chunk.mask.shape)
+        mask = np.zeros(chunk.mask.shape)
+        n = samples[0].n_variates
+        for b, (values, own) in enumerate(grids):
+            padded[b * n : (b + 1) * n, : values.shape[1]] = values
+            mask[b * n : (b + 1) * n, : own.shape[1]] = own
+        assert np.array_equal(chunk.mask, mask)
+        same_layout(chunk, padded, mask)
+
+    def test_a_triplet_holds_no_dense_values_grid(self):
+        # Fully asynchronous data: the grid grows with every observation, so
+        # a dense float grid would be as large as the mask.
+        spec = SynthSpec(n_variates=8, n_samples=4, mean_observations=600.0,
+                         mode="independent", split=(2, 1, 1))
+        for sample in generate(spec):
+            block = align(sample)
+            owners = {}
+            for arr in vars(block).values():
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                owners[id(arr)] = arr
+            held = sum(arr.nbytes for arr in owners.values())
+            observed = sample.total_observations()
+            assert block.cells.size == observed
+            assert held <= block.mask.nbytes + block.times.nbytes + 32 * observed
+
+
 class TestNormalizeTimes:
     def row(self, times):
         return normalize_times(np.asarray([times], dtype=float))[0]
@@ -182,15 +284,13 @@ class TestNormalizeTimes:
 
     def test_shared_endpoints_identical_across_variates(self):
         # One row of times per sample: all of a sample's variates share it.
-        triplet = AlignedTriplet(times=np.array([[0.0, 1.0, 4.0]]), values=np.zeros((3, 3)),
-                                 mask=np.ones((3, 3)))
+        triplet = grid_triplet(np.zeros((3, 3)), np.ones((3, 3)), np.array([[0.0, 1.0, 4.0]]))
         norm = normalize_times(pad_chunk([triplet]).times)
         assert norm.tolist() == [[0.0, 0.25, 1.0]]
 
     def test_padded_cells_map_to_one_and_a_one_time_row_to_zero(self):
         triplets = [
-            AlignedTriplet(times=np.array([times]), values=np.zeros((2, len(times))),
-                           mask=np.ones((2, len(times))))
+            grid_triplet(np.zeros((2, len(times))), np.ones((2, len(times))), np.array([times]))
             for times in ([2.0, 3.0, 6.0], [0.1, 0.7, 0.9, 1.3, 2.9], [5.0])
         ]
         norm = normalize_times(pad_chunk(triplets).times)

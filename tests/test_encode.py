@@ -15,7 +15,7 @@ from imtscast.tape import Tape
 from imtscast.train import build_loss
 
 from conftest import bind, chunk_of
-from oracles import dense_conv_smooth, dense_encode_series
+from oracles import dense_conv_smooth, dense_encode_series, grid_triplet
 from test_chunks import close, config, draw_samples, targets_of
 
 
@@ -46,7 +46,7 @@ class TestObservedCellConvolution:
         values = rng.standard_normal(shape) * mask   # zero-filled, as ``align`` leaves it
         tape = Tape()
         p = conv_params(tape, 4, seed=shape[0])
-        sparse = conv_smooth(values, mask, p).data
+        sparse = conv_smooth(grid_triplet(values, mask), p).data
         dense = dense_conv_smooth(tape.const(values), p).data
         observed = mask == 1.0
         assert np.abs(sparse[observed] - dense[observed]).max() < 1e-14
@@ -58,7 +58,7 @@ class TestObservedCellConvolution:
         values = rng.standard_normal(mask.shape) * mask
         probe = rng.standard_normal(mask.shape)
         grads = []
-        for conv in (lambda tape, p: conv_smooth(values, mask, p),
+        for conv in (lambda tape, p: conv_smooth(grid_triplet(values, mask), p),
                      lambda tape, p: dense_conv_smooth(tape.const(values), p)):
             tape = Tape()
             p = conv_params(tape, 3, seed=2)
@@ -69,7 +69,8 @@ class TestObservedCellConvolution:
 
     def test_no_observed_cell(self):
         tape = Tape()
-        out = conv_smooth(np.zeros((2, 5)), np.zeros((2, 5)), conv_params(tape, 2, seed=3))
+        block = grid_triplet(np.zeros((2, 5)), np.zeros((2, 5)))
+        out = conv_smooth(block, conv_params(tape, 2, seed=3))
         assert out.data.shape == (2, 5)
         assert np.all(out.data == 0.0)
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import imtscast.model as model_module
 import imtscast.tape as T
 from imtscast.config import ConfigError, TrainConfig
-from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
+from imtscast.data import DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
@@ -41,6 +42,7 @@ from oracles import (
     chain_kernel_weights,
     chain_positive_features,
     chain_time_encode,
+    grid_triplet,
     narrow,
     param_count_closed_form,
     pool_coefficients,
@@ -150,15 +152,15 @@ class TestConvSmoothing:
         p = self.conv_params(tape, channels=4)
         p.update(make_te_params(tape, d_te=5, zero=True))
         p["te.w_t"] = tape.const(np.zeros((5, 1)))
-        out = encode_series(tape.const(np.zeros((2, 6))), tape.const(np.zeros((6, 1))),
-                            np.ones((2, 6)), p)
+        block = grid_triplet(np.zeros((2, 6)), np.ones((2, 6)))
+        out = encode_series(block, tape.const(np.zeros((6, 1))), p)
         assert np.all(out.data == 0.0)
 
     def test_length_one_sees_zero_padding(self):
         tape = Tape()
         p = self.conv_params(tape, channels=3, zero_bias=False, seed=1)
         value = 1.7
-        out = conv_smooth(np.array([[value]]), np.ones((1, 1)), p).data
+        out = conv_smooth(grid_triplet(np.array([[value]]), np.ones((1, 1))), p).data
         w1 = p["conv.w1"].data
         hidden = np.maximum(w1[:, 1] * value + p["conv.b1"].data[:, 0], 0.0)
         expected = p["conv.w2"].data[0] @ hidden + p["conv.b2"].data[0, 0]
@@ -170,7 +172,7 @@ class TestConvSmoothing:
         x = rng.standard_normal((1, length))
         tape = Tape()
         p = self.conv_params(tape, channels, zero_bias=False, seed=3)
-        out = conv_smooth(x, np.ones_like(x), p).data[0]
+        out = conv_smooth(grid_triplet(x, np.ones_like(x)), p).data[0]
 
         w1, b1 = p["conv.w1"].data, p["conv.b1"].data[:, 0]
         w2, b2 = p["conv.w2"].data[0], p["conv.b2"].data[0, 0]
@@ -190,9 +192,9 @@ class TestConvSmoothing:
         x = rng.standard_normal((3, 9))
         tape = Tape()
         p = self.conv_params(tape, channels=2, zero_bias=False, seed=5)
-        stacked = conv_smooth(x, np.ones_like(x), p).data
+        stacked = conv_smooth(grid_triplet(x, np.ones_like(x)), p).data
         for row in range(3):
-            single = conv_smooth(x[row : row + 1], np.ones((1, 9)), p).data
+            single = conv_smooth(grid_triplet(x[row : row + 1], np.ones((1, 9))), p).data
             assert np.abs(stacked[row] - single[0]).max() < 1e-14
 
 
@@ -654,9 +656,8 @@ class TestTapeMemory:
 def dense_triplet(n, length, seed=0):
     """Every variate observed at every grid time."""
     rng = np.random.default_rng([seed, n, length])
-    return AlignedTriplet(times=np.linspace(0.0, 1.0, length)[None, :],
-                          values=rng.standard_normal((length, n)).T.copy(),
-                          mask=np.ones((n, length)))
+    return grid_triplet(rng.standard_normal((length, n)).T.copy(), np.ones((n, length)),
+                        np.linspace(0.0, 1.0, length)[None, :])
 
 
 class TestCountedCost:
@@ -714,14 +715,15 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 93 nodes. 47 run the finiteness check: 8 constant
+        # query records 92 nodes. 46 run the finiteness check: 7 constant
         # leaves and 39 nodes that compute. The 30 parameter leaves share
         # one check of the flat vector, the frozen buffers are read as plain
-        # arrays, and the other 16 nodes only move, select or bound finite
-        # values.
+        # arrays, the convolution reads the block's taps unchecked (its
+        # layers' node checks their output), and the other 16 nodes only
+        # move, select or bound finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 93
-        assert checked == 47
+        assert len(sizes) == len(tape.nodes) == 92
+        assert checked == 46
 
 
 def positive_phi(m, omega, keys=False):
@@ -917,14 +919,14 @@ class TestForward:
         values = rng.standard_normal((length, n)).T.copy()
         mask = (rng.uniform(size=(length, n)) < 0.7).astype(float).T.copy()
         values *= mask
-        triplet = AlignedTriplet(times=times, values=values, mask=mask)
+        triplet = grid_triplet(values, mask, times)
         queries = [np.sort(rng.uniform(1.0, 1.5, size=2)) for _ in range(n)]
         cfg = block_config()
         model = ModelParams.init(cfg, seed=7)
 
         base = forward(Tape(), model, triplet, queries)
         perm = np.random.default_rng(8).permutation(n)
-        permuted = AlignedTriplet(times=times, values=values[perm], mask=mask[perm])
+        permuted = grid_triplet(values[perm], mask[perm], times)
         out = forward(Tape(), model, permuted, [queries[i] for i in perm])
 
         base_by_var = base.per_variate()
@@ -952,12 +954,24 @@ class TestForward:
             sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
         model = ModelParams.init(block_config(use_preconv=use_preconv), seed=12)
         block = align(sample)
-        before = [arr.copy() for arr in (block.values, block.mask, block.times)]
+        before = [arr.copy() for arr in (block.times, block.mask, block.cells, block.taps)]
         tape = Tape()
         res = forward(tape, model, block, sample.query_times)
         tape.backward(build_loss(res, np.concatenate(sample.query_targets)))
-        after = (block.values, block.mask, block.times)
+        after = (block.times, block.mask, block.cells, block.taps)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("use_preconv", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_tap_raises(self, use_preconv, bad):
+        # The layout is data the forward reads unchecked: the convolution's
+        # node, or without it the zero-filled grid's constant, must raise.
+        sample, model = self.sample_and_model(seed=13, use_preconv=use_preconv)
+        block = align(sample)
+        taps = block.taps.copy()
+        taps[1, taps.shape[1] // 2] = bad
+        with pytest.raises(T.NonFiniteError):
+            forward(Tape(), model, replace(block, taps=taps), sample.query_times)
 
     def test_zero_parameters_collapse_to_head_bias(self):
         sample, model = self.sample_and_model(seed=9)
