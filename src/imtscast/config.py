@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 
@@ -98,3 +99,11 @@ def validate(cfg: TrainConfig) -> None:
         raise ConfigError("patience must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory on this machine; inf where it is not reported."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):   # not reported: no check
+        return math.inf

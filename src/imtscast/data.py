@@ -4,20 +4,21 @@ An irregular multivariate sample is a list of per-variate observation
 streams at mutually unaligned timestamps, plus future query times per
 variate. ``align`` merges every timestamp into one sorted grid and
 produces an ``AlignedTriplet`` holding one sample, in the row layout the
-model reads: the grid times, a binary observedness mask, and the
-observed-cell layout. ``pad_chunk`` stacks such blocks with the same
-variate count into one padded block, so that several samples run through
-the model together; a sample is a block of one.
+model reads: the grid times and the observed-cell layout. ``pad_chunk``
+stacks such blocks with the same variate count into one padded block, so
+that several samples run through the model together; a sample is a block
+of one.
 
-The observed-cell layout is what the smoothing convolution reads. On the
-zero-filled (B*N, L) grid, whose unobserved cells hold 0, it lists the P
-observed cells by sorted flat index (``cells``) and, for each, the grid
-values left of it, at it and right of it (``taps``). Because unobserved
-cells hold 0, a neighbour that is not observed, or that lies past either
-end of its row, reads exactly 0: the taps are the zero-padded
+The observed-cell layout is the one record of which cells are observed.
+On the zero-filled (B*N, L) grid, whose unobserved cells hold 0, it lists
+the P observed cells by sorted flat index (``cells``) and, for each, the
+grid values left of it, at it and right of it (``taps``). Because
+unobserved cells hold 0, a neighbour that is not observed, or that lies
+past either end of its row, reads exactly 0: the taps are the zero-padded
 convolution's own inputs. The layout is built once per sample, from the
-rows and columns of its observations, and never scans the grid; the dense
-grid itself is not stored (``AlignedTriplet.values`` rebuilds it).
+rows and columns of its observations, and never scans the grid. Nothing
+of N*L entries is stored: ``AlignedTriplet.mask`` is derived from
+``cells`` on each access.
 """
 
 from __future__ import annotations
@@ -126,22 +127,21 @@ class AlignedTriplet:
     """Aligned samples with a common variate count N on one grid length: a block.
 
     Rows are sample-major: row ``b*N + n`` is variate n of sample b. Cells
-    past a sample's own grid have mask 0 and hold 0 on the zero-filled
-    grid, so every stage that masks (pooling) or zero-pads (the smoothing
-    convolution) treats them exactly as if the grid ended there. Each
-    padded time repeats the sample's last time, which keeps the times
+    past a sample's own grid hold no observed cell and hold 0 on the
+    zero-filled grid, so every stage that masks (pooling) or zero-pads (the
+    smoothing convolution) treats them exactly as if the grid ended there.
+    Each padded time repeats the sample's last time, which keeps the times
     finite and in order and maps them to exactly 1 under
     ``normalize_times``.
 
-    ``cells`` and ``taps`` are the observed-cell layout (see the module
-    docstring): the P observed cells' flat indices into the (B*N, L) grid,
-    ascending, and their (left, own, right) values on the zero-filled grid.
+    Stored: the times, the variate count and the observed-cell layout (see
+    the module docstring) on the (B*N, L) grid. Derived: ``mask``.
     """
 
     times: np.ndarray   # (B, L); past its grid, each row repeats its last time
-    mask: np.ndarray    # (B*N, L) in {0, 1}
     cells: np.ndarray   # (P,) flat indices of the observed cells, ascending
     taps: np.ndarray    # (3, P) left, own and right value of each observed cell
+    n_variates: int
 
     @property
     def samples(self) -> int:
@@ -152,14 +152,15 @@ class AlignedTriplet:
         return self.times.shape[1]
 
     @property
-    def n_variates(self) -> int:
-        return self.mask.shape[0] // self.samples
+    def grid_shape(self) -> tuple[int, int]:
+        """(B*N, L): one grid row per variate of each sample."""
+        return self.samples * self.n_variates, self.grid_length
 
     @property
-    def values(self) -> np.ndarray:
-        """The zero-filled (B*N, L) grid, built anew from the layout on each call."""
-        out = np.zeros(self.mask.shape)
-        out.reshape(-1)[self.cells] = self.taps[1]
+    def mask(self) -> np.ndarray:
+        """The (B*N, L) observedness mask in {0, 1}, built anew from ``cells`` on each call."""
+        out = np.zeros(self.grid_shape)
+        out.reshape(-1)[self.cells] = 1.0
         return out
 
 
@@ -167,9 +168,9 @@ def pad_chunk(blocks) -> AlignedTriplet:
     """Stack blocks that share N into one block padded to the longest grid.
 
     A lone block is returned as it is, not copied. Otherwise each block's
-    mask rows are copied as one slab into the new block, its ``cells`` are
-    re-based onto the new grid and the ``taps`` are concatenated: a tap
-    past a block's own grid already reads 0, as the padded grid holds.
+    times are padded, its ``cells`` are re-based onto the new grid and the
+    ``taps`` are concatenated: a tap past a block's own grid already reads
+    0, as the padded grid holds. Nothing of the new grid's size is built.
     """
     blocks = list(blocks)
     if not blocks:
@@ -180,15 +181,11 @@ def pad_chunk(blocks) -> AlignedTriplet:
     if any(blk.n_variates != n for blk in blocks):
         raise DataError("pad_chunk: samples in one chunk must have the same variate count")
     length = max(blk.grid_length for blk in blocks)
-    samples = sum(blk.samples for blk in blocks)
-    mask = np.zeros((samples * n, length))
-    times = np.empty((samples, length))
+    times = np.empty((sum(blk.samples for blk in blocks), length))
     first_rows = []
     b = 0
     for blk in blocks:
-        rows, cols = slice(b * n, (b + blk.samples) * n), slice(0, blk.grid_length)
-        mask[rows, cols] = blk.mask
-        times[b : b + blk.samples, cols] = blk.times
+        times[b : b + blk.samples, : blk.grid_length] = blk.times
         times[b : b + blk.samples, blk.grid_length :] = blk.times[:, -1:]
         first_rows.append(b * n)
         b += blk.samples
@@ -198,14 +195,15 @@ def pad_chunk(blocks) -> AlignedTriplet:
     row, col = np.divmod(np.concatenate([blk.cells for blk in blocks]),
                          np.repeat([blk.grid_length for blk in blocks], counts))
     row += np.repeat(first_rows, counts)
-    return AlignedTriplet(times=times, mask=mask, cells=row * length + col,
-                          taps=np.concatenate([blk.taps for blk in blocks], axis=1))
+    return AlignedTriplet(times=times, cells=row * length + col,
+                          taps=np.concatenate([blk.taps for blk in blocks], axis=1),
+                          n_variates=n)
 
 
 def align(sample: ImtsSample) -> AlignedTriplet:
     """Merge all variates' timestamps into one sorted, deduplicated grid.
 
-    Returns a block of one: the (N, L) mask, (1, L) times and the
+    Returns a block of one: the (1, L) times, the variate count N and the
     observed-cell layout. Timestamps are compared by value on their float64
     representation, so ``-0.0`` and ``0.0`` share one grid time. Rejects
     samples with zero observations in total.
@@ -231,9 +229,7 @@ def align(sample: ImtsSample) -> AlignedTriplet:
     adjacent &= cols[1:] != 0          # not the first cell of the next row
     np.copyto(taps[0, 1:], own[:-1], where=adjacent)
     np.copyto(taps[2, :-1], own[1:], where=adjacent)
-    mask = np.zeros((n, length))
-    mask.reshape(-1)[cells] = 1.0
-    return AlignedTriplet(times=times[None, :], mask=mask, cells=cells, taps=taps)
+    return AlignedTriplet(times=times[None, :], cells=cells, taps=taps, n_variates=n)
 
 
 def normalize_times(times: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import physical_memory
 from .data import DataError, ImtsSample, RawSeries
 
 OBS_HEADER = ["series_id", "variate", "time", "value"]
@@ -92,6 +93,12 @@ class SynthSpec:
                 raise DataError("spec: split must be three non-negative counts")
             if sum(self.split) != self.n_samples:
                 raise DataError("spec: split counts must sum to n_samples")
+        # Times and values of every observation and query, as float64s.
+        expected = (16 * self.n_samples * self.n_variates
+                    * (self.mean_observations + self.queries_per_variate))
+        if expected > physical_memory():
+            raise DataError(f"spec: the expected data ({expected / 2**30:.3g} GiB) exceeds "
+                            "this machine's physical memory")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -12,7 +12,8 @@ grid, mostly unobserved on long sparse series, costs no convolution work
 and no backward work. Which cells those are, and their taps on the
 zero-filled grid, is data: ``data.align`` builds that layout once per
 sample and ``data.pad_chunk`` re-bases it for a chunk, so a forward only
-reads it and never derives it from the grid.
+reads it and never derives it from the grid; pooling's mask is built
+from ``cells`` once per forward, and nothing stores or pads one.
 
 The forward pass runs one block of B samples that share the variate count
 N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
@@ -55,13 +56,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tape as T
-from .config import ConfigError, TrainConfig, validate
+from .config import ConfigError, TrainConfig, physical_memory, validate
 from .data import AlignedTriplet, DataError, normalize_times
 from .fourier import irfft_rows, rfft_rows
 from .tape import NonFiniteError, Tape, Tensor
@@ -113,10 +113,7 @@ class ModelParams:
         validate(cfg)
         if seed is None:
             seed = cfg.seed
-        try:
-            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, OSError, ValueError):   # not reported: no check
-            memory = math.inf
+        memory = physical_memory()
         if 8 * _stored_floats(cfg) > memory:
             raise ConfigError(f"the config has {expected_param_count(cfg):,} learnable "
                               "parameters, more than fit in this machine's "
@@ -404,7 +401,7 @@ def conv_smooth(block: AlignedTriplet, p: dict[str, Tensor]) -> Tensor:
     raises.
     """
     out = _smoothing_layers(block.taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
-    return T.place(out, block.cells, block.mask.shape)
+    return T.place(out, block.cells, block.grid_shape)
 
 
 def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -439,12 +436,13 @@ def encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
 
     ``tcol`` is the (B*L, 1) column of the block's grid times, one grid
     after another. The convolution runs at the block's observed cells only
-    (see ``conv_smooth``); without it, the series is the block's
-    zero-filled grid, a checked constant. The projection is added to each
-    sample's N rows by broadcasting, on the whole grid, so the result is
-    the (B, N, L) stack that pooling reads.
+    (see ``conv_smooth``); without it, the observed cells' own values, a
+    checked constant, are placed there alike. The projection is added to
+    each sample's N rows by broadcasting, on the whole grid, so the result
+    is the (B, N, L) stack that pooling reads.
     """
-    base = conv_smooth(block, p) if use_conv else tcol.tape.const(block.values)
+    base = (conv_smooth(block, p) if use_conv else
+            T.place(tcol.tape.const(block.taps[1:2]), block.cells, block.grid_shape))
     samples, length = block.samples, block.grid_length
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
     return base.reshape((samples, block.n_variates, length)) + tproj
@@ -504,14 +502,15 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     """Pool every variate of every sample at once: (B, N, L) -> (B*N, d).
 
     ``xhat`` is the (B, N, L) stack of ``encode_series``, ``mask_rows`` its
-    (B*N, L) mask, sample-major, and ``t_norm`` holds the (B, L)
-    normalized grid times of ``data.normalize_times``. A sample's variates
-    share its grid, so one (L, K) kernel-weight matrix serves all N of its
-    rows. The (B, L, K) weights meet the masked rows in one batched matmul
-    for the numerator and one for the denominator; the normalization is
-    folded into one division, so no (L, K) coefficient matrix per variate
-    is materialized. Masked and padded cells drop out of both sums, so
-    ``xhat`` is read at observed cells only.
+    (B*N, L) mask, sample-major, built from the block's ``cells`` once per
+    forward, and ``t_norm`` holds the (B, L) normalized grid times of
+    ``data.normalize_times``. A sample's variates share its grid, so one
+    (L, K) kernel-weight matrix serves all N of its rows. The (B, L, K)
+    weights meet the masked rows in one batched matmul for the numerator
+    and one for the denominator; the normalization is folded into one
+    division, so no (L, K) coefficient matrix per variate is materialized.
+    Masked and padded cells drop out of both sums, so ``xhat`` is read at
+    observed cells only.
     """
     tp = xhat.tape
     weights = _kernel_weights(t_norm[:, :, None], p)           # (B, L, K)
@@ -740,9 +739,9 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
     cfg = model.cfg
     samples, length = block.samples, block.grid_length
     queries = [np.asarray(q, dtype=np.float64) for q in queries]
-    if len(queries) != block.mask.shape[0]:
-        raise DataError(f"forward: expected {block.mask.shape[0]} query arrays, "
-                        f"one per row, got {len(queries)}")
+    rows = samples * block.n_variates
+    if len(queries) != rows:
+        raise DataError(f"forward: expected {rows} query arrays, one per row, got {len(queries)}")
     p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 

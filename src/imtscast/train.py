@@ -6,14 +6,14 @@ aligned samples into one block padded to their longest grid (a chunk of one
 is its sample's own block, not a copy), and its query arrays are passed in
 the block's row order. A chunk runs forward and backward on one tape, so the
 per-op cost of the tape is paid once per chunk rather than once per sample.
-Padding is exact: padded cells have mask 0, pooling multiplies both its
-numerator and its denominator by the mask, and the smoothing convolution's
-taps already read zeros past the end of a grid. Each sample's observed-cell
-layout is built once, by ``align`` in ``_prepare``; a chunk re-bases its
-samples' layouts, and no epoch derives one from a grid. The chunk loss is
-the sum of its samples' losses, so the summed chunk gradients divided by
-the batch size are the batch-mean gradient. Validation runs over the same
-kind of chunks.
+Padding is exact: padded cells hold no observed cell, pooling multiplies
+both its numerator and its denominator by the mask built from the observed
+cells, and the smoothing convolution's taps already read zeros past the
+end of a grid. Each sample's observed-cell layout is built once, by
+``align`` in ``_prepare``; a chunk re-bases its samples' layouts, and no
+epoch derives one from a grid. The chunk loss is the sum of its samples'
+losses, so the summed chunk gradients divided by the batch size are the
+batch-mean gradient. Validation runs over the same kind of chunks.
 
 A chunk's training tape keeps the arrays its VJP closures need until
 backward; ``model.tape_bytes`` sums them from the chunk's padded shape, its
@@ -284,9 +284,11 @@ def shuffled_order(seed: int, epoch: int, count: int) -> np.ndarray:
 def evaluate(params: ModelParams, samples,
              prepared: list[_Prepared] | None = None) -> dict[str, float]:
     """Pooled metrics (``metrics``) over every queried point of ``samples``,
-    which run through ``inference_chunks``."""
+    which run through ``inference_chunks``. Raises DataError for no samples."""
     if prepared is None:
         prepared = _prepare(samples)
+    if not prepared:
+        raise DataError("evaluate: no samples to evaluate")
     preds = [res.predictions.data.ravel()
              for _span, res in inference_chunks(params, [m.block for m in prepared],
                                                 [m.queries for m in prepared])]
@@ -382,9 +384,10 @@ def mean_predictor_baseline(train_samples, eval_samples) -> float:
 
     The reference point for the learning-capability check: any model worth
     shipping should at least halve this. Variates are matched by column;
-    one that no training sample observes predicts 0.
+    one that no training sample observes predicts 0. Raises DataError when
+    ``eval_samples`` hold no query.
     """
-    n = max(sample.n_variates for sample in [*train_samples, *eval_samples])
+    n = max((sample.n_variates for sample in [*train_samples, *eval_samples]), default=0)
     sums = np.zeros(n)
     counts = np.zeros(n)
     for sample in train_samples:
@@ -399,4 +402,6 @@ def mean_predictor_baseline(train_samples, eval_samples) -> float:
                 continue
             preds.append(np.full(qt.size, means[col]))
             targets.append(tg)
+    if not preds:
+        raise DataError("mean_predictor_baseline: the evaluation samples hold no queries")
     return metrics(np.concatenate(preds), np.concatenate(targets))["mse"]

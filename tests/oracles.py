@@ -158,14 +158,15 @@ def grid_triplet(values: np.ndarray, mask: np.ndarray, times=None) -> AlignedTri
     cells, taps = dense_layout(values, mask)
     if times is None:
         times = np.zeros((1, values.shape[1]))
-    return AlignedTriplet(times=times, mask=mask, cells=cells, taps=taps)
+    return AlignedTriplet(times=times, cells=cells, taps=taps,
+                          n_variates=values.shape[0] // times.shape[0])
 
 
 def zero_filled(block: AlignedTriplet) -> np.ndarray:
     """The block's zero-filled (B*N, L) grid: each observed cell's own tap at its cell."""
-    grid = np.zeros(block.mask.size)
-    grid[block.cells] = block.taps[1]
-    return grid.reshape(block.mask.shape)
+    grid = np.zeros(block.grid_shape)
+    grid.reshape(-1)[block.cells] = block.taps[1]
+    return grid
 
 
 def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:

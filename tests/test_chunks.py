@@ -15,7 +15,7 @@ from imtscast.tape import Tape
 from imtscast.train import CHUNK_TAPE_BYTES, build_loss, chunk_spans
 
 from conftest import chunk_of, random_sample
-from oracles import grid_triplet
+from oracles import grid_triplet, zero_filled
 
 
 def draw_samples(seed, variate_counts):
@@ -179,8 +179,8 @@ class TestChunking:
             trip = triplet(int(rng.integers(1, 4)), int(rng.integers(1, 2000)))
             # Sparse masks: the observed cells enter the budget, not the padded ones.
             # Drawn (L, N) as before the layout change, so the cells are the same.
-            mask = (rng.uniform(size=trip.mask.shape[::-1]) < 0.5).T.astype(float)
-            triplets.append(grid_triplet(trip.values * mask, mask, trip.times))
+            mask = (rng.uniform(size=trip.grid_shape[::-1]) < 0.5).T.astype(float)
+            triplets.append(grid_triplet(zero_filled(trip) * mask, mask, trip.times))
         counts = [int(rng.integers(0, 20)) for _ in triplets]
         spans = chunk_spans(triplets, counts, BUDGET_CFG)
         assert [i for span in spans for i in span] == list(range(len(triplets)))
@@ -238,13 +238,14 @@ class TestPadding:
         triplets = [align(s) for s in samples]
         chunk = pad_chunk(triplets)
         length = max(t.grid_length for t in triplets)
-        assert chunk.values.shape == chunk.mask.shape == (6, length)
+        values = zero_filled(chunk)
+        assert values.shape == chunk.mask.shape == (6, length)
         assert chunk.times.shape == (2, length)
         for b, t in enumerate(triplets):
             rows = slice(3 * b, 3 * b + 3)
-            assert np.array_equal(chunk.values[rows, : t.grid_length], t.values)
+            assert np.array_equal(values[rows, : t.grid_length], zero_filled(t))
             assert np.array_equal(chunk.mask[rows, : t.grid_length], t.mask)
-            assert np.all(chunk.values[rows, t.grid_length :] == 0.0)
+            assert np.all(values[rows, t.grid_length :] == 0.0)
             assert np.all(chunk.mask[rows, t.grid_length :] == 0.0)
             assert np.array_equal(chunk.times[b, : t.grid_length], t.times[0])
             assert np.all(chunk.times[b, t.grid_length :] == t.times[0, -1])

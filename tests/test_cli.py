@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import imtscast.datasets as datasets_module
 from imtscast.cli import ABLATION_FLAGS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MODEL_FLAGS, main
 from imtscast.config import RETIRED_KEYS, TrainConfig
 from imtscast.data import align
@@ -452,6 +453,42 @@ class TestGenValues:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error: spec: {key} "), errors
         assert not (out / "manifest.json").exists()
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mean-obs", "1e15"),
+        ("--variates", "1000000000000"),
+    ])
+    def test_a_spec_larger_than_memory_is_rejected_before_generating(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        # Generation first tried to allocate the draws (7.11 PiB of times
+        # for --mean-obs 1e15) and ended in numpy's memory error.
+        def never(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(datasets_module, "_generate_one", never)
+        out = tmp_path / "data"
+        assert main(["gen", "--samples", "1", "--variates", "1", flag, value,
+                     "--out", str(out)]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: spec: the expected data "), errors
+        assert "memory" in errors[0]
+        assert not out.exists()
+
+
+class TestEmptySplit:
+    def test_eval_on_an_empty_split_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # One sample is split 0/0/1, so the train split holds none; eval
+        # ended in numpy's "need at least one array to concatenate".
+        data = tmp_path / "data"
+        assert main(["gen", "--variates", "2", "--samples", "1", "--out", str(data)]) == EXIT_OK
+        _, checkpoint = tiny_run(tmp_path / "model")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data",
+                     str(data / "manifest.json"), "--split", "train"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: evaluate: no samples to evaluate"]
 
 
 class TestNonFiniteCheckpoint:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,7 +17,7 @@ from imtscast.data import (
 from imtscast.datasets import SynthSpec, generate
 
 from conftest import random_sample
-from oracles import dense_layout, grid_triplet
+from oracles import dense_layout, grid_triplet, zero_filled
 
 
 def make_sample(series_spec, queries=None):
@@ -69,15 +72,16 @@ class TestAlign:
         triplet = align(sample)
         assert triplet.grid_length == 3
         assert triplet.mask[:, 0].tolist() == [1.0, 1.0]
-        assert triplet.values[:, 0].tolist() == [1.0, 3.0]
+        assert zero_filled(triplet)[:, 0].tolist() == [1.0, 3.0]
 
     def test_a_sample_is_a_block_of_one(self):
         sample = make_sample([([0.0, 2.0], [3.0, 4.0]), ([1.0], [5.0]), ([], [])])
         triplet = align(sample)
         assert (triplet.samples, triplet.n_variates, triplet.grid_length) == (1, 3, 3)
-        assert triplet.values.shape == triplet.mask.shape == (3, 3)
+        assert triplet.grid_shape == triplet.mask.shape == (3, 3)
         assert triplet.times.shape == (1, 3)
-        assert triplet.values.tolist() == [[3.0, 0.0, 4.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]
+        assert zero_filled(triplet).tolist() == [[3.0, 0.0, 4.0], [0.0, 5.0, 0.0],
+                                                 [0.0, 0.0, 0.0]]
 
     def test_empty_sample_rejected(self):
         sample = make_sample([([], [])], queries=[np.empty(0)])
@@ -104,7 +108,7 @@ class TestAlign:
             triplet = align(sample)
             for row, series in enumerate(sample.series):
                 cols = np.searchsorted(triplet.times[0], series.times)
-                assert np.array_equal(triplet.values[row, cols], series.values)
+                assert np.array_equal(zero_filled(triplet)[row, cols], series.values)
 
     def test_zero_placeholder_where_unobserved(self):
         sample = make_sample([
@@ -112,7 +116,7 @@ class TestAlign:
             ([1.0], [5.0]),
         ])
         triplet = align(sample)
-        assert np.all(triplet.values[triplet.mask == 0.0] == 0.0)
+        assert np.all(zero_filled(triplet)[triplet.mask == 0.0] == 0.0)
 
     def test_align_idempotent_in_content(self):
         rng = np.random.default_rng(3)
@@ -124,11 +128,11 @@ class TestAlign:
             observed = first.mask[row] > 0
             series.append(RawSeries(variate_id=row + 1,
                                     times=first.times[0, observed],
-                                    values=first.values[row, observed]))
+                                    values=zero_filled(first)[row, observed]))
         again = align(ImtsSample(sample_id=1, series=tuple(series),
                                  query_times=tuple(np.empty(0) for _ in series)))
         assert np.array_equal(first.times, again.times)
-        assert np.array_equal(first.values, again.values)
+        assert np.array_equal(zero_filled(first), zero_filled(again))
         assert np.array_equal(first.mask, again.mask)
 
     @given(st.integers(0, 2**32 - 1))
@@ -138,7 +142,7 @@ class TestAlign:
         triplet = align(sample)
         assert np.all(np.diff(triplet.times) > 0)
         assert np.all((triplet.mask == 0.0) | (triplet.mask == 1.0))
-        assert np.all(triplet.values[triplet.mask == 0.0] == 0.0)
+        assert np.all(zero_filled(triplet)[triplet.mask == 0.0] == 0.0)
         assert triplet.mask.sum() == sample.total_observations()
 
     def test_query_must_exceed_last_observation(self):
@@ -218,7 +222,7 @@ class TestObservedCellLayout:
         values, mask = reference_grid(sample)
         same_layout(block, values, mask)
         assert np.array_equal(block.mask, mask)
-        assert block.values.tobytes() == values.tobytes()
+        assert zero_filled(block).tobytes() == values.tobytes()
 
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(lattice_samples(n), min_size=2,
                                                          max_size=4)))
@@ -238,22 +242,44 @@ class TestObservedCellLayout:
         assert np.array_equal(chunk.mask, mask)
         same_layout(chunk, padded, mask)
 
+    # Fully asynchronous data: about one observed cell per grid column, so
+    # the (B*N, L) grid has about N = 8 cells per observed cell.
+    LONG_GRID = SynthSpec(n_variates=8, n_samples=4, mean_observations=600.0,
+                          mode="independent", split=(2, 1, 1))
+
+    @staticmethod
+    def held_bytes(block):
+        """Bytes of the distinct buffers behind the block's array fields."""
+        owners = {}
+        for arr in vars(block).values():
+            if not isinstance(arr, np.ndarray):        # the variate count
+                continue
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr
+        return sum(arr.nbytes for arr in owners.values())
+
     def test_a_triplet_holds_no_dense_values_grid(self):
-        # Fully asynchronous data: the grid grows with every observation, so
-        # a dense float grid would be as large as the mask.
-        spec = SynthSpec(n_variates=8, n_samples=4, mean_observations=600.0,
-                         mode="independent", split=(2, 1, 1))
-        for sample in generate(spec):
+        for sample in generate(self.LONG_GRID):
             block = align(sample)
-            owners = {}
-            for arr in vars(block).values():
-                while isinstance(arr.base, np.ndarray):
-                    arr = arr.base
-                owners[id(arr)] = arr
-            held = sum(arr.nbytes for arr in owners.values())
             observed = sample.total_observations()
             assert block.cells.size == observed
-            assert held <= block.mask.nbytes + block.times.nbytes + 32 * observed
+            assert self.held_bytes(block) <= block.times.nbytes + 32 * observed
+
+    def test_pad_chunk_allocates_no_dense_grid(self):
+        blocks = [align(sample) for sample in generate(self.LONG_GRID)[:2]]
+        tracemalloc.start()
+        try:
+            chunk = pad_chunk(blocks)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        observed = sum(blk.cells.size for blk in blocks)
+        assert chunk.cells.size == observed
+        assert self.held_bytes(chunk) <= chunk.times.nbytes + 32 * observed
+        # Everything pad_chunk allocated at once, its temporaries included,
+        # is less than one float (B*N, L) array.
+        assert peak < 8 * math.prod(chunk.grid_shape)
 
 
 class TestNormalizeTimes:

@@ -954,18 +954,18 @@ class TestForward:
             sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
         model = ModelParams.init(block_config(use_preconv=use_preconv), seed=12)
         block = align(sample)
-        before = [arr.copy() for arr in (block.times, block.mask, block.cells, block.taps)]
+        before = [arr.copy() for arr in (block.times, block.cells, block.taps)]
         tape = Tape()
         res = forward(tape, model, block, sample.query_times)
         tape.backward(build_loss(res, np.concatenate(sample.query_targets)))
-        after = (block.times, block.mask, block.cells, block.taps)
+        after = (block.times, block.cells, block.taps)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
     @pytest.mark.parametrize("use_preconv", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_tap_raises(self, use_preconv, bad):
         # The layout is data the forward reads unchecked: the convolution's
-        # node, or without it the zero-filled grid's constant, must raise.
+        # node, or without it the constant of the taps it places, must raise.
         sample, model = self.sample_and_model(seed=13, use_preconv=use_preconv)
         block = align(sample)
         taps = block.taps.copy()

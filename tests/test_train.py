@@ -313,6 +313,15 @@ class TestTrainingLoop:
         eval_split = [sample([[0.0], [0.0], [0.0]], [[5.0], [4.0], [1.0, 3.0]])]
         assert mean_predictor_baseline(train_split, eval_split) == 23 / 4
 
+    def test_empty_inputs_raise_data_errors_naming_them(self):
+        samples = tiny_dataset(seed=6)
+        with pytest.raises(DataError, match="^evaluate: no samples to evaluate$"):
+            evaluate(ModelParams.init(tiny_cfg()), [])
+        for train_split, eval_split in ((samples, []), ([], [])):
+            with pytest.raises(DataError, match="^mean_predictor_baseline: the evaluation "
+                                                "samples hold no queries$"):
+                mean_predictor_baseline(train_split, eval_split)
+
     def test_train_loss_is_the_mean_of_each_samples_objective(self):
         # One batch holds the whole split, so every chunk loss of the epoch
         # is taken at the initial parameters.
