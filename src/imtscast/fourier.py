@@ -70,9 +70,15 @@ def dft_matrices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def rfft_rows(t: Tensor) -> Tensor:
     """Tape-recorded forward transform of each row."""
-    return t @ dft_matrices(_check_rows(t.data))[0]
+    return t @ _matrix_leaf(t, 0)
 
 
 def irfft_rows(t: Tensor) -> Tensor:
     """Tape-recorded inverse transform of each row."""
-    return t @ dft_matrices(_check_rows(t.data))[1]
+    return t @ _matrix_leaf(t, 1)
+
+
+def _matrix_leaf(t: Tensor, which: int) -> Tensor:
+    """One of the read-only matrices for ``t``'s rows as a constant leaf on
+    its tape. ``dft_matrices`` builds them finite, so they enter unchecked."""
+    return t.tape.append("const", dft_matrices(_check_rows(t.data))[which], (), None)

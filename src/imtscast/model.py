@@ -39,16 +39,21 @@ arrays and check their own outputs, so a non-finite value written into a
 buffer later still raises at the node that reads it.
 
 A training tape keeps what its VJP closures capture until backward, and
-that memory bounds how many samples a chunk can hold. Five nodes exist to
-keep less or to skip transcendental work in backward: ``positive_features``
-and ``time_encode`` differentiate from their own outputs (the former also
-from its (B, N, H, d_h) input), so neither runs a transcendental in
+that memory bounds how many samples a chunk can hold. Six nodes exist to
+keep less or to skip work: ``positive_features``, ``time_encode`` and
+``time_projection`` differentiate from their own outputs (the first also
+from its (B, N, H, d_h) input), so none runs a transcendental in
 backward, and ``_smoothing_layers``, ``_attend`` and ``_kernel_weights``
 recompute their largest intermediates in backward (the conv's hidden
-layer, the KV summary, the Gaussian exponent). ``time_encode`` and
-``_kernel_weights`` also replace grid-wide chains of 7 and 10 nodes, which
-cuts the fixed per-node cost of every forward. ``tape_bytes`` sums what a
-chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
+layer, the KV summary, the Gaussian exponent). ``time_projection``
+(the grid's time encoding and its projection), ``time_encode`` (the
+queries') and ``_kernel_weights`` replace grid-wide chains of 8, 7 and 10
+nodes, which cuts the fixed per-node cost of every forward. The grid-wide
+nodes build and recompute their arrays in place, so that each makes no
+throwaway temporary per numpy call, and they form a product with a
+contracted size of 1 by broadcasting rather than as a BLAS outer product.
+``tape_bytes`` sums what a chunk's tape keeps; ``train.chunk_spans``
+budgets chunks by it.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ from .tape import NonFiniteError, Tape, Tensor
 # with finite gradients, and the row counts as collapsed; every other
 # quotient is exact.
 ATTENTION_EPS = 1e-6          # floor of every attention denominator
+# A pooling denominator is a sum of Gaussian weights over a variate's
+# observed cells. Narrow kernels make it underflow toward subnormals far
+# from those cells, where the quotient's adjoint g / den would overflow. A
+# denominator at or below POOLING_EPS counts as no support, as an exact
+# zero does (see ``_nonzero``); 1/POOLING_EPS leaves the adjoints finite.
+POOLING_EPS = 1e-150          # largest pooling denominator that counts as no support
 CHECKPOINT_FORMAT = "imtscast-checkpoint-3"
 # Checkpoint formats this version refuses, each with what changed since it.
 RETIRED_FORMATS = {
@@ -350,6 +361,9 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
 # layers
 # ---------------------------------------------------------------------------
 
+TE_NAMES = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")   # the time encoding's parameters
+
+
 def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Continuous time encoding of a (M, 1) column of raw times -> (M, d_te).
 
@@ -363,27 +377,68 @@ def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     g_theta = g_sin cos(theta) - g_cos sin(theta), so backward runs no
     transcendental; the node keeps its output and the (M, 1) column.
     """
-    # Each step is the numpy call of the primitive chain it replaces (two
-    # matmuls and adds, sin and cos of the one argument, concat), so the
-    # output and the adjoints are bitwise that chain's.
     t = tcol.data
-    names = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")
-    ws, bs, wf, bf = (p[name].data for name in names)
-    n_lin, pairs = ws.shape[1], wf.shape[1]
+    out = _encoding(t, *(p[name].data for name in TE_NAMES))
+    n_lin = p["te.w_s"].data.shape[1]
+    return tcol.tape.record("time_encode", out, tuple(p[name] for name in TE_NAMES),
+                            lambda g: _encoding_vjp(t, out, n_lin, g))
 
+
+def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """``time_encode(tcol, p) @ p["te.w_t"]`` as one node: (M, 1) -> (M, 1).
+
+    It keeps what that pair of nodes keeps, the (M, d_te) encoding and the
+    (M, 1) column. Its VJP forms the encoding's adjoint g w_t^T by
+    broadcasting: with a contracted size of 1 that is the matmul's product
+    exactly, without a BLAS outer product.
+    """
+    # The numpy calls of the pair it replaces, so the output and the
+    # adjoints are bitwise the pair's. The encoding is checked as the pair
+    # checked it: a BLAS product may skip the terms of a zero weight.
+    t, wt = tcol.data, p["te.w_t"].data
+    enc = _encoding(t, *(p[name].data for name in TE_NAMES))
+    if not np.isfinite(enc).all():
+        raise NonFiniteError("time_projection: produced non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):   # record() raises instead
-        theta = np.matmul(t, wf) + bf
-        out = np.concatenate([np.matmul(t, ws) + bs, np.sin(theta), np.cos(theta)], axis=1)
-    sin, cos = out[:, n_lin : n_lin + pairs], out[:, n_lin + pairs :]
+        proj = np.matmul(enc, wt)
+    n_lin = p["te.w_s"].data.shape[1]
 
     def vjp(g):
-        g_lin = g[:, :n_lin]
-        g_theta = g[:, n_lin : n_lin + pairs] * cos - g[:, n_lin + pairs :] * sin
-        t_t = t.swapaxes(-1, -2)
-        return (t_t @ g_lin, g_lin.sum(axis=0, keepdims=True),
-                t_t @ g_theta, g_theta.sum(axis=0, keepdims=True))
+        return (*_encoding_vjp(t, enc, n_lin, g * wt.swapaxes(-1, -2)),
+                enc.swapaxes(-1, -2) @ g)
 
-    return tcol.tape.record("time_encode", out, tuple(p[name] for name in names), vjp)
+    return tcol.tape.record("time_projection", proj,
+                            tuple(p[name] for name in (*TE_NAMES, "te.w_t")), vjp)
+
+
+def _encoding(t: np.ndarray, ws: np.ndarray, bs: np.ndarray, wf: np.ndarray,
+              bf: np.ndarray) -> np.ndarray:
+    """The (M, d_te) time encoding of (M, 1) times, unchecked (see ``time_encode``)."""
+    # The numpy calls of the primitive chain the encoding replaces (two
+    # matmuls and adds, sin and cos of the one argument, concat), each
+    # writing straight into its columns, so the values are bitwise that
+    # chain's.
+    n_lin, pairs = ws.shape[1], wf.shape[1]
+    out = np.empty((t.shape[0], n_lin + 2 * pairs))
+    with np.errstate(over="ignore", invalid="ignore"):   # the callers raise instead
+        theta = np.matmul(t, wf)
+        theta += bf
+        np.add(np.matmul(t, ws), bs, out=out[:, :n_lin])
+        np.sin(theta, out=out[:, n_lin : n_lin + pairs])
+        np.cos(theta, out=out[:, n_lin + pairs :])
+    return out
+
+
+def _encoding_vjp(t: np.ndarray, out: np.ndarray, n_lin: int, g: np.ndarray) -> tuple:
+    """Adjoints of w_s, b_s, w_f and b_f from the encoding ``out`` of the
+    times ``t`` and its adjoint ``g``."""
+    pairs = (out.shape[1] - n_lin) // 2
+    g_lin = g[:, :n_lin]
+    g_theta = g[:, n_lin : n_lin + pairs] * out[:, n_lin + pairs :]      # g_sin cos
+    g_theta -= g[:, n_lin + pairs :] * out[:, n_lin : n_lin + pairs]     # g_cos sin
+    t_t = t.swapaxes(-1, -2)
+    return (t_t @ g_lin, g_lin.sum(axis=0, keepdims=True),
+            t_t @ g_theta, g_theta.sum(axis=0, keepdims=True))
 
 
 def conv_smooth(block: AlignedTriplet, p: dict[str, Tensor]) -> Tensor:
@@ -408,23 +463,31 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
                       b2: Tensor) -> Tensor:
     """Both conv layers as one node; backward recomputes the (C, P) hidden layer from the taps."""
     # Each step is the numpy call of the primitive it replaces (matmul, add,
-    # relu), so the output and the adjoints are bitwise those primitives'.
+    # relu), each in place where those made a temporary, so the output and
+    # the adjoints are bitwise those primitives'. The adjoint w2^T g has a
+    # contracted size of 1, so the broadcast product is the matmul's
+    # exactly, without a BLAS outer product.
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
 
     def hidden():
-        pre = np.matmul(w1d, taps) + b1d
-        mask = pre > 0
-        return pre * mask, mask
+        h = np.matmul(w1d, taps)
+        h += b1d
+        mask = h > 0
+        h *= mask
+        return h, mask
 
     with np.errstate(over="ignore", invalid="ignore"):        # record() raises instead
         h, _ = hidden()
-        out = np.matmul(w2d, h) + b2d
+        out = np.matmul(w2d, h)
+        out += b2d
 
     def vjp(g):
         h, mask = hidden()
-        g_pre = (w2d.swapaxes(-1, -2) @ g) * mask
+        g_w2 = g @ h.swapaxes(-1, -2)
+        g_pre = np.multiply(w2d.swapaxes(-1, -2), g, out=h)   # h is not read again
+        g_pre *= mask
         return (g_pre @ taps.swapaxes(-1, -2), g_pre.sum(axis=1, keepdims=True),
-                g @ h.swapaxes(-1, -2), g.sum(axis=1, keepdims=True))
+                g_w2, g.sum(axis=1, keepdims=True))
 
     return w1.tape.record("smoothing_layers", out, (w1, b1, w2, b2), vjp)
 
@@ -444,20 +507,25 @@ def encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
     base = (conv_smooth(block, p) if use_conv else
             T.place(tcol.tape.const(block.taps[1:2]), block.cells, block.grid_shape))
     samples, length = block.samples, block.grid_length
-    tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
+    tproj = time_projection(tcol, p).reshape((samples, 1, length))
     return base.reshape((samples, block.n_variates, length)) + tproj
 
 
 def _nonzero(den: Tensor) -> Tensor:
-    """``den`` with its exact zeros replaced by ones.
+    """``den`` plus one wherever it is at or below ``POOLING_EPS``.
 
     A pooling denominator is exactly zero only where its numerator is too:
     a variate with no observation, or a kernel with no support at any
-    observed point. Those entries then pool to 0 / 1 = 0 with finite
-    gradients, where a tiny additive guard would give 0 / 0 in the
-    division's gradient. Every other entry is left bitwise unchanged.
+    observed point; at or below the floor, the kernel's support there has
+    underflowed. Since 1 + den is then exactly 1, those entries pool to
+    their numerator, at most POOLING_EPS times the row's largest value (0
+    for an exact zero), with finite gradients, where a tiny additive guard
+    would give 0 / 0 in the division's gradient. Every other entry is left
+    bitwise unchanged. The correction is built in {0, 1}, so it enters the
+    tape unchecked.
     """
-    return den + den.tape.const((den.data == 0.0).astype(np.float64))
+    correction = (den.data <= POOLING_EPS).astype(np.float64)
+    return den + den.tape.append("const", correction, (), None)
 
 
 def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
@@ -471,9 +539,10 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     and the (..., L, 1) times.
     """
     # The numpy calls of the primitive chain it replaces (sub, mul, exp,
-    # mul, mul, div, exp), so the output and the adjoint are bitwise that
-    # chain's. The exponent is checked: exp would map its -inf to 0, and a
-    # non-finite centre would go unnoticed.
+    # mul, mul, div, exp), each in place where the chain made a temporary,
+    # so the output and the adjoint are bitwise that chain's. The exponent
+    # is checked: exp would map its -inf to 0, and a non-finite centre
+    # would go unnoticed.
     log_alpha = p["pool.log_alpha"]
     la, centers = log_alpha.data, p["pool.centers"]
 
@@ -482,15 +551,22 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
 
         def exponent():
             diff = t_norm - centers
-            return diff * diff * -0.5 / sig2
+            diff *= diff
+            diff *= -0.5
+            diff /= sig2
+            return diff
 
-        ex = exponent()
-    if not (np.isfinite(sig2).all() and np.isfinite(ex).all()):
+        weights = exponent()
+    if not (np.isfinite(sig2).all() and np.isfinite(weights).all()):
         raise NonFiniteError("kernel_weights: produced non-finite values")
-    weights = np.exp(ex)
+    np.exp(weights, out=weights)
 
     def vjp(g):
-        g_sig2 = T.unbroadcast(-((g * weights) / sig2) * exponent(), sig2.shape)
+        tmp = g * weights
+        tmp /= sig2
+        np.negative(tmp, out=tmp)
+        tmp *= exponent()
+        g_sig2 = T.unbroadcast(tmp, sig2.shape)
         return (g_sig2 * sig2 * 2.0,)
 
     # exp of a finite exponent <= 0 lies in [0, 1]: no second check.
@@ -514,13 +590,15 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     """
     tp = xhat.tape
     weights = _kernel_weights(t_norm[:, :, None], p)           # (B, L, K)
-    mask = tp.const(mask_rows.reshape(xhat.data.shape))
+    # The mask and the flags are built in {0, 1}: they enter unchecked.
+    mask = tp.append("const", mask_rows.reshape(xhat.data.shape), (), None)
     num = (xhat * mask) @ weights                              # (B, N, K)
     den = mask @ weights
     pooled = (num / _nonzero(den)).reshape((mask_rows.shape[0], weights.data.shape[2]))
     if use_gate:
         pooled = pooled * T.sigmoid(p["pool.gate"])
-    flags = tp.const((mask_rows.sum(axis=1, keepdims=True) > 0).astype(np.float64))
+    flags = tp.append("const", (mask_rows.sum(axis=1, keepdims=True) > 0).astype(np.float64),
+                      (), None)
     return T.concat([pooled, flags], axis=1) @ p["pool.w_proj"]
 
 

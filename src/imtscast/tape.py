@@ -26,7 +26,10 @@ All math is double precision, and every tensor on a tape is finite. A
 leaf is checked when it enters the tape (``const``, ``param_vector``),
 and so is the output of every primitive that can turn finite inputs into
 inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
-``layernorm`` and any custom ``Tape.record`` call.
+``layernorm`` and any custom ``Tape.record`` call. Data enters through
+``const``: times, targets, anything read from outside. A constant that the
+code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
+matrix) enters through ``Tape.append("const", ...)`` instead, unchecked.
 The primitives that only move, select, clamp or bound finite values skip
 the check (``reshape``, ``concat``, ``take_rows``, ``place``,
 ``relu`` and ``sigmoid``) by appending their node with
@@ -434,15 +437,19 @@ def layernorm(a: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part).
 
     ``LAYERNORM_EPS`` sits inside the square root, so a constant row maps to
-    exactly zero instead of dividing by zero.
+    exactly zero instead of dividing by zero. A finite row whose variance
+    overflows raises ``NonFiniteError``, as every overflowing node does,
+    rather than mapping to zeros.
     """
     x = a.data
     if x.ndim == 0:
         raise ShapeError("layernorm: scalar input")
-    n = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # raises below instead
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise NonFiniteError("layernorm: produced non-finite values")
     s = np.sqrt(var + LAYERNORM_EPS)
     y = xc / s
 

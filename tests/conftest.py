@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,21 @@ def retained_bytes(tape) -> int:
                 arr = arr.base
             owners[id(arr)] = arr
     return sum(arr.nbytes for arr in owners.values())
+
+
+def transient_bytes(fn):
+    """Run ``fn()`` under tracemalloc; return its result and the bytes of
+    the traced peak above what was still allocated when it returned.
+
+    That is the largest total of the temporaries ``fn`` made and freed on
+    top of what it left behind: for a forward, above what its tape keeps;
+    for a backward, above the gradients it returns. numpy reports its
+    array buffers to tracemalloc, so they are counted.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current

@@ -103,6 +103,34 @@ class TestPredict:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_predict_on_times_whose_activations_overflow_exits_3(tmp_path, capsys):
+    # Times near 1e300 keep every node finite up to the first layernorm,
+    # whose row variances overflow.
+    checkpoint = tmp_path / "checkpoint.json"
+    ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
+                                 conv_channels=2, time_dim=4)).save(checkpoint)
+    (tmp_path / "obs.csv").write_text("series_id,variate,time,value\n1,1,1e300,0.5\n"
+                                      "1,1,1.1e300,-0.25\n1,2,1.05e300,1.0\n")
+    (tmp_path / "queries.csv").write_text("series_id,variate,time\n1,1,1.2e300\n"
+                                          "1,2,1.3e300\n")
+    assert main(["predict", "--checkpoint", str(checkpoint),
+                 "--observations", str(tmp_path / "obs.csv"),
+                 "--queries", str(tmp_path / "queries.csv"),
+                 "--out", str(tmp_path / "predictions.csv")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("error: layernorm: produced non-finite values")
+
+
+def test_narrow_kernels_train_with_finite_gradients(tmp_path, caplog):
+    # At 1000 kernels most pooling denominators underflow to subnormals,
+    # below the floor at which they count as no support; no step is skipped
+    # and no RuntimeWarning (an error in this suite) is emitted.
+    data = tmp_path / "data"
+    assert main(["gen", "--preset", "sinusoid-tiny", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--data", str(data / "manifest.json"), "--max-epochs", "1",
+                 "--kernels", "1000", "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert "non-finite gradient" not in caplog.text
+
+
 class TestEndToEnd:
     def test_gen_train_eval_predict_inspect(self, tmp_path):
         data, run = tmp_path / "data", tmp_path / "run"

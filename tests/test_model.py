@@ -11,7 +11,7 @@ import imtscast.model as model_module
 import imtscast.tape as T
 from imtscast.config import ConfigError, TrainConfig
 from imtscast.data import DataError, align, pad_chunk
-from imtscast.datasets import PRESETS, generate
+from imtscast.datasets import PRESETS, SynthSpec, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ModelParams,
@@ -32,11 +32,12 @@ from imtscast.model import (
     positive_features,
     tape_bytes,
     time_encode,
+    time_projection,
 )
 from imtscast.tape import Tape, flat_views, grad_check
 from imtscast.train import build_loss
 
-from conftest import bind, chunk_of, random_sample, retained_bytes
+from conftest import bind, chunk_of, random_sample, retained_bytes, transient_bytes
 from oracles import (
     chain_attend,
     chain_kernel_weights,
@@ -258,6 +259,26 @@ class TestKernelPooling:
         coeffs = pool_coefficients(tape.const(t), tape.const(mask), p)
         pooled = (transpose(coeffs) @ tape.const(np.full((9, 1), 2.75))).data
         assert np.abs(pooled - 2.75).max() < 1e-12
+
+    def test_an_underflowed_denominator_counts_as_no_support(self):
+        # A narrow kernel centred far from the one observed cell: its weight
+        # there, the denominator, is a subnormal ~1e-310, and g / den would
+        # overflow. It pools to about its numerator with finite gradients.
+        tape = Tape()
+        sigma = np.sqrt(0.5 / (310 * np.log(10.0)))
+        b = bind(tape, xhat=np.array([[[0.0, 2.0, 0.0]]]),
+                 **{"pool.log_alpha": np.log([[0.5, sigma]]),
+                    "pool.gate": np.zeros((1, 2)),
+                    "pool.w_proj": np.ones((3, 4))})
+        b["pool.centers"] = np.array([[0.5, 1.5]])
+        t_norm = np.array([[0.0, 0.5, 1.0]])
+        weights = np.exp(-0.5 * (t_norm[0, 1] - 1.5) ** 2 / sigma**2)
+        assert 0.0 < weights < 1e-308
+        z = pool_all(b["xhat"], np.array([[0.0, 1.0, 0.0]]), t_norm, b)
+        assert np.allclose(z.data, 0.5 * 2.0 + 1.0)    # 2 pooled by the wide kernel, gated
+        grads = tape.backward(z.sum())
+        for name in ("xhat", "pool.log_alpha", "pool.gate", "pool.w_proj"):
+            assert np.isfinite(grads[name]).all(), name
 
     def test_empty_variate_flag_and_zero_summary(self):
         tape = Tape()
@@ -539,13 +560,19 @@ class TestRecomputeNodes:
             return (params,
                     lambda b: time_encode(b["te.w_s"].tape.const(times), b),
                     lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b))
+        if node == "time_projection":
+            times, params = self.time_inputs(8)
+            params["te.w_t"] = np.random.default_rng(9).standard_normal((7, 1))
+            return (params,
+                    lambda b: time_projection(b["te.w_s"].tape.const(times), b),
+                    lambda b: time_encode(b["te.w_s"].tape.const(times), b) @ b["te.w_t"])
         t_norm, params = self.kernel_inputs(7)
         return (params,
                 lambda b: _kernel_weights(t_norm, with_centers(b)),
                 lambda b: chain_kernel_weights(t_norm, with_centers(b)))
 
     @pytest.mark.parametrize("node", ["smoothing_layers", "attend", "time_encode",
-                                      "kernel_weights"])
+                                      "kernel_weights", "time_projection"])
     def test_fused_node_is_bitwise_its_primitives(self, node):
         params, fused, unfused = self.fused_and_unfused(node)
         shape_tape = Tape()
@@ -575,6 +602,24 @@ class TestRecomputeNodes:
         self.same_failures(lambda b: time_encode(b["te.w_s"].tape.const([[times]]), b),
                            lambda b: chain_time_encode(b["te.w_s"].tape.const([[times]]), b),
                            params, "time_encode")
+
+    @pytest.mark.parametrize("times,scale,bias,weight", [
+        (1e308, 10.0, 0.0, 1.0),       # the encoding overflows
+        (1e308, 10.0, 0.0, 0.0),       # ... under a zero projection
+        (1e200, 1.0, 0.0, 1e200),      # a finite encoding, an overflowing projection
+        (1e300, 1.0, 0.0, 1e10),
+        (5.0, 1e300, 0.0, 1e-300),     # large but finite arguments of sin and cos
+        (3.0, 2.0, -1.0, 1e300),       # a finite projection of sin and cos
+    ])
+    def test_time_projection_raises_wherever_its_pair_raised(self, times, scale, bias,
+                                                             weight):
+        params = {name: np.full((1, 1 if name in ("te.w_s", "te.b_s") else 3),
+                                bias if ".b_" in name else scale)
+                  for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f")}
+        params["te.w_t"] = np.full((7, 1), weight)
+        self.same_failures(lambda b: time_projection(b["te.w_s"].tape.const([[times]]), b),
+                           lambda b: time_encode(b["te.w_s"].tape.const([[times]]), b)
+                           @ b["te.w_t"], params, "time_projection")
 
     @pytest.mark.parametrize("log_alpha,centre", [
         (-1e4, 0.5),       # sigma^2 underflows to 0: exponent 0/0 and -inf, exp -> 0
@@ -652,6 +697,25 @@ class TestTapeMemory:
             kept, estimate, _cells = self.chunk(samples, TrainConfig(**cfg_kw))
             assert kept <= estimate <= 1.1 * kept, (n, kept, estimate)
 
+    def test_a_long_grid_chunk_makes_few_grid_wide_temporaries(self):
+        # Two samples of 8 sparse variates on a grid of 4,810 times, as in
+        # the long-grid benchmark: the forward's and the backward's
+        # temporaries peak at ~8.3 and ~41.9 floats per padded grid time
+        # (B*L). Grid-wide nodes that made a throwaway array per numpy call
+        # peaked at ~14.4 and ~50.1.
+        spec = SynthSpec(n_variates=8, n_samples=4, split=(2, 1, 1), mean_observations=600.0,
+                         mode="independent", seed=1)
+        samples = generate(spec)[:2]
+        padded, queries = chunk_of(samples)
+        model, tape = ModelParams.init(TrainConfig(), seed=0), Tape()
+        res, forward_peak = transient_bytes(lambda: forward(tape, model, padded, queries))
+        loss = build_loss(res, np.concatenate([t for s in samples for t in s.query_targets]))
+        _grads, backward_peak = transient_bytes(lambda: tape.backward(loss))
+        grid = padded.samples * padded.grid_length
+        assert padded.grid_length == 4810
+        assert forward_peak / 8 / grid < 10.0
+        assert backward_peak / 8 / grid < 46.0
+
 
 def dense_triplet(n, length, seed=0):
     """Every variate observed at every grid time."""
@@ -715,15 +779,18 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 92 nodes. 46 run the finiteness check: 7 constant
-        # leaves and 39 nodes that compute. The 30 parameter leaves share
-        # one check of the flat vector, the frozen buffers are read as plain
-        # arrays, the convolution reads the block's taps unchecked (its
-        # layers' node checks their output), and the other 16 nodes only
-        # move, select or bound finite values.
+        # query records 91 nodes. 40 run the finiteness check: 2 constant
+        # leaves (the grid and query times) and 38 nodes that compute. The
+        # 30 parameter leaves share one check of the flat vector, the frozen
+        # buffers are read as plain arrays, the convolution reads the
+        # block's taps unchecked (its layers' node checks their output), the
+        # 5 constants the forward builds finite itself (pooling's mask, the
+        # flags, the denominators' correction and the DFT pair) enter
+        # unchecked, and the other 16 nodes only move, select or bound
+        # finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 92
-        assert checked == 46
+        assert len(sizes) == len(tape.nodes) == 91
+        assert checked == 40
 
 
 def positive_phi(m, omega, keys=False):

@@ -14,6 +14,7 @@ from imtscast.model import (
     _smoothing_layers,
     positive_features,
     time_encode,
+    time_projection,
 )
 from conftest import bind
 from oracles import narrow, transpose
@@ -42,6 +43,19 @@ class TestForward:
         tape = Tape()
         out = T.layernorm(const(tape, [[4.0, 4.0, 4.0, 4.0]]))
         assert np.allclose(out.data, 0.0, atol=1e-12)
+
+    def test_layernorm_raises_on_a_finite_row_whose_variance_overflows(self):
+        tape = Tape()
+        with pytest.raises(NonFiniteError, match="^layernorm: produced non-finite values"):
+            T.layernorm(const(tape, [[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]]))
+
+    def test_layernorm_of_finite_variances_is_the_plain_formula(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, 5)) * np.array([[1e-300], [1e-3], [1.0], [1e3], [1e150],
+                                                    [1.3e153]])
+        xc = x - x.mean(axis=-1, keepdims=True)
+        want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LAYERNORM_EPS)
+        assert np.array_equal(T.layernorm(const(Tape(), x)).data, want)
 
     def test_shape_mismatch_names_the_primitive(self):
         tape = Tape()
@@ -151,6 +165,16 @@ def time_encode_of_rows(t):
     return time_encode(t.tape.const(TIMES), p)
 
 
+def time_projection_of_rows(t):
+    """The projected time encoding with its parameters taken from a (5, 7)
+    tensor: the encoding's from the first four rows as in
+    ``time_encode_of_rows``, and the (7, 1) projection from the fifth."""
+    p = {name: narrow(t, np.s_[i : i + 1, : 1 if i < 2 else 3])
+         for i, name in enumerate(TE_NAMES)}
+    p["te.w_t"] = narrow(t, np.s_[4:5, :]).reshape((7, 1))
+    return time_projection(t.tape.const(TIMES), p)
+
+
 def smoothing_of_blocks(t):
     """Both conv layers, three channels, with w1, b1, w2 and b2 the four
     blocks of a (4, 4) tensor split after its third row and column."""
@@ -212,6 +236,7 @@ PRIMITIVE_CASES = [
      (3, 4)),
     # The queries' features, shifted per row.
     ("positive_features_queries", lambda t: positive_features(t, OMEGA), (2, 3, 2, 4)),
+    ("time_projection", time_projection_of_rows, (5, 7)),
 ]
 
 
@@ -576,6 +601,11 @@ class TestFiniteness:
         "time_encode": lambda tp: time_encode(tp.const([[1e308]]), {
             name: tp.const(np.full((1, 1 if i < 2 else 3), 10.0))
             for i, name in enumerate(TE_NAMES)}),
+        # A finite encoding whose projection overflows.
+        "time_projection": lambda tp: time_projection(tp.const([[1e200]]), {
+            **{name: tp.const(np.full((1, 1 if i < 2 else 3), 1.0))
+               for i, name in enumerate(TE_NAMES)},
+            "te.w_t": tp.const(np.full((7, 1), 1e200))}),
         # sigma^2 = exp(-2e4) underflows to 0, so the exponent is -inf (and
         # 0/0 at a centre): exp would map it to a finite 0.
         "kernel_weights": lambda tp: _kernel_weights(T_NORM, {
