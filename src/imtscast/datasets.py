@@ -42,6 +42,9 @@ OBS_HEADER = ["series_id", "variate", "time", "value"]
 QUERY_HEADER = ["series_id", "variate", "time", "target"]
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+DAMPING_RANGE = (1.0, 3.0)   # decay rates per window of the damped signal
+TREND_KNOTS = 3              # random interior knots of the trend signal
+NORMAL_REACH = 16.0          # above numpy's largest normal draw, 13.8, with room for the signal
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,6 @@ class SynthSpec:
     amplitude_range: tuple = (0.6, 1.4)
     frequency_range: tuple = (0.4, 1.2)   # cycles per window
     phase_range: tuple = (0.0, 2.0 * math.pi)
-    damping_range: tuple = (1.0, 3.0)
-    trend_knots: int = 3
     noise_std: float = 0.05
     horizon_frac: float = 0.25
     queries_per_variate: int = 2
@@ -88,6 +89,18 @@ class SynthSpec:
             raise DataError(f"spec: unknown mode {self.mode!r}")
         if self.signal not in ("sinusoid", "damped", "trend"):
             raise DataError(f"spec: unknown signal family {self.signal!r}")
+        # Generation stays finite: the Poisson rate and its mean gap, the signal's
+        # argument 2*pi*f*t (or decay*t) before its division by the window, the noise.
+        span = self.window * (1.0 - self.horizon_frac)
+        rate = self.mean_observations / span if span > 0 else math.inf
+        if not (0 < rate < math.inf and 1.0 / rate < math.inf):
+            raise DataError("spec: the sampling rate mean_observations / (window * (1 - "
+                            f"horizon_frac)) is {rate!r}; it and its inverse must be finite")
+        steepest = max(2.0 * math.pi * max(map(abs, self.frequency_range)), DAMPING_RANGE[1])
+        if self.signal != "trend" and not math.isfinite(steepest * self.window):
+            raise DataError(f"spec: window {self.window!r} overflows the signal's argument")
+        if not math.isfinite(self.noise_std * NORMAL_REACH):
+            raise DataError(f"spec: noise_std {self.noise_std!r} overflows the noise")
         if self.split is not None:
             if len(self.split) != 3 or any(c < 0 for c in self.split):
                 raise DataError("spec: split must be three non-negative counts")
@@ -152,7 +165,8 @@ def _poisson_times(rng, rate: float, span: float) -> np.ndarray:
     while True:
         gaps = rng.exponential(scale, size)
         gaps[1:] = np.maximum(gaps[1:], np.finfo(np.float64).tiny)   # keep strictly increasing
-        times = np.cumsum(gaps)
+        with np.errstate(over="ignore"):   # a sum that overflows lies past the span: dropped
+            times = np.cumsum(gaps)
         count = int(np.searchsorted(times, span))
         rng.bit_generator.state = start
         if count < size:
@@ -183,7 +197,7 @@ def _draw_signal(rng, spec: SynthSpec):
         amp = rng.uniform(*spec.amplitude_range)
         freq = rng.uniform(*spec.frequency_range)
         phase = rng.uniform(*spec.phase_range)
-        decay = rng.uniform(*spec.damping_range)
+        decay = rng.uniform(*DAMPING_RANGE)
 
         def fn(t):
             t = np.asarray(t, dtype=np.float64)
@@ -191,7 +205,7 @@ def _draw_signal(rng, spec: SynthSpec):
 
         return fn
     # piecewise-linear trend through random knots
-    knots = np.concatenate([[0.0], np.sort(rng.uniform(0, w, size=spec.trend_knots)), [w]])
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0, w, size=TREND_KNOTS)), [w]])
     levels = rng.uniform(-1.0, 1.0, size=knots.size)
 
     def fn(t):

@@ -5,26 +5,23 @@ continuous time encoding fused in, Gaussian-kernel pooling of each variate
 down to a fixed-width vector, stacked spectral linear-attention blocks that
 mix variates, and a query-conditioned MLP head.
 
-Pooling multiplies the fused series by the mask before both of its sums,
-so it reads observed cells only. The smoothing convolution therefore runs
-at those cells alone and places its output on the grid; the rest of the
-grid, mostly unobserved on long sparse series, costs no convolution work
-and no backward work. Which cells those are, and their taps on the
-zero-filled grid, is data: ``data.align`` builds that layout once per
-sample and ``data.pad_chunk`` re-bases it for a chunk, so a forward only
-reads it and never derives it from the grid; pooling's mask is built
-from ``cells`` once per forward, and nothing stores or pads one.
+The fused series (smoothed value plus projected time encoding) is formed
+at the observed cells only and placed on a zero grid that pooling's
+numerator reads as it is, so the rest of the grid, mostly unobserved on
+long sparse series, costs no convolution or encoding work. The cells and
+their taps on the zero-filled grid are data, built once per sample by
+``data.align`` and re-based for a chunk by ``data.pad_chunk``; pooling's
+mask, for its denominator and flags, is built from ``cells`` per forward.
 
 The forward pass runs one block of B samples that share the variate count
 N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
-on the block's (B*N, .) rows in sample-major order. Only pooling and
-attention need to know where one sample ends. Encoding builds the (B, N, L)
-stack to broadcast each sample's time projection over its rows and hands
-pooling that stack, whose batched matmuls read it as it is. Attention
-takes the sample count and reads its rows as a (B, N, H, .) stack; the
-per-(sample, head) views its matmuls need, the [V | 1] numerator and
-denominator of linear attention and their floored quotient live inside
-its one ``_attend`` node.
+on the block's (B*N, .) rows in sample-major order. Only encoding, pooling
+and attention need to know where one sample ends: encoding places the
+fused series as the (B, N, L) stack pooling's batched matmuls read, and
+attention takes the sample count and reads its rows as a (B, N, H, .)
+stack; the per-(sample, head) views its matmuls need, the [V | 1]
+numerator and denominator of linear attention and their floored quotient
+live inside its one ``_attend`` node.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -209,6 +206,8 @@ class ModelParams:
         missing = [key for key in ("config", "params", "buffers") if key not in doc]
         if missing:
             raise DataError(f"{path}: checkpoint has no {', '.join(missing)}")
+        if not isinstance(doc["config"], dict):
+            raise DataError(f"{path}: bad checkpoint config: not a JSON object")
         try:
             cfg = TrainConfig.from_dict(doc["config"])
             validate(cfg)
@@ -331,12 +330,12 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
     times = samples * grid_length
     mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
     floats = (
-        # encode: the block's conv taps (3, P) and the cells (P,) that
-        # place the conv's output (a chunk of one keeps its sample's own);
-        # the grid times and the time encoding (B*L, 1 + d_te)
-        (4 * observed if cfg.use_preconv else 0) + times * (1 + dte)
+        # encode: the cells (P,) at which the fused series is placed and,
+        # with the conv, its taps (3, P) (a chunk of one keeps its
+        # sample's own); the grid times and the time encoding (B*L, 1 + d_te)
+        observed * (4 if cfg.use_preconv else 1) + times * (1 + dte)
         # pool: the normalized times and the kernel weights (B, L, 1 + K),
-        # the mask and the masked series (B*N, L) x2, the quotient and its
+        # the mask and the fused series (B*N, L) x2, the quotient and its
         # denominator (B*N, K) x2, the summary with its flag (B*N, K+1)
         + times * (1 + k) + rows * grid_length * 2 + rows * (3 * k + 1)
         # per block: two layernorms (B*N, d+1), the spectral coefficients,
@@ -441,24 +440,6 @@ def _encoding_vjp(t: np.ndarray, out: np.ndarray, n_lin: int, g: np.ndarray) -> 
             t_t @ g_theta, g_theta.sum(axis=0, keepdims=True))
 
 
-def conv_smooth(block: AlignedTriplet, p: dict[str, Tensor]) -> Tensor:
-    """Width-3 then 1x1 convolution along time with zero same-padding,
-    evaluated at the observed cells of ``block`` only: its (B*N, L) rows.
-
-    The same filter bank applies to every variate. Both layers run over the
-    block's (3, P) ``taps``, the observed cells' inputs on the zero-padded
-    grid (see ``data.AlignedTriplet``), and the (1, P) result is placed at
-    the block's ``cells`` in a zero grid. Unobserved cells hold 0 instead of
-    the filters' response there; that is exact for the model, since
-    pooling, the only reader, multiplies every cell by the mask. The taps
-    are data, so no gradient flows back to them, and they are not checked:
-    a non-finite tap makes the layers' output non-finite, and that node
-    raises.
-    """
-    out = _smoothing_layers(block.taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
-    return T.place(out, block.cells, block.grid_shape)
-
-
 def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
                       b2: Tensor) -> Tensor:
     """Both conv layers as one node; backward recomputes the (C, P) hidden layer from the taps."""
@@ -497,18 +478,39 @@ def encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
-    ``tcol`` is the (B*L, 1) column of the block's grid times, one grid
-    after another. The convolution runs at the block's observed cells only
-    (see ``conv_smooth``); without it, the observed cells' own values, a
-    checked constant, are placed there alike. The projection is added to
-    each sample's N rows by broadcasting, on the whole grid, so the result
-    is the (B, N, L) stack that pooling reads.
+    ``tcol`` is the (B*L, 1) column of the grid times, one grid after
+    another. The width-3 then 1x1 convolution with zero same-padding runs
+    over the observed cells' (3, P) ``taps`` (without it, their own values
+    enter as a checked constant). Returns the (B, N, L) stack pooling reads.
     """
-    base = (conv_smooth(block, p) if use_conv else
-            T.place(tcol.tape.const(block.taps[1:2]), block.cells, block.grid_shape))
-    samples, length = block.samples, block.grid_length
-    tproj = time_projection(tcol, p).reshape((samples, 1, length))
-    return base.reshape((samples, block.n_variates, length)) + tproj
+    conv = (p[name] for name in ("conv.w1", "conv.b1", "conv.w2", "conv.b2"))
+    values = _smoothing_layers(block.taps, *conv) if use_conv else tcol.tape.const(block.taps[1:2])
+    return _fuse_at_cells(values, time_projection(tcol, p), block)
+
+
+def _fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
+    """The (1, P) values at the block's flat ``cells`` plus the (B*L, 1)
+    grid-time projection, on a zero (B, N, L) grid: cell (b*N + n)*L + col
+    reads time b*L + col. One node; it checks the P sums. Its VJP gathers
+    the adjoint at the cells and sums it per grid time, keeping only cells."""
+    cells, n_variates, length = block.cells, block.n_variates, block.grid_length
+
+    def grid_times():
+        return cells // (n_variates * length) * length + cells % length
+
+    with np.errstate(over="ignore", invalid="ignore"):         # raises below instead
+        sums = values.data.reshape(-1) + proj.data.reshape(-1)[grid_times()]
+    if not np.isfinite(sums).all():
+        raise NonFiniteError("fuse_at_cells: produced non-finite values")
+    out = np.zeros((block.samples, n_variates, length))
+    out.reshape(-1)[cells] = sums
+
+    def vjp(g):
+        at_cells = g.reshape(-1)[cells]
+        return (at_cells.reshape(1, -1),
+                np.bincount(grid_times(), at_cells, g.shape[0] * length).reshape(-1, 1))
+
+    return values.tape.append("fuse_at_cells", out, (values, proj), vjp)
 
 
 def _nonzero(den: Tensor) -> Tensor:
@@ -582,17 +584,17 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     forward, and ``t_norm`` holds the (B, L) normalized grid times of
     ``data.normalize_times``. A sample's variates share its grid, so one
     (L, K) kernel-weight matrix serves all N of its rows. The (B, L, K)
-    weights meet the masked rows in one batched matmul for the numerator
-    and one for the denominator; the normalization is folded into one
+    weights meet the rows in one batched matmul for the numerator and the
+    mask in one for the denominator; the normalization is folded into one
     division, so no (L, K) coefficient matrix per variate is materialized.
-    Masked and padded cells drop out of both sums, so ``xhat`` is read at
-    observed cells only.
+    Precondition: xhat is zero off the observed cells (as ``encode_series``
+    leaves it), so unobserved and padded cells drop out of both sums.
     """
     tp = xhat.tape
     weights = _kernel_weights(t_norm[:, :, None], p)           # (B, L, K)
     # The mask and the flags are built in {0, 1}: they enter unchecked.
     mask = tp.append("const", mask_rows.reshape(xhat.data.shape), (), None)
-    num = (xhat * mask) @ weights                              # (B, N, K)
+    num = xhat @ weights                                       # (B, N, K)
     den = mask @ weights
     pooled = (num / _nonzero(den)).reshape((mask_rows.shape[0], weights.data.shape[2]))
     if use_gate:

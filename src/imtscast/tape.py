@@ -31,11 +31,11 @@ inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
 code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
 matrix) enters through ``Tape.append("const", ...)`` instead, unchecked.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``reshape``, ``concat``, ``take_rows``, ``place``,
-``relu`` and ``sigmoid``) by appending their node with
-``Tape.append``: by induction their outputs are finite too. So a NaN/Inf
-raises ``NonFiniteError`` at, and named after, the first op
-that produced it, which keeps divergence diagnosable.
+the check (``reshape``, ``concat``, ``take_rows``, ``relu`` and
+``sigmoid``) by appending their node with ``Tape.append``: by induction
+their outputs are finite too. So a NaN/Inf raises ``NonFiniteError`` at,
+and named after, the first op that produced it, which keeps divergence
+diagnosable.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class Tape:
     def record(self, op: str, data, parents: tuple[Tensor, ...], vjp) -> Tensor:
         """Append one node. ``vjp(grad)`` must return one array (or None) per parent.
 
-        Public so that custom primitives (e.g. spectral transforms, test
-        fixtures) can participate in differentiation. Raises
+        Public so that custom primitives (e.g. the model's fused layers,
+        test fixtures) can participate in differentiation. Raises
         ``NonFiniteError`` naming ``op`` if ``data`` is not finite. The node
         keeps ``vjp`` only if some parent needs a gradient; adjoints it
         returns for the other parents are dropped.
@@ -411,23 +411,6 @@ def take_rows(a: Tensor, indices) -> Tensor:
         return (z,)
 
     return a.tape.append("take_rows", a.data[idx], (a,), vjp)
-
-
-def place(a: Tensor, index, shape) -> Tensor:
-    """Put the entries of ``a`` at the flat positions ``index`` of a zero
-    array of ``shape``; the adjoint gathers those positions back.
-
-    ``index`` holds distinct flat indices, one per entry of ``a`` in its
-    row-major order.
-    """
-    idx = np.asarray(index, dtype=np.intp)
-    shape = tuple(int(n) for n in shape)
-    old = a.data.shape
-    if idx.ndim != 1 or idx.size != a.data.size:
-        raise ShapeError(f"place: {a.data.size} entries for {idx.size} positions")
-    out = np.zeros(shape)
-    out.reshape(-1)[idx] = a.data.reshape(-1)
-    return a.tape.append("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
 LAYERNORM_EPS = 1e-5

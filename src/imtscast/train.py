@@ -6,10 +6,10 @@ aligned samples into one block padded to their longest grid (a chunk of one
 is its sample's own block, not a copy), and its query arrays are passed in
 the block's row order. A chunk runs forward and backward on one tape, so the
 per-op cost of the tape is paid once per chunk rather than once per sample.
-Padding is exact: padded cells hold no observed cell, pooling multiplies
-both its numerator and its denominator by the mask built from the observed
-cells, and the smoothing convolution's taps already read zeros past the
-end of a grid. Each sample's observed-cell layout is built once, by
+Padding is exact: padded cells hold no observed cell, the fused series is
+0 off the observed cells, pooling's denominator multiplies by the mask
+built from them, and the smoothing convolution's taps already read zeros
+past the end of a grid. Each sample's observed-cell layout is built once, by
 ``align`` in ``_prepare``; a chunk re-bases its samples' layouts, and no
 epoch derives one from a grid. The chunk loss is the sum of its samples'
 losses, so the summed chunk gradients divided by the batch size are the

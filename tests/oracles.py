@@ -12,11 +12,12 @@ chunk. ``dense_layout`` derives the same layout from a dense zero-filled
 grid and its mask, by scanning and padding the grid; ``grid_triplet``
 builds a block from such a grid with it.
 
-The time encoding, the kernel weights and the feature map are one tape
-node each in the model. ``chain_time_encode``, ``chain_kernel_weights`` and
-``chain_positive_features`` are the primitive chains those nodes replace,
-built from the tape's primitives and the ``sin``, ``cos`` and ``exp`` nodes
-below, which the tape no longer has.
+The time encoding, the kernel weights, the feature map and the fused
+series at the observed cells are one tape node each in the model.
+``chain_time_encode``, ``chain_kernel_weights``, ``chain_positive_features``
+and ``chain_fuse_at_cells`` are the primitive chains those nodes replace,
+built from the tape's primitives and the ``sin``, ``cos``, ``exp`` and
+``place`` nodes below, which the tape no longer has.
 The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
 its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
 numerators by their floored denominators; ``chain_attend`` is the chain
@@ -62,6 +63,19 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # record() raises instead
         e = np.exp(a.data)
     return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+
+
+def place(a: Tensor, index, shape) -> Tensor:
+    """Put the entries of ``a`` at the distinct flat positions ``index`` of
+    a zero array of ``shape``, one per entry in row-major order; the
+    adjoint gathers those positions back."""
+    idx = np.asarray(index, dtype=np.intp)
+    old = a.data.shape
+    if idx.ndim != 1 or idx.size != a.data.size:
+        raise T.ShapeError(f"place: {a.data.size} entries for {idx.size} positions")
+    out = np.zeros(shape)
+    out.reshape(-1)[idx] = a.data.reshape(-1)
+    return a.tape.append("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -141,6 +155,17 @@ def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     return exp(diff * diff * (-0.5) / sig2)
 
 
+def chain_fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
+    """``model._fuse_at_cells`` as the chain it replaces: ``place`` the
+    (1, P) values at the block's cells, add the (B*L, 1) projection to
+    every row of each sample's (N, L) grid by broadcasting, and multiply
+    by the mask."""
+    samples, n, length = block.samples, block.n_variates, block.grid_length
+    stack = place(values, block.cells, block.grid_shape).reshape((samples, n, length))
+    mask = values.tape.append("const", block.mask.reshape((samples, n, length)), (), None)
+    return (stack + proj.reshape((samples, 1, length))) * mask
+
+
 def dense_layout(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The observed-cell layout of the (R, L) grid ``values`` under ``mask``:
     the sorted flat indices of the observed cells, (P,), and each one's
@@ -191,14 +216,16 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
 def dense_encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
                         use_conv: bool = True) -> Tensor:
     """``model.encode_series`` with the convolution run on the whole
-    zero-filled grid, rebuilt from the block's layout; the rest of the
-    layout is not read. Returns the (B, N, L) stack."""
+    zero-filled grid, rebuilt from the block's layout, and the projected
+    time encoding added to every cell; the product with the mask then
+    zeroes every unobserved cell. Returns the (B, N, L) stack."""
     rows = tcol.tape.const(zero_filled(block))
     base = dense_conv_smooth(rows, p) if use_conv else rows
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
+    shape = (samples, total // samples, length)
     tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
-    return base.reshape((samples, total // samples, length)) + tproj
+    return (base.reshape(shape) + tproj) * block.mask.reshape(shape)
 
 
 def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) -> Tensor:

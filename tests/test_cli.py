@@ -378,6 +378,20 @@ class TestConfigValues:
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         assert "bad checkpoint config" in errors[0] and key in errors[0]
 
+    @pytest.mark.parametrize("config", [[], [["kernels", 8], ["hidden", 32]], "kernels", None],
+                             ids=["empty_list", "pair_list", "string", "null"])
+    def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, config):
+        # An empty list loaded as the default config and a list of pairs as
+        # a dict, so eval exited 0; a string or null gave dict()'s message.
+        data, checkpoint = tiny_run(tmp_path)
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["config"] = config
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(checkpoint),
+                     "--data", str(data / "manifest.json")]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [f"error: {checkpoint}: bad checkpoint config: not a JSON object"]
+
 
 class TestCheckpointFormat:
     def test_a_checkpoint_with_rff_seed_predicts_bitwise_like_one_without(self, tmp_path):
@@ -481,6 +495,25 @@ class TestGenValues:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error: spec: {key} "), errors
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        # An infinite sampling rate ended in an OverflowError traceback.
+        (["--window", "1e-310"], "the sampling rate "),
+        (["--window", "1e-300", "--horizon-frac", "0.9999999999999999"], "the sampling rate "),
+        # Overflowing signal arguments and noise warned, then failed on the
+        # generated values.
+        (["--window", "1e308"], "window "),
+        (["--window", "3e307"], "window "),
+        (["--noise-std", "1e308"], "noise_std "),
+    ])
+    def test_a_spec_whose_generation_overflows_exits_2(self, tmp_path, capsys, flags,
+                                                       message):
+        out = tmp_path / "data"
+        assert main(["gen", "--variates", "2", "--samples", "3", *flags,
+                     "--out", str(out)]) == EXIT_USAGE
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: spec: {message}"), errors
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("flag, value", [

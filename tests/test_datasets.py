@@ -132,6 +132,23 @@ class TestGeneration:
                 for series in sample.series:
                     assert np.isfinite(series.values).all()
 
+    def test_a_trend_on_a_huge_window_generates_without_warnings(self):
+        # The gaps' running sums overflow past the observation span, where
+        # they are dropped; the trend has no argument that overflows.
+        spec = SynthSpec(n_variates=2, n_samples=3, window=1e308, signal="trend", seed=2)
+        for sample in generate(spec):
+            for series, targets in zip(sample.series, sample.query_targets):
+                assert np.isfinite(series.values).all() and np.isfinite(targets).all()
+                assert (series.times < 0.75e308).all()
+
+    def test_a_damped_decay_that_overflows_is_rejected(self):
+        # Without frequencies, the decay term decay * t is the one that
+        # overflows on this window.
+        spec = SynthSpec(signal="damped", frequency_range=(0.0, 0.0), window=1e308)
+        with pytest.raises(DataError, match="window 1e\\+308 overflows"):
+            spec.validate()
+        SynthSpec(signal="damped", frequency_range=(0.0, 0.0), window=5e307).validate()
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(DataError, match="n_variates"):
             SynthSpec(n_variates=0).validate()

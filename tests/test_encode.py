@@ -1,8 +1,9 @@
-"""Smoothing at observed cells only, against the dense convolution over the
-whole grid (``oracles.dense_encode_series``).
+"""Encoding at observed cells only, against the dense convolution and
+time encoding over the whole grid (``oracles.dense_encode_series``).
 
-Pooling reads the fused series at observed cells only, so running the
-convolution there alone must leave predictions and gradients unchanged.
+Encoding forms the fused series at the observed cells alone and leaves 0
+at every other cell. The oracle convolves and encodes every cell and then
+multiplies by the mask, so predictions and gradients must be unchanged.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import imtscast.model as model_module
 from imtscast.data import ImtsSample, RawSeries
-from imtscast.model import ModelParams, conv_smooth, forward
+from imtscast.model import ModelParams, _smoothing_layers, encode_series, forward
 from imtscast.tape import Tape
 from imtscast.train import build_loss
 
@@ -20,13 +21,29 @@ from test_chunks import close, config, draw_samples, targets_of
 
 
 def conv_params(tape, channels, seed):
+    """The conv's parameters, and a time encoding whose projection is 0."""
     rng = np.random.default_rng(seed)
     return bind(tape, **{
         "conv.w1": rng.standard_normal((channels, 3)),
         "conv.b1": rng.standard_normal((channels, 1)),
         "conv.w2": rng.standard_normal((1, channels)),
         "conv.b2": rng.standard_normal((1, 1)),
+        "te.w_s": rng.standard_normal((1, 1)), "te.b_s": rng.standard_normal((1, 1)),
+        "te.w_f": rng.standard_normal((1, 2)), "te.b_f": rng.standard_normal((1, 2)),
+        "te.w_t": np.zeros((5, 1)),
     })
+
+
+def smooth(block, p):
+    """Both conv layers at the observed cells of ``block``: (1, P)."""
+    return _smoothing_layers(block.taps, p["conv.w1"], p["conv.b1"], p["conv.w2"], p["conv.b2"])
+
+
+def encoded(block, p):
+    """``encode_series`` of ``block``; under ``conv_params`` the time
+    projection is 0, so this is the conv's output placed on the grid."""
+    tcol = p["conv.w1"].tape.const(block.times.reshape((-1, 1)))
+    return encode_series(block, tcol, p)
 
 
 def random_mask(rng, shape, density):
@@ -46,33 +63,42 @@ class TestObservedCellConvolution:
         values = rng.standard_normal(shape) * mask   # zero-filled, as ``align`` leaves it
         tape = Tape()
         p = conv_params(tape, 4, seed=shape[0])
-        sparse = conv_smooth(grid_triplet(values, mask), p).data
+        block = grid_triplet(values, mask)
+        sparse = smooth(block, p).data[0]
         dense = dense_conv_smooth(tape.const(values), p).data
+        assert np.abs(sparse - dense.reshape(-1)[block.cells]).max() < 1e-14
+        fused = encoded(block, p).data.reshape(shape)
         observed = mask == 1.0
-        assert np.abs(sparse[observed] - dense[observed]).max() < 1e-14
-        assert np.all(sparse[~observed] == 0.0)
+        assert np.array_equal(fused[observed], sparse)
+        assert np.all(fused[~observed] == 0.0)
 
     def test_parameter_gradients_equal_dense_under_the_mask(self):
         rng = np.random.default_rng(1)
         mask = random_mask(rng, (4, 30), 0.2)
         values = rng.standard_normal(mask.shape) * mask
         probe = rng.standard_normal(mask.shape)
+        block = grid_triplet(values, mask)
         grads = []
-        for conv in (lambda tape, p: conv_smooth(grid_triplet(values, mask), p),
-                     lambda tape, p: dense_conv_smooth(tape.const(values), p)):
+        at_cells = probe.reshape(1, -1)[:, block.cells]
+        for conv in (lambda tape, p: smooth(block, p) * tape.const(at_cells),
+                     lambda tape, p: dense_conv_smooth(tape.const(values), p)
+                     * tape.const(mask * probe)):
             tape = Tape()
             p = conv_params(tape, 3, seed=2)
-            loss = (conv(tape, p) * tape.const(mask * probe)).sum()
-            grads.append(tape.backward(loss))
+            grads.append(tape.backward(conv(tape, p).sum()))
         for name in grads[0]:
             assert close(grads[0][name], grads[1][name], 1e-12), name
 
     def test_no_observed_cell(self):
         tape = Tape()
         block = grid_triplet(np.zeros((2, 5)), np.zeros((2, 5)))
-        out = conv_smooth(block, conv_params(tape, 2, seed=3))
-        assert out.data.shape == (2, 5)
+        p = conv_params(tape, 2, seed=3)
+        assert smooth(block, p).data.shape == (1, 0)
+        out = encoded(block, p)
+        assert out.data.shape == (1, 2, 5)
         assert np.all(out.data == 0.0)
+        grads = tape.backward((out * tape.const(np.ones((1, 2, 5)))).sum())
+        assert all(np.all(g == 0.0) for g in grads.values())
 
 
 def sample(series, query_at=12.0):

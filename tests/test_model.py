@@ -10,19 +10,19 @@ from hypothesis.extra import numpy as hnp
 import imtscast.model as model_module
 import imtscast.tape as T
 from imtscast.config import ConfigError, TrainConfig
-from imtscast.data import DataError, align, pad_chunk
+from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, SynthSpec, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ModelParams,
     _attend,
+    _fuse_at_cells,
     _kernel_weights,
     _layout_floats,
     _smoothing_layers,
     _stored_floats,
     attention_block,
     attention_maps,
-    conv_smooth,
     encode_series,
     expected_param_count,
     forward,
@@ -40,6 +40,7 @@ from imtscast.train import build_loss
 from conftest import bind, chunk_of, random_sample, retained_bytes, transient_bytes
 from oracles import (
     chain_attend,
+    chain_fuse_at_cells,
     chain_kernel_weights,
     chain_positive_features,
     chain_time_encode,
@@ -148,6 +149,11 @@ class TestConvSmoothing:
                                   else rng.standard_normal((1, 1))),
         }
 
+    def smooth(self, block, p):
+        """Both conv layers at the observed cells of ``block``: (1, P)."""
+        return _smoothing_layers(block.taps, p["conv.w1"], p["conv.b1"], p["conv.w2"],
+                                 p["conv.b2"]).data
+
     def test_zero_input_zero_biases_gives_zero(self):
         tape = Tape()
         p = self.conv_params(tape, channels=4)
@@ -161,7 +167,7 @@ class TestConvSmoothing:
         tape = Tape()
         p = self.conv_params(tape, channels=3, zero_bias=False, seed=1)
         value = 1.7
-        out = conv_smooth(grid_triplet(np.array([[value]]), np.ones((1, 1))), p).data
+        out = self.smooth(grid_triplet(np.array([[value]]), np.ones((1, 1))), p)
         w1 = p["conv.w1"].data
         hidden = np.maximum(w1[:, 1] * value + p["conv.b1"].data[:, 0], 0.0)
         expected = p["conv.w2"].data[0] @ hidden + p["conv.b2"].data[0, 0]
@@ -173,7 +179,7 @@ class TestConvSmoothing:
         x = rng.standard_normal((1, length))
         tape = Tape()
         p = self.conv_params(tape, channels, zero_bias=False, seed=3)
-        out = conv_smooth(grid_triplet(x, np.ones_like(x)), p).data[0]
+        out = self.smooth(grid_triplet(x, np.ones_like(x)), p)[0]     # every cell observed
 
         w1, b1 = p["conv.w1"].data, p["conv.b1"].data[:, 0]
         w2, b2 = p["conv.w2"].data[0], p["conv.b2"].data[0, 0]
@@ -193,9 +199,9 @@ class TestConvSmoothing:
         x = rng.standard_normal((3, 9))
         tape = Tape()
         p = self.conv_params(tape, channels=2, zero_bias=False, seed=5)
-        stacked = conv_smooth(grid_triplet(x, np.ones_like(x)), p).data
+        stacked = self.smooth(grid_triplet(x, np.ones_like(x)), p).reshape(3, 9)
         for row in range(3):
-            single = conv_smooth(grid_triplet(x[row : row + 1], np.ones((1, 9))), p).data
+            single = self.smooth(grid_triplet(x[row : row + 1], np.ones((1, 9))), p)
             assert np.abs(stacked[row] - single[0]).max() < 1e-14
 
 
@@ -335,9 +341,10 @@ class TestKernelPooling:
         n, length, k, d = 4, 9, 3, 6
         tape = Tape()
         p = pool_params(tape, k=k, d=d, seed=15)
-        xhat = tape.const(rng.standard_normal((n, length)))
+        values = rng.standard_normal((n, length))
         mask_rows = (rng.uniform(size=(n, length)) < 0.6).astype(float)
         mask_rows[2] = 0.0  # one empty variate
+        xhat = tape.const(values * mask_rows)   # zero off the cells, as encoding leaves it
         t_norm = np.sort(rng.uniform(0, 1, size=(1, length)))
         z_fast = pool_all(xhat.reshape((1, n, length)), mask_rows, t_norm, p).data
         for v in range(n):
@@ -478,11 +485,12 @@ class TestRandomFeatures:
 
 class TestRecomputeNodes:
     """The fused nodes that recompute an intermediate in backward instead of
-    keeping it, and the time encoding, which reads its derivative off its
-    output: finite-difference checks of every input, and outputs and
-    adjoints bitwise equal to the primitives they replace. The time encoding
-    and the kernel weights are gradchecked in the tape's primitive table,
-    which has rows for the other two as well."""
+    keeping it (the fused series recomputes its cells' grid times), and the
+    time encoding, which reads its derivative off its output:
+    finite-difference checks of every input, and outputs and adjoints
+    bitwise equal to the primitives they replace. The time encoding, the
+    kernel weights and the fused series are gradchecked in the tape's
+    primitive table, which has rows for the other two as well."""
 
     def smoothing_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -642,6 +650,66 @@ class TestRecomputeNodes:
                            lambda b: chain_kernel_weights(t_norm, with_centers(b)),
                            {"pool.log_alpha": np.full((1, 2), log_alpha)}, "kernel_weights")
 
+    def fuse_inputs(self, seed):
+        """A chunk of three 4-variate random samples, each on its own grid
+        (so the shorter ones carry padded tails), with (1, P) cell values
+        and a (B*L, 1) grid projection."""
+        rng = np.random.default_rng(seed)
+        samples = []
+        while len(samples) < 3:
+            sample = random_sample(rng, max_variates=4)
+            if sample.n_variates == 4:
+                samples.append(sample)
+        block = chunk_of(samples)[0]
+        assert len({align(s).grid_length for s in samples}) > 1
+        return block, {"values": rng.standard_normal((1, block.cells.size)),
+                       "proj": rng.standard_normal((block.samples * block.grid_length, 1))}
+
+    def fuse(self, block):
+        return (lambda b: _fuse_at_cells(b["values"], b["proj"], block),
+                lambda b: chain_fuse_at_cells(b["values"], b["proj"], block))
+
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    def test_fused_series_is_bitwise_its_chain(self, seed):
+        # The chain places the values, adds the projection to every cell
+        # and multiplies by the mask; these chunks hold empty variates.
+        block, params = self.fuse_inputs(seed)
+        assert (block.mask.sum(axis=1) == 0).any()
+        probe = np.random.default_rng(seed + 10).standard_normal(
+            (block.samples, block.n_variates, block.grid_length))
+        results = []
+        for fn in self.fuse(block):
+            tape = Tape()
+            out = fn(bind(tape, **params))
+            grads = tape.backward((out * tape.const(probe)).sum())
+            results.append((out.data, grads))
+        assert np.array_equal(results[0][0], results[1][0])
+        for name in params:
+            assert np.array_equal(results[0][1][name], results[1][1][name]), name
+
+    def test_fused_series_is_zero_off_the_observed_cells(self):
+        block, params = self.fuse_inputs(1)
+        out = self.fuse(block)[0](bind(Tape(), **params)).data.reshape(-1)
+        off = np.ones(out.size, dtype=bool)
+        off[block.cells] = False
+        assert off.any() and np.all(out[off] == 0.0)
+
+    @pytest.mark.parametrize("values,proj", [
+        ([1e308, 0.0], [0.0, 1e308, 0.0, 0.0]),       # a cell's sum overflows
+        ([0.0, -1e308], [0.0, 0.0, -1e308, 0.0]),
+        ([1e308, 0.0], [0.0, -1e308, 0.0, 0.0]),      # large terms that cancel
+        ([0.0, 0.0], [1.7e308, 0.0, 0.0, 1.7e308]),   # large at times no cell reads
+        ([1.7e308, 1.0], [1.7e308, 0.0, 0.0, 0.0]),
+    ])
+    def test_fused_series_raises_wherever_its_chain_raised(self, values, proj):
+        # Two samples of two variates on two grid times: cell 1 reads grid
+        # time 1, cell 6 (sample 1, variate 1, column 0) grid time 2.
+        block = AlignedTriplet(times=np.zeros((2, 2)), cells=np.array([1, 6]),
+                               taps=np.zeros((3, 2)), n_variates=2)
+        fused, chain = self.fuse(block)
+        self.same_failures(fused, chain, {"values": np.array([values]),
+                                          "proj": np.array(proj)[:, None]}, "fuse_at_cells")
+
     def same_failures(self, fused, chain, params, name):
         """``fused`` raises NonFiniteError, naming itself, exactly where
         ``chain`` raised it, and otherwise gives the chain's values."""
@@ -700,9 +768,10 @@ class TestTapeMemory:
     def test_a_long_grid_chunk_makes_few_grid_wide_temporaries(self):
         # Two samples of 8 sparse variates on a grid of 4,810 times, as in
         # the long-grid benchmark: the forward's and the backward's
-        # temporaries peak at ~8.3 and ~41.9 floats per padded grid time
+        # temporaries peak at ~0.3 and ~42.9 floats per padded grid time
         # (B*L). Grid-wide nodes that made a throwaway array per numpy call
-        # peaked at ~14.4 and ~50.1.
+        # peaked at ~14.4 and ~50.1; a forward that formed the fused series
+        # on every cell and then masked it, at ~8.3 and ~41.9.
         spec = SynthSpec(n_variates=8, n_samples=4, split=(2, 1, 1), mean_observations=600.0,
                          mode="independent", seed=1)
         samples = generate(spec)[:2]
@@ -713,7 +782,7 @@ class TestTapeMemory:
         _grads, backward_peak = transient_bytes(lambda: tape.backward(loss))
         grid = padded.samples * padded.grid_length
         assert padded.grid_length == 4810
-        assert forward_peak / 8 / grid < 10.0
+        assert forward_peak / 8 / grid < 1.0
         assert backward_peak / 8 / grid < 46.0
 
 
@@ -779,18 +848,20 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 91 nodes. 40 run the finiteness check: 2 constant
-        # leaves (the grid and query times) and 38 nodes that compute. The
+        # query records 87 nodes. 38 run the finiteness check: 2 constant
+        # leaves (the grid and query times) and 36 nodes that compute. The
         # 30 parameter leaves share one check of the flat vector, the frozen
         # buffers are read as plain arrays, the convolution reads the
         # block's taps unchecked (its layers' node checks their output), the
         # 5 constants the forward builds finite itself (pooling's mask, the
         # flags, the denominators' correction and the DFT pair) enter
-        # unchecked, and the other 16 nodes only move, select or bound
-        # finite values.
+        # unchecked, and of the other 14 nodes, two check only what they
+        # compute (the fused series' sums at the observed cells and the
+        # kernel exponent) and the rest only move, select or bound finite
+        # values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 91
-        assert checked == 40
+        assert len(sizes) == len(tape.nodes) == 87
+        assert checked == 38
 
 
 def positive_phi(m, omega, keys=False):

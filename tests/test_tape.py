@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import imtscast.tape as T
+from imtscast.data import AlignedTriplet
 from imtscast.model import (
     _attend,
+    _fuse_at_cells,
     _kernel_weights,
     _smoothing_layers,
     positive_features,
@@ -17,7 +19,7 @@ from imtscast.model import (
     time_projection,
 )
 from conftest import bind
-from oracles import narrow, transpose
+from oracles import narrow, place, transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -183,6 +185,20 @@ def smoothing_of_blocks(t):
     return _smoothing_layers(TAPS, w1, b1, w2, b2)
 
 
+# Two samples of two variates on a grid of 3 times, with cells at flat
+# indices of the (4, 3) grid: sample 1's first variate is empty, so its grid
+# time 0 meets no cell, and sample 0's time 2 meets two.
+FUSE_BLOCK = AlignedTriplet(times=np.zeros((2, 3)), cells=np.array([0, 2, 4, 5, 10, 11]),
+                            taps=np.zeros((3, 6)), n_variates=2)
+
+
+def fuse_of_entries(t):
+    """The fused series with the six cells' values from the first six
+    entries of a (1, 12) tensor and the (6, 1) grid projection from the rest."""
+    return _fuse_at_cells(narrow(t, np.s_[:, :6]), narrow(t, np.s_[:, 6:]).reshape((6, 1)),
+                          FUSE_BLOCK)
+
+
 def attend_of_stack(t):
     """The attention quotient with a (B, N, H, d_h) tensor as the values
     and a positive function of it as both feature stacks, so that every
@@ -220,7 +236,7 @@ PRIMITIVE_CASES = [
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
     # A quotient by a broadcast column of its own input.
     ("div_column_self", lambda t: t / ((t * t).sum(axis=1, keepdims=True) + 1.0), (3, 4)),
-    ("place", lambda t: T.place(t, np.array([7, 0, 3, 11, 5, 2]), (3, 4)), (2, 3)),
+    ("fuse_at_cells", lambda t: fuse_of_entries(t), (1, 12)),
     ("add_self", lambda t: t + t * t, (3, 4)),
     ("sub_self", lambda t: t - t * t, (3, 4)),
     ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
@@ -413,11 +429,13 @@ def test_a_default_training_step_reaches_every_primitive(monkeypatch):
 
 
 def test_place_puts_entries_at_flat_positions():
+    # ``place`` left the tape; the fused node is checked against the chain
+    # built on this oracle copy of it.
     tape = Tape()
-    out = T.place(const(tape, [[1.0, 2.0, 3.0]]), [5, 0, 2], (2, 3)).data
+    out = place(const(tape, [[1.0, 2.0, 3.0]]), [5, 0, 2], (2, 3)).data
     assert out.tolist() == [[2.0, 0.0, 3.0], [0.0, 0.0, 1.0]]
     with pytest.raises(ShapeError, match="place"):
-        T.place(const(tape, [1.0, 2.0]), [0, 1, 2], (2, 3))
+        place(const(tape, [1.0, 2.0]), [0, 1, 2], (2, 3))
 
 
 class TestDivisionAdjoint:
@@ -563,7 +581,6 @@ class TestFiniteness:
         "reshape": lambda t: t.reshape((2, 6)),
         "concat": lambda t: T.concat([t, t], axis=0),
         "take_rows": lambda t: T.take_rows(t, np.array([2, 0, 2])),
-        "place": lambda t: T.place(t, np.arange(12)[::-1], (4, 3)),
         "relu": T.relu,
         "sigmoid": T.sigmoid,
     }
@@ -619,6 +636,11 @@ class TestFiniteness:
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
         "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 1, 2), 1e200))
                                        for _ in range(3))),
+        # A cell's value plus the projection at its grid time.
+        "fuse_at_cells": lambda tp: _fuse_at_cells(
+            tp.const([[BIG]]), tp.const([[0.0], [BIG]]),
+            AlignedTriplet(times=np.zeros((1, 2)), cells=np.array([1]), taps=np.zeros((3, 1)),
+                           n_variates=1)),
     }
 
     @pytest.mark.parametrize("op", sorted(CHECKED))
