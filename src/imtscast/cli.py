@@ -134,6 +134,10 @@ def _load_config_file(path) -> dict:
     data = doc.get("data", {})
     if not isinstance(data, dict) or set(data) - {"manifest"}:
         raise UsageError(f"{path}: data section only supports 'manifest'")
+    for name, value in (("data.manifest", data.get("manifest", "")),
+                        ("run.out_dir", run.get("out_dir", ""))):
+        if not isinstance(value, str):
+            raise UsageError(f"{path}: {name} must be a string path, not {type(value).__name__}")
     return doc
 
 

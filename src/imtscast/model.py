@@ -81,7 +81,7 @@ ATTENTION_EPS = 1e-6          # floor of every attention denominator
 # denominator at or below POOLING_EPS counts as no support, as an exact
 # zero does (see ``_nonzero``); 1/POOLING_EPS leaves the adjoints finite.
 POOLING_EPS = 1e-150          # largest pooling denominator that counts as no support
-CHECKPOINT_FORMAT = "imtscast-checkpoint-3"
+CHECKPOINT_FORMAT = "imtscast-checkpoint-4"
 # Checkpoint formats this version refuses, each with what changed since it.
 RETIRED_FORMATS = {
     "imtscast-checkpoint-1": "whose attention used the retired cos/sin random-feature map; "
@@ -89,6 +89,8 @@ RETIRED_FORMATS = {
     "imtscast-checkpoint-2": "whose time encoding drew its sin and cos columns from separate "
                              "frequencies; this version replaced them with sin/cos pairs that "
                              "share one frequency and phase each",
+    "imtscast-checkpoint-3": "whose model had a separate (d, d) output projection before the "
+                             "head; this version's head reads the last attention block's output",
 }
 
 
@@ -183,14 +185,13 @@ class ModelParams:
     def load(cls, path) -> "ModelParams":
         """Read a checkpoint written by ``save``.
 
-        Raises DataError for invalid JSON, a file of a retired format
-        (``RETIRED_FORMATS``: ``imtscast-checkpoint-1``, whose model used the
-        cos/sin feature map, and ``imtscast-checkpoint-2``, whose time
-        encoding had separate sin and cos frequencies), missing sections,
-        parameter and buffer names or shapes that differ from the stored
-        config's ``layout``, or entries holding NaN or infinite values.
-        Nothing larger than the file's own data is allocated, whatever its
-        config asks for.
+        Raises DataError for invalid JSON, a file of one of the
+        ``RETIRED_FORMATS`` (its message says what changed since), missing
+        sections, parameter and buffer names or shapes that differ from the
+        stored config's ``layout``, entries whose ``data`` is not a flat list
+        of JSON numbers, or entries holding NaN, infinite or out-of-range
+        values. Nothing larger than the file's own data is allocated,
+        whatever its config asks for.
         """
         try:
             with open(path, encoding="utf-8") as fh:
@@ -227,8 +228,13 @@ class ModelParams:
             for name, shape in expected.items():   # the layout's order, whatever the file's
                 entry = section[name]
                 try:
-                    arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-                except (KeyError, TypeError, ValueError) as err:
+                    data = entry["data"]
+                    # What save writes; np.asarray would also take strings,
+                    # booleans, nested lists and a bare number.
+                    if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+                        raise TypeError("data is not a flat list of numbers")
+                    arr = np.asarray(data, dtype=np.float64).reshape(entry["shape"])
+                except (KeyError, TypeError, ValueError, OverflowError) as err:
                     raise DataError(f"{path}: malformed {key} entry {name!r}: {err}") from err
                 if arr.shape != shape:
                     raise DataError(f"{path}: {key} {name!r} has shape {arr.shape}, "
@@ -275,7 +281,7 @@ def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
             p + "mlp_w2": ((2 * d, d), 2 * d), p + "mlp_b2": ((1, d), 0.0),
         })
     shapes.update({
-        "out.w": ((d, d), d), "head.w1": ((d + dte, d), d + dte), "head.b1": ((1, d), 0.0),
+        "head.w1": ((d + dte, d), d + dte), "head.b1": ((1, d), 0.0),
         "head.w2": ((d, d), d), "head.b2": ((1, d), 0.0),
         "head.w3": ((d, 1), d), "head.b3": ((1, 1), 0.0),
     })
@@ -344,8 +350,6 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         # the features of Q and K (B*N*H, R) x2, [V | 1] and the attention
         # quotient with its denominator (B*N*H, d_h+1) x2
         + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
-        # the output projection's input (B*N, d)
-        + rows * d
         # head and loss per query: row index, time, its time encoding
         # (d_te), features (d + d_te), two hidden layers with relu masks,
         # residual and weight
@@ -833,13 +837,14 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
 
     for b in range(cfg.blocks):
         z = attention_block(z, b, p, stats=stats, capture=capture, samples=samples)
-    summary = z @ p["out.w"]                                   # (B*N, d)
 
     counts = [q.size for q in queries]
     row_idx = np.repeat(np.arange(len(counts)), counts)
     flat_times = np.concatenate(queries) if sum(counts) else np.empty(0)
     tq = tp.const(flat_times[:, None])
-    feats = T.concat([T.take_rows(summary, row_idx), time_encode(tq, p)], axis=1)
+    # The head's first layer reads the last block's output directly: a
+    # separate linear projection before it would add no expressivity.
+    feats = T.concat([T.take_rows(z, row_idx), time_encode(tq, p)], axis=1)
     hidden = T.relu(feats @ p["head.w1"] + p["head.b1"])
     hidden = T.relu(hidden @ p["head.w2"] + p["head.b2"])
     preds = hidden @ p["head.w3"] + p["head.b3"]               # (Q, 1)

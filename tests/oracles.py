@@ -264,7 +264,7 @@ def param_count_closed_form(cfg) -> int:
     pool = 2 * k + (k + 1) * d
     block = 3 * d * d + 4 * d + (2 * d * d + 2 * d) + (2 * d * d + d)
     head = (d + dte) * d + d + d * d + d + d + 1
-    return conv + te + pool + cfg.blocks * block + d * d + head
+    return conv + te + pool + cfg.blocks * block + head
 
 
 def naive_dft_rows(x: np.ndarray) -> np.ndarray:

@@ -197,7 +197,7 @@ def damage_checkpoint(path, damage):
     if damage == "no_config":
         del doc["config"]
     elif damage == "wrong_shape":
-        doc["params"]["out.w"] = {"shape": [4, 4], "data": [0.0] * 16}
+        doc["params"]["head.w2"] = {"shape": [4, 4], "data": [0.0] * 16}
     elif damage == "huge_config":
         # Its d x d weights alone would take 8 TiB: refused without allocating them.
         doc["config"].update(hidden=1048576, heads=1)
@@ -342,15 +342,19 @@ class TestConfigValues:
         ("max_epochs", {}, ["--max-epochs", "0"]),
         ("patience", {"model": {"patience": 0}}, []),
         ("dropout", {"model": {"dropout": 0.1}}, []),
-        # 10,995,152,978,052 parameters: refused before anything is allocated.
+        # 9,895,641,350,276 parameters: refused before anything is allocated.
         ("hidden", {}, ["--hidden", "1048576", "--heads", "1"]),
         ("seed", {"seed": 5, "model": {"seed": 3}}, []),
+        # A path that is not a string ended in open()'s TypeError traceback.
+        ("data.manifest", {"data": {"manifest": 5}}, []),
+        ("data.manifest", {"data": {"manifest": ["a"]}}, []),
+        ("run.out_dir", {"run": {"out_dir": 5}}, []),
     ], ids=["hidden_string", "hidden_float", "kernels_fraction", "lr_string", "seed_string",
             "preconv_string", "pool_gate_int", "blocks_bool", "lr_nan", "lr_inf",
             "seed_negative", "kernels_below_2", "conv_channels_zero", "time_dim_below_3",
             "hidden_odd", "heads_not_dividing_hidden", "rff_dim_odd", "blocks_zero",
             "batch_size_zero", "max_epochs_zero", "patience_zero", "unknown_model_key",
-            "huge_hidden", "seeds_disagree"])
+            "huge_hidden", "seeds_disagree", "manifest_int", "manifest_list", "out_dir_int"])
     def test_train_exits_2_with_one_error_line(self, tmp_path, capsys, key, config, flags):
         data, _checkpoint = tiny_run(tmp_path)
         path = tmp_path / "config.json"
@@ -439,40 +443,40 @@ class TestRetiredCheckpointFormat:
         assert not (tmp_path / "predictions.csv").exists() and not (tmp_path / "maps").exists()
         return code, capsys.readouterr().err.splitlines()
 
-    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
-    def test_a_cos_sin_feature_map_checkpoint_exits_2_saying_retrain(self, tmp_path, capsys,
-                                                                     command):
-        # An imtscast-checkpoint-1 file: the same arrays plus a phase draw
-        # per block, which the cos/sin feature map added to its projection.
-        def retire(doc):
-            doc["buffers"]["blocks.0.phase"] = {"shape": [1, 4], "data": [0.5] * 4}
+    @staticmethod
+    def cos_sin_feature_map(doc):
+        # The same arrays plus a phase draw per block, which the cos/sin
+        # feature map added to its projection.
+        doc["buffers"]["blocks.0.phase"] = {"shape": [1, 4], "data": [0.5] * 4}
 
-        code, errors = self.run_retired(tmp_path, capsys, command, "imtscast-checkpoint-1",
-                                        retire)
+    @staticmethod
+    def separate_frequencies(doc):
+        # At time_dim 4: one linear column, one sin column and two cos
+        # columns, each with its own frequency.
+        params = doc["params"]
+        for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f"):
+            del params[name]
+        for name, width in [("te.w_s", 1), ("te.b_s", 1), ("te.w_p", 1), ("te.b_p", 1),
+                            ("te.w_c", 2), ("te.b_c", 2)]:
+            params[name] = {"shape": [1, width], "data": [0.5] * width}
+
+    @staticmethod
+    def output_projection(doc):
+        # The current arrays plus the (d, d) projection the head read.
+        doc["params"]["out.w"] = {"shape": [8, 8], "data": [0.5] * 64}
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+    @pytest.mark.parametrize("fmt, retire, phrases", [
+        ("imtscast-checkpoint-1", cos_sin_feature_map, ["cos/sin random-feature map"]),
+        ("imtscast-checkpoint-2", separate_frequencies,
+         ["separate frequencies", "share one frequency"]),
+        ("imtscast-checkpoint-3", output_projection, ["(d, d) output projection"]),
+    ], ids=["checkpoint-1", "checkpoint-2", "checkpoint-3"])
+    def test_exits_2_saying_retrain(self, tmp_path, capsys, fmt, retire, phrases, command):
+        code, errors = self.run_retired(tmp_path, capsys, command, fmt, retire)
         assert code == EXIT_USAGE
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
-        assert "imtscast-checkpoint-1" in errors[0] and "cos/sin random-feature map" in errors[0]
-        assert "retrain" in errors[0]
-
-    @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
-    def test_a_separate_frequency_time_encoding_checkpoint_exits_2_saying_retrain(
-            self, tmp_path, capsys, command):
-        # An imtscast-checkpoint-2 file at time_dim 4: one linear column, one
-        # sin column and two cos columns, each with its own frequency.
-        def retire(doc):
-            params = doc["params"]
-            for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f"):
-                del params[name]
-            for name, width in [("te.w_s", 1), ("te.b_s", 1), ("te.w_p", 1), ("te.b_p", 1),
-                                ("te.w_c", 2), ("te.b_c", 2)]:
-                params[name] = {"shape": [1, width], "data": [0.5] * width}
-
-        code, errors = self.run_retired(tmp_path, capsys, command, "imtscast-checkpoint-2",
-                                        retire)
-        assert code == EXIT_USAGE
-        assert len(errors) == 1 and errors[0].startswith("error: "), errors
-        assert "imtscast-checkpoint-2" in errors[0] and "separate frequencies" in errors[0]
-        assert "share one frequency" in errors[0] and "retrain" in errors[0]
+        assert all(phrase in errors[0] for phrase in [fmt, *phrases, "retrain"]), errors[0]
 
 
 class TestGenValues:
@@ -665,7 +669,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--hidden", "1048576", "--heads", "1"]) == EXIT_USAGE
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
-        assert "10,995,152,978,052 learnable parameters" in errors[0]
+        assert "9,895,641,350,276 learnable parameters" in errors[0]
 
     # A zero step ended in a ZeroDivisionError traceback, a non-finite one in
     # a numeric failure (3), and a NaN or negative tol ran the whole check to

@@ -163,10 +163,10 @@ class TestAdam:
         state = AdamState.init(params)
         assert state.first.shape == state.second.shape == params.flat.shape
         grads = np.ones_like(params.flat)
-        before = params.arrays["out.w"].copy()
+        before = params.arrays["head.w2"].copy()
         assert adam_step(params.flat, grads, state, lr=1e-3)
         # The named arrays are views of the vector the step updated.
-        assert np.allclose(params.arrays["out.w"], before - 1e-3, rtol=0, atol=1e-9)
+        assert np.allclose(params.arrays["head.w2"], before - 1e-3, rtol=0, atol=1e-9)
 
 
 def tiny_dataset(seed=0, n_samples=6):
