@@ -381,8 +381,9 @@ def _csv_blocks(path):
 def _plain_fields(lines: list[str], ncols: int) -> np.ndarray | None:
     """The block as a (rows, ncols) float array, or None unless every line
     holds ncols non-empty fields made of digits, signs, points and
-    exponents, separated by commas."""
-    text = "".join(lines)
+    exponents, separated by commas. A line may end in CR LF; a lone CR
+    sends the block to the per-line rules."""
+    text = "".join(lines).replace("\r\n", "\n")
     if text.endswith("\n"):
         text = text[:-1]
     if not text.isascii():

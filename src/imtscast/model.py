@@ -42,15 +42,23 @@ keep less or to skip work: ``positive_features``, ``time_encode`` and
 from its (B, N, H, d_h) input), so none runs a transcendental in
 backward, and ``_smoothing_layers``, ``_attend`` and ``_kernel_weights``
 recompute their largest intermediates in backward (the conv's hidden
-layer, the KV summary, the Gaussian exponent). ``time_projection``
-(the grid's time encoding and its projection), ``time_encode`` (the
-queries') and ``_kernel_weights`` replace grid-wide chains of 8, 7 and 10
-nodes, which cuts the fixed per-node cost of every forward. The grid-wide
-nodes build and recompute their arrays in place, so that each makes no
-throwaway temporary per numpy call, and they form a product with a
-contracted size of 1 by broadcasting rather than as a BLAS outer product.
-``tape_bytes`` sums what a chunk's tape keeps; ``train.chunk_spans``
-budgets chunks by it.
+layer, the KV summary, the squared distances to the kernel centres).
+``time_projection`` (the grid's time encoding and its projection),
+``time_encode`` (the queries') and ``_kernel_weights`` replace grid-wide
+chains of 8, 7 and 10 nodes, which cuts the fixed per-node cost of every
+forward. Every fused node's output is bitwise the chain it replaces, and
+so are its adjoints, except in the two grid-wide VJPs that sum as
+contractions: ``time_projection`` forms all its adjoints from one
+(2, M) @ (M, d_te) product instead of an (M, d_te) encoding adjoint, and
+``_kernel_weights`` reduces the squared distances against g w in one
+product instead of summing over the (B, L) axes. Both sum in another
+order than the chains, so their adjoints differ from the chains' in the
+last bits (see their docstrings). The forwards build their arrays in
+place, so that no grid-wide node makes a throwaway temporary per numpy
+call, and ``_smoothing_layers`` forms its product with a contracted size
+of 1 by broadcasting rather than as a BLAS outer product. ``tape_bytes``
+sums what a chunk's tape keeps; ``train.chunk_spans`` budgets chunks by
+it.
 """
 
 from __future__ import annotations
@@ -391,13 +399,21 @@ def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     """``time_encode(tcol, p) @ p["te.w_t"]`` as one node: (M, 1) -> (M, 1).
 
     It keeps what that pair of nodes keeps, the (M, d_te) encoding and the
-    (M, 1) column. Its VJP forms the encoding's adjoint g w_t^T by
-    broadcasting: with a contracted size of 1 that is the matmul's product
-    exactly, without a BLAS outer product.
+    (M, 1) column. The output is bitwise the pair's.
+
+    Every adjoint is a contraction of the (M, 1) adjoint g and of t g with
+    the encoding, so the VJP forms R = [g | t g]^T enc, one (2, M) @
+    (M, d_te) product, and no (M, d_te) or (M, P) temporary. R's first row
+    is w_t's adjoint. With u and v w_t's sin and cos rows, the pairs'
+    adjoints are u R[cos] - v R[sin] (row 0 for b_f, row 1 for w_f), and
+    w_s's and b_s's are w_t's linear rows times sum(t g) and sum(g). The
+    adjoints are therefore summed in another order than the pair's: they
+    differ from its adjoints in the last bits, by at most 6e-15 of the
+    largest adjoint entry over 1,000 random draws with times up to 1e4.
     """
-    # The numpy calls of the pair it replaces, so the output and the
-    # adjoints are bitwise the pair's. The encoding is checked as the pair
-    # checked it: a BLAS product may skip the terms of a zero weight.
+    # The numpy calls of the pair it replaces, so the output is bitwise the
+    # pair's. The encoding is checked as the pair checked it: a BLAS
+    # product may skip the terms of a zero weight.
     t, wt = tcol.data, p["te.w_t"].data
     enc = _encoding(t, *(p[name].data for name in TE_NAMES))
     if not np.isfinite(enc).all():
@@ -405,10 +421,18 @@ def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):   # record() raises instead
         proj = np.matmul(enc, wt)
     n_lin = p["te.w_s"].data.shape[1]
+    pairs = (enc.shape[1] - n_lin) // 2
 
     def vjp(g):
-        return (*_encoding_vjp(t, enc, n_lin, g * wt.swapaxes(-1, -2)),
-                enc.swapaxes(-1, -2) @ g)
+        both = np.empty((2, g.shape[0]))
+        both[0] = g[:, 0]
+        np.multiply(t[:, 0], g[:, 0], out=both[1])
+        r = both @ enc                                        # (2, d_te)
+        sum_g, sum_tg = both.sum(axis=1)
+        lin, u, v = wt[:n_lin, 0], wt[n_lin : n_lin + pairs, 0], wt[n_lin + pairs :, 0]
+        g_pairs = u * r[:, n_lin + pairs :] - v * r[:, n_lin : n_lin + pairs]
+        return ((sum_tg * lin)[None], (sum_g * lin)[None], g_pairs[1:], g_pairs[:1],
+                r[:1].swapaxes(-1, -2))
 
     return tcol.tape.record("time_projection", proj,
                             tuple(p[name] for name in (*TE_NAMES, "te.w_t")), vjp)
@@ -540,40 +564,40 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     sigma = exp(log_alpha).
 
     One node, differentiated for ``pool.log_alpha`` only (the centres are
-    a frozen buffer, read as a plain array; the times are data). Backward
-    recomputes the exponent from the times, so the node keeps the weights
-    and the (..., L, 1) times.
+    a frozen buffer, read as a plain array; the times are data). It keeps
+    the weights and the (..., L, 1) times. Its VJP recomputes the squared
+    distances (t - c)^2, bitwise the forward's, in a (K, ...*L) layout,
+    whose broadcast runs a contiguous inner loop, and reduces them against
+    g w in one (K, ...*L) @ (...*L, K) product, whose diagonal holds
+    log_alpha's adjoint sum(g w (t - c)^2) / sigma^2. That sum runs in
+    another order than the chain's, so the adjoint differs from the chain's
+    in the last bits: by at most 4e-15 of its largest entry over 1,000
+    random draws, down to sigma = 1e-3. Expanding (t - c)^2 into moments of
+    t would be cheaper, but it cancels: ~7e-13 at the default sigma of 1/K
+    (K = 8), ~1.5e-9 at sigma = 1e-3.
     """
     # The numpy calls of the primitive chain it replaces (sub, mul, exp,
     # mul, mul, div, exp), each in place where the chain made a temporary,
-    # so the output and the adjoint are bitwise that chain's. The exponent
-    # is checked: exp would map its -inf to 0, and a non-finite centre
-    # would go unnoticed.
+    # so the output is bitwise that chain's. The exponent is checked: exp
+    # would map its -inf to 0, and a non-finite centre would go unnoticed.
     log_alpha = p["pool.log_alpha"]
     la, centers = log_alpha.data, p["pool.centers"]
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sig2 = np.exp(la * 2.0)
-
-        def exponent():
-            diff = t_norm - centers
-            diff *= diff
-            diff *= -0.5
-            diff /= sig2
-            return diff
-
-        weights = exponent()
+        weights = t_norm - centers
+        weights *= weights
+        weights *= -0.5
+        weights /= sig2
     if not (np.isfinite(sig2).all() and np.isfinite(weights).all()):
         raise NonFiniteError("kernel_weights: produced non-finite values")
     np.exp(weights, out=weights)
 
     def vjp(g):
-        tmp = g * weights
-        tmp /= sig2
-        np.negative(tmp, out=tmp)
-        tmp *= exponent()
-        g_sig2 = T.unbroadcast(tmp, sig2.shape)
-        return (g_sig2 * sig2 * 2.0,)
+        sq = t_norm.reshape(1, -1) - centers.swapaxes(-1, -2)   # (K, ...*L)
+        sq *= sq
+        gw = (g * weights).reshape(-1, sq.shape[0])
+        return ((sq @ gw).diagonal()[None] / sig2,)
 
     # exp of a finite exponent <= 0 lies in [0, 1]: no second check.
     return log_alpha.tape.append("kernel_weights", weights, (log_alpha,), vjp)

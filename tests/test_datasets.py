@@ -225,6 +225,30 @@ class TestFileRoundTrip:
         with pytest.raises(DataError, match="obs.csv:2"):
             read_observations(path)
 
+    def test_crlf_files_read_back_the_samples_on_the_array_path(self, tmp_path):
+        # So they read as their LF twins do, which round-trip to the samples.
+        samples = generate(SynthSpec(n_variates=3, n_samples=6, mean_observations=8.0, seed=18))
+        obs, queries = tmp_path / "obs.csv", tmp_path / "queries.csv"
+        write_observations(obs, samples)
+        write_queries(queries, samples)
+        for path in (obs, queries):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with mock.patch.object(datasets, "_row_groups",
+                               side_effect=AssertionError("read under the per-line rules")):
+            assert_samples_equal(
+                assemble_samples(read_observations(obs), read_queries(queries, True)), samples)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("0,1,1.0,0.5\r\n0,1,abc,0.5\r\n", "obs.csv:3: not a number"),
+        ("0,1,1.0,0.5\r\n0,2,1.0,0.5\r\n0,1,1.0,0.7\r\n", "obs.csv:4: non-increasing time"),
+        ("0,1,1.0,0.5\r\n0,1,2.0\r,0.5\r\n", "obs.csv:3: expected 4 columns, got 3"),
+    ])
+    def test_a_bad_line_of_a_crlf_file_is_named(self, tmp_path, rows, message):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(("series_id,variate,time,value\r\n" + rows).encode("utf-8"))
+        with pytest.raises(DataError, match=message.replace(".", r"\.")):
+            read_observations(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("a,b,c,d\n", encoding="utf-8")

@@ -121,12 +121,15 @@ class TestTimeEncoding:
         assert report.ok, report.lines()
 
     def test_backward_runs_no_sin_or_cos(self, monkeypatch):
+        # Neither the queries' encoding nor the grid's projected encoding.
         tape = Tape()
-        p = bind(tape, **{name: np.random.default_rng(1).standard_normal((1, width))
-                          for name, width in [("te.w_s", 2), ("te.b_s", 2),
-                                              ("te.w_f", 7), ("te.b_f", 7)]})
-        out = time_encode(tape.const(np.linspace(0.0, 5.0, 11)[:, None]), p)
-        loss = (out * tape.const(np.ones((11, 16)))).sum()
+        p = bind(tape, **{name: np.random.default_rng(1).standard_normal(shape)
+                          for name, shape in [("te.w_s", (1, 2)), ("te.b_s", (1, 2)),
+                                              ("te.w_f", (1, 7)), ("te.b_f", (1, 7)),
+                                              ("te.w_t", (16, 1))]})
+        tcol = tape.const(np.linspace(0.0, 5.0, 11)[:, None])
+        loss = ((time_encode(tcol, p) * tape.const(np.ones((11, 16)))).sum()
+                + (time_projection(tcol, p) * tape.const(np.ones((11, 1)))).sum())
 
         def refuse(*args, **kwargs):
             raise AssertionError("a transcendental ran in backward")
@@ -135,6 +138,7 @@ class TestTimeEncoding:
         monkeypatch.setattr(np, "cos", refuse)
         grads = tape.backward(loss)
         assert all(np.isfinite(g).all() for g in grads.values())
+        assert (grads["te.w_t"] != 0.0).all()
 
 
 class TestConvSmoothing:
@@ -487,10 +491,13 @@ class TestRecomputeNodes:
     """The fused nodes that recompute an intermediate in backward instead of
     keeping it (the fused series recomputes its cells' grid times), and the
     time encoding, which reads its derivative off its output:
-    finite-difference checks of every input, and outputs and adjoints
-    bitwise equal to the primitives they replace. The time encoding, the
-    kernel weights and the fused series are gradchecked in the tape's
-    primitive table, which has rows for the other two as well."""
+    finite-difference checks of every input, outputs bitwise equal to the
+    primitives they replace, and adjoints bitwise equal to theirs too,
+    except where a VJP sums as a contraction (the grid's projected time
+    encoding and the kernel weights), which is compared at a tolerance.
+    The time encoding, the kernel weights and the fused series are
+    gradchecked in the tape's primitive table, which has rows for the other
+    two as well."""
 
     def smoothing_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -510,16 +517,24 @@ class TestRecomputeNodes:
             inputs["fq"][0, 1, 0] *= 1e-9
         return inputs
 
-    def time_inputs(self, seed):
+    def time_inputs(self, seed, count=9, latest=12.0):
         rng = np.random.default_rng(seed)
         widths = {"te.w_s": 1, "te.b_s": 1, "te.w_f": 3, "te.b_f": 3}
-        return (rng.uniform(-3.0, 12.0, (9, 1)),
+        return (rng.uniform(-3.0, latest, (count, 1)),
                 {name: rng.standard_normal((1, w)) for name, w in widths.items()})
 
-    def kernel_inputs(self, seed):
+    def kernel_inputs(self, seed, sigma=None):
+        """Times and log-widths for the five centres 0, 0.25, ..., 1. With
+        ``sigma``, every kernel has that width and the times lie within a
+        few widths of the centres, where such narrow kernels have support."""
         rng = np.random.default_rng(seed)
-        t_norm = np.sort(rng.uniform(0.0, 1.0, (2, 7)), axis=1)[:, :, None]
-        return t_norm, {"pool.log_alpha": np.log(rng.uniform(0.05, 1.0, (1, 5)))}
+        if sigma is None:
+            t_norm = np.sort(rng.uniform(0.0, 1.0, (2, 7)), axis=1)[:, :, None]
+            return t_norm, {"pool.log_alpha": np.log(rng.uniform(0.05, 1.0, (1, 5)))}
+        near = (np.linspace(0.0, 1.0, 5)[rng.integers(0, 5, (2, 60))]
+                + rng.normal(0.0, 3.0 * sigma, (2, 60)))
+        return (np.sort(near, axis=1)[:, :, None],
+                {"pool.log_alpha": np.full((1, 5), np.log(sigma))})
 
     def test_smoothing_layers_gradients(self):
         taps, params = self.smoothing_inputs(0)
@@ -546,8 +561,10 @@ class TestRecomputeNodes:
         report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
 
-    def fused_and_unfused(self, node):
-        """(parameter arrays, fused node, the primitive chain it replaces)."""
+    def fused_and_unfused(self, node, variant=""):
+        """(parameter arrays, fused node, the primitive chain it replaces);
+        ``variant`` "late" draws the times up to 1e4, "narrow" gives the
+        kernels a width of 1e-3."""
         centers = np.linspace(0.0, 1.0, 5)[None, :]
 
         def with_centers(b):
@@ -569,20 +586,21 @@ class TestRecomputeNodes:
                     lambda b: time_encode(b["te.w_s"].tape.const(times), b),
                     lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b))
         if node == "time_projection":
-            times, params = self.time_inputs(8)
+            times, params = (self.time_inputs(8, count=400, latest=1e4) if variant == "late"
+                             else self.time_inputs(8))
             params["te.w_t"] = np.random.default_rng(9).standard_normal((7, 1))
             return (params,
                     lambda b: time_projection(b["te.w_s"].tape.const(times), b),
                     lambda b: time_encode(b["te.w_s"].tape.const(times), b) @ b["te.w_t"])
-        t_norm, params = self.kernel_inputs(7)
+        t_norm, params = self.kernel_inputs(7, sigma=1e-3 if variant == "narrow" else None)
         return (params,
                 lambda b: _kernel_weights(t_norm, with_centers(b)),
                 lambda b: chain_kernel_weights(t_norm, with_centers(b)))
 
-    @pytest.mark.parametrize("node", ["smoothing_layers", "attend", "time_encode",
-                                      "kernel_weights", "time_projection"])
-    def test_fused_node_is_bitwise_its_primitives(self, node):
-        params, fused, unfused = self.fused_and_unfused(node)
+    def outputs_and_adjoints(self, node, variant=""):
+        """[(output, adjoints)] of the fused node and of its chain under one
+        random probe, and the parameter names."""
+        params, fused, unfused = self.fused_and_unfused(node, variant)
         shape_tape = Tape()
         probe = np.random.default_rng(6).standard_normal(unfused(
             {k: shape_tape.const(v) for k, v in params.items()}).data.shape)
@@ -592,9 +610,35 @@ class TestRecomputeNodes:
             out = fn(bind(tape, **params))
             grads = tape.backward((out * tape.const(probe)).sum())
             results.append((out.data, grads))
+        return results, list(params)
+
+    @pytest.mark.parametrize("node", ["smoothing_layers", "attend", "time_encode"])
+    def test_fused_node_is_bitwise_its_primitives(self, node):
+        results, names = self.outputs_and_adjoints(node)
         assert np.array_equal(results[0][0], results[1][0])
-        for name in params:
+        for name in names:
             assert np.array_equal(results[0][1][name], results[1][1][name]), name
+
+    @pytest.mark.parametrize("node,variant", [
+        ("kernel_weights", ""), ("kernel_weights", "narrow"),
+        ("time_projection", ""), ("time_projection", "late"),
+    ], ids=["kernel_weights", "kernel_weights-narrow", "time_projection",
+            "time_projection-late"])
+    def test_contracted_node_matches_its_primitives(self, node, variant):
+        # These VJPs form their adjoints as contractions (see their
+        # docstrings), so they sum in another order than the chain: the
+        # output stays bitwise, the adjoints move in their last bits. Over
+        # 1,000 random draws of each case they stayed within 6e-15 of the
+        # node's largest adjoint entry. That entry scales the bound because
+        # a single sum that cancels, such as time_projection's sum(t g) for
+        # w_s, can differ by more relative to itself under any reordering.
+        results, names = self.outputs_and_adjoints(node, variant)
+        assert np.array_equal(results[0][0], results[1][0])
+        chain = results[1][1]
+        largest = max(np.abs(chain[name]).max() for name in names)
+        assert largest > 0.0
+        for name in names:
+            assert np.abs(results[0][1][name] - chain[name]).max() <= 1e-13 * largest, name
 
     @pytest.mark.parametrize("times,scale,bias", [
         (1e308, 10.0, 0.0),       # the linear term overflows
@@ -768,10 +812,12 @@ class TestTapeMemory:
     def test_a_long_grid_chunk_makes_few_grid_wide_temporaries(self):
         # Two samples of 8 sparse variates on a grid of 4,810 times, as in
         # the long-grid benchmark: the forward's and the backward's
-        # temporaries peak at ~0.3 and ~42.9 floats per padded grid time
+        # temporaries peak at ~0.3 and ~41.1 floats per padded grid time
         # (B*L). Grid-wide nodes that made a throwaway array per numpy call
         # peaked at ~14.4 and ~50.1; a forward that formed the fused series
-        # on every cell and then masked it, at ~8.3 and ~41.9.
+        # on every cell and then masked it, at ~8.3 and ~41.9; VJPs that
+        # formed the grid's (B*L, d_te) encoding adjoint and recomputed the
+        # (B, L, K) kernel exponent, at ~0.3 and ~42.9.
         spec = SynthSpec(n_variates=8, n_samples=4, split=(2, 1, 1), mean_observations=600.0,
                          mode="independent", seed=1)
         samples = generate(spec)[:2]
@@ -784,6 +830,22 @@ class TestTapeMemory:
         assert padded.grid_length == 4810
         assert forward_peak / 8 / grid < 1.0
         assert backward_peak / 8 / grid < 46.0
+
+    def test_time_projection_backward_peaks_under_6_floats_per_grid_time(self):
+        # 20,000 grid times at the default width: with the loss's mul, the
+        # backward's temporaries peak at ~3.0 floats per grid time. A VJP
+        # that formed the (M, d_te) encoding adjoint and the (M, P) pair
+        # adjoints peaked at ~31.8.
+        length = 20_000
+        rng = np.random.default_rng(2)
+        shapes, _buffers = layout(TrainConfig())
+        tape = Tape()
+        p = bind(tape, **{name: rng.standard_normal(shapes[name][0])
+                          for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f", "te.w_t")})
+        out = time_projection(tape.const(rng.uniform(0.0, 50.0, (length, 1))), p)
+        loss = (out * tape.const(rng.standard_normal((length, 1)))).sum()
+        _grads, peak = transient_bytes(lambda: tape.backward(loss))
+        assert peak / 8 / length <= 6.0
 
 
 def dense_triplet(n, length, seed=0):
