@@ -567,14 +567,15 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     a frozen buffer, read as a plain array; the times are data). It keeps
     the weights and the (..., L, 1) times. Its VJP recomputes the squared
     distances (t - c)^2, bitwise the forward's, in a (K, ...*L) layout,
-    whose broadcast runs a contiguous inner loop, and reduces them against
-    g w in one (K, ...*L) @ (...*L, K) product, whose diagonal holds
-    log_alpha's adjoint sum(g w (t - c)^2) / sigma^2. That sum runs in
-    another order than the chain's, so the adjoint differs from the chain's
-    in the last bits: by at most 4e-15 of its largest entry over 1,000
-    random draws, down to sigma = 1e-3. Expanding (t - c)^2 into moments of
-    t would be cheaper, but it cancels: ~7e-13 at the default sigma of 1/K
-    (K = 8), ~1.5e-9 at sigma = 1e-3.
+    whose broadcast runs a contiguous inner loop, and reduces each kernel's
+    row against g w in one einsum, which forms only the K sums
+    log_alpha's adjoint sum(g w (t - c)^2) / sigma^2 needs: O(K ...*L)
+    time and no (K, K) array, however many kernels there are. That sum runs
+    in another order than the chain's, so the adjoint differs from the
+    chain's in the last bits: by at most 5.1e-15 of its largest entry over
+    1,000 random draws, down to sigma = 1e-3. Expanding (t - c)^2 into
+    moments of t would be cheaper, but it cancels: ~7e-13 at the default
+    sigma of 1/K (K = 8), ~1.5e-9 at sigma = 1e-3.
     """
     # The numpy calls of the primitive chain it replaces (sub, mul, exp,
     # mul, mul, div, exp), each in place where the chain made a temporary,
@@ -596,8 +597,8 @@ def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     def vjp(g):
         sq = t_norm.reshape(1, -1) - centers.swapaxes(-1, -2)   # (K, ...*L)
         sq *= sq
-        gw = (g * weights).reshape(-1, sq.shape[0])
-        return ((sq @ gw).diagonal()[None] / sig2,)
+        gw = (g * weights).reshape(-1, sq.shape[0])              # (...*L, K)
+        return (np.einsum("km,mk->k", sq, gw)[None] / sig2,)
 
     # exp of a finite exponent <= 0 lies in [0, 1]: no second check.
     return log_alpha.tape.append("kernel_weights", weights, (log_alpha,), vjp)
