@@ -25,7 +25,7 @@ across threads, but distinct tapes are independent.
 All math is double precision, and every tensor on a tape is finite. A
 leaf is checked when it enters the tape (``const``, ``param_vector``),
 and so is the output of every primitive that can turn finite inputs into
-inf or NaN: ``add``, ``sub``, ``mul``, ``div``, ``matmul``, ``sum``,
+inf or NaN: ``add``, ``sub``, ``mul``, ``matmul``, ``sum``,
 ``layernorm`` and any custom ``Tape.record`` call. Data enters through
 ``const``: times, targets, anything read from outside. A constant that the
 code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
@@ -83,9 +83,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -303,28 +300,6 @@ def mul(a: Tensor, b) -> Tensor:
         lambda g: (None if bd is None else unbroadcast(g * bd, ash),
                    None if ad is None else unbroadcast(g * ad, bsh)),
     )
-
-
-def div(a: Tensor, b) -> Tensor:
-    b = _lift(a, b)
-    ash, bsh = a.data.shape, b.data.shape
-    ga, gb = a.needs_grad, b.needs_grad
-    bd = b.data
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
-            out = a.data / bd
-    except ValueError:
-        raise _broadcast_error("div", a, b) from None
-
-    def vjp(g):
-        # -(g / b) * (a / b) rather than -g * a / (b * b): the square of a
-        # |b| below ~1e-154 underflows, which makes the adjoint 0/0 even
-        # where a is 0, and subnormal squares lose digits.
-        g_over_b = g / bd
-        return (unbroadcast(g_over_b, ash) if ga else None,
-                unbroadcast(-g_over_b * out, bsh) if gb else None)
-
-    return a.tape.record("div", out, (a, b), vjp)
 
 
 def matmul(a: Tensor, b) -> Tensor:

@@ -12,12 +12,13 @@ chunk. ``dense_layout`` derives the same layout from a dense zero-filled
 grid and its mask, by scanning and padding the grid; ``grid_triplet``
 builds a block from such a grid with it.
 
-The time encoding, the kernel weights, the feature map and the fused
-series at the observed cells are one tape node each in the model.
-``chain_time_encode``, ``chain_kernel_weights``, ``chain_positive_features``
-and ``chain_fuse_at_cells`` are the primitive chains those nodes replace,
-built from the tape's primitives and the ``sin``, ``cos``, ``exp`` and
-``place`` nodes below, which the tape no longer has.
+The time encoding, the kernel weights, the feature map, the fused series
+at the observed cells and pooling's quotient are one tape node each in
+the model. ``chain_time_encode``, ``chain_kernel_weights``,
+``chain_positive_features``, ``chain_fuse_at_cells`` and
+``chain_pool_quotient`` are the primitive chains those nodes replace,
+built from the tape's primitives and the ``sin``, ``cos``, ``exp``, ``div``,
+``place`` and ``transpose`` nodes below, which the tape no longer has.
 The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
 its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
 numerators by their floored denominators; ``chain_attend`` is the chain
@@ -42,7 +43,13 @@ import imtscast.tape as T
 from imtscast.data import AlignedTriplet, DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
-from imtscast.model import ATTENTION_EPS, _first_maxima, _kernel_weights, _nonzero, time_encode
+from imtscast.model import (
+    ATTENTION_EPS,
+    POOLING_EPS,
+    _first_maxima,
+    _kernel_weights,
+    time_encode,
+)
 from imtscast.tape import Tensor
 
 
@@ -63,6 +70,28 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # record() raises instead
         e = np.exp(a.data)
     return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+
+
+def div(a: Tensor, b) -> Tensor:
+    """Entrywise ``a / b`` with broadcasting; the adjoint of ``b`` is formed
+    as -(g / b) * (a / b), which stays finite for a tiny ``b`` where
+    -g a / b^2 would square it into 0 and give 0 / 0."""
+    b = T._lift(a, b)
+    ash, bsh = a.data.shape, b.data.shape
+    ga, gb = a.needs_grad, b.needs_grad
+    bd = b.data
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # record() raises instead
+            out = a.data / bd
+    except ValueError:
+        raise T._broadcast_error("div", a, b) from None
+
+    def vjp(g):
+        g_over_b = g / bd
+        return (T.unbroadcast(g_over_b, ash) if ga else None,
+                T.unbroadcast(-g_over_b * out, bsh) if gb else None)
+
+    return a.tape.record("div", out, (a, b), vjp)
 
 
 def place(a: Tensor, index, shape) -> Tensor:
@@ -119,7 +148,7 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
     both = permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
     num, den = narrow(both, np.s_[..., :d_head]), narrow(both, np.s_[..., d_head:])
     floored = den.data <= ATTENTION_EPS
-    return num / (den * (~floored).astype(np.float64) + np.where(floored, ATTENTION_EPS, 0.0))
+    return div(num, den * (~floored).astype(np.float64) + np.where(floored, ATTENTION_EPS, 0.0))
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -149,10 +178,31 @@ def chain_positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) ->
 
 
 def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
-    """``model._kernel_weights`` as a chain of primitive nodes."""
-    diff = p["pool.log_alpha"].tape.const(t_norm) - p["pool.centers"]
-    sig2 = exp(p["pool.log_alpha"] * 2.0)
-    return exp(diff * diff * (-0.5) / sig2)
+    """``model._kernel_weights`` as a chain of primitive nodes: (B, L)
+    times -> (B, K, L) weights."""
+    centers = p["pool.centers"].swapaxes(-1, -2)                 # (K, 1)
+    diff = p["pool.log_alpha"].tape.const(t_norm[:, None, :]) - centers
+    sig2 = exp(p["pool.log_alpha"] * 2.0).reshape(centers.shape)
+    return exp(div(diff * diff * (-0.5), sig2))
+
+
+def nonzero(den: Tensor) -> Tensor:
+    """``den`` plus one wherever it is at or below ``POOLING_EPS`` (see
+    ``model._pool_quotient``); the correction, built in {0, 1}, enters the
+    tape unchecked."""
+    correction = (den.data <= POOLING_EPS).astype(np.float64)
+    return den + den.tape.append("const", correction, (), None)
+
+
+def chain_pool_quotient(xhat: Tensor, weights: Tensor, mask_rows: np.ndarray) -> Tensor:
+    """``model._pool_quotient`` as the chain it replaces: the mask as a
+    constant, the numerators and denominators as two batched matmuls with
+    the (B, K, L) weights read as (B, L, K), ``nonzero``'s correction and
+    its add, the division and the reshape to (B*N, K)."""
+    mask = xhat.tape.append("const", mask_rows.reshape(xhat.data.shape), (), None)
+    w_t = transpose(weights)
+    num, den = xhat @ w_t, mask @ w_t
+    return div(num, nonzero(den)).reshape((mask_rows.shape[0], weights.data.shape[1]))
 
 
 def chain_fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
@@ -236,9 +286,10 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
     every column with at least one observation sums to exactly one. Columns
     with no observed support are all zeros.
     """
-    weights = _kernel_weights(t_norm.data, p) * mask_col       # (L, K)
+    weights = _kernel_weights(t_norm.data.swapaxes(-1, -2), p)   # (1, K, L)
+    weights = transpose(weights.reshape(weights.data.shape[1:])) * mask_col   # (L, K)
     colsum = weights.sum(axis=0, keepdims=True)
-    return weights / _nonzero(colsum)
+    return div(weights, nonzero(colsum))
 
 
 def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,

@@ -14,11 +14,15 @@ from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, SynthSpec, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
+    POOLING_EPS,
+    TE_NAMES,
     ModelParams,
     _attend,
+    _encoding,
     _fuse_at_cells,
     _kernel_weights,
     _layout_floats,
+    _pool_quotient,
     _smoothing_layers,
     _stored_floats,
     attention_block,
@@ -42,6 +46,7 @@ from oracles import (
     chain_attend,
     chain_fuse_at_cells,
     chain_kernel_weights,
+    chain_pool_quotient,
     chain_positive_features,
     chain_time_encode,
     grid_triplet,
@@ -493,11 +498,12 @@ class TestRecomputeNodes:
     time encoding, which reads its derivative off its output:
     finite-difference checks of every input, outputs bitwise equal to the
     primitives they replace, and adjoints bitwise equal to theirs too,
-    except where a VJP sums as a contraction (the grid's projected time
-    encoding and the kernel weights), which is compared at a tolerance.
-    The time encoding, the kernel weights and the fused series are
-    gradchecked in the tape's primitive table, which has rows for the other
-    two as well."""
+    except where a product sums in another order than the chain's (the
+    grid's projected time encoding, the kernel weights and pooling's
+    quotient), which is compared at a tolerance. The time encoding, the
+    kernel weights, the fused series and pooling's quotient are gradchecked
+    in the tape's primitive table, which has rows for the other two as
+    well."""
 
     def smoothing_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -523,17 +529,41 @@ class TestRecomputeNodes:
         return (rng.uniform(-3.0, latest, (count, 1)),
                 {name: rng.standard_normal((1, w)) for name, w in widths.items()})
 
+    def projection_inputs(self, variant):
+        """Times and the encoding's and projection's parameters; ``variant``
+        "late" draws 400 times up to 1e4."""
+        times, params = (self.time_inputs(8, count=400, latest=1e4) if variant == "late"
+                         else self.time_inputs(8))
+        params["te.w_t"] = np.random.default_rng(9).standard_normal((7, 1))
+        return times, params
+
+    def pool_inputs(self, seed):
+        """Pooling's quotient of two samples of three variates on a grid of 6
+        times with four kernels: a fused series zero off its mask, in which
+        variate 2 of sample 1 is empty and every grid time has an observed
+        cell, and positive weights; sample 0's kernel 0 has weights of about
+        1e-160, so all its denominators are at or below POOLING_EPS."""
+        rng = np.random.default_rng(seed)
+        mask = (rng.uniform(size=(2, 3, 6)) < 0.5).astype(np.float64)
+        mask[:, 0] = 1.0
+        mask[1, 2] = 0.0
+        weights = rng.uniform(0.05, 1.0, (2, 4, 6))
+        weights[0, 0] *= 1e-160
+        assert (np.einsum("nl,l->n", mask[0], weights[0, 0]) <= POOLING_EPS).all()
+        return mask.reshape(6, 6), {"xhat": rng.standard_normal((2, 3, 6)) * mask,
+                                    "weights": weights}
+
     def kernel_inputs(self, seed, sigma=None):
         """Times and log-widths for the five centres 0, 0.25, ..., 1. With
         ``sigma``, every kernel has that width and the times lie within a
         few widths of the centres, where such narrow kernels have support."""
         rng = np.random.default_rng(seed)
         if sigma is None:
-            t_norm = np.sort(rng.uniform(0.0, 1.0, (2, 7)), axis=1)[:, :, None]
+            t_norm = np.sort(rng.uniform(0.0, 1.0, (2, 7)), axis=1)
             return t_norm, {"pool.log_alpha": np.log(rng.uniform(0.05, 1.0, (1, 5)))}
         near = (np.linspace(0.0, 1.0, 5)[rng.integers(0, 5, (2, 60))]
                 + rng.normal(0.0, 3.0 * sigma, (2, 60)))
-        return (np.sort(near, axis=1)[:, :, None],
+        return (np.sort(near, axis=1),
                 {"pool.log_alpha": np.full((1, 5), np.log(sigma))})
 
     def test_smoothing_layers_gradients(self):
@@ -586,12 +616,15 @@ class TestRecomputeNodes:
                     lambda b: time_encode(b["te.w_s"].tape.const(times), b),
                     lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b))
         if node == "time_projection":
-            times, params = (self.time_inputs(8, count=400, latest=1e4) if variant == "late"
-                             else self.time_inputs(8))
-            params["te.w_t"] = np.random.default_rng(9).standard_normal((7, 1))
+            times, params = self.projection_inputs(variant)
             return (params,
                     lambda b: time_projection(b["te.w_s"].tape.const(times), b),
                     lambda b: time_encode(b["te.w_s"].tape.const(times), b) @ b["te.w_t"])
+        if node == "pool_quotient":
+            mask_rows, params = self.pool_inputs(10)
+            return (params,
+                    lambda b: _pool_quotient(b["xhat"], b["weights"], mask_rows),
+                    lambda b: chain_pool_quotient(b["xhat"], b["weights"], mask_rows))
         t_norm, params = self.kernel_inputs(7, sigma=1e-3 if variant == "narrow" else None)
         return (params,
                 lambda b: _kernel_weights(t_norm, with_centers(b)),
@@ -633,21 +666,33 @@ class TestRecomputeNodes:
 
     @pytest.mark.parametrize("node,variant", [
         ("kernel_weights", ""), ("kernel_weights", "narrow"),
-        ("time_projection", ""), ("time_projection", "late"),
+        ("time_projection", ""), ("time_projection", "late"), ("pool_quotient", ""),
     ], ids=["kernel_weights", "kernel_weights-narrow", "time_projection",
-            "time_projection-late"])
+            "time_projection-late", "pool_quotient"])
     def test_contracted_node_matches_its_primitives(self, node, variant):
         # These VJPs form their adjoints as contractions (see their
         # docstrings), so they sum in another order than the chain: the
-        # output stays bitwise, the adjoints move in their last bits. Each
-        # adjoint entry is bounded by its own condition, so a sum that
-        # cancels (time_projection's sum(t g) for w_s) may move as far as
-        # any reordering can, and a small adjoint beside a large one (b_f
-        # beside w_f at times up to 1e4) is still checked to its own size.
-        # Over 1,000 random draws of each case the error stayed within
-        # 6.2e-16 of the condition.
+        # adjoints move in their last bits. Each adjoint entry is bounded by
+        # its own condition, so a sum that cancels (time_projection's
+        # sum(t g) for w_s) may move as far as any reordering can, and a
+        # small adjoint beside a large one (b_f beside w_f at times up to
+        # 1e4) is still checked to its own size. Over 1,000 random draws of
+        # each case the error stayed within 4.5e-16 of the condition. The
+        # outputs are bitwise the chain's, except the projection w_t^T enc,
+        # whose d_te-term sums run in another order too: it is bounded by
+        # its condition |enc| |w_t|, and the encoding it projects is bitwise.
         results, names, conditions = self.outputs_and_adjoints(node, variant)
-        assert np.array_equal(results[0][0], results[1][0])
+        if node == "time_projection":
+            times, params = self.projection_inputs(variant)
+            tape = Tape()
+            b = bind(tape, **params)
+            encoding = chain_time_encode(tape.const(times), b).data
+            assert np.array_equal(_encoding(times, *(params[n] for n in TE_NAMES)).T, encoding)
+            bound = np.abs(encoding) @ np.abs(params["te.w_t"])
+            assert (bound > 0.0).all()
+            assert (np.abs(results[0][0] - results[1][0]) <= 1e-13 * bound).all()
+        else:
+            assert np.array_equal(results[0][0], results[1][0])
         chain = results[1][1]
         for name in names:
             assert (conditions[name] > 0.0).all(), name
@@ -698,7 +743,7 @@ class TestRecomputeNodes:
         (0.0, 0.5),
     ])
     def test_kernel_weights_raise_wherever_their_chain_raised(self, log_alpha, centre):
-        t_norm = np.array([[[0.0], [0.25], [1.0]]])
+        t_norm = np.array([[0.0, 0.25, 1.0]])
         centers = np.array([[0.25, centre]])
 
         def with_centers(b):
@@ -707,6 +752,25 @@ class TestRecomputeNodes:
         self.same_failures(lambda b: _kernel_weights(t_norm, with_centers(b)),
                            lambda b: chain_kernel_weights(t_norm, with_centers(b)),
                            {"pool.log_alpha": np.full((1, 2), log_alpha)}, "kernel_weights")
+
+    @pytest.mark.parametrize("series,weights,mask", [
+        ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0]),          # the numerator overflows
+        ([-1e308, -1e308], [1.0, 0.9], [1.0, 1.0]),
+        ([1e308, 1e308], [0.5, 0.5], [1.0, 1.0]),          # large but finite
+        ([1.7e308, -1.7e308], [1.0, 1.0], [1.0, 1.0]),     # large terms that cancel
+        ([1e300, 0.0], [1.0, 1e-100], [0.0, 1.0]),         # a quotient over a tiny denominator
+        ([1e300, 0.0], [1.0, 1e-200], [0.0, 1.0]),         # ... at or below POOLING_EPS
+        ([0.0, 0.0], [1.0, 1.0], [0.0, 0.0]),              # an empty variate
+    ])
+    def test_pool_quotient_raises_wherever_its_chain_raised(self, series, weights, mask):
+        # One sample, one variate and one kernel on a grid of 2 times. The
+        # node reads the series at every cell, so a value off the mask
+        # (which encoding never leaves) still reaches the numerator.
+        mask_rows = np.array([mask])
+        self.same_failures(lambda b: _pool_quotient(b["xhat"], b["weights"], mask_rows),
+                           lambda b: chain_pool_quotient(b["xhat"], b["weights"], mask_rows),
+                           {"xhat": np.array([[series]]), "weights": np.array([[weights]])},
+                           "pool_quotient")
 
     def fuse_inputs(self, seed):
         """A chunk of three 4-variate random samples, each on its own grid
@@ -871,8 +935,8 @@ class TestTapeMemory:
         tape = Tape()
         p = {**bind(tape, **{"pool.log_alpha": np.full((1, kernels), np.log(1.0 / kernels))}),
              "pool.centers": np.linspace(0.0, 1.0, kernels)[None, :]}
-        weights = _kernel_weights(rng.uniform(0.0, 1.0, (1, 3, 1)), p)
-        loss = (weights * tape.const(rng.standard_normal((1, 3, kernels)))).sum()
+        weights = _kernel_weights(rng.uniform(0.0, 1.0, (1, 3)), p)
+        loss = (weights * tape.const(rng.standard_normal((1, kernels, 3)))).sum()
         _grads, peak = transient_bytes(lambda: tape.backward(loss))
         assert peak / 8 / weights.data.size <= 6.0
 
@@ -939,20 +1003,20 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 85 nodes. 37 run the finiteness check: 2 constant
-        # leaves (the grid and query times) and 35 nodes that compute. The
-        # 29 parameter leaves share one check of the flat vector, the frozen
-        # buffers are read as plain arrays, the convolution reads the
-        # block's taps unchecked (its layers' node checks their output), the
-        # 5 constants the forward builds finite itself (pooling's mask, the
-        # flags, the denominators' correction and the DFT pair) enter
-        # unchecked, and of the other 14 nodes, two check only what they
-        # compute (the fused series' sums at the observed cells and the
-        # kernel exponent) and the rest only move, select or bound finite
-        # values.
+        # query records 79 nodes. 34 run the finiteness check: 2 constant
+        # leaves (the grid and query times) and 32 nodes that compute, one
+        # of them pooling's quotient. The 29 parameter leaves share one
+        # check of the flat vector, the frozen buffers are read as plain
+        # arrays, the convolution reads the block's taps unchecked (its
+        # layers' node checks their output), pooling's mask is read inside
+        # its quotient's node, the 3 constants the forward builds finite
+        # itself (pooling's flags and the DFT pair) enter unchecked, and of
+        # the other 13 nodes, two check only what they compute (the fused
+        # series' sums at the observed cells and the kernel exponent) and
+        # the rest only move, select or bound finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 85
-        assert checked == 37
+        assert len(sizes) == len(tape.nodes) == 79
+        assert checked == 34
 
 
 def positive_phi(m, omega, keys=False):

@@ -13,13 +13,14 @@ from imtscast.model import (
     _attend,
     _fuse_at_cells,
     _kernel_weights,
+    _pool_quotient,
     _smoothing_layers,
     positive_features,
     time_encode,
     time_projection,
 )
 from conftest import bind
-from oracles import narrow, place, transpose
+from oracles import div, narrow, place, transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -63,14 +64,14 @@ class TestForward:
         tape = Tape()
         with pytest.raises(ShapeError, match="matmul"):
             T.matmul(const(tape, np.ones((2, 3))), const(tape, np.ones((2, 3))))
-        for op in ("add", "sub", "mul", "div"):
+        for op, fn in (("add", T.add), ("sub", T.sub), ("mul", T.mul), ("div", div)):
             with pytest.raises(ShapeError, match=rf"{op}: shapes \(2, 3\) and \(4,\)"):
-                getattr(T, op)(const(tape, np.ones((2, 3))), const(tape, np.ones((4,))))
+                fn(const(tape, np.ones((2, 3))), const(tape, np.ones((4,))))
 
     def test_non_finite_result_rejected(self):
         tape = Tape()
         with pytest.raises(NonFiniteError, match="div"):
-            const(tape, [1.0]) / const(tape, [0.0])
+            div(const(tape, [1.0]), const(tape, [0.0]))
 
     def test_broadcasting_binary_ops(self):
         tape = Tape()
@@ -152,7 +153,7 @@ class TestBackward:
 
 TE_NAMES = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")
 TIMES = np.linspace(-1.0, 2.0, 5)[:, None]
-T_NORM = np.linspace(0.0, 1.0, 6).reshape(2, 3, 1)
+T_NORM = np.linspace(0.0, 1.0, 6).reshape(2, 3)
 CENTERS = np.linspace(0.0, 1.0, 4)[None, :]
 OMEGA = np.random.default_rng(7).standard_normal((4, 3))
 TAPS = np.random.default_rng(9).standard_normal((3, 5))
@@ -199,6 +200,21 @@ def fuse_of_entries(t):
                           FUSE_BLOCK)
 
 
+# Two samples of two variates on a grid of 3 times: sample 1's variate 1 is
+# empty, so its denominators are 0 and pool to their numerators, and every
+# grid time of each sample has an observed cell.
+POOL_MASK = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+def pool_quotient_of_stack(t):
+    """Pooling's quotient with two kernels, from a (2, 4, 3) tensor: the
+    fused series from rows 0-1 of each sample, zeroed off ``POOL_MASK``'s
+    cells, and positive weights from a function of rows 2-3."""
+    series = narrow(t, np.s_[:, :2]) * POOL_MASK.reshape(2, 2, 3)
+    weights = narrow(t, np.s_[:, 2:])
+    return _pool_quotient(series, weights * weights + 0.5, POOL_MASK)
+
+
 def attend_of_stack(t):
     """The attention quotient with a (B, N, H, d_h) tensor as the values
     and a positive function of it as both feature stacks, so that every
@@ -232,14 +248,14 @@ PRIMITIVE_CASES = [
     ("mul_const_left", lambda t: T.mul(t.tape.const(np.linspace(-1.0, 2.0, 4)), t), (3, 4)),
     ("take_rows", lambda t: T.take_rows(t, np.array([0, 2, 2, 1])), (3, 4)),
     ("matmul", lambda t: t @ np.arange(12.0).reshape(4, 3), (3, 4)),
-    ("div_const", lambda t: t / np.linspace(1.0, 2.0, 4), (3, 4)),
+    ("div_const", lambda t: div(t, np.linspace(1.0, 2.0, 4)), (3, 4)),
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
     # A quotient by a broadcast column of its own input.
-    ("div_column_self", lambda t: t / ((t * t).sum(axis=1, keepdims=True) + 1.0), (3, 4)),
+    ("div_column_self", lambda t: div(t, (t * t).sum(axis=1, keepdims=True) + 1.0), (3, 4)),
     ("fuse_at_cells", lambda t: fuse_of_entries(t), (1, 12)),
     ("add_self", lambda t: t + t * t, (3, 4)),
     ("sub_self", lambda t: t - t * t, (3, 4)),
-    ("div_self", lambda t: t / (t * t + 1.0), (3, 4)),
+    ("div_self", lambda t: div(t, t * t + 1.0), (3, 4)),
     ("matmul_stacked", lambda t: t @ np.arange(24.0).reshape(2, 4, 3), (2, 3, 4)),
     # t on both sides also checks the right operand's adjoint of a stacked matmul.
     ("matmul_stacked_self", lambda t: t @ t.reshape((2, 4, 3)), (2, 3, 4)),
@@ -247,12 +263,13 @@ PRIMITIVE_CASES = [
     ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
      (3, 4)),
     ("sub_const_left", lambda t: T.sub(t.tape.const(1.0), t), (3, 4)),
-    ("div_const_left", lambda t: T.div(t.tape.const(1.0), t * t + 1.0), (3, 4)),
+    ("div_const_left", lambda t: div(t.tape.const(1.0), t * t + 1.0), (3, 4)),
     ("concat_const_first", lambda t: T.concat([t.tape.const(np.ones((3, 2))), t], axis=1),
      (3, 4)),
     # The queries' features, shifted per row.
     ("positive_features_queries", lambda t: positive_features(t, OMEGA), (2, 3, 2, 4)),
     ("time_projection", time_projection_of_rows, (5, 7)),
+    ("pool_quotient", pool_quotient_of_stack, (2, 4, 3)),
 ]
 
 
@@ -358,8 +375,10 @@ def test_stacked_matmul_matches_per_entry_matmul():
 def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     """The primitive table gradchecks exactly the ops a training step and
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
-    Some rows take their inputs with the oracle ``narrow`` node, which the
-    table reaches but which is no primitive of the tape."""
+    Some rows take their inputs with the oracle ``narrow`` node, and the
+    ``div_*`` rows check the oracle ``div`` node that the chains the fused
+    nodes replace divide with; the table reaches both, but neither is a
+    primitive of the tape."""
     from conftest import chunk_of, random_sample
 
     from imtscast.config import TrainConfig
@@ -391,7 +410,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(bind(Tape(), x=np.ones(shape))["x"])
-    assert (model_ops - ops, ops - model_ops) == (set(), {"narrow"})
+    assert (model_ops - ops, ops - model_ops) == (set(), {"narrow", "div"})
 
 
 def test_a_default_training_step_reaches_every_primitive(monkeypatch):
@@ -442,7 +461,7 @@ class TestDivisionAdjoint:
     def grads(self, a, b):
         tape = Tape()
         p = bind(tape, a=np.array([a]), b=np.array([b]))
-        return tape.backward((p["a"] / p["b"]).sum())
+        return tape.backward(div(p["a"], p["b"]).sum())
 
     def test_zero_numerator_over_tiny_denominator(self):
         # b * b underflows to 0 here, so -g * a / (b * b) would be 0 / 0.
@@ -611,7 +630,7 @@ class TestFiniteness:
         "add": lambda tp: tp.const([BIG]) + tp.const([BIG]),
         "sub": lambda tp: tp.const([BIG]) - tp.const([-BIG]),
         "mul": lambda tp: tp.const([1e200]) * tp.const([1e200]),
-        "div": lambda tp: tp.const([1.0]) / tp.const([1e-320]),
+        "div": lambda tp: div(tp.const([1.0]), tp.const([1e-320])),
         "matmul": lambda tp: tp.const([[1e200]]) @ tp.const([[1e200]]),
         "sum": lambda tp: tp.const([BIG, BIG]).sum(),
         "layernorm": lambda tp: T.layernorm(tp.const([[BIG, BIG]])),
@@ -636,6 +655,9 @@ class TestFiniteness:
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
         "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 1, 2), 1e200))
                                        for _ in range(3))),
+        # A numerator summed from two cells of 1e308.
+        "pool_quotient": lambda tp: _pool_quotient(tp.const(np.full((1, 1, 2), 1e308)),
+                                                   tp.const(np.ones((1, 1, 2))), np.ones((1, 2))),
         # A cell's value plus the projection at its grid time.
         "fuse_at_cells": lambda tp: _fuse_at_cells(
             tp.const([[BIG]]), tp.const([[0.0], [BIG]]),
