@@ -18,10 +18,10 @@ N (``data.AlignedTriplet``); a sample is a block of one. Every layer works
 on the block's (B*N, .) rows in sample-major order. Only encoding, pooling
 and attention need to know where one sample ends: encoding places the
 fused series as the (B, N, L) stack pooling's batched matmuls read, and
-attention takes the sample count and reads its rows as a (B, N, H, .)
-stack; the per-(sample, head) views its matmuls need, the [V | 1]
-numerator and denominator of linear attention and their floored quotient
-live inside its one ``_attend`` node.
+linear attention takes the sample count and the (B*N, d) rows of q, k and
+v; its feature maps, the per-(sample, head) views its matmuls need, the
+[V | 1] numerator and denominator and their floored quotient live inside
+its one ``linear_attention`` node.
 
 All layers run on the differentiation tape. The learnables live in one
 flat float64 vector with a named view per array (``ModelParams``), so a
@@ -31,23 +31,24 @@ views, and the gradient check moves entries of the vector in place.
 
 The frozen buffers (the feature draws and the kernel centres) never enter
 the tape: ``init`` and ``load`` check them, and the two nodes that read
-them, ``positive_features`` and ``_kernel_weights``, take them as plain
-arrays and check their own outputs, so a non-finite value written into a
+them, ``linear_attention`` and ``_kernel_weights``, take them as plain
+arrays and check what they compute, so a non-finite value written into a
 buffer later still raises at the node that reads it.
 
 A training tape keeps what its VJP closures capture until backward, and
-that memory bounds how many samples a chunk can hold. Six nodes exist to
-keep less or to skip work: ``positive_features``, ``time_encode`` and
-``time_projection`` differentiate from their own outputs (the first also
-from its (B, N, H, d_h) input), so none runs a transcendental in
-backward, and ``_smoothing_layers``, ``_attend`` and ``_kernel_weights``
+that memory bounds how many samples a chunk can hold. Five nodes exist to
+keep less or to skip work: ``linear_attention``, ``time_encode`` and
+``time_projection`` differentiate from their own outputs (the first from
+its features and k), so none runs a transcendental in backward, and
+``_smoothing_layers``, ``linear_attention`` and ``_kernel_weights``
 recompute their largest intermediates in backward (the conv's hidden
 layer, the KV summary, the squared distances to the kernel centres).
 ``time_projection`` (the grid's time encoding and its projection),
 ``time_encode`` (the queries'), ``_kernel_weights`` and ``_pool_quotient``
-replace grid-wide chains of 8, 7, 10 and 7 nodes, which cuts the fixed
-per-node cost of every forward. ``tape_bytes`` sums what a chunk's tape
-keeps; ``train.chunk_spans`` budgets chunks by it.
+replace grid-wide chains of 8, 7, 10 and 7 nodes, and ``linear_attention``
+the two feature maps, the quotient and the four reshapes around them,
+which cuts the fixed per-node cost of every forward. ``tape_bytes`` sums
+what a chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
 
 The grid-wide stages are feature-major: the time encoding is built as
 (d_te, M) and the kernel weights as (B, K, L), so the axis over grid
@@ -58,7 +59,11 @@ the head the (M, d_te) transpose. The forwards build their arrays in
 place, so that no grid-wide node makes a throwaway temporary per numpy
 call, and products with a contracted size of 1 (the encoding's arguments,
 an adjoint in ``_smoothing_layers``) are formed by broadcasting rather
-than as BLAS outer products, which is exact.
+than as BLAS outer products, which is exact. Linear attention's features
+are feature-major too: one (2, R, B*H*N) buffer holds the queries' and
+the keys' with one column per (sample, head, row), so its reductions and
+its one exp run (B*H*N)-long inner loops, and its per-(sample, head)
+products read (B, H, R, N) views of it.
 
 Every fused node's output is bitwise the chain it replaces, and so are
 its adjoints, except where a product sums in another order than the
@@ -71,7 +76,10 @@ chain's, which moves the result in its last bits (see each docstring):
   instead of over the chain's (B, L) axes;
 - ``_pool_quotient`` forms the weights' adjoint in their (B, K, L) layout
   where the chain formed its (B, L, K) transpose, which a BLAS may sum in
-  another order.
+  another order;
+- ``linear_attention`` projects omega^T x^T where the chain formed x omega,
+  and forms its products and all its adjoints on the feature-major
+  buffer, so its output and adjoints move in their last bits too.
 """
 
 from __future__ import annotations
@@ -368,9 +376,9 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         + times * (1 + k) + rows * grid_length * 2 + rows * (3 * k + 1)
         # per block: two layernorms (B*N, d+1), the spectral coefficients,
         # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
-        # mask (bytes), K as the keys' feature map's (B*N*H, d_h) input,
-        # the features of Q and K (B*N*H, R) x2, [V | 1] and the attention
-        # quotient with its denominator (B*N*H, d_h+1) x2
+        # mask (bytes), and in linear attention's node k (B*N, d), the
+        # features of Q and K (2, R, B*H*N), [V | 1] and the quotient with
+        # its floored denominator (B*N*H, d_h+1) x2
         + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
         # head and loss per query: row index, time, its time encoding
         # (d_te), features (d + d_te), two hidden layers with relu masks,
@@ -689,160 +697,162 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     return T.concat([pooled, flags], axis=1) @ p["pool.w_proj"]
 
 
-def positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) -> Tensor:
-    """Positive random feature map of a (B, N, H, d_h) stack -> (B, N, H, R).
-
-    phi(x) = s [exp(x omega - |x|^2), exp(-x omega - |x|^2)] with the
-    frozen (d_h, R/2) standard-normal draw ``omega`` and s = 1/sqrt(2R):
-    the hyperbolic positive random features of Choromanski et al. 2021
-    (arXiv 2009.14794). The inner product of two such rows is an unbiased
-    estimate of exp(-|x-y|^2/2)/2, and it is never negative.
-
-    The exponents are shifted so that the largest feature of each group is
-    s: each query row is its own group (``keys`` false), and all keys of
-    one (sample, head) form one (``keys`` true). A shift multiplies every
-    feature of a group by one positive factor, which cancels in attention's
-    quotient, so the kernel the attention estimates is unchanged. It keeps
-    the denominators far above ATTENTION_EPS wherever a query's features
-    meet the keys', and a query row's features can never all underflow.
-    A query row's |x|^2 is constant over its group, so it cancels and is
-    not computed. The scale enters the exponent as -log(s), so the map
-    costs one exp per feature and no multiply.
-
-    One checked node: ``x @ omega`` overflows for huge x. Its VJP reads the
-    derivatives off its own output and x: G = g * phi, less each group's
-    sum of G at the group's first largest feature (the shift's
-    derivative), then g_x = (G_+ - G_-) omega^T - 2 x sum(G), the last term
-    for keys only. It runs no transcendental. The keys' node keeps x beside
-    the features the attention keeps anyway; the queries' keeps no more.
-    """
-    # The numpy calls of the chain ``oracles.chain_positive_features`` (a
-    # matmul, concat with the negated projection, for keys sub the row sum
-    # of x * x, then sub the gathered maximum plus -log(s), and exp), so the
-    # output and the adjoint are bitwise that chain's.
-    xd = x.data
-    lead, d_head, half = xd.shape[:3], xd.shape[3], omega.shape[1]
-    axes = (1, 3) if keys else (3,)
-    with np.errstate(over="ignore", invalid="ignore"):         # record() raises instead
-        proj = np.matmul(xd.reshape(-1, d_head), omega).reshape(lead + (half,))
-        out = np.concatenate([proj, -proj], axis=3)            # (B, N, H, R) exponents
-        if keys:
-            out -= (xd * xd).sum(axis=3, keepdims=True)
-        np.subtract(out, out.max(axis=axes, keepdims=True) + 0.5 * math.log(4 * half),
-                    out=out)
-        np.exp(out, out=out)
-    kept_x = xd if keys else None
-
-    def vjp(g):
-        grad = np.multiply(g, out, order="C")
-        total = grad.sum(axis=axes, keepdims=True)
-        grad.reshape(-1)[_first_maxima(out, keys)] -= total.reshape(-1)
-        g_x = np.matmul((grad[..., :half] - grad[..., half:]).reshape(-1, half),
-                        omega.swapaxes(-1, -2)).reshape(lead + (d_head,))
-        if kept_x is not None:
-            g_x = g_x - kept_x * (2.0 * grad.sum(axis=3, keepdims=True))
-        return (g_x,)
-
-    return x.tape.record("positive_features", out, (x,), vjp)
-
-
-def _first_maxima(phi: np.ndarray, keys: bool) -> np.ndarray:
-    """Flat positions in the (B, N, H, R) features ``phi`` of each group's
-    first largest entry (see ``positive_features``), in the groups' C order.
-
-    That entry's exponent is the group's largest, the one the shift moved
-    to 0, unless exponents within rounding of the largest give the same
-    feature; the first of those is taken then."""
-    b, n, h, r = phi.shape
-    first = np.arange(b * n * h) * r + phi.argmax(axis=3).reshape(-1)   # of each row
-    if not keys:
-        return first
-    first = first.reshape(b, n, h)
-    row = phi.reshape(-1)[first].argmax(axis=1)                         # (B, H)
-    return np.take_along_axis(first, row[:, None, :], axis=1).reshape(-1)
-
-
-def _attend(fq: Tensor, fk: Tensor, values: Tensor) -> tuple[Tensor, np.ndarray]:
-    """phi(Q) (phi(K)^T V) / max(phi(Q) (phi(K)^T 1), eps) from (B, N, H, .)
-    stacks as one node, which forms phi(K)^T and [V | 1] itself; backward
-    recomputes the (B, H, R, d_h+1) summary. Positive features make every
-    denominator positive; one at or below the ATTENTION_EPS floor (features
-    that barely meet) gets the floor, which no gradient reaches. Returns the
-    (B, N, H, d_h) quotient and the unfloored (B, N, H, 1) denominators as
-    a plain array.
-
-    The per-(sample, head) stacks the matmuls read are (B, H, N, .) numpy
-    views, so no regrouping node is recorded."""
-    # The same numpy calls as the permute, reshape, transpose, concat,
-    # matmul, slice, mul, add and div nodes of ``oracles.chain_attend``, so
-    # the output and the adjoints are bitwise theirs.
-    qd, kd = fq.data.swapaxes(1, 2), fk.data.swapaxes(1, 2).swapaxes(-1, -2)
-    d_head = values.data.shape[3]
-    vd = np.concatenate([values.data, np.ones(values.data.shape[:3] + (1,))],
-                        axis=3).swapaxes(1, 2)
-    both = np.matmul(qd, np.matmul(kd, vd)).swapaxes(1, 2)    # (B, N, H, d_h+1)
-    den = both[..., d_head:]
-    guarded = np.maximum(den, ATTENTION_EPS)
-    with np.errstate(invalid="ignore"):                       # record() raises instead
-        out = both[..., :d_head] / guarded
-
-    def vjp(g):
-        g_num = g / guarded
-        g_den = np.where(guarded > ATTENTION_EPS,
-                         (-g_num * out).sum(axis=3, keepdims=True), 0.0)
-        g = np.concatenate([g_num, g_den], axis=3).swapaxes(1, 2)
-        g_kv = qd.swapaxes(-1, -2) @ g                         # (B, H, R, d_h+1)
-        return ((g @ np.matmul(kd, vd).swapaxes(-1, -2)).swapaxes(1, 2),
-                (g_kv @ vd.swapaxes(-1, -2)).swapaxes(-1, -2).swapaxes(1, 2),
-                (kd.swapaxes(-1, -2) @ g_kv)[..., :d_head].swapaxes(1, 2))
-
-    return fq.tape.record("attend", out, (fq, fk, values), vjp), den
-
-
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
                      stats: dict | None = None, samples: int = 1,
                      capture: list | None = None) -> Tensor:
     """Kernelized attention of every (sample, head) at once, in linear-cost order.
 
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
-    [h*d_h, (h+1)*d_h); d_h is the row count of the frozen draw ``omega``
-    (see ``positive_features``; the keys of a sample and head share one
-    shift, each query row has its own). Per sample and head, the numerator
+    [h*d_h, (h+1)*d_h); d_h is the row count of the frozen (d_h, R/2)
+    standard-normal draw ``omega``. Per sample and head, the numerator
     phi(Q) (phi(K)^T V) and the denominator phi(Q) (phi(K)^T 1) never
-    materialize the (N, N) weight matrix; the positive features make the
-    weights a Gaussian-kernel average of the values.
+    materialize the (N, N) weight matrix. Each (row, head) whose denominator
+    is at or below the ATTENTION_EPS floor gets the floor, which no gradient
+    reaches, and is counted as collapsed in ``stats``.
 
-    Layout: attention keeps the model's sample-major rows, and heads are a
-    reshape: entry [b, n, h] of the (B, N, H, d_h) view of ``q`` is head h
-    of row b*N + n. ``q``, ``k`` and ``v`` are read as such stacks with one
-    reshape each, and one feature map per operand runs on its stack. One
-    node (``_attend``) forms every numerator and floored denominator from
-    them and divides, in that same layout. Each (row, head) whose
-    denominator is at or below the ATTENTION_EPS floor is counted as
-    collapsed in ``stats``. The (B, N, H, d_h) quotient is the (B*N, d)
-    output after one reshape.
+    The feature map is phi(x) = s [exp(x omega - |x|^2), exp(-x omega - |x|^2)]
+    with s = 1/sqrt(2R): the hyperbolic positive random features of
+    Choromanski et al. 2021 (arXiv 2009.14794). The inner product of two
+    such rows is an unbiased estimate of exp(-|x-y|^2/2)/2 and is never
+    negative, so the weights are a Gaussian-kernel average of the values.
+    The exponents are shifted so that the largest feature of each group is
+    s: each query row is its own group, and all keys of one (sample, head)
+    form one. A shift multiplies every feature of a group by one positive
+    factor, which cancels in the quotient; it keeps the denominators far
+    above the floor wherever a query's features meet the keys', and a query
+    row's features can never all underflow. A query row's |x|^2 is constant
+    over its group, so it cancels and is not computed. The scale enters the
+    exponent as -log(s), so the map costs one exp per feature.
 
-    With ``capture``, one dict of the forward's (B, N, H, .) stacks is
-    appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
+    One checked node in place of the two feature maps, the attention
+    quotient and the four reshapes around them. The features are built
+    feature-major: one (2, R, C) buffer holds the queries' and the keys'
+    features in columns that run over (sample, head, row), C = B*H*N, so
+    the projection is one product with omega^T, and every reduction and the
+    one exp run C-long inner loops. The finiteness check reads the (2, C)
+    column maxima and |k|^2, not the features: from them it forms each
+    column's lowest exponent in the steps of the primitive chain (a key's
+    exponent less |k|^2, then less its shift), so it raises wherever one of
+    those steps would overflow; every exponent lies between that one and
+    0, and exp maps that range into [0, 1]. The per-(sample, head) products
+    read (B, H, R, N) views of the buffer; the quotient is checked.
+
+    The VJP writes both feature adjoints into one (2, R, C) buffer and
+    multiplies it by the features. A shift's derivative moves its group's
+    sum to the group's first largest feature; but a shift scales its group
+    by one factor, which cancels in every quotient whose denominator is not
+    floored, so that sum is roundoff except in a group that holds a floored
+    row, and only such groups are searched and moved. One product with
+    omega forms both inputs' adjoints, and the keys' add -2 k times their
+    column sums, taken along C-long rows. It runs no transcendental and
+    recomputes the (B, H, R, d_h+1) summary phi(K)^T [V | 1]; the node
+    keeps the features, k, [V | 1], the quotient and the floored
+    denominators, as the replaced nodes did. Its VJP never writes into the
+    adjoint it receives. The projection, the products and every adjoint sum
+    their terms in another order than the primitive chain
+    (``oracles.chain_linear_attention``), so they differ from it in the last
+    bits.
+
+    With ``capture``, one dict of the forward's (B, N, H, .) stacks (views)
+    is appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
     ``linear_out``; entry [b, :, h] is sample b, head h.
     """
     total, d = q.data.shape
-    d_head = omega.shape[0]
-    heads = d // d_head
-    split = (samples, total // samples, heads)                 # (B, N, H)
+    d_head, half = omega.shape
+    heads, rows = d // d_head, total // samples
+    lead = (samples, heads, rows)                                # (B, H, N)
+    cols, rank = total * heads, 2 * half
 
-    fq = positive_features(q.reshape(split + (d_head,)), omega)    # (B, N, H, R)
-    fk = positive_features(k.reshape(split + (d_head,)), omega, keys=True)
-    values = v.reshape(split + (d_head,))
-    out, den = _attend(fq, fk, values)                         # (B, N, H, d_h), (B, N, H, 1)
+    def stack(x):
+        """(B*N, d) rows as the (B, N, H, d_h) stack of their heads."""
+        return x.reshape(samples, rows, heads, d_head)
+
+    def groups(a):
+        """A (R, C) block of the buffer as its (B, H, R, N) view."""
+        return a.reshape((rank,) + lead).transpose(1, 2, 0, 3)
+
+    kd = k.data
+    x_t = np.empty((2, d_head, cols))                            # q^T and k^T, columns (b, h, n)
+    x_t[0].reshape((d_head,) + lead)[...] = stack(q.data).transpose(3, 0, 2, 1)
+    x_t[1].reshape((d_head,) + lead)[...] = stack(kd).transpose(3, 0, 2, 1)
+    feats = np.empty((2, rank, cols))
+    shift = np.empty((2, cols))
+    with np.errstate(over="ignore", invalid="ignore"):           # raises below instead
+        np.matmul(omega.swapaxes(-1, -2), x_t, out=feats[:, :half])
+        np.negative(feats[:, :half], out=feats[:, half:])
+        sq = np.einsum("ic,ic->c", x_t[1], x_t[1])               # |k|^2 per column
+        top = feats.max(axis=1)                                  # before |k|^2 leaves the keys
+        shift[0] = top[0]
+        np.subtract(top[1], sq, out=shift[1])
+        shift[1].reshape(-1, rows)[...] = shift[1].reshape(-1, rows).max(axis=1, keepdims=True)
+        shift += 0.5 * math.log(4 * half)
+        lowest = np.negative(top)
+        lowest[1] -= sq
+        lowest -= shift
+    if not np.isfinite(lowest).all():
+        raise NonFiniteError("linear_attention: produced non-finite values")
+    shift[1] += sq                                               # the keys' whole offset
+    feats -= shift[:, None, :]
+    np.exp(feats, out=feats)
+
+    phi_q, phi_k = groups(feats[0]), groups(feats[1])
+    values = np.empty(lead + (d_head + 1,))                      # [V | 1]
+    values[..., :d_head] = stack(v.data).transpose(0, 2, 1, 3)
+    values[..., d_head] = 1.0
+    both = np.matmul(phi_q.swapaxes(-1, -2), np.matmul(phi_k, values))   # (B, H, N, d_h+1)
+    guarded = np.maximum(both[..., d_head:], ATTENTION_EPS)
+    out = np.empty((samples, rows, heads, d_head))
+    with np.errstate(over="ignore", invalid="ignore"):           # record() raises instead
+        np.divide(both[..., :d_head].swapaxes(1, 2), guarded.swapaxes(1, 2), out=out)
     if stats is not None:
         stats["degenerate_rows"] = stats.get("degenerate_rows", 0) + int(
-            (den <= ATTENTION_EPS).sum()
-        )
+            (both[..., d_head] <= ATTENTION_EPS).sum())
     if capture is not None:
-        capture.append({"phi_q": fq.data, "phi_k": fk.data, "values": values.data,
-                        "linear_out": out.data})
-    return out.reshape((total, d))
+        capture.append({"phi_q": phi_q.transpose(0, 3, 1, 2), "phi_k": phi_k.transpose(0, 3, 1, 2),
+                        "values": stack(v.data), "linear_out": out})
+
+    def vjp(g):
+        floored = guarded[..., 0] <= ATTENTION_EPS               # (B, H, N)
+        adj = np.empty(lead + (d_head + 1,))                     # [g / den | g_den]
+        g_num = adj[..., :d_head]
+        np.divide(stack(g).transpose(0, 2, 1, 3), guarded, out=g_num)
+        np.negative(np.einsum("bhnj,bnhj->bhn", g_num, out), out=adj[..., d_head])
+        adj[..., d_head][floored] = 0.0
+        g_summary = np.matmul(phi_q, adj)                        # (B, H, R, d_h+1)
+        g_feats = np.empty((2, rank, cols))
+        # Right operands as contiguous copies: stacked products on a small
+        # transposed view ran ~2.5x slower.
+        np.matmul(np.matmul(phi_k, values), adj.swapaxes(-1, -2).copy(),
+                  out=groups(g_feats[0]))
+        np.matmul(g_summary, values.swapaxes(-1, -2).copy(), out=groups(g_feats[1]))
+        g_v = np.matmul(phi_k.swapaxes(-1, -2), g_summary[..., :d_head])   # (B, H, N, d_h)
+        g_feats *= feats
+        if floored.any():                                        # see the docstring
+            _shift_adjoint(g_feats[0], feats[0], 1, np.flatnonzero(floored))
+            _shift_adjoint(g_feats[1], feats[1], rows, np.flatnonzero(floored.any(axis=2)))
+        g_x = np.matmul(omega, g_feats[:, :half] - g_feats[:, half:])    # (2, d_h, C)
+        g_x = g_x.reshape((2, d_head) + lead).transpose(0, 2, 4, 3, 1)   # (2, B, N, H, d_h)
+        k_sums = g_feats[1].sum(axis=0).reshape(lead).transpose(0, 2, 1)  # (B, N, H)
+        g_k = stack(kd) * (-2.0 * k_sums[..., None])
+        g_k += g_x[1]
+        return (g_x[0].reshape(total, d), g_k.reshape(total, d),
+                g_v.swapaxes(1, 2).reshape(total, d))
+
+    return q.tape.record("linear_attention", out.reshape(total, d), (q, k, v), vjp)
+
+
+def _shift_adjoint(terms: np.ndarray, feats: np.ndarray, width: int,
+                   groups: np.ndarray) -> None:
+    """Subtract from the (R, C) exponent adjoint ``terms``, in place, each
+    listed group's sum at the group's first largest feature: the derivative
+    of a shift by the group's largest exponent. Group j is the ``width``
+    columns from j * width of the features ``feats``; its first largest
+    feature is the first column's, then the first row's, that holds it."""
+    rank = feats.shape[0]
+    cols = (groups[:, None] * width + np.arange(width)).reshape(-1)
+    peaks = groups * width + feats[:, cols].reshape(rank, -1, width).max(axis=0).argmax(axis=1)
+    terms[feats[:, peaks].argmax(axis=0), peaks] -= (
+        terms[:, cols].reshape(rank, -1, width).sum(axis=(0, 2)))
 
 
 def attention_block(z: Tensor, block: int, p: dict[str, Tensor | np.ndarray],
@@ -880,13 +890,16 @@ class ForwardResult:
     stats: dict = field(default_factory=dict)
 
     def per_variate(self) -> list[np.ndarray]:
-        """One array per (sample, variate); for a chunk of one, per variate."""
+        """One array per (sample, variate); for a chunk of one, per variate.
+
+        The arrays are slices of one copy of the predictions: they share that
+        buffer with each other, and the tape does not hold it."""
         # A plain loop: np.split costs ~3x more for the many short parts of
         # a wide sample, and this runs on every predict request.
-        flat = self.predictions.data.ravel()
+        flat = self.predictions.data.ravel().copy()
         out, start = [], 0
         for size in self.counts:
-            out.append(flat[start : start + size].copy())
+            out.append(flat[start : start + size])
             start += size
         return out
 

@@ -31,11 +31,10 @@ inf or NaN: ``add``, ``sub``, ``mul``, ``matmul``, ``sum``,
 code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
 matrix) enters through ``Tape.append("const", ...)`` instead, unchecked.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``reshape``, ``concat``, ``take_rows``, ``relu`` and
-``sigmoid``) by appending their node with ``Tape.append``: by induction
-their outputs are finite too. So a NaN/Inf raises ``NonFiniteError`` at,
-and named after, the first op that produced it, which keeps divergence
-diagnosable.
+the check (``concat``, ``take_rows``, ``relu`` and ``sigmoid``) by
+appending their node with ``Tape.append``: by induction their outputs
+are finite too. So a NaN/Inf raises ``NonFiniteError`` at, and named
+after, the first op that produced it, which keeps divergence diagnosable.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ class Tensor:
         self.tape = tape
         self._index = index
         self.needs_grad = needs_grad
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
 
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -364,13 +360,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return tape.append("concat", data, tuple(tensors), vjp)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.data.shape
-    return a.tape.append(
-        "reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),)
-    )
 
 
 def take_rows(a: Tensor, indices) -> Tensor:

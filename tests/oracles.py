@@ -12,18 +12,18 @@ chunk. ``dense_layout`` derives the same layout from a dense zero-filled
 grid and its mask, by scanning and padding the grid; ``grid_triplet``
 builds a block from such a grid with it.
 
-The time encoding, the kernel weights, the feature map, the fused series
-at the observed cells and pooling's quotient are one tape node each in
+The time encoding, the kernel weights, the fused series at the observed
+cells, pooling's quotient and linear attention are one tape node each in
 the model. ``chain_time_encode``, ``chain_kernel_weights``,
-``chain_positive_features``, ``chain_fuse_at_cells`` and
-``chain_pool_quotient`` are the primitive chains those nodes replace,
+``chain_fuse_at_cells``, ``chain_pool_quotient`` and
+``chain_linear_attention`` are the primitive chains those nodes replace,
 built from the tape's primitives and the ``sin``, ``cos``, ``exp``, ``div``,
-``place`` and ``transpose`` nodes below, which the tape no longer has.
-The model's ``attend`` node forms phi(K)^T and [V | 1] itself, reads
-its (B, N, H, .) inputs as per-(sample, head) stacks and divides the
-numerators by their floored denominators; ``chain_attend`` is the chain
-it replaces. It and the other references use the ``transpose``,
-``permute`` and ``narrow`` nodes below, which the tape no longer has.
+``place``, ``reshape``, ``transpose``, ``permute`` and ``narrow`` nodes
+below, which the tape no longer has. Linear attention's chain is the two
+feature maps (``chain_positive_features``) and the quotient
+(``chain_attend``, which forms phi(K)^T and [V | 1], reads its (B, N, H, .)
+inputs as per-(sample, head) stacks and divides the numerators by their
+floored denominators), between reshapes.
 
 ``model.layout`` is the one table of the model's array shapes;
 ``param_count_closed_form`` counts its learnables per stage instead.
@@ -43,13 +43,7 @@ import imtscast.tape as T
 from imtscast.data import AlignedTriplet, DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
-from imtscast.model import (
-    ATTENTION_EPS,
-    POOLING_EPS,
-    _first_maxima,
-    _kernel_weights,
-    time_encode,
-)
+from imtscast.model import ATTENTION_EPS, POOLING_EPS, _kernel_weights, time_encode
 from imtscast.tape import Tensor
 
 
@@ -107,6 +101,12 @@ def place(a: Tensor, index, shape) -> Tensor:
     return a.tape.append("place", out, (a,), lambda g: (g.reshape(-1)[idx].reshape(old),))
 
 
+def reshape(a: Tensor, shape) -> Tensor:
+    """The same entries in another shape, as a view; the adjoint reshapes back."""
+    old = a.data.shape
+    return a.tape.append("reshape", a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
+
+
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes as a view; the adjoint swaps them back."""
     return a.tape.append("transpose", a.data.swapaxes(-1, -2), (a,),
@@ -141,11 +141,11 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
     samples, n, heads, d_head = values.data.shape
 
     def stack(x):
-        return permute(x, (0, 2, 1, 3)).reshape((samples * heads, n, x.data.shape[3]))
+        return reshape(permute(x, (0, 2, 1, 3)), (samples * heads, n, x.data.shape[3]))
 
     ones = fq.tape.const(np.ones((samples * heads, n, 1)))
     out = stack(fq) @ (transpose(stack(fk)) @ T.concat([stack(values), ones], axis=2))
-    both = permute(out.reshape((samples, heads, n, d_head + 1)), (0, 2, 1, 3))
+    both = permute(reshape(out, (samples, heads, n, d_head + 1)), (0, 2, 1, 3))
     num, den = narrow(both, np.s_[..., :d_head]), narrow(both, np.s_[..., d_head:])
     floored = den.data <= ATTENTION_EPS
     return div(num, den * (~floored).astype(np.float64) + np.where(floored, ATTENTION_EPS, 0.0))
@@ -159,22 +159,51 @@ def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     return T.concat([lin, sin(theta), cos(theta)], axis=1)
 
 
+def first_maxima(phi: np.ndarray, keys: bool) -> np.ndarray:
+    """Flat positions in the (B, N, H, R) features ``phi`` of each group's
+    first largest entry, in the groups' C order: each query row is a group,
+    and so are all keys of one (sample, head). That entry's exponent is the
+    group's largest, the one the shift moved to 0, unless exponents within
+    rounding of the largest give the same feature; the first of those is
+    taken then."""
+    b, n, h, r = phi.shape
+    first = np.arange(b * n * h) * r + phi.argmax(axis=3).reshape(-1)   # of each row
+    if not keys:
+        return first
+    first = first.reshape(b, n, h)
+    row = phi.reshape(-1)[first].argmax(axis=1)                         # (B, H)
+    return np.take_along_axis(first, row[:, None, :], axis=1).reshape(-1)
+
+
 def chain_positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) -> Tensor:
-    """``model.positive_features`` as a chain of primitive nodes: a matmul,
-    concat with the projection times -1, for keys sub the row sum of x * x,
-    then sub each group's first maximum (a ``take_rows`` gather) plus
-    -log(s), and exp."""
+    """The feature map of ``model.linear_attention`` on a (B, N, H, d_h)
+    stack, as a chain of primitive nodes: a matmul, concat with the
+    projection times -1, for keys sub the row sum of x * x, then sub each
+    group's first maximum (a ``take_rows`` gather) plus -log(s), and exp."""
     samples, n, heads, d_head = x.data.shape
     half = omega.shape[1]
-    proj = (x.reshape((-1, d_head)) @ omega).reshape((samples, n, heads, half))
+    proj = reshape(reshape(x, (-1, d_head)) @ omega, (samples, n, heads, half))
     ex = T.concat([proj, proj * -1.0], axis=3)
     if keys:
         ex = ex - (x * x).sum(axis=3, keepdims=True)
     axes, log_scale = ((1, 3) if keys else (3,)), 0.5 * math.log(4 * half)
     features = np.exp(ex.data - (ex.data.max(axis=axes, keepdims=True) + log_scale))
-    peak = T.take_rows(ex.reshape((-1, 1)), _first_maxima(features, keys))
-    peak = peak.reshape((samples, 1, heads, 1) if keys else (samples, n, heads, 1))
+    peak = T.take_rows(reshape(ex, (-1, 1)), first_maxima(features, keys))
+    peak = reshape(peak, (samples, 1, heads, 1) if keys else (samples, n, heads, 1))
     return exp(ex - (peak + log_scale))
+
+
+def chain_linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
+                           samples: int = 1) -> Tensor:
+    """``model.linear_attention`` as the chain it replaces: the (B*N, d)
+    rows reshaped to (B, N, H, d_h) stacks, the queries' and the keys'
+    feature maps, ``chain_attend`` and a reshape back to (B*N, d)."""
+    total, d = q.data.shape
+    d_head = omega.shape[0]
+    split = (samples, total // samples, d // d_head, d_head)
+    fq = chain_positive_features(reshape(q, split), omega)
+    fk = chain_positive_features(reshape(k, split), omega, keys=True)
+    return reshape(chain_attend(fq, fk, reshape(v, split)), (total, d))
 
 
 def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
@@ -182,7 +211,7 @@ def chain_kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     times -> (B, K, L) weights."""
     centers = p["pool.centers"].swapaxes(-1, -2)                 # (K, 1)
     diff = p["pool.log_alpha"].tape.const(t_norm[:, None, :]) - centers
-    sig2 = exp(p["pool.log_alpha"] * 2.0).reshape(centers.shape)
+    sig2 = reshape(exp(p["pool.log_alpha"] * 2.0), centers.shape)
     return exp(div(diff * diff * (-0.5), sig2))
 
 
@@ -202,7 +231,7 @@ def chain_pool_quotient(xhat: Tensor, weights: Tensor, mask_rows: np.ndarray) ->
     mask = xhat.tape.append("const", mask_rows.reshape(xhat.data.shape), (), None)
     w_t = transpose(weights)
     num, den = xhat @ w_t, mask @ w_t
-    return div(num, nonzero(den)).reshape((mask_rows.shape[0], weights.data.shape[1]))
+    return reshape(div(num, nonzero(den)), (mask_rows.shape[0], weights.data.shape[1]))
 
 
 def chain_fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
@@ -211,9 +240,9 @@ def chain_fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> 
     every row of each sample's (N, L) grid by broadcasting, and multiply
     by the mask."""
     samples, n, length = block.samples, block.n_variates, block.grid_length
-    stack = place(values, block.cells, block.grid_shape).reshape((samples, n, length))
+    stack = reshape(place(values, block.cells, block.grid_shape), (samples, n, length))
     mask = values.tape.append("const", block.mask.reshape((samples, n, length)), (), None)
-    return (stack + proj.reshape((samples, 1, length))) * mask
+    return (stack + reshape(proj, (samples, 1, length))) * mask
 
 
 def dense_layout(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,15 +281,15 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     padded = T.concat([zero, rows, zero], axis=1)              # (N, L+2)
     taps = T.concat(
         [
-            narrow(padded, np.s_[:, 0:length]).reshape((1, n * length)),
-            narrow(padded, np.s_[:, 1 : length + 1]).reshape((1, n * length)),
-            narrow(padded, np.s_[:, 2 : length + 2]).reshape((1, n * length)),
+            reshape(narrow(padded, np.s_[:, 0:length]), (1, n * length)),
+            reshape(narrow(padded, np.s_[:, 1 : length + 1]), (1, n * length)),
+            reshape(narrow(padded, np.s_[:, 2 : length + 2]), (1, n * length)),
         ],
         axis=0,
     )                                                          # (3, N*L)
     hidden = T.relu(p["conv.w1"] @ taps + p["conv.b1"])        # (C, N*L)
     out = p["conv.w2"] @ hidden + p["conv.b2"]                 # (1, N*L)
-    return out.reshape((n, length))
+    return reshape(out, (n, length))
 
 
 def dense_encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
@@ -274,8 +303,8 @@ def dense_encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor
     total, length = rows.data.shape
     samples = tcol.data.shape[0] // length
     shape = (samples, total // samples, length)
-    tproj = (time_encode(tcol, p) @ p["te.w_t"]).reshape((samples, 1, length))
-    return (base.reshape(shape) + tproj) * block.mask.reshape(shape)
+    tproj = reshape(time_encode(tcol, p) @ p["te.w_t"], (samples, 1, length))
+    return (reshape(base, shape) + tproj) * block.mask.reshape(shape)
 
 
 def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -287,7 +316,7 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
     with no observed support are all zeros.
     """
     weights = _kernel_weights(t_norm.data.swapaxes(-1, -2), p)   # (1, K, L)
-    weights = transpose(weights.reshape(weights.data.shape[1:])) * mask_col   # (L, K)
+    weights = transpose(reshape(weights, weights.data.shape[1:])) * mask_col   # (L, K)
     colsum = weights.sum(axis=0, keepdims=True)
     return div(weights, nonzero(colsum))
 

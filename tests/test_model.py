@@ -14,10 +14,10 @@ from imtscast.data import AlignedTriplet, DataError, align, pad_chunk
 from imtscast.datasets import PRESETS, SynthSpec, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
+    ATTENTION_EPS,
     POOLING_EPS,
     TE_NAMES,
     ModelParams,
-    _attend,
     _encoding,
     _fuse_at_cells,
     _kernel_weights,
@@ -33,7 +33,6 @@ from imtscast.model import (
     layout,
     linear_attention,
     pool_all,
-    positive_features,
     tape_bytes,
     time_encode,
     time_projection,
@@ -43,17 +42,18 @@ from imtscast.train import build_loss
 
 from conftest import bind, chunk_of, random_sample, retained_bytes, transient_bytes
 from oracles import (
-    chain_attend,
     chain_fuse_at_cells,
     chain_kernel_weights,
+    chain_linear_attention,
     chain_pool_quotient,
-    chain_positive_features,
     chain_time_encode,
+    first_maxima,
     grid_triplet,
     narrow,
     param_count_closed_form,
     pool_coefficients,
     pool_summary,
+    reshape,
     transpose,
 )
 
@@ -355,7 +355,7 @@ class TestKernelPooling:
         mask_rows[2] = 0.0  # one empty variate
         xhat = tape.const(values * mask_rows)   # zero off the cells, as encoding leaves it
         t_norm = np.sort(rng.uniform(0, 1, size=(1, length)))
-        z_fast = pool_all(xhat.reshape((1, n, length)), mask_rows, t_norm, p).data
+        z_fast = pool_all(reshape(xhat, (1, n, length)), mask_rows, t_norm, p).data
         for v in range(n):
             coeffs = pool_coefficients(tape.const(t_norm.T),
                                        tape.const(mask_rows[v][:, None]), p)
@@ -364,15 +364,132 @@ class TestKernelPooling:
             assert np.abs(z_fast[v] - z_slow[0]).max() < 1e-12
 
 
+def adjoints(fn, params, probe):
+    """(output, adjoints) of ``fn`` under the loss sum(out * probe)."""
+    tape = Tape()
+    out = fn(bind(tape, **params))
+    return out.data, tape.backward((out * tape.const(probe)).sum())
+
+
+# (samples, rows, heads, d_h, R/2) of each linear-attention case.
+ATTENTION_CASES = {"one_row": (3, 1, 2, 3, 4), "five_rows": (2, 5, 4, 2, 3),
+                   "wide": (1, 128, 1, 3, 4), "floored": (2, 5, 2, 2, 1), "tied": (2, 4, 2, 3, 4)}
+
+
+def attention_case(name):
+    """(q, k and v as parameters, omega, samples) of one linear-attention
+    case. Rows are drawn at unit scale; "floored" moves query row 1 of
+    sample 0 far from that sample's keys (near -3 (1, 1)) along omega's one
+    frequency, so its features meet theirs only where one of each pair is
+    ~exp(-360) and its denominator lies below ATTENTION_EPS; "tied" has a zero query row, whose
+    features all tie, a key group of zero rows, whose features all tie, and
+    a group whose largest key is the same row twice."""
+    samples, rows, heads, d_head, half = ATTENTION_CASES[name]
+    rng = np.random.default_rng(list(ATTENTION_CASES).index(name))
+    q, k, v = (rng.standard_normal((samples * rows, heads * d_head)) for _ in range(3))
+    omega = rng.standard_normal((d_head, half))
+    if name == "floored":
+        omega = np.full((d_head, half), 30.0)
+        q[1, :d_head] = 3.0
+        k[:rows, :d_head] = -3.0 + 0.1 * k[:rows, :d_head]    # distinct, so no shift ties
+    if name == "tied":
+        # x = omega_j / 2 for the longest column j maximizes x omega_j - |x|^2,
+        # so two such rows hold their group's largest key feature.
+        peak = omega[:, np.argmax((omega * omega).sum(axis=0))] / 2.0
+        q[2, :d_head] = 0.0
+        k[rows : 2 * rows, d_head:] = 0.0
+        k[[0, 2], d_head:] = peak
+    return {"q": q, "k": k, "v": v}, omega, samples
+
+
+def attention_conditions(params, omega, samples, probe):
+    """Per entry, the sum of the absolute terms of linear attention's output
+    and of its adjoints under the loss sum(out * probe): the chain's
+    formulas with every term made non-negative, which bounds what summing
+    the same terms in another order can change. Adjoints that cancel
+    exactly (q's and k's at N = 1, where the output is v) are thus bounded
+    by the size of their terms, not by roundoff."""
+    q, k, v = params["q"], params["k"], params["v"]
+    total, d = q.shape
+    d_head, half = omega.shape
+    heads, rows = d // d_head, total // samples
+
+    def stack(x):
+        """(B*N, .) rows -> the (B, H, N, .) stack of their heads."""
+        return x.reshape(samples, rows, heads, -1).transpose(0, 2, 1, 3)
+
+    capture = []
+    tape = Tape()
+    linear_attention(tape.const(q), tape.const(k), tape.const(v), omega, samples=samples,
+                     capture=capture)
+    fq, fk = (capture[0][name].transpose(0, 2, 1, 3) for name in ("phi_q", "phi_k"))
+    v_abs = np.concatenate([np.abs(stack(v)), np.ones((samples, heads, rows, 1))], axis=3)
+    den = fq @ fk.sum(axis=2)[..., None]                              # (B, H, N, 1)
+    guarded = np.maximum(den, ATTENTION_EPS)
+    out = fq @ (fk.swapaxes(-1, -2) @ v_abs[..., :d_head]) / guarded
+    g_num = np.abs(stack(probe)) / guarded
+    g_den = np.where(den > ATTENTION_EPS, (g_num * out).sum(axis=3, keepdims=True), 0.0)
+    adj = np.concatenate([g_num, g_den], axis=3)
+    g_summary = fq.swapaxes(-1, -2) @ adj                             # (B, H, R, d_h+1)
+    g_v = fk @ g_summary[..., :d_head]
+    conditions = {"v": g_v.transpose(0, 2, 1, 3).reshape(total, d)}
+    for name, phi, g_phi in (("q", fq, adj @ (fk.swapaxes(-1, -2) @ v_abs).swapaxes(-1, -2)),
+                             ("k", fk, v_abs @ g_summary.swapaxes(-1, -2))):
+        terms = g_phi * phi                                           # (B, H, N, R)
+        # The shift's derivative adds each group's sum at its first maximum.
+        sums = terms.sum(axis=(2, 3) if name == "k" else 3)
+        flat = terms.transpose(0, 2, 1, 3).copy()                     # (B, N, H, R)
+        flat.reshape(-1)[first_maxima(phi.transpose(0, 2, 1, 3), name == "k")] += sums.ravel()
+        g_x = (flat[..., :half] + flat[..., half:]) @ np.abs(omega).T
+        if name == "k":
+            g_x += 2.0 * np.abs(stack(k).transpose(0, 2, 1, 3)) * flat.sum(axis=3, keepdims=True)
+        conditions[name] = g_x.reshape(total, d)
+    return out.transpose(0, 2, 1, 3).reshape(total, d), conditions
+
+
+def exponent_scale(params, omega):
+    """1 plus the largest sum of absolute terms of any feature exponent:
+    |x| |omega| for a query, plus |k|^2 and the shift for a key. exp turns
+    an exponent's absolute error into the same relative error in its
+    feature, so a reordered exponent moves the features by up to this
+    many roundings."""
+    d_head = omega.shape[0]
+    q, k = (params[name].reshape(-1, d_head) for name in ("q", "k"))
+    key_terms = np.abs(k) @ np.abs(omega) + 2.0 * (k * k).sum(axis=1, keepdims=True)
+    return 1.0 + max((np.abs(q) @ np.abs(omega)).max(), key_terms.max())
+
+
+def assert_attention_matches_its_chain(params, omega, samples):
+    """The fused node against ``oracles.chain_linear_attention`` under one
+    random probe: the exponents, the products and every adjoint sum in
+    another order than the chain's, so each output and adjoint entry is
+    bounded by 1e-13 of its ``attention_conditions`` times the
+    ``exponent_scale``. Over 40 random draws of each case at scales 0.3 to
+    3 the error stayed within 2.9e-14 of the condition alone and within
+    1.5e-16 of the scaled one."""
+    probe = np.random.default_rng(6).standard_normal(params["v"].shape)
+    results = [adjoints(lambda b: fn(b["q"], b["k"], b["v"], omega, samples=samples),
+                        params, probe)
+               for fn in (linear_attention, chain_linear_attention)]
+    bound, conditions = attention_conditions(params, omega, samples, probe)
+    tol = 1e-13 * exponent_scale(params, omega)
+    assert (np.abs(results[0][0] - results[1][0]) <= tol * bound).all()
+    for name in params:
+        assert (conditions[name] > 0.0).all(), name
+        error = np.abs(results[0][1][name] - results[1][1][name])
+        assert (error <= tol * conditions[name]).all(), name
+
+
 class TestRandomFeatures:
     def feature_draw(self, d_h, r, seed=0):
         return np.random.default_rng(seed).standard_normal((d_h, r // 2))
 
     def features(self, x, omega, keys=False):
-        """The features of the rows of ``x`` as one (sample, head) group."""
-        n, d_h = x.shape
-        out = positive_features(Tape().const(x).reshape((1, n, 1, d_h)), omega, keys)
-        return out.data.reshape(n, -1)
+        """The features of the rows of ``x`` as one (sample, head) group,
+        read from ``linear_attention``'s capture."""
+        rows, capture = Tape().const(x), []
+        linear_attention(rows, rows, rows, omega, capture=capture)
+        return capture[0]["phi_k" if keys else "phi_q"][0, :, 0]
 
     def test_inner_products_estimate_the_gaussian_kernel(self):
         # Monte Carlo: R = 20000 features of six rows of norm ~0.5. Over 60
@@ -413,47 +530,40 @@ class TestRandomFeatures:
         # positive.
         q, k, v = qkv
         omega = self.feature_draw(3, 8, seed=3)
-        tape = Tape()
-        stack = (1, q.shape[0], 1, -1)
-        fq = positive_features(tape.const(q).reshape(stack), omega)
-        fk = positive_features(tape.const(k).reshape(stack), omega, keys=True)
-        assert (fq.data >= 0).all() and (fk.data >= 0).all()
-        assert np.allclose(fq.data.max(axis=3), 0.25, rtol=1e-12, atol=0)
-        assert fk.data.max() == pytest.approx(0.25, rel=1e-12)
-        _quotient, den = _attend(fq, fk, tape.const(v).reshape(stack))
-        assert (den > 0).all()
+        tape, capture = Tape(), []
+        linear_attention(tape.const(q), tape.const(k), tape.const(v), omega, capture=capture)
+        fq, fk = capture[0]["phi_q"], capture[0]["phi_k"]
+        assert (fq >= 0).all() and (fk >= 0).all()
+        assert np.allclose(fq.max(axis=3), 0.25, rtol=1e-12, atol=0)
+        assert fk.max() == pytest.approx(0.25, rel=1e-12)
+        assert (fq[0, :, 0] @ fk[0, :, 0].sum(axis=0) > 0).all()
 
     def test_fused_feature_map_gradients(self):
+        # Every input of the fused node: the queries' and the keys' feature
+        # maps and the values, two samples of three rows, two heads.
         omega = self.feature_draw(3, 8, seed=9)
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 3, 2, 3))
-        probe = rng.standard_normal((2, 3, 2, 8))
-        flat, views = flat_views({"x": x})
-        for keys in (False, True):
-            def build(tape):
-                p = tape.param_vector(flat, views)
-                return (positive_features(p["x"], omega, keys) * tape.const(probe)).sum()
+        flat, views = flat_views({name: rng.standard_normal((6, 6)) for name in "qkv"})
+        probe = rng.standard_normal((6, 6))
 
-            report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
-            assert report.ok, (keys, report.lines())
+        def build(tape):
+            p = tape.param_vector(flat, views)
+            out = linear_attention(p["q"], p["k"], p["v"], omega, samples=2)
+            return (out * tape.const(probe)).sum()
+
+        report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
+        assert report.ok, report.lines()
 
     @pytest.mark.parametrize("r", [16, 12])
     def test_output_based_adjoint_equals_the_primitive_composition(self, r):
-        # The VJP reads the derivatives off the output and x and moves each
-        # group's sum to its first maximum; the scale sits in the exponent,
-        # so both are bitwise the primitive chain's, for queries and keys.
+        # The VJP reads the derivatives off the features, moves each group's
+        # sum to its first maximum and forms the inputs' adjoints with one
+        # omega product, for R/2 = 8 and 6 frequencies: within the condition
+        # of the primitive chain, which sums in another order.
         omega = self.feature_draw(3, r, seed=11)
         rng = np.random.default_rng(12)
-        x, probe = rng.standard_normal((2, 3, 2, 3)), rng.standard_normal((2, 3, 2, r))
-        for keys in (False, True):
-            outs, grads = [], []
-            for fn in (positive_features, chain_positive_features):
-                tape = Tape()
-                out = fn(bind(tape, x=x)["x"], omega, keys)
-                outs.append(out.data)
-                grads.append(tape.backward((out * tape.const(probe)).sum())["x"])
-            assert np.array_equal(outs[0], outs[1]), keys
-            assert np.array_equal(grads[0], grads[1]), keys
+        params = {name: rng.standard_normal((6, 6)) for name in "qkv"}
+        assert_attention_matches_its_chain(params, omega, samples=2)
 
     def test_an_underflowed_row_is_degenerate_with_finite_outputs_and_gradients(self):
         # In head 0, query row 1 lies at 400 (1, 1) and every key at
@@ -510,18 +620,6 @@ class TestRecomputeNodes:
         taps = rng.standard_normal((3, 7))
         return taps, {"w1": rng.standard_normal((4, 3)), "b1": rng.standard_normal((4, 1)),
                       "w2": rng.standard_normal((1, 4)), "b2": rng.standard_normal((1, 1))}
-
-    def attend_inputs(self, seed, floored=False):
-        """Non-negative features, as the model's; with ``floored``, query row
-        1 of sample 0, head 0, is scaled so that its denominator is below
-        ATTENTION_EPS (a finite difference would step across the floor)."""
-        rng = np.random.default_rng(seed)
-        inputs = {"fq": rng.uniform(0.0, 1.0, (2, 5, 2, 6)),
-                  "fk": rng.uniform(0.0, 1.0, (2, 5, 2, 6)),
-                  "values": rng.standard_normal((2, 5, 2, 3))}
-        if floored:
-            inputs["fq"][0, 1, 0] *= 1e-9
-        return inputs
 
     def time_inputs(self, seed, count=9, latest=12.0):
         rng = np.random.default_rng(seed)
@@ -580,16 +678,21 @@ class TestRecomputeNodes:
         assert report.ok, report.lines()
 
     def test_attend_gradients(self):
-        flat, views = flat_views(self.attend_inputs(2))
-        probe = np.random.default_rng(3).standard_normal((2, 5, 2, 3))
+        # With a floored row: its denominator lies ~1e-157, far below the
+        # floor, so no finite difference steps across it.
+        params, omega, samples = attention_case("floored")
+        flat, views = flat_views(params)
+        probe = np.random.default_rng(3).standard_normal(params["v"].shape)
+        stats = {}
 
         def build(tape):
             b = tape.param_vector(flat, views)
-            quotient, _den = _attend(b["fq"], b["fk"], b["values"])
-            return (quotient * tape.const(probe)).sum()
+            out = linear_attention(b["q"], b["k"], b["v"], omega, stats=stats, samples=samples)
+            return (out * tape.const(probe)).sum()
 
         report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
         assert report.ok, report.lines()
+        assert stats["degenerate_rows"] > 0
 
     def fused_and_unfused(self, node, variant=""):
         """(parameter arrays, fused node, the primitive chain it replaces);
@@ -606,10 +709,6 @@ class TestRecomputeNodes:
                     lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"]),
                     lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
                                + b["b2"]))
-        if node == "attend":
-            return (self.attend_inputs(5, floored=True),
-                    lambda b: _attend(b["fq"], b["fk"], b["values"])[0],
-                    lambda b: chain_attend(b["fq"], b["fk"], b["values"]))
         if node == "time_encode":
             times, params = self.time_inputs(6)
             return (params,
@@ -630,13 +729,6 @@ class TestRecomputeNodes:
                 lambda b: _kernel_weights(t_norm, with_centers(b)),
                 lambda b: chain_kernel_weights(t_norm, with_centers(b)))
 
-    @staticmethod
-    def adjoints(fn, params, probe):
-        """(output, adjoints) of ``fn`` under the loss sum(out * probe)."""
-        tape = Tape()
-        out = fn(bind(tape, **params))
-        return out.data, tape.backward((out * tape.const(probe)).sum())
-
     def outputs_and_adjoints(self, node, variant=""):
         """[(output, adjoints)] of the fused node and of its chain under one
         random probe, the parameter names, and the chain's conditions: for
@@ -647,17 +739,17 @@ class TestRecomputeNodes:
         shape_tape = Tape()
         probe = np.random.default_rng(6).standard_normal(unfused(
             {k: shape_tape.const(v) for k, v in params.items()}).data.shape)
-        results = [self.adjoints(fn, params, probe) for fn in (fused, unfused)]
+        results = [adjoints(fn, params, probe) for fn in (fused, unfused)]
         conditions = {name: np.zeros(np.shape(value)) for name, value in params.items()}
         for index in np.ndindex(probe.shape):
             alone = np.zeros_like(probe)
             alone[index] = probe[index]
-            _out, grads = self.adjoints(unfused, params, alone)
+            _out, grads = adjoints(unfused, params, alone)
             for name in conditions:
                 conditions[name] += np.abs(grads[name])
         return results, list(params), conditions
 
-    @pytest.mark.parametrize("node", ["smoothing_layers", "attend", "time_encode"])
+    @pytest.mark.parametrize("node", ["smoothing_layers", "time_encode"])
     def test_fused_node_is_bitwise_its_primitives(self, node):
         results, names, _conditions = self.outputs_and_adjoints(node)
         assert np.array_equal(results[0][0], results[1][0])
@@ -667,8 +759,11 @@ class TestRecomputeNodes:
     @pytest.mark.parametrize("node,variant", [
         ("kernel_weights", ""), ("kernel_weights", "narrow"),
         ("time_projection", ""), ("time_projection", "late"), ("pool_quotient", ""),
+        *(("linear_attention", case) for case in ATTENTION_CASES),
     ], ids=["kernel_weights", "kernel_weights-narrow", "time_projection",
-            "time_projection-late", "pool_quotient"])
+            "time_projection-late", "pool_quotient", "linear_attention-one_row",
+            "linear_attention-five_rows", "linear_attention-wide",
+            "linear_attention-floored", "linear_attention-tied"])
     def test_contracted_node_matches_its_primitives(self, node, variant):
         # These VJPs form their adjoints as contractions (see their
         # docstrings), so they sum in another order than the chain: the
@@ -681,6 +776,12 @@ class TestRecomputeNodes:
         # outputs are bitwise the chain's, except the projection w_t^T enc,
         # whose d_te-term sums run in another order too: it is bounded by
         # its condition |enc| |w_t|, and the encoding it projects is bitwise.
+        # Linear attention's cases (N = 1, 5 and 128; 1, 2 and 4 heads; a
+        # floored row; tied first maxima) are bounded as described in
+        # ``assert_attention_matches_its_chain``.
+        if node == "linear_attention":
+            assert_attention_matches_its_chain(*attention_case(variant))
+            return
         results, names, conditions = self.outputs_and_adjoints(node, variant)
         if node == "time_projection":
             times, params = self.projection_inputs(variant)
@@ -771,6 +872,43 @@ class TestRecomputeNodes:
                            lambda b: chain_pool_quotient(b["xhat"], b["weights"], mask_rows),
                            {"xhat": np.array([[series]]), "weights": np.array([[weights]])},
                            "pool_quotient")
+
+    @pytest.mark.parametrize("where,value", [
+        ("q", np.nan), ("q", np.inf),
+        ("q", 1.7e308),    # the projection overflows
+        ("q", 1e308),      # the lowest exponent minus its shift overflows
+        ("k", np.nan), ("k", -np.inf),
+        ("k", 1e154),      # |k|^2 overflows
+        ("k", 1e153),      # large but finite
+        ("v", np.nan), ("v", np.inf), ("v", 1e300),
+        ("omega", np.nan), ("omega", -np.inf), ("omega", 1e300),
+    ])
+    def test_linear_attention_raises_wherever_its_chain_raised(self, where, value):
+        # One sample of three rows, two heads of width 2. Row 1 of q, k or v,
+        # or omega's first row, is set to ``value``; q, k and v enter the
+        # tape unchecked, so a non-finite one reaches the node. Where
+        # neither raises, the outputs agree to 1e-12 of the largest.
+        rng = np.random.default_rng(21)
+        arrays = {name: rng.standard_normal((3, 4)) for name in "qkv"}
+        omega = np.array([[1.0, -0.5], [0.25, 0.75]])
+        if where == "omega":
+            omega[0] = value
+        else:
+            arrays[where][1] = value
+        results = []
+        with np.errstate(all="ignore"):
+            for fn in (linear_attention, chain_linear_attention):
+                tape = Tape()
+                q, k, v = (tape.append("const", arrays[name], (), None) for name in "qkv")
+                try:
+                    results.append(fn(q, k, v, omega).data)
+                except T.NonFiniteError as err:
+                    results.append(str(err))
+        if isinstance(results[1], str):
+            assert results[0] == "linear_attention: produced non-finite values"
+        else:
+            assert not isinstance(results[0], str), results[0]
+            assert (np.abs(results[0] - results[1]) <= 1e-12 * np.abs(results[1]).max()).all()
 
     def fuse_inputs(self, seed):
         """A chunk of three 4-variate random samples, each on its own grid
@@ -1003,20 +1141,22 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 79 nodes. 34 run the finiteness check: 2 constant
-        # leaves (the grid and query times) and 32 nodes that compute, one
-        # of them pooling's quotient. The 29 parameter leaves share one
-        # check of the flat vector, the frozen buffers are read as plain
-        # arrays, the convolution reads the block's taps unchecked (its
-        # layers' node checks their output), pooling's mask is read inside
-        # its quotient's node, the 3 constants the forward builds finite
-        # itself (pooling's flags and the DFT pair) enter unchecked, and of
-        # the other 13 nodes, two check only what they compute (the fused
-        # series' sums at the observed cells and the kernel exponent) and
-        # the rest only move, select or bound finite values.
+        # query records 73 nodes. 32 run the finiteness check: 2 constant
+        # leaves (the grid and query times) and 30 nodes that compute, among
+        # them pooling's quotient and linear attention (one node for the two
+        # feature maps, the quotient and the four reshapes around them). The
+        # 29 parameter leaves share one check of the flat vector, the frozen
+        # buffers are read as plain arrays, the convolution reads the
+        # block's taps unchecked (its layers' node checks their output),
+        # pooling's mask is read inside its quotient's node, the 3 constants
+        # the forward builds finite itself (pooling's flags and the DFT
+        # pair) enter unchecked, and of the other 9 nodes, two check only
+        # what they compute (the fused series' sums at the observed cells
+        # and the kernel exponent) and the rest only move, select or bound
+        # finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 79
-        assert checked == 34
+        assert len(sizes) == len(tape.nodes) == 73
+        assert checked == 32
 
 
 def positive_phi(m, omega, keys=False):
@@ -1281,6 +1421,14 @@ class TestForward:
         assert [v.size for v in res.per_variate()] == res.counts
         assert sum(res.counts) == res.predictions.data.shape[0]
 
+    def test_per_variate_arrays_share_one_copy_the_tape_does_not_hold(self):
+        sample, model = self.sample_and_model(seed=10)
+        res = forward(Tape(), model, align(sample), sample.query_times)
+        parts = res.per_variate()
+        assert all(part.base is parts[0].base is not None for part in parts)
+        assert not any(np.shares_memory(part, res.predictions.data) for part in parts)
+        assert np.array_equal(np.concatenate(parts), res.predictions.data.ravel())
+
     def test_full_model_gradients(self, tiny_config):
         from imtscast.datasets import SynthSpec, generate
         from imtscast.tape import grad_check
@@ -1402,7 +1550,7 @@ class TestModelParams:
         assert len(tape.nodes) == 0
 
     @pytest.mark.parametrize("name,node", [("pool.centers", "kernel_weights"),
-                                           ("blocks.0.omega", "positive_features")])
+                                           ("blocks.0.omega", "linear_attention")])
     def test_a_non_finite_buffer_raises_at_the_node_that_reads_it(self, name, node):
         # Buffers enter no tape; a value written into one after init is
         # caught by the node that reads it.

@@ -10,17 +10,16 @@ from hypothesis.extra import numpy as hnp
 import imtscast.tape as T
 from imtscast.data import AlignedTriplet
 from imtscast.model import (
-    _attend,
     _fuse_at_cells,
     _kernel_weights,
     _pool_quotient,
     _smoothing_layers,
-    positive_features,
+    linear_attention,
     time_encode,
     time_projection,
 )
 from conftest import bind
-from oracles import div, narrow, place, transpose
+from oracles import div, narrow, place, reshape, transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -174,7 +173,7 @@ def time_projection_of_rows(t):
     ``time_encode_of_rows``, and the (7, 1) projection from the fifth."""
     p = {name: narrow(t, np.s_[i : i + 1, : 1 if i < 2 else 3])
          for i, name in enumerate(TE_NAMES)}
-    p["te.w_t"] = narrow(t, np.s_[4:5, :]).reshape((7, 1))
+    p["te.w_t"] = reshape(narrow(t, np.s_[4:5, :]), (7, 1))
     return time_projection(t.tape.const(TIMES), p)
 
 
@@ -196,7 +195,7 @@ FUSE_BLOCK = AlignedTriplet(times=np.zeros((2, 3)), cells=np.array([0, 2, 4, 5, 
 def fuse_of_entries(t):
     """The fused series with the six cells' values from the first six
     entries of a (1, 12) tensor and the (6, 1) grid projection from the rest."""
-    return _fuse_at_cells(narrow(t, np.s_[:, :6]), narrow(t, np.s_[:, 6:]).reshape((6, 1)),
+    return _fuse_at_cells(narrow(t, np.s_[:, :6]), reshape(narrow(t, np.s_[:, 6:]), (6, 1)),
                           FUSE_BLOCK)
 
 
@@ -215,12 +214,14 @@ def pool_quotient_of_stack(t):
     return _pool_quotient(series, weights * weights + 0.5, POOL_MASK)
 
 
-def attend_of_stack(t):
-    """The attention quotient with a (B, N, H, d_h) tensor as the values
-    and a positive function of it as both feature stacks, so that every
-    denominator is far from the guard."""
-    features = t * t + 0.5
-    return _attend(features, features, t)[0]
+def attention_of_rows(samples):
+    """Linear attention of ``samples`` samples with q, k and v the three
+    column blocks of a (B*N, 3d) tensor; OMEGA's d_h = 4 sets the heads."""
+    def attend(t):
+        d = t.data.shape[1] // 3
+        q, k, v = (narrow(t, np.s_[:, i * d : (i + 1) * d]) for i in range(3))
+        return linear_attention(q, k, v, OMEGA, samples=samples)
+    return attend
 
 
 PRIMITIVE_CASES = [
@@ -228,19 +229,22 @@ PRIMITIVE_CASES = [
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
     ("time_encode", lambda t: time_encode_of_rows(t), (4, 3)),
-    # The keys' features, shifted per (sample, head): two samples, two heads.
-    ("positive_features", lambda t: positive_features(t, OMEGA, keys=True), (2, 3, 2, 4)),
+    # Two samples of three rows, two heads. Ids carry the row's position:
+    # the three linear_attention rows reuse the slots of the feature maps'
+    # and the attention quotient's rows, which that one node replaced.
+    ("linear_attention", attention_of_rows(2), (6, 24)),
     ("kernel_weights", lambda t: _kernel_weights(
         T_NORM, {"pool.log_alpha": t, "pool.centers": CENTERS}), (1, 4)),
-    ("sum_all", lambda t: t.sum().reshape((1, 1)), (3, 4)),
+    ("sum_all", lambda t: reshape(t.sum(), (1, 1)), (3, 4)),
     ("sum_axis0", lambda t: t.sum(axis=0, keepdims=True), (3, 4)),
     ("sum_axis1", lambda t: t.sum(axis=1), (3, 4)),
     ("layernorm", lambda t: T.layernorm(t), (3, 4)),
     # Ids carry the row's position, so a retired row's slot is reused rather
     # than shifting the rows after it. The two fused nodes that take several
     # inputs, each fed from one tensor.
-    ("attend", attend_of_stack, (2, 3, 2, 2)),
-    ("reshape", lambda t: t.reshape((2, 6)), (3, 4)),
+    # Three samples of one row each: every key group is a single key.
+    ("linear_attention_one_row", attention_of_rows(3), (3, 24)),
+    ("reshape", lambda t: reshape(t, (2, 6)), (3, 4)),
     ("smoothing_layers", smoothing_of_blocks, (4, 4)),
     ("broadcast", lambda t: t * np.arange(1.0, 6.0).reshape(5, 1, 1), (2, 4)),
     # A constant as the left operand of mul, whose adjoint the VJP skips.
@@ -258,7 +262,7 @@ PRIMITIVE_CASES = [
     ("div_self", lambda t: div(t, t * t + 1.0), (3, 4)),
     ("matmul_stacked", lambda t: t @ np.arange(24.0).reshape(2, 4, 3), (2, 3, 4)),
     # t on both sides also checks the right operand's adjoint of a stacked matmul.
-    ("matmul_stacked_self", lambda t: t @ t.reshape((2, 4, 3)), (2, 3, 4)),
+    ("matmul_stacked_self", lambda t: t @ reshape(t, (2, 4, 3)), (2, 3, 4)),
     # A constant as the left operand, whose adjoint the VJP skips.
     ("matmul_const_left", lambda t: T.matmul(t.tape.const(np.arange(6.0).reshape(2, 3)), t),
      (3, 4)),
@@ -266,8 +270,8 @@ PRIMITIVE_CASES = [
     ("div_const_left", lambda t: div(t.tape.const(1.0), t * t + 1.0), (3, 4)),
     ("concat_const_first", lambda t: T.concat([t.tape.const(np.ones((3, 2))), t], axis=1),
      (3, 4)),
-    # The queries' features, shifted per row.
-    ("positive_features_queries", lambda t: positive_features(t, OMEGA), (2, 3, 2, 4)),
+    # One sample of five rows, one head.
+    ("linear_attention_one_head", attention_of_rows(1), (5, 12)),
     ("time_projection", time_projection_of_rows, (5, 7)),
     ("pool_quotient", pool_quotient_of_stack, (2, 4, 3)),
 ]
@@ -287,6 +291,35 @@ def test_every_primitive_passes_gradient_check(name, fn, shape):
 
     report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
     assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("name,fn,shape", PRIMITIVE_CASES)
+def test_no_vjp_writes_into_the_adjoint_it_receives(name, fn, shape):
+    # ``add``'s VJP hands one array to both parents, and ``backward`` keeps
+    # a node's adjoint while its closure runs: a VJP that wrote into its
+    # ``g`` would corrupt a sibling's gradient. Every closure here gets a
+    # read-only view, so such a write raises, and the gradient must equal
+    # the one of an unguarded backward.
+    rng = np.random.default_rng(hash(name) % 2**32)
+    x = rng.standard_normal(shape)
+    probe = rng.standard_normal(fn(Tape().const(x)).data.shape)
+
+    def read_only(vjp):
+        def guarded(g):
+            g = g.view()
+            g.setflags(write=False)
+            return vjp(g)
+        return guarded
+
+    grads = []
+    for guard in (False, True):
+        tape = Tape()
+        loss = (fn(bind(tape, x=x)["x"]) * tape.const(probe)).sum()
+        if guard:
+            tape.nodes[:] = [(parents, None if vjp is None else read_only(vjp))
+                             for parents, vjp in tape.nodes]
+        grads.append(tape.backward(loss)["x"])
+    assert np.array_equal(grads[0], grads[1])
 
 
 @pytest.mark.parametrize("name,fn,shape", PRIMITIVE_CASES)
@@ -376,9 +409,9 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     """The primitive table gradchecks exactly the ops a training step and
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
     Some rows take their inputs with the oracle ``narrow`` node, and the
-    ``div_*`` rows check the oracle ``div`` node that the chains the fused
-    nodes replace divide with; the table reaches both, but neither is a
-    primitive of the tape."""
+    ``div_*`` and ``reshape`` rows check the oracle ``div`` and ``reshape``
+    nodes that the chains the fused nodes replace are built with; the table
+    reaches all three, but none is a primitive of the tape."""
     from conftest import chunk_of, random_sample
 
     from imtscast.config import TrainConfig
@@ -410,7 +443,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(bind(Tape(), x=np.ones(shape))["x"])
-    assert (model_ops - ops, ops - model_ops) == (set(), {"narrow", "div"})
+    assert (model_ops - ops, ops - model_ops) == (set(), {"narrow", "div", "reshape"})
 
 
 def test_a_default_training_step_reaches_every_primitive(monkeypatch):
@@ -429,7 +462,7 @@ def test_a_default_training_step_reaches_every_primitive(monkeypatch):
     primitives = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
                   if fn.__module__ == T.__name__
                   and re.search(r"tape\.(record|append)\(", inspect.getsource(fn))}
-    assert {"matmul", "reshape", "layernorm"} <= primitives
+    assert {"matmul", "concat", "layernorm"} <= primitives
     reached: set[str] = set()
 
     def spy(name, fn):
@@ -597,7 +630,7 @@ class TestFiniteness:
 
     # The unchecked primitives, each on a (3, 4) input.
     UNCHECKED = {
-        "reshape": lambda t: t.reshape((2, 6)),
+        "reshape": lambda t: reshape(t, (2, 6)),
         "concat": lambda t: T.concat([t, t], axis=0),
         "take_rows": lambda t: T.take_rows(t, np.array([2, 0, 2])),
         "relu": T.relu,
@@ -647,14 +680,12 @@ class TestFiniteness:
         "kernel_weights": lambda tp: _kernel_weights(T_NORM, {
             "pool.log_alpha": tp.const(np.full((1, 4), -1e4)),
             "pool.centers": CENTERS}),
-        # The projection overflows to inf, and so does |x|^2: exp(inf - inf).
-        "positive_features": lambda tp: positive_features(tp.const([[[[BIG, BIG]]]]),
-                                                          np.ones((2, 1)), keys=True),
+        # The projection overflows to inf, and so does |k|^2.
+        "linear_attention": lambda tp: linear_attention(
+            *(tp.const([[BIG, BIG]]) for _ in range(3)), np.ones((2, 1))),
         "smoothing_layers": lambda tp: _smoothing_layers(
             np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
-        "attend": lambda tp: _attend(*(tp.const(np.full((1, 2, 1, 2), 1e200))
-                                       for _ in range(3))),
         # A numerator summed from two cells of 1e308.
         "pool_quotient": lambda tp: _pool_quotient(tp.const(np.full((1, 1, 2), 1e308)),
                                                    tp.const(np.ones((1, 1, 2))), np.ones((1, 2))),
