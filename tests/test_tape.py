@@ -680,9 +680,15 @@ class TestFiniteness:
         "kernel_weights": lambda tp: _kernel_weights(T_NORM, {
             "pool.log_alpha": tp.const(np.full((1, 4), -1e4)),
             "pool.centers": CENTERS}),
-        # The projection overflows to inf, and so does |k|^2.
-        "linear_attention": lambda tp: linear_attention(
+        # The feature map's stage of linear_attention: the projection
+        # overflows to inf, and so does |k|^2.
+        "positive_features": lambda tp: linear_attention(
             *(tp.const([[BIG, BIG]]) for _ in range(3)), np.ones((2, 1))),
+        # Its quotient's stage: finite features, each 1/2, but a numerator
+        # summed from four values of BIG.
+        "attend": lambda tp: linear_attention(
+            tp.const(np.zeros((4, 2))), tp.const(np.zeros((4, 2))),
+            tp.const(np.full((4, 2), BIG)), np.ones((2, 1))),
         "smoothing_layers": lambda tp: _smoothing_layers(
             np.full((3, 2), 1e200), *(tp.const(np.full(shape, 1e200))
                                       for shape in [(4, 3), (4, 1), (1, 4), (1, 1)])),
@@ -696,10 +702,14 @@ class TestFiniteness:
                            n_variates=1)),
     }
 
+    # The retired nodes whose checks the fused linear_attention node makes.
+    CHECKED_BY = {"positive_features": "linear_attention", "attend": "linear_attention"}
+
     @pytest.mark.parametrize("op", sorted(CHECKED))
     def test_checked_primitive_names_itself_on_overflow(self, op):
+        node = self.CHECKED_BY.get(op, op)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError,
-                                                      match=rf"^{op}: produced non-finite"):
+                                                      match=rf"^{node}: produced non-finite"):
             self.CHECKED[op](Tape())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
