@@ -247,10 +247,7 @@ def _cmd_train(args) -> int:
         file=sys.stderr,
     )) if args.verbose else None
     try:
-        # Tape.record raises NonFiniteError on an overflowing result, so
-        # numpy's warnings would only repeat it.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = train(splits["train"], splits["val"], cfg, on_epoch=progress)
+        result = train(splits["train"], splits["val"], cfg, on_epoch=progress)
     except DivergenceError as err:
         _write_history(out / "history.csv", err.history)
         if err.checkpoint is not None:
@@ -477,7 +474,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # Tape.record raises NonFiniteError on an overflowing result, so
+        # numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (UsageError, ConfigError, DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

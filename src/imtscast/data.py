@@ -118,9 +118,6 @@ class ImtsSample:
     def total_observations(self) -> int:
         return sum(len(s) for s in self.series)
 
-    def query_counts(self) -> list[int]:
-        return [q.size for q in self.query_times]
-
 
 @dataclass(frozen=True)
 class AlignedTriplet:

@@ -42,6 +42,9 @@ OBS_HEADER = ["series_id", "variate", "time", "value"]
 QUERY_HEADER = ["series_id", "variate", "time", "target"]
 SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+AMPLITUDE_RANGE = (0.6, 1.4)          # amplitudes of the sinusoid and damped signals
+FREQUENCY_RANGE = (0.4, 1.2)          # their frequencies, in cycles per window
+PHASE_RANGE = (0.0, 2.0 * math.pi)    # and their phases
 DAMPING_RANGE = (1.0, 3.0)   # decay rates per window of the damped signal
 TREND_KNOTS = 3              # random interior knots of the trend signal
 NORMAL_REACH = 16.0          # above numpy's largest normal draw, 13.8, with room for the signal
@@ -58,9 +61,6 @@ class SynthSpec:
     mode: str = "independent"         # independent | shared | mixed
     signal: str = "sinusoid"          # sinusoid | damped | trend
     n_components: int = 2
-    amplitude_range: tuple = (0.6, 1.4)
-    frequency_range: tuple = (0.4, 1.2)   # cycles per window
-    phase_range: tuple = (0.0, 2.0 * math.pi)
     noise_std: float = 0.05
     horizon_frac: float = 0.25
     queries_per_variate: int = 2
@@ -96,7 +96,7 @@ class SynthSpec:
         if not (0 < rate < math.inf and 1.0 / rate < math.inf):
             raise DataError("spec: the sampling rate mean_observations / (window * (1 - "
                             f"horizon_frac)) is {rate!r}; it and its inverse must be finite")
-        steepest = max(2.0 * math.pi * max(map(abs, self.frequency_range)), DAMPING_RANGE[1])
+        steepest = max(2.0 * math.pi * max(map(abs, FREQUENCY_RANGE)), DAMPING_RANGE[1])
         if self.signal != "trend" and not math.isfinite(steepest * self.window):
             raise DataError(f"spec: window {self.window!r} overflows the signal's argument")
         if not math.isfinite(self.noise_std * NORMAL_REACH):
@@ -125,8 +125,7 @@ PRESETS: dict[str, SynthSpec] = {
     "sinusoid-a": SynthSpec(
         n_variates=5, n_samples=800, split=(500, 150, 150), window=1.0,
         mean_observations=20.0, mode="independent", signal="sinusoid",
-        n_components=2, amplitude_range=(0.6, 1.4), frequency_range=(0.4, 1.2),
-        noise_std=0.05, horizon_frac=0.25, queries_per_variate=2, seed=7,
+        n_components=2, noise_std=0.05, horizon_frac=0.25, queries_per_variate=2, seed=7,
     ),
     # Small and fast; handy for smoke tests and overfitting checks.
     "sinusoid-tiny": SynthSpec(
@@ -180,9 +179,9 @@ def _draw_signal(rng, spec: SynthSpec):
     """Draw one variate's signal function t -> value."""
     w = spec.window
     if spec.signal == "sinusoid":
-        amp = rng.uniform(*spec.amplitude_range, size=spec.n_components)
-        freq = rng.uniform(*spec.frequency_range, size=spec.n_components)
-        phase = rng.uniform(*spec.phase_range, size=spec.n_components)
+        amp = rng.uniform(*AMPLITUDE_RANGE, size=spec.n_components)
+        freq = rng.uniform(*FREQUENCY_RANGE, size=spec.n_components)
+        phase = rng.uniform(*PHASE_RANGE, size=spec.n_components)
 
         def fn(t):
             t = np.asarray(t, dtype=np.float64)
@@ -194,9 +193,9 @@ def _draw_signal(rng, spec: SynthSpec):
 
         return fn
     if spec.signal == "damped":
-        amp = rng.uniform(*spec.amplitude_range)
-        freq = rng.uniform(*spec.frequency_range)
-        phase = rng.uniform(*spec.phase_range)
+        amp = rng.uniform(*AMPLITUDE_RANGE)
+        freq = rng.uniform(*FREQUENCY_RANGE)
+        phase = rng.uniform(*PHASE_RANGE)
         decay = rng.uniform(*DAMPING_RANGE)
 
         def fn(t):

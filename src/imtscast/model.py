@@ -37,29 +37,33 @@ buffer later still raises at the node that reads it.
 
 A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
-keep less or to skip work: ``linear_attention``, ``time_encode`` and
-``time_projection`` differentiate from their own outputs (the first from
-its features and k), so none runs a transcendental in backward, and
-``_smoothing_layers``, ``linear_attention`` and ``_kernel_weights``
-recompute their largest intermediates in backward (the conv's hidden
-layer, the KV summary, the squared distances to the kernel centres).
-``time_projection`` (the grid's time encoding and its projection),
-``time_encode`` (the queries'), ``_kernel_weights`` and ``_pool_quotient``
-replace grid-wide chains of 8, 7, 10 and 7 nodes, and ``linear_attention``
-the two feature maps, the quotient and the four reshapes around them,
-which cuts the fixed per-node cost of every forward. ``tape_bytes`` sums
-what a chunk's tape keeps; ``train.chunk_spans`` budgets chunks by it.
+keep less or to skip work: ``linear_attention``, ``query_features`` and
+``time_projection`` differentiate from what they keep (the first from its
+features and k, the second from the encoding in its own output), so none
+runs a transcendental in backward, and ``_smoothing_layers``,
+``linear_attention`` and ``_kernel_weights`` recompute their largest
+intermediates in backward (the conv's hidden layer, the KV summary, the
+squared distances to the kernel centres). ``time_projection`` (the grid's
+time encoding and its projection), ``query_features`` (each query's row
+of the last block's output beside its time's encoding),
+``_kernel_weights`` and ``_pool_quotient`` replace chains of 8, 9, 10 and
+7 nodes, and ``linear_attention`` the two feature maps, the quotient and
+the four reshapes around them, which cuts the fixed per-node cost of
+every forward. The two time nodes read their times as plain arrays, so no
+time enters the tape as a constant. ``tape_bytes`` sums what a chunk's
+tape keeps; ``train.chunk_spans`` budgets chunks by it.
 
 The grid-wide stages are feature-major: the time encoding is built as
 (d_te, M) and the kernel weights as (B, K, L), so the axis over grid
 times is the contiguous innermost one and every numpy call on them runs a
 grid-long inner loop. Pooling reads the weights through a transposed view
-and hands back their adjoint in their own layout; ``time_encode`` hands
-the head the (M, d_te) transpose. The forwards build their arrays in
-place, so that no grid-wide node makes a throwaway temporary per numpy
-call, and products with a contracted size of 1 (the encoding's arguments,
-an adjoint in ``_smoothing_layers``) are formed by broadcasting rather
-than as BLAS outer products, which is exact. Linear attention's features
+and hands back their adjoint in their own layout; ``query_features``
+writes the queries' encoding, transposed, beside their rows. The
+forwards build their arrays in place, so that no grid-wide node makes a
+throwaway temporary per numpy call, and products with a contracted size
+of 1 (the encoding's arguments, an adjoint in ``_smoothing_layers``) are
+formed by broadcasting rather than as BLAS outer products, which is
+exact. Linear attention's features
 are feature-major too: one (2, R, B*H*N) buffer holds the queries' and
 the keys' with one column per (sample, head, row), so its reductions and
 its one exp run (B*H*N)-long inner loops, and its per-(sample, head)
@@ -182,9 +186,6 @@ class ModelParams:
         ``init`` and ``load`` checked; the nodes that read them check their
         own outputs (see the module docstring)."""
         return {**tp.param_vector(self.flat, self.arrays), **self.buffers}
-
-    def param_count(self) -> int:
-        return int(self.flat.size)
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -380,10 +381,10 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         # features of Q and K (2, R, B*H*N), [V | 1] and the quotient with
         # its floored denominator (B*N*H, d_h+1) x2
         + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
-        # head and loss per query: row index, time, its time encoding
-        # (d_te), features (d + d_te), two hidden layers with relu masks,
-        # residual and weight
-        + queries * (3 * d + mask + 2 * dte + 5)
+        # head and loss per query: row index, time, features (d + d_te),
+        # from which its VJP reads the time encoding, two hidden layers with
+        # relu masks, residual and weight
+        + queries * (3 * d + mask + dte + 5)
         # parameters, feature draws, the DFT pair and a few tiny arrays
         + _stored_floats(cfg) + 2 * d * d + 2 * k + 64 * (cfg.blocks + 1)
     )
@@ -397,35 +398,18 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
 TE_NAMES = ("te.w_s", "te.b_s", "te.w_f", "te.b_f")   # the time encoding's parameters
 
 
-def time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Continuous time encoding of a (M, 1) column of raw times -> (M, d_te).
+def time_projection(times: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """The time encoding of a (M, 1) column of times projected by
+    ``p["te.w_t"]``, as one node: (M, 1) -> (M, 1). The times are data, read
+    as a plain array, so a non-finite time raises here, at the encoding's
+    check.
 
-    Columns: [linear x (d_te - 2P) | sin x P | cos x P], P = (d_te - 1) // 2.
-    The linear columns are t w_s + b_s; sin/cos pair j shares one argument
-    theta_j = t w_f[j] + b_f[j], the linear-plus-periodic encoding of
-    Time2Vec (arXiv 1907.05321) and mTAN (arXiv 2101.10318). The times are
-    data, so no gradient flows back to them.
-
-    One node. It builds the (d_te, M) encoding of ``_encoding`` and hands
-    on its transpose, a view. Its VJP reads each pair's derivative off its
-    own output, g_theta = g_sin cos(theta) - g_cos sin(theta), so backward
-    runs no transcendental; the node keeps its output and the (M, 1) column.
-    """
-    t = tcol.data
-    out = _encoding(t, *(p[name].data for name in TE_NAMES)).swapaxes(-1, -2)
-    n_lin = p["te.w_s"].data.shape[1]
-    return tcol.tape.record("time_encode", out, tuple(p[name] for name in TE_NAMES),
-                            lambda g: _encoding_vjp(t, out, n_lin, g))
-
-
-def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """``time_encode(tcol, p) @ p["te.w_t"]`` as one node: (M, 1) -> (M, 1).
-
-    It keeps what that pair of nodes keeps, the encoding (here the (d_te, M)
-    one of ``_encoding``) and the (M, 1) column. The encoding is bitwise the
-    pair's; the projection is w_t^T enc, whose d_te-term sums run in another
-    order than the pair's (M, d_te) @ (d_te, 1) product, so it differs from
-    the pair's output in the last bits.
+    It replaces the encoding's chain (``oracles.chain_time_encode``) and its
+    product with w_t, and keeps what that pair kept, the encoding (here the
+    (d_te, M) one of ``_encoding``) and the times. The encoding is bitwise
+    the pair's; the projection is w_t^T enc, whose d_te-term sums run in
+    another order than the pair's (M, d_te) @ (d_te, 1) product, so it
+    differs from the pair's output in the last bits.
 
     Every adjoint is a contraction of the (M, 1) adjoint g and of t g with
     the encoding, so the VJP forms R = [g | t g]^T enc^T, one (2, M) @
@@ -440,7 +424,7 @@ def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
     """
     # The encoding is checked as the pair checked it: a BLAS product may
     # skip the terms of a zero weight.
-    t, wt = tcol.data, p["te.w_t"].data
+    t, wt = times, p["te.w_t"].data
     enc = _encoding(t, *(p[name].data for name in TE_NAMES))           # (d_te, M)
     if not np.isfinite(enc).all():
         raise NonFiniteError("time_projection: produced non-finite values")
@@ -460,14 +444,20 @@ def time_projection(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
         return ((sum_tg * lin)[None], (sum_g * lin)[None], g_pairs[1:], g_pairs[:1],
                 r[:1].swapaxes(-1, -2))
 
-    return tcol.tape.record("time_projection", proj.reshape(-1, 1),
-                            tuple(p[name] for name in (*TE_NAMES, "te.w_t")), vjp)
+    return p["te.w_t"].tape.record("time_projection", proj.reshape(-1, 1),
+                                   tuple(p[name] for name in (*TE_NAMES, "te.w_t")), vjp)
 
 
 def _encoding(t: np.ndarray, ws: np.ndarray, bs: np.ndarray, wf: np.ndarray,
               bf: np.ndarray) -> np.ndarray:
     """The (d_te, M) time encoding of (M, 1) times, feature-major and
-    unchecked: row j is column j of ``time_encode``'s output."""
+    unchecked.
+
+    Rows: [linear x (d_te - 2P) | sin x P | cos x P], P = (d_te - 1) // 2.
+    The linear rows are t w_s + b_s; sin/cos pair j shares one argument
+    theta_j = t w_f[j] + b_f[j], the linear-plus-periodic encoding of
+    Time2Vec (arXiv 1907.05321) and mTAN (arXiv 2101.10318).
+    """
     # Each row runs over the M times, so every numpy call below has an
     # M-long inner loop. The steps are those of the primitive chain the
     # encoding replaces (two matmuls and adds, sin and cos of the one
@@ -537,19 +527,20 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
     return w1.tape.record("smoothing_layers", out, (w1, b1, w2, b2), vjp)
 
 
-def encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
+def encode_series(block: AlignedTriplet, tp: Tape, p: dict[str, Tensor],
                   use_conv: bool = True) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
-    ``tcol`` is the (B*L, 1) column of the grid times, one grid after
-    another. The width-3 then 1x1 convolution with zero same-padding runs
-    over the observed cells' (3, P) ``taps`` (without it, their own values
-    enter as a checked constant). Returns the (B, N, L) stack pooling reads.
+    The width-3 then 1x1 convolution with zero same-padding runs over the
+    observed cells' (3, P) ``taps`` (without it, their own values enter the
+    tape ``tp`` as a checked constant). The block's grid times, one grid
+    after another, are projected as a (B*L, 1) column. Returns the
+    (B, N, L) stack pooling reads.
     """
     conv = (p[name] for name in ("conv.w1", "conv.b1", "conv.w2", "conv.b2"))
-    values = _smoothing_layers(block.taps, *conv) if use_conv else tcol.tape.const(block.taps[1:2])
-    return _fuse_at_cells(values, time_projection(tcol, p), block)
+    values = _smoothing_layers(block.taps, *conv) if use_conv else tp.const(block.taps[1:2])
+    return _fuse_at_cells(values, time_projection(block.times.reshape(-1, 1), p), block)
 
 
 def _fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
@@ -877,6 +868,38 @@ def attention_block(z: Tensor, block: int, p: dict[str, Tensor | np.ndarray],
     return mixed + inner @ p[pre + "mlp_w2"] + p[pre + "mlp_b2"]
 
 
+def query_features(z: Tensor, rows: np.ndarray, times: np.ndarray,
+                   p: dict[str, Tensor]) -> Tensor:
+    """What the head reads for each query: row ``rows[q]`` of the (R, d)
+    ``z`` beside the time encoding of ``times[q]``, (Q,) -> (Q, d + d_te).
+
+    One checked node in place of the times as a constant, a gather of z's
+    rows, the times' encoding and a concat (``oracles.chain_query_features``).
+    The times are data, read as a plain array, so a non-finite time
+    raises here, at the encoding's check. Its VJP scatter-adds the first d
+    columns of the adjoint into z's rows and reads each sin/cos pair's
+    derivative off the node's own output, g_theta = g_sin cos(theta) -
+    g_cos sin(theta) (``_encoding_vjp``), so backward runs no
+    transcendental. It keeps the output, which the head's first matmul
+    keeps too, the row indices and the times. The output and every adjoint
+    are bitwise the chain's.
+    """
+    t = times.reshape(-1, 1)
+    idx = np.asarray(rows, dtype=np.intp)
+    shape, d = z.data.shape, z.data.shape[1]
+    te = tuple(p[name] for name in TE_NAMES)
+    enc = _encoding(t, *(q.data for q in te))                    # (d_te, Q)
+    out = np.concatenate([z.data[idx], enc.swapaxes(-1, -2)], axis=1)
+    n_lin = p["te.w_s"].data.shape[1]
+
+    def vjp(g):
+        g_z = np.zeros(shape)
+        np.add.at(g_z, idx, g[:, :d])
+        return (g_z, *_encoding_vjp(t, out[:, d:], n_lin, g[:, d:]))
+
+    return z.tape.record("query_features", out, (z, *te), vjp)
+
+
 @dataclass
 class ForwardResult:
     """Flat per-query predictions of a chunk plus the bookkeeping to regroup them.
@@ -915,7 +938,7 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
     (``ModelParams.bind``).
     """
     cfg = model.cfg
-    samples, length = block.samples, block.grid_length
+    samples = block.samples
     queries = [np.asarray(q, dtype=np.float64) for q in queries]
     rows = samples * block.n_variates
     if len(queries) != rows:
@@ -923,9 +946,7 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
     p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 
-    tcol = tp.const(block.times.reshape((samples * length, 1)))    # (B*L, 1)
-
-    xhat = encode_series(block, tcol, p, use_conv=cfg.use_preconv)
+    xhat = encode_series(block, tp, p, use_conv=cfg.use_preconv)
     z = pool_all(xhat, block.mask, normalize_times(block.times), p,
                  use_gate=cfg.use_pool_gate)
 
@@ -933,12 +954,10 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
         z = attention_block(z, b, p, stats=stats, capture=capture, samples=samples)
 
     counts = [q.size for q in queries]
-    row_idx = np.repeat(np.arange(len(counts)), counts)
-    flat_times = np.concatenate(queries) if sum(counts) else np.empty(0)
-    tq = tp.const(flat_times[:, None])
+    times = np.concatenate(queries) if sum(counts) else np.empty(0)
     # The head's first layer reads the last block's output directly: a
     # separate linear projection before it would add no expressivity.
-    feats = T.concat([T.take_rows(z, row_idx), time_encode(tq, p)], axis=1)
+    feats = query_features(z, np.repeat(np.arange(len(counts)), counts), times, p)
     hidden = T.relu(feats @ p["head.w1"] + p["head.b1"])
     hidden = T.relu(hidden @ p["head.w2"] + p["head.b2"])
     preds = hidden @ p["head.w3"] + p["head.b3"]               # (Q, 1)

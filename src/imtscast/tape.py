@@ -26,15 +26,17 @@ All math is double precision, and every tensor on a tape is finite. A
 leaf is checked when it enters the tape (``const``, ``param_vector``),
 and so is the output of every primitive that can turn finite inputs into
 inf or NaN: ``add``, ``sub``, ``mul``, ``matmul``, ``sum``,
-``layernorm`` and any custom ``Tape.record`` call. Data enters through
-``const``: times, targets, anything read from outside. A constant that the
+``layernorm`` and any custom ``Tape.record`` call. Data read from outside
+(times, targets, observed values) enters one of two ways: as a plain array
+argument of a node that checks what it computes from it, so a non-finite
+entry raises at that node, or through ``const``. A constant that the
 code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
 matrix) enters through ``Tape.append("const", ...)`` instead, unchecked.
 The primitives that only move, select, clamp or bound finite values skip
-the check (``concat``, ``take_rows``, ``relu`` and ``sigmoid``) by
-appending their node with ``Tape.append``: by induction their outputs
-are finite too. So a NaN/Inf raises ``NonFiniteError`` at, and named
-after, the first op that produced it, which keeps divergence diagnosable.
+the check (``concat``, ``relu`` and ``sigmoid``) by appending their node
+with ``Tape.append``: by induction their outputs are finite too. So a
+NaN/Inf raises ``NonFiniteError`` at, and named after, the first op that
+produced it, which keeps divergence diagnosable.
 """
 
 from __future__ import annotations
@@ -360,21 +362,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     data = np.concatenate([t.data for t in tensors], axis=axis)
     return tape.append("concat", data, tuple(tensors), vjp)
-
-
-def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix; the adjoint scatter-adds into the source."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if a.data.ndim != 2:
-        raise ShapeError(f"take_rows: expected a matrix, got shape {a.data.shape}")
-    shape = a.data.shape
-
-    def vjp(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return a.tape.append("take_rows", a.data[idx], (a,), vjp)
 
 
 LAYERNORM_EPS = 1e-5

@@ -12,18 +12,21 @@ chunk. ``dense_layout`` derives the same layout from a dense zero-filled
 grid and its mask, by scanning and padding the grid; ``grid_triplet``
 builds a block from such a grid with it.
 
-The time encoding, the kernel weights, the fused series at the observed
-cells, pooling's quotient and linear attention are one tape node each in
-the model. ``chain_time_encode``, ``chain_kernel_weights``,
+The queries' features, the kernel weights, the fused series at the
+observed cells, pooling's quotient and linear attention are one tape node
+each in the model. ``chain_query_features``, ``chain_kernel_weights``,
 ``chain_fuse_at_cells``, ``chain_pool_quotient`` and
 ``chain_linear_attention`` are the primitive chains those nodes replace,
 built from the tape's primitives and the ``sin``, ``cos``, ``exp``, ``div``,
-``place``, ``reshape``, ``transpose``, ``permute`` and ``narrow`` nodes
-below, which the tape no longer has. Linear attention's chain is the two
-feature maps (``chain_positive_features``) and the quotient
-(``chain_attend``, which forms phi(K)^T and [V | 1], reads its (B, N, H, .)
-inputs as per-(sample, head) stacks and divides the numerators by their
-floored denominators), between reshapes.
+``place``, ``reshape``, ``transpose``, ``permute``, ``narrow`` and
+``take_rows`` nodes below, which the tape no longer has. The time
+encoding is no node of its own: ``chain_time_encode``, its seven-node
+chain, is the encoding inside the queries' features and, projected, the
+grid's time projection (``model.time_projection``). Linear attention's
+chain is the two feature maps (``chain_positive_features``) and the
+quotient (``chain_attend``, which forms phi(K)^T and [V | 1], reads its
+(B, N, H, .) inputs as per-(sample, head) stacks and divides the
+numerators by their floored denominators), between reshapes.
 
 ``model.layout`` is the one table of the model's array shapes;
 ``param_count_closed_form`` counts its learnables per stage instead.
@@ -43,7 +46,7 @@ import imtscast.tape as T
 from imtscast.data import AlignedTriplet, DataError
 from imtscast.datasets import OBS_HEADER, QUERY_HEADER
 from imtscast.fourier import _check_rows
-from imtscast.model import ATTENTION_EPS, POOLING_EPS, _kernel_weights, time_encode
+from imtscast.model import ATTENTION_EPS, POOLING_EPS, _kernel_weights
 from imtscast.tape import Tensor
 
 
@@ -121,6 +124,21 @@ def permute(a: Tensor, axes) -> Tensor:
                          lambda g: (g.transpose(inverse),))
 
 
+def take_rows(a: Tensor, indices) -> Tensor:
+    """Gather rows of a matrix; the adjoint scatter-adds into the source."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if a.data.ndim != 2:
+        raise T.ShapeError(f"take_rows: expected a matrix, got shape {a.data.shape}")
+    shape = a.data.shape
+
+    def vjp(g):
+        z = np.zeros(shape)
+        np.add.at(z, idx, g)
+        return (z,)
+
+    return a.tape.append("take_rows", a.data[idx], (a,), vjp)
+
+
 def narrow(a: Tensor, key) -> Tensor:
     """Basic slicing (slices and ints only) into a new array; the adjoint
     scatters into zeros."""
@@ -152,11 +170,20 @@ def chain_attend(fq: Tensor, fk: Tensor, values: Tensor) -> Tensor:
 
 
 def chain_time_encode(tcol: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """``model.time_encode`` as seven primitive nodes: the linear columns,
-    one shared argument, its sin and cos, and concat."""
+    """The time encoding of a (M, 1) column of times (``model._encoding``,
+    transposed) as seven primitive nodes: the linear columns, one shared
+    argument, its sin and cos, and concat."""
     lin = tcol @ p["te.w_s"] + p["te.b_s"]
     theta = tcol @ p["te.w_f"] + p["te.b_f"]
     return T.concat([lin, sin(theta), cos(theta)], axis=1)
+
+
+def chain_query_features(z: Tensor, rows, times: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+    """``model.query_features`` as the chain it replaces: the (Q,) times as
+    a constant column, a ``take_rows`` gather of z's rows, the times'
+    ``chain_time_encode`` and concat."""
+    encoding = chain_time_encode(z.tape.const(times.reshape(-1, 1)), p)
+    return T.concat([take_rows(z, rows), encoding], axis=1)
 
 
 def first_maxima(phi: np.ndarray, keys: bool) -> np.ndarray:
@@ -188,7 +215,7 @@ def chain_positive_features(x: Tensor, omega: np.ndarray, keys: bool = False) ->
         ex = ex - (x * x).sum(axis=3, keepdims=True)
     axes, log_scale = ((1, 3) if keys else (3,)), 0.5 * math.log(4 * half)
     features = np.exp(ex.data - (ex.data.max(axis=axes, keepdims=True) + log_scale))
-    peak = T.take_rows(reshape(ex, (-1, 1)), first_maxima(features, keys))
+    peak = take_rows(reshape(ex, (-1, 1)), first_maxima(features, keys))
     peak = reshape(peak, (samples, 1, heads, 1) if keys else (samples, n, heads, 1))
     return exp(ex - (peak + log_scale))
 
@@ -292,18 +319,17 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     return reshape(out, (n, length))
 
 
-def dense_encode_series(block: AlignedTriplet, tcol: Tensor, p: dict[str, Tensor],
+def dense_encode_series(block: AlignedTriplet, tp: T.Tape, p: dict[str, Tensor],
                         use_conv: bool = True) -> Tensor:
     """``model.encode_series`` with the convolution run on the whole
-    zero-filled grid, rebuilt from the block's layout, and the projected
-    time encoding added to every cell; the product with the mask then
-    zeroes every unobserved cell. Returns the (B, N, L) stack."""
-    rows = tcol.tape.const(zero_filled(block))
+    zero-filled grid, rebuilt from the block's layout, and the grid times'
+    ``chain_time_encode``, projected, added to every cell; the product with
+    the mask then zeroes every unobserved cell. Returns the (B, N, L) stack."""
+    rows = tp.const(zero_filled(block))
     base = dense_conv_smooth(rows, p) if use_conv else rows
-    total, length = rows.data.shape
-    samples = tcol.data.shape[0] // length
-    shape = (samples, total // samples, length)
-    tproj = reshape(time_encode(tcol, p) @ p["te.w_t"], (samples, 1, length))
+    shape = (block.samples, block.n_variates, block.grid_length)
+    tcol = tp.const(block.times.reshape(-1, 1))
+    tproj = reshape(chain_time_encode(tcol, p) @ p["te.w_t"], (shape[0], 1, shape[2]))
     return (reshape(base, shape) + tproj) * block.mask.reshape(shape)
 
 

@@ -3,8 +3,10 @@
 ``perfbench/tracing.py`` wraps public functions by name (``encode_series``,
 ``pool_all``, ``rfft_rows`` on the model module, ``Tape.backward``). A
 rename or a bypass in the model would only show up as missing per-layer
-metrics in a benchmark run, so one traced forward and backward runs here,
-and one traced training epoch checks the ``train.*`` spans and the values
+metrics in a benchmark run, so one traced forward and backward runs here.
+It also checks that each model stage's span counts the nodes it adds,
+which the tracer reads off the stage's positional Tape or Tensor argument.
+One traced training epoch checks the ``train.*`` spans and the values
 their hooks read (``clip_gradients``' norm, ``adam_step``'s flag and
 ``Tape.backward``'s tape). One traced ``align`` call checks what the
 ``data.align`` hook reads off an aligned sample.
@@ -45,6 +47,13 @@ def test_layer_spans_fire_and_wrappers_are_restored(monkeypatch):
     for name in ("model.forward", "model.encode", "model.pool", "model.attention_block",
                  "fourier.rfft", "tape.backward"):
         assert name in fired, name
+    # The tracer finds a span's tape through a positional Tape or Tensor
+    # argument; without one, the span's node count, and the model.*_nodes
+    # metrics read from it, would silently be 0.
+    for span in tracer.spans:
+        if span.name in ("model.encode", "model.pool", "model.attention_block",
+                         "model.linear_attention"):
+            assert span.counts.get("nodes_added", 0) > 0, span.name
     assert tracer.restored()
 
 

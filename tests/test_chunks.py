@@ -25,7 +25,7 @@ def draw_samples(seed, variate_counts):
     for n in variate_counts:
         while True:
             sample = random_sample(rng, max_variates=n, max_obs=9)
-            if sample.n_variates == n and sum(sample.query_counts()):
+            if sample.n_variates == n and sum(q.size for q in sample.query_times):
                 out.append(sample)
                 break
     return out
@@ -73,8 +73,8 @@ class TestChunkEquivalence:
         # training splits it.
         samples = draw_samples(len(name), [3, 3, 3, 2, 2, 3, 3, 1])
         model = ModelParams.init(config(**CONFIGS[name]), seed=3)
-        spans = chunk_spans([align(s) for s in samples],
-                            [sum(s.query_counts()) for s in samples], model.cfg)
+        counts = [sum(q.size for q in s.query_times) for s in samples]
+        spans = chunk_spans([align(s) for s in samples], counts, model.cfg)
         assert len(spans) < len(samples)
 
         chunk_loss, chunk_grads = 0.0, {}
@@ -223,7 +223,7 @@ class TestChunking:
         # The reference task's 32-sample batches each run as one chunk.
         samples = generate(PRESETS["sinusoid-a"])[:320]
         triplets = [align(s) for s in samples]
-        counts = [sum(s.query_counts()) for s in samples]
+        counts = [sum(q.size for q in s.query_times) for s in samples]
         for lo in range(0, len(samples), 32):
             batch = slice(lo, lo + 32)
             assert chunk_spans(triplets[batch], counts[batch], BUDGET_CFG) == [range(0, 32)]

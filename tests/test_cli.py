@@ -71,8 +71,8 @@ class TestPredict:
         params = ModelParams.load(checkpoint)
         samples = assemble_samples(read_observations(data / "test_obs.csv"),
                                    read_queries(data / "test_queries.csv", require_targets=False))
-        spans = chunk_spans([align(s) for s in samples],
-                            [sum(s.query_counts()) for s in samples], params.cfg)
+        counts = [sum(q.size for q in s.query_times) for s in samples]
+        spans = chunk_spans([align(s) for s in samples], counts, params.cfg)
         assert any(len(span) > 1 for span in spans)
         want = []
         for sample in samples:
@@ -118,6 +118,24 @@ def test_predict_on_times_whose_activations_overflow_exits_3(tmp_path, capsys):
                  "--queries", str(tmp_path / "queries.csv"),
                  "--out", str(tmp_path / "predictions.csv")]) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("error: layernorm: produced non-finite values")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval", "inspect"])
+def test_a_numeric_failure_ends_in_one_error_line(tmp_path, capsys, command):
+    # Huge head weights overflow the head's second matmul. numpy's overflow
+    # warning would only repeat the error, so every command prints the one line.
+    data, checkpoint = tiny_run(tmp_path)
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["params"]["head.w2"]["data"] = [1.7e308] * len(doc["params"]["head.w2"]["data"])
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "predict":
+        inputs = ["--observations", str(data / "test_obs.csv"),
+                  "--queries", str(data / "test_queries.csv")]
+    else:
+        inputs = ["--data", str(data / "manifest.json")]
+    assert main([command, "--checkpoint", str(checkpoint), *inputs,
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: matmul: produced non-finite values\n"
 
 
 def test_narrow_kernels_train_with_finite_gradients(tmp_path, caplog):

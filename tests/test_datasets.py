@@ -71,11 +71,12 @@ def assert_tables_equal(got, rows):
 
 
 class TestGeneration:
-    def test_noiseless_known_signal_evaluates_exactly(self):
+    def test_noiseless_known_signal_evaluates_exactly(self, monkeypatch):
+        monkeypatch.setattr(datasets, "AMPLITUDE_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(datasets, "FREQUENCY_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(datasets, "PHASE_RANGE", (0.0, 0.0))
         spec = SynthSpec(n_variates=1, n_samples=3, noise_std=0.0, n_components=1,
-                         amplitude_range=(1.0, 1.0), frequency_range=(1.0, 1.0),
-                         phase_range=(0.0, 0.0), window=1.0, mean_observations=25.0,
-                         queries_per_variate=3, seed=5)
+                         window=1.0, mean_observations=25.0, queries_per_variate=3, seed=5)
         for sample in generate(spec):
             series = sample.series[0]
             assert np.array_equal(series.values, np.sin(2 * np.pi * series.times))
@@ -141,13 +142,14 @@ class TestGeneration:
                 assert np.isfinite(series.values).all() and np.isfinite(targets).all()
                 assert (series.times < 0.75e308).all()
 
-    def test_a_damped_decay_that_overflows_is_rejected(self):
+    def test_a_damped_decay_that_overflows_is_rejected(self, monkeypatch):
         # Without frequencies, the decay term decay * t is the one that
         # overflows on this window.
-        spec = SynthSpec(signal="damped", frequency_range=(0.0, 0.0), window=1e308)
+        monkeypatch.setattr(datasets, "FREQUENCY_RANGE", (0.0, 0.0))
+        spec = SynthSpec(signal="damped", window=1e308)
         with pytest.raises(DataError, match="window 1e\\+308 overflows"):
             spec.validate()
-        SynthSpec(signal="damped", frequency_range=(0.0, 0.0), window=5e307).validate()
+        SynthSpec(signal="damped", window=5e307).validate()
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(DataError, match="n_variates"):

@@ -42,8 +42,7 @@ def smooth(block, p):
 def encoded(block, p):
     """``encode_series`` of ``block``; under ``conv_params`` the time
     projection is 0, so this is the conv's output placed on the grid."""
-    tcol = p["conv.w1"].tape.const(block.times.reshape((-1, 1)))
-    return encode_series(block, tcol, p)
+    return encode_series(block, p["conv.w1"].tape, p)
 
 
 def random_mask(rng, shape, density):

@@ -33,8 +33,8 @@ from imtscast.model import (
     layout,
     linear_attention,
     pool_all,
+    query_features,
     tape_bytes,
-    time_encode,
     time_projection,
 )
 from imtscast.tape import Tape, flat_views, grad_check
@@ -46,6 +46,7 @@ from oracles import (
     chain_kernel_weights,
     chain_linear_attention,
     chain_pool_quotient,
+    chain_query_features,
     chain_time_encode,
     first_maxima,
     grid_triplet,
@@ -80,6 +81,14 @@ def make_te_params(tape, d_te, w_f=None, zero=False):
     }
 
 
+def query_encoding(p, times):
+    """The time encoding of the (M, 1) ``times`` as ``query_features``
+    writes it: their features read from a z of width 0."""
+    times = np.asarray(times, dtype=np.float64)
+    z = p["te.w_s"].tape.const(np.zeros((1, 0)))
+    return query_features(z, np.zeros(times.shape[0], dtype=np.intp), times[:, 0], p)
+
+
 class TestTimeEncoding:
     def test_zero_time_zero_biases(self):
         # Odd and even widths: one linear column and three pairs, then two
@@ -87,7 +96,7 @@ class TestTimeEncoding:
         for d_te, n_lin in [(7, 1), (8, 2)]:
             tape = Tape()
             p = make_te_params(tape, d_te=d_te)
-            out = time_encode(tape.const([[0.0]]), p).data[0]
+            out = query_encoding(p, [[0.0]]).data[0]
             assert out.shape == (d_te,)
             assert np.all(out[:n_lin] == 0.0)
             assert np.all(out[n_lin : n_lin + 3] == 0.0)
@@ -97,14 +106,14 @@ class TestTimeEncoding:
         tape = Tape()
         p = make_te_params(tape, d_te=9)
         t = np.linspace(-50, 50, 101)[:, None]
-        out = time_encode(tape.const(t), p).data
+        out = query_encoding(p, t).data
         assert np.all(np.abs(out[:, 1:]) <= 1.0)
         assert np.allclose(out[:, 1:5] ** 2 + out[:, 5:] ** 2, 1.0, rtol=0.0, atol=1e-15)
 
     def test_quarter_period_sin_entry(self):
         tape = Tape()
         p = make_te_params(tape, d_te=3, w_f=np.array([[np.pi / 2]]))
-        out = time_encode(tape.const([[1.0]]), p).data[0]
+        out = query_encoding(p, [[1.0]]).data[0]
         assert out[1] == pytest.approx(1.0, abs=1e-12)
         assert out[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -119,7 +128,7 @@ class TestTimeEncoding:
         probe = rng.standard_normal((9, time_dim))
 
         def build(tape):
-            out = time_encode(tape.const(times), tape.param_vector(flat, views))
+            out = query_encoding(tape.param_vector(flat, views), times)
             return (out * tape.const(probe)).sum()
 
         report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
@@ -132,9 +141,9 @@ class TestTimeEncoding:
                           for name, shape in [("te.w_s", (1, 2)), ("te.b_s", (1, 2)),
                                               ("te.w_f", (1, 7)), ("te.b_f", (1, 7)),
                                               ("te.w_t", (16, 1))]})
-        tcol = tape.const(np.linspace(0.0, 5.0, 11)[:, None])
-        loss = ((time_encode(tcol, p) * tape.const(np.ones((11, 16)))).sum()
-                + (time_projection(tcol, p) * tape.const(np.ones((11, 1)))).sum())
+        times = np.linspace(0.0, 5.0, 11)[:, None]
+        loss = ((query_encoding(p, times) * tape.const(np.ones((11, 16)))).sum()
+                + (time_projection(times, p) * tape.const(np.ones((11, 1)))).sum())
 
         def refuse(*args, **kwargs):
             raise AssertionError("a transcendental ran in backward")
@@ -605,15 +614,15 @@ class TestRandomFeatures:
 class TestRecomputeNodes:
     """The fused nodes that recompute an intermediate in backward instead of
     keeping it (the fused series recomputes its cells' grid times), and the
-    time encoding, which reads its derivative off its output:
-    finite-difference checks of every input, outputs bitwise equal to the
-    primitives they replace, and adjoints bitwise equal to theirs too,
-    except where a product sums in another order than the chain's (the
-    grid's projected time encoding, the kernel weights and pooling's
-    quotient), which is compared at a tolerance. The time encoding, the
-    kernel weights, the fused series and pooling's quotient are gradchecked
-    in the tape's primitive table, which has rows for the other two as
-    well."""
+    queries' features, which read their time encoding's derivative off
+    their output: finite-difference checks of every input, outputs bitwise
+    equal to the primitives they replace, and adjoints bitwise equal to
+    theirs too, except where a product sums in another order than the
+    chain's (the grid's projected time encoding, the kernel weights and
+    pooling's quotient), which is compared at a tolerance. The queries'
+    features, the kernel weights, the fused series and pooling's quotient
+    are gradchecked in the tape's primitive table, which has rows for the
+    other two as well."""
 
     def smoothing_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -709,16 +718,19 @@ class TestRecomputeNodes:
                     lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"]),
                     lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
                                + b["b2"]))
-        if node == "time_encode":
-            times, params = self.time_inputs(6)
+        if node == "query_features":
+            # Seven queries read three of z's four rows, one of them thrice.
+            times, params = self.time_inputs(6, count=7)
+            params["z"] = np.random.default_rng(7).standard_normal((4, 5))
+            rows = np.array([2, 0, 2, 3, 0, 2, 3])
             return (params,
-                    lambda b: time_encode(b["te.w_s"].tape.const(times), b),
-                    lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b))
+                    lambda b: query_features(b["z"], rows, times[:, 0], b),
+                    lambda b: chain_query_features(b["z"], rows, times[:, 0], b))
         if node == "time_projection":
             times, params = self.projection_inputs(variant)
             return (params,
-                    lambda b: time_projection(b["te.w_s"].tape.const(times), b),
-                    lambda b: time_encode(b["te.w_s"].tape.const(times), b) @ b["te.w_t"])
+                    lambda b: time_projection(times, b),
+                    lambda b: chain_time_encode(b["te.w_s"].tape.const(times), b) @ b["te.w_t"])
         if node == "pool_quotient":
             mask_rows, params = self.pool_inputs(10)
             return (params,
@@ -749,7 +761,7 @@ class TestRecomputeNodes:
                 conditions[name] += np.abs(grads[name])
         return results, list(params), conditions
 
-    @pytest.mark.parametrize("node", ["smoothing_layers", "time_encode"])
+    @pytest.mark.parametrize("node", ["smoothing_layers", "query_features"])
     def test_fused_node_is_bitwise_its_primitives(self, node):
         results, names, _conditions = self.outputs_and_adjoints(node)
         assert np.array_equal(results[0][0], results[1][0])
@@ -811,9 +823,12 @@ class TestRecomputeNodes:
         params = {name: np.full((1, 1 if name in ("te.w_s", "te.b_s") else 3),
                                 bias if ".b_" in name else scale)
                   for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f")}
-        self.same_failures(lambda b: time_encode(b["te.w_s"].tape.const([[times]]), b),
-                           lambda b: chain_time_encode(b["te.w_s"].tape.const([[times]]), b),
-                           params, "time_encode")
+        # The time encoding is written by the queries' features.
+        params["z"] = np.ones((2, 3))
+        rows, at = np.array([1]), np.array([times])
+        self.same_failures(lambda b: query_features(b["z"], rows, at, b),
+                           lambda b: chain_query_features(b["z"], rows, at, b),
+                           params, "query_features")
 
     @pytest.mark.parametrize("times,scale,bias,weight", [
         (1e308, 10.0, 0.0, 1.0),       # the encoding overflows
@@ -829,8 +844,8 @@ class TestRecomputeNodes:
                                 bias if ".b_" in name else scale)
                   for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f")}
         params["te.w_t"] = np.full((7, 1), weight)
-        self.same_failures(lambda b: time_projection(b["te.w_s"].tape.const([[times]]), b),
-                           lambda b: time_encode(b["te.w_s"].tape.const([[times]]), b)
+        self.same_failures(lambda b: time_projection(np.array([[times]]), b),
+                           lambda b: chain_time_encode(b["te.w_s"].tape.const([[times]]), b)
                            @ b["te.w_t"], params, "time_projection")
 
     @pytest.mark.parametrize("log_alpha,centre", [
@@ -1004,8 +1019,9 @@ class TestTapeMemory:
 
     def test_sinusoid_a_chunk_keeps_under_17_40_floats_per_padded_cell(self):
         # A whole 32-sample batch of the reference task (B=32, N=5, L=126)
-        # keeps 17.393 floats per padded cell; the estimate that budgets
-        # chunks is within 1% above the count.
+        # keeps 17.139 floats per padded cell (17.393 while the queries'
+        # time encoding was kept apart from their features); the estimate
+        # that budgets chunks is within 1% above the count.
         kept, estimate, cells = self.chunk(generate(PRESETS["sinusoid-a"])[:32], TrainConfig())
         assert kept / 8 / cells < 17.40
         assert kept <= estimate <= 1.01 * kept
@@ -1020,7 +1036,7 @@ class TestTapeMemory:
             samples = []
             while len(samples) < 4:
                 sample = random_sample(rng, max_variates=n)
-                if sample.n_variates == n and sum(sample.query_counts()):
+                if sample.n_variates == n and sum(q.size for q in sample.query_times):
                     samples.append(sample)
             kept, estimate, _cells = self.chunk(samples, TrainConfig(**cfg_kw))
             assert kept <= estimate <= 1.1 * kept, (n, kept, estimate)
@@ -1058,7 +1074,7 @@ class TestTapeMemory:
         tape = Tape()
         p = bind(tape, **{name: rng.standard_normal(shapes[name][0])
                           for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f", "te.w_t")})
-        out = time_projection(tape.const(rng.uniform(0.0, 50.0, (length, 1))), p)
+        out = time_projection(rng.uniform(0.0, 50.0, (length, 1)), p)
         loss = (out * tape.const(rng.standard_normal((length, 1)))).sum()
         _grads, peak = transient_bytes(lambda: tape.backward(loss))
         assert peak / 8 / length <= 6.0
@@ -1093,8 +1109,8 @@ class TestCountedCost:
     the node and parameter counts do not depend on N or L."""
 
     def record(self, monkeypatch, n, length, queries=2):
-        """Sizes of every node one forward appends, its tape, and how many
-        of those nodes ran the finiteness check (``Tape.record``)."""
+        """Sizes of every node one forward appends, its tape, and the ops of
+        those nodes that ran the finiteness check (``Tape.record``)."""
         sizes, checked = [], []
         append, record = Tape.append, Tape.record
 
@@ -1103,9 +1119,9 @@ class TestCountedCost:
             sizes.append(out.data.size)
             return out
 
-        def spy_record(self, *args, **kwargs):
-            checked.append(1)
-            return record(self, *args, **kwargs)
+        def spy_record(self, op, *args, **kwargs):
+            checked.append(op)
+            return record(self, op, *args, **kwargs)
 
         monkeypatch.setattr(Tape, "append", spy_append)
         monkeypatch.setattr(Tape, "record", spy_record)
@@ -1113,7 +1129,7 @@ class TestCountedCost:
         times = [np.linspace(1.01, 1.2, queries) for _ in range(n)]
         forward(tape, ModelParams.init(TrainConfig(), seed=0), dense_triplet(n, length), times)
         monkeypatch.undo()
-        return sizes, tape, len(checked)
+        return sizes, tape, checked
 
     def test_recorded_floats_grow_linearly_in_n_and_l(self, monkeypatch):
         # Affine in one size with the other fixed: the second difference
@@ -1141,22 +1157,25 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 73 nodes. 32 run the finiteness check: 2 constant
-        # leaves (the grid and query times) and 30 nodes that compute, among
-        # them pooling's quotient and linear attention (one node for the two
-        # feature maps, the quotient and the four reshapes around them). The
-        # 29 parameter leaves share one check of the flat vector, the frozen
-        # buffers are read as plain arrays, the convolution reads the
-        # block's taps unchecked (its layers' node checks their output),
-        # pooling's mask is read inside its quotient's node, the 3 constants
-        # the forward builds finite itself (pooling's flags and the DFT
-        # pair) enter unchecked, and of the other 9 nodes, two check only
-        # what they compute (the fused series' sums at the observed cells
-        # and the kernel exponent) and the rest only move, select or bound
-        # finite values.
+        # query records 69 nodes. 30 run the finiteness check, all of them
+        # nodes that compute, among them pooling's quotient, linear
+        # attention (one node for the two feature maps, the quotient and
+        # the four reshapes around them) and the queries' features (one
+        # node for the gather of z's rows, the time encoding and the
+        # concat). No time enters as a constant: the grid's and the
+        # queries' times are read as plain arrays by the nodes that encode
+        # them, which check the encoding. The 29 parameter leaves share one
+        # check of the flat vector, the frozen buffers are read as plain
+        # arrays, the convolution reads the block's taps unchecked (its
+        # layers' node checks their output), pooling's mask is read inside
+        # its quotient's node, the 3 constants the forward builds finite
+        # itself (pooling's flags and the DFT pair) enter unchecked, and of
+        # the other 7 nodes, two check only what they compute (the fused
+        # series' sums at the observed cells and the kernel exponent) and
+        # the rest only move, select or bound finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 73
-        assert checked == 32
+        assert len(sizes) == len(tape.nodes) == 69
+        assert len(checked) == 30 and "const" not in checked
 
 
 def positive_phi(m, omega, keys=False):
@@ -1383,7 +1402,7 @@ class TestForward:
         # ``train`` re-reads them every epoch.
         rng = np.random.default_rng(12)
         sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
-        while not sum(sample.query_counts()):
+        while not sum(q.size for q in sample.query_times):
             sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
         model = ModelParams.init(block_config(use_preconv=use_preconv), seed=12)
         block = align(sample)
@@ -1458,7 +1477,7 @@ class TestModelParams:
     def test_param_count_matches_closed_form(self, cfg_kw):
         cfg = block_config(**cfg_kw)
         model = ModelParams.init(cfg)
-        assert model.param_count() == expected_param_count(cfg) == param_count_closed_form(cfg)
+        assert model.flat.size == expected_param_count(cfg) == param_count_closed_form(cfg)
 
     def test_serialization_round_trips_bitwise(self, tmp_path):
         cfg = block_config()
@@ -1577,9 +1596,9 @@ class TestModelParams:
         for blocks in (1, 2, 5):
             cfg = block_config(blocks=blocks)
             model = ModelParams.init(cfg)
-            stored = model.param_count() + sum(b.size for b in model.buffers.values())
+            stored = model.flat.size + sum(b.size for b in model.buffers.values())
             assert (expected_param_count(cfg), _stored_floats(cfg)) == (
-                model.param_count(), stored)
+                model.flat.size, stored)
 
     def test_load_keeps_the_init_order_and_rejects_non_finite_entries(self, tmp_path):
         path = tmp_path / "ck.json"

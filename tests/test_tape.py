@@ -15,11 +15,11 @@ from imtscast.model import (
     _pool_quotient,
     _smoothing_layers,
     linear_attention,
-    time_encode,
+    query_features,
     time_projection,
 )
 from conftest import bind
-from oracles import div, narrow, place, reshape, transpose
+from oracles import div, narrow, place, reshape, take_rows, transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -159,22 +159,24 @@ TAPS = np.random.default_rng(9).standard_normal((3, 5))
 BIG = 1.7e308   # twice this overflows
 
 
-def time_encode_of_rows(t):
-    """The time encoding with the four ``te.*`` parameters taken from the
-    rows of a (4, 3) tensor: scalar linear terms and three sin/cos pairs."""
-    p = {name: narrow(t, np.s_[i : i + 1, : 1 if i < 2 else 3])
+def query_features_of_rows(t):
+    """The five queries' features from a (6, 3) tensor: z from its first
+    two rows, gathered with a repeat and in reverse, and the four ``te.*``
+    parameters from the other rows, scalar linear terms and three sin/cos
+    pairs."""
+    p = {name: narrow(t, np.s_[i + 2 : i + 3, : 1 if i < 2 else 3])
          for i, name in enumerate(TE_NAMES)}
-    return time_encode(t.tape.const(TIMES), p)
+    return query_features(narrow(t, np.s_[:2]), np.array([1, 0, 0, 1, 1]), TIMES[:, 0], p)
 
 
 def time_projection_of_rows(t):
     """The projected time encoding with its parameters taken from a (5, 7)
-    tensor: the encoding's from the first four rows as in
-    ``time_encode_of_rows``, and the (7, 1) projection from the fifth."""
+    tensor: the encoding's from the first four rows, scalar linear terms
+    and three sin/cos pairs, and the (7, 1) projection from the fifth."""
     p = {name: narrow(t, np.s_[i : i + 1, : 1 if i < 2 else 3])
          for i, name in enumerate(TE_NAMES)}
     p["te.w_t"] = reshape(narrow(t, np.s_[4:5, :]), (7, 1))
-    return time_projection(t.tape.const(TIMES), p)
+    return time_projection(TIMES, p)
 
 
 def smoothing_of_blocks(t):
@@ -228,7 +230,7 @@ PRIMITIVE_CASES = [
     ("relu", lambda t: T.relu(t), (3, 4)),
     ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
-    ("time_encode", lambda t: time_encode_of_rows(t), (4, 3)),
+    ("query_features", lambda t: query_features_of_rows(t), (6, 3)),
     # Two samples of three rows, two heads. Ids carry the row's position:
     # the three linear_attention rows reuse the slots of the feature maps'
     # and the attention quotient's rows, which that one node replaced.
@@ -250,7 +252,7 @@ PRIMITIVE_CASES = [
     # A constant as the left operand of mul, whose adjoint the VJP skips.
     # Ids carry the row's position: keep this row in slot 13.
     ("mul_const_left", lambda t: T.mul(t.tape.const(np.linspace(-1.0, 2.0, 4)), t), (3, 4)),
-    ("take_rows", lambda t: T.take_rows(t, np.array([0, 2, 2, 1])), (3, 4)),
+    ("take_rows", lambda t: take_rows(t, np.array([0, 2, 2, 1])), (3, 4)),
     ("matmul", lambda t: t @ np.arange(12.0).reshape(4, 3), (3, 4)),
     ("div_const", lambda t: div(t, np.linspace(1.0, 2.0, 4)), (3, 4)),
     ("concat_self", lambda t: T.concat([t, t * 2.0], axis=1), (3, 4)),
@@ -377,7 +379,7 @@ class TestGradientFlags:
 
         rng = np.random.default_rng(11)
         sample = random_sample(rng, max_variates=3)
-        while not sum(sample.query_counts()):
+        while not sum(q.size for q in sample.query_times):
             sample = random_sample(rng, max_variates=3)
         model = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
                                              conv_channels=2, time_dim=4, blocks=2))
@@ -409,9 +411,10 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     """The primitive table gradchecks exactly the ops a training step and
     ``attention_maps`` record: an unused primitive or an unchecked one fails.
     Some rows take their inputs with the oracle ``narrow`` node, and the
-    ``div_*`` and ``reshape`` rows check the oracle ``div`` and ``reshape``
-    nodes that the chains the fused nodes replace are built with; the table
-    reaches all three, but none is a primitive of the tape."""
+    ``div_*``, ``reshape`` and ``take_rows`` rows check the oracle ``div``,
+    ``reshape`` and ``take_rows`` nodes that the chains the fused nodes
+    replace are built with; the table reaches all four, but none is a
+    primitive of the tape."""
     from conftest import chunk_of, random_sample
 
     from imtscast.config import TrainConfig
@@ -431,7 +434,7 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     samples = []
     while len(samples) < 3:
         sample = random_sample(rng, max_variates=3)
-        if sample.n_variates == 3 and sum(sample.query_counts()):
+        if sample.n_variates == 3 and sum(q.size for q in sample.query_times):
             samples.append(sample)
     model = ModelParams.init(TrainConfig(hidden=8, heads=2, rff_dim=8, kernels=2,
                                          conv_channels=2, time_dim=4, blocks=2))
@@ -443,7 +446,8 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(bind(Tape(), x=np.ones(shape))["x"])
-    assert (model_ops - ops, ops - model_ops) == (set(), {"narrow", "div", "reshape"})
+    assert (model_ops - ops, ops - model_ops) == (set(),
+                                                  {"narrow", "div", "reshape", "take_rows"})
 
 
 def test_a_default_training_step_reaches_every_primitive(monkeypatch):
@@ -632,7 +636,7 @@ class TestFiniteness:
     UNCHECKED = {
         "reshape": lambda t: reshape(t, (2, 6)),
         "concat": lambda t: T.concat([t, t], axis=0),
-        "take_rows": lambda t: T.take_rows(t, np.array([2, 0, 2])),
+        "take_rows": lambda t: take_rows(t, np.array([2, 0, 2])),
         "relu": T.relu,
         "sigmoid": T.sigmoid,
     }
@@ -667,11 +671,14 @@ class TestFiniteness:
         "matmul": lambda tp: tp.const([[1e200]]) @ tp.const([[1e200]]),
         "sum": lambda tp: tp.const([BIG, BIG]).sum(),
         "layernorm": lambda tp: T.layernorm(tp.const([[BIG, BIG]])),
-        "time_encode": lambda tp: time_encode(tp.const([[1e308]]), {
+        # The queries' features: the time encoding's stage, whose linear
+        # term overflows.
+        "time_encode": lambda tp: query_features(tp.const(np.zeros((1, 2))), np.array([0]),
+                                                 np.array([1e308]), {
             name: tp.const(np.full((1, 1 if i < 2 else 3), 10.0))
             for i, name in enumerate(TE_NAMES)}),
         # A finite encoding whose projection overflows.
-        "time_projection": lambda tp: time_projection(tp.const([[1e200]]), {
+        "time_projection": lambda tp: time_projection(np.array([[1e200]]), {
             **{name: tp.const(np.full((1, 1 if i < 2 else 3), 1.0))
                for i, name in enumerate(TE_NAMES)},
             "te.w_t": tp.const(np.full((7, 1), 1e200))}),
@@ -702,8 +709,9 @@ class TestFiniteness:
                            n_variates=1)),
     }
 
-    # The retired nodes whose checks the fused linear_attention node makes.
-    CHECKED_BY = {"positive_features": "linear_attention", "attend": "linear_attention"}
+    # The retired nodes whose checks a fused node makes.
+    CHECKED_BY = {"positive_features": "linear_attention", "attend": "linear_attention",
+                  "time_encode": "query_features"}
 
     @pytest.mark.parametrize("op", sorted(CHECKED))
     def test_checked_primitive_names_itself_on_overflow(self, op):

@@ -215,7 +215,8 @@ class TestTrainingLoop:
         monkeypatch.setattr(train_module, "Tape", tracked_tape)
         evaluate(params, samples)
         blocks = [align(s) for s in samples]
-        spans = chunk_spans(blocks, [sum(s.query_counts()) for s in samples], params.cfg)
+        counts = [sum(q.size for q in s.query_times) for s in samples]
+        spans = chunk_spans(blocks, counts, params.cfg)
         assert len(tapes) == len(spans)
         assert all(ref() is None for ref in tapes)
 
