@@ -42,7 +42,8 @@ keep less or to skip work: ``linear_attention``, ``query_features`` and
 features and k, the second from the encoding in its own output), so none
 runs a transcendental in backward, and ``_smoothing_layers``,
 ``linear_attention`` and ``_kernel_weights`` recompute their largest
-intermediates in backward (the conv's hidden layer, the KV summary, the
+intermediates in backward (the conv's hidden layer, the middle product of
+attention's three-matrix chain in whichever order the node chose, the
 squared distances to the kernel centres). ``time_projection`` (the grid's
 time encoding and its projection), ``query_features`` (each query's row
 of the last block's output beside its time's encoding),
@@ -66,8 +67,10 @@ formed by broadcasting rather than as BLAS outer products, which is
 exact. Linear attention's features
 are feature-major too: one (2, R, B*H*N) buffer holds the queries' and
 the keys' with one column per (sample, head, row), so its reductions and
-its one exp run (B*H*N)-long inner loops, and its per-(sample, head)
-products read (B, H, R, N) views of it.
+its one exp run (B*H*N)-long inner loops. Its per-(sample, head) products
+read the features through (B, H, R, N) views and run in the association
+order, weights first or summary first, that needs fewer multiply-adds at
+the block's N (see ``linear_attention``).
 
 Every fused node's output is bitwise the chain it replaces, and so are
 its adjoints, except where a product sums in another order than the
@@ -82,8 +85,9 @@ chain's, which moves the result in its last bits (see each docstring):
   where the chain formed its (B, L, K) transpose, which a BLAS may sum in
   another order;
 - ``linear_attention`` projects omega^T x^T where the chain formed x omega,
-  and forms its products and all its adjoints on the feature-major
-  buffer, so its output and adjoints move in their last bits too.
+  forms its products and all its adjoints on the feature-major buffer,
+  and for few rows per (sample, head) associates its products weights
+  first, so its output and adjoints move in their last bits too.
 """
 
 from __future__ import annotations
@@ -691,15 +695,30 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
 def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
                      stats: dict | None = None, samples: int = 1,
                      capture: list | None = None) -> Tensor:
-    """Kernelized attention of every (sample, head) at once, in linear-cost order.
+    """Kernelized attention of every (sample, head) at once.
 
     ``q``, ``k`` and ``v`` are (B*N, d), sample-major, with head h in columns
     [h*d_h, (h+1)*d_h); d_h is the row count of the frozen (d_h, R/2)
-    standard-normal draw ``omega``. Per sample and head, the numerator
-    phi(Q) (phi(K)^T V) and the denominator phi(Q) (phi(K)^T 1) never
-    materialize the (N, N) weight matrix. Each (row, head) whose denominator
-    is at or below the ATTENTION_EPS floor gets the floor, which no gradient
-    reaches, and is counted as collapsed in ``stats``.
+    standard-normal draw ``omega``. Per sample and head, with the features
+    of the N rows as the columns of (R, N) matrices phi_Q and phi_K, the
+    numerator and the denominator are phi_Q^T phi_K [V | 1]. Each (row,
+    head) whose denominator is at or below the ATTENTION_EPS floor gets the
+    floor, which no gradient reaches, and is counted as collapsed in
+    ``stats``.
+
+    That three-matrix product is evaluated in whichever association needs
+    fewer multiply-adds over forward plus backward, a matrix-chain order
+    (the associativity argument of Katharopoulos et al. 2020, arXiv
+    2006.16236). Per (sample, head), with J = d_h + 1:
+    - summary first, phi_Q^T (phi_K [V | 1]) through the (R, J) summary:
+      R N (6J + d_h) multiply-adds;
+    - weights first, (phi_Q^T phi_K) [V | 1] through the (N, N) weights:
+      N^2 (4R + 2J + d_h).
+    Weights first is taken where it costs strictly less (``_weights_first``):
+    at the default R = 64 and d_h = 8, for N <= 14. It is taken only below
+    an N set by R and d_h, so the cost stays linear in N. The order is the
+    only thing that depends on the shape; the features, the floor, the
+    shift adjoint and the degenerate count are the same code in both.
 
     The feature map is phi(x) = s [exp(x omega - |x|^2), exp(-x omega - |x|^2)]
     with s = 1/sqrt(2R): the hyperbolic positive random features of
@@ -728,25 +747,34 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     0, and exp maps that range into [0, 1]. The per-(sample, head) products
     read (B, H, R, N) views of the buffer; the quotient is checked.
 
-    The VJP writes both feature adjoints into one (2, R, C) buffer and
-    multiplies it by the features. A shift's derivative moves its group's
+    The VJP runs in the forward's order and recomputes its middle product,
+    the (B, H, N, N) weights W or the (B, H, R, J) summary S. With adj =
+    [g / den | g_den] and G the feature adjoints, summary first forms
+    g_S = phi_Q adj, G_Q = S adj^T, G_K = g_S [V | 1]^T and g_V = phi_K^T
+    g_S[:, :d_h]; weights first forms g_W = adj [V | 1]^T, G_Q = phi_K
+    g_W^T, G_K = phi_Q g_W and g_V = W^T adj[:, :d_h], the same adjoints
+    re-associated. Both write G_Q and G_K into one (2, R, C) buffer and
+    multiply it by the features. A shift's derivative moves its group's
     sum to the group's first largest feature; but a shift scales its group
     by one factor, which cancels in every quotient whose denominator is not
     floored, so that sum is roundoff except in a group that holds a floored
-    row, and only such groups are searched and moved. One product with
-    omega forms both inputs' adjoints, and the keys' add -2 k times their
-    column sums, taken along C-long rows. It runs no transcendental and
-    recomputes the (B, H, R, d_h+1) summary phi(K)^T [V | 1]; the node
-    keeps the features, k, [V | 1], the quotient and the floored
-    denominators, as the replaced nodes did. Its VJP never writes into the
-    adjoint it receives. The projection, the products and every adjoint sum
-    their terms in another order than the primitive chain
-    (``oracles.chain_linear_attention``), so they differ from it in the last
-    bits.
+    row, and only such groups are searched and moved. The keys' column
+    sums are taken next; then the adjoints of the two halves' exponents,
+    +x omega and -x omega, are subtracted in place in the buffer, so no
+    (2, R/2, C) temporary is made, and one product with omega forms both
+    inputs' adjoints, to which the keys' add -2 k times their column sums.
+    It runs no transcendental; the node keeps the features, k, [V | 1], the
+    quotient and the floored denominators, as the replaced nodes did, in
+    either order. Its VJP never writes into the adjoint it receives. The
+    projection, the products and every adjoint sum their terms in another
+    order than the primitive chain (``oracles.chain_linear_attention``), and
+    the two orders in another order than each other, so they differ from
+    the chain in the last bits.
 
     With ``capture``, one dict of the forward's (B, N, H, .) stacks (views)
     is appended: ``phi_q``, ``phi_k``, ``values`` and the pre-merge
-    ``linear_out``; entry [b, :, h] is sample b, head h.
+    ``linear_out``, the node's own output; entry [b, :, h] is sample b,
+    head h.
     """
     total, d = q.data.shape
     d_head, half = omega.shape
@@ -790,7 +818,15 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     values = np.empty(lead + (d_head + 1,))                      # [V | 1]
     values[..., :d_head] = stack(v.data).transpose(0, 2, 1, 3)
     values[..., d_head] = 1.0
-    both = np.matmul(phi_q.swapaxes(-1, -2), np.matmul(phi_k, values))   # (B, H, N, d_h+1)
+    first = _weights_first(rows, rank, d_head)
+
+    def middle():
+        """The product the VJP recomputes: the (B, H, N, N) weights
+        phi_Q^T phi_K, or the (B, H, R, d_h+1) summary phi_K [V | 1]."""
+        return np.matmul(phi_q.swapaxes(-1, -2), phi_k) if first else np.matmul(phi_k, values)
+
+    both = (np.matmul(middle(), values) if first                  # (B, H, N, d_h+1)
+            else np.matmul(phi_q.swapaxes(-1, -2), middle()))
     guarded = np.maximum(both[..., d_head:], ATTENTION_EPS)
     out = np.empty((samples, rows, heads, d_head))
     with np.errstate(over="ignore", invalid="ignore"):           # record() raises instead
@@ -809,27 +845,42 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
         np.divide(stack(g).transpose(0, 2, 1, 3), guarded, out=g_num)
         np.negative(np.einsum("bhnj,bnhj->bhn", g_num, out), out=adj[..., d_head])
         adj[..., d_head][floored] = 0.0
-        g_summary = np.matmul(phi_q, adj)                        # (B, H, R, d_h+1)
         g_feats = np.empty((2, rank, cols))
+        g_phi_q, g_phi_k = groups(g_feats[0]), groups(g_feats[1])
         # Right operands as contiguous copies: stacked products on a small
         # transposed view ran ~2.5x slower.
-        np.matmul(np.matmul(phi_k, values), adj.swapaxes(-1, -2).copy(),
-                  out=groups(g_feats[0]))
-        np.matmul(g_summary, values.swapaxes(-1, -2).copy(), out=groups(g_feats[1]))
-        g_v = np.matmul(phi_k.swapaxes(-1, -2), g_summary[..., :d_head])   # (B, H, N, d_h)
+        if first:
+            weights = middle()
+            g_weights = np.matmul(adj, values.swapaxes(-1, -2).copy())     # (B, H, N, N)
+            np.matmul(phi_k, g_weights.swapaxes(-1, -2).copy(), out=g_phi_q)
+            np.matmul(phi_q, g_weights, out=g_phi_k)
+            g_v = np.matmul(weights.swapaxes(-1, -2), adj[..., :d_head])   # (B, H, N, d_h)
+        else:
+            g_summary = np.matmul(phi_q, adj)                    # (B, H, R, d_h+1)
+            np.matmul(middle(), adj.swapaxes(-1, -2).copy(), out=g_phi_q)
+            np.matmul(g_summary, values.swapaxes(-1, -2).copy(), out=g_phi_k)
+            g_v = np.matmul(phi_k.swapaxes(-1, -2), g_summary[..., :d_head])
         g_feats *= feats
         if floored.any():                                        # see the docstring
             _shift_adjoint(g_feats[0], feats[0], 1, np.flatnonzero(floored))
             _shift_adjoint(g_feats[1], feats[1], rows, np.flatnonzero(floored.any(axis=2)))
-        g_x = np.matmul(omega, g_feats[:, :half] - g_feats[:, half:])    # (2, d_h, C)
-        g_x = g_x.reshape((2, d_head) + lead).transpose(0, 2, 4, 3, 1)   # (2, B, N, H, d_h)
         k_sums = g_feats[1].sum(axis=0).reshape(lead).transpose(0, 2, 1)  # (B, N, H)
+        diff = np.subtract(g_feats[:, :half], g_feats[:, half:], out=g_feats[:, :half])
+        g_x = np.matmul(omega, diff)                                     # (2, d_h, C)
+        g_x = g_x.reshape((2, d_head) + lead).transpose(0, 2, 4, 3, 1)   # (2, B, N, H, d_h)
         g_k = stack(kd) * (-2.0 * k_sums[..., None])
         g_k += g_x[1]
         return (g_x[0].reshape(total, d), g_k.reshape(total, d),
                 g_v.swapaxes(1, 2).reshape(total, d))
 
     return q.tape.record("linear_attention", out.reshape(total, d), (q, k, v), vjp)
+
+
+def _weights_first(rows: int, rank: int, d_head: int) -> bool:
+    """Whether ``linear_attention`` takes the weights-first order for N =
+    ``rows``, R = ``rank`` and d_h = ``d_head`` (the rule in its docstring)."""
+    j = d_head + 1
+    return rows * (4 * rank + 2 * j + d_head) < rank * (6 * j + d_head)
 
 
 def _shift_adjoint(terms: np.ndarray, feats: np.ndarray, width: int,
@@ -970,7 +1021,7 @@ class AttentionMap:
     head: int
     weights: np.ndarray        # (N, N), rows normalized to sum to one
     quadratic_out: np.ndarray  # (N, d_h) via the materialized weight matrix
-    linear_out: np.ndarray     # (N, d_h) from the model's linear-order path
+    linear_out: np.ndarray     # (N, d_h) the node's own output, in the order it chose
     degenerate_rows: int
 
 
@@ -978,16 +1029,17 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
     """Materialize per-block/head variate-attention maps for inspection.
 
     Uses the quadratic-order evaluation (phi(Q) phi(K)^T, explicitly
-    normalized) purely for visualization; the model's own forward never
-    builds the (N, N) matrix. The positive features make every weight
-    non-negative, so a row is a convex combination of the values unless its
-    sum is at or below the ATTENTION_EPS floor (a degenerate row, left
-    unnormalized). The feature shifts cancel in the normalized weights.
-    The quadratic output must agree with the linear-order output up to
-    association-order roundoff. The features, values and linear-order
-    output are the (B, N, H, .) stacks the forward pass already holds (see
-    ``linear_attention``); ``block`` holds one sample, so head h is
-    ``[0, :, h]``.
+    normalized) purely for visualization; the model's own forward forms
+    (N, N) weights only as a temporary, for few rows (see
+    ``linear_attention``), and never normalizes them. The positive features
+    make every weight non-negative, so a row is a convex combination of the
+    values unless its sum is at or below the ATTENTION_EPS floor (a
+    degenerate row, left unnormalized). The feature shifts cancel in the
+    normalized weights. The quadratic output must agree with the node's own
+    output, in the order the node chose, up to association-order roundoff.
+    The features, values and that output are the (B, N, H, .) stacks the
+    forward pass already holds (see ``linear_attention``); ``block`` holds
+    one sample, so head h is ``[0, :, h]``.
     """
     if queries is None:
         queries = [np.empty(0) for _ in range(block.n_variates)]

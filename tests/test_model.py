@@ -25,6 +25,7 @@ from imtscast.model import (
     _pool_quotient,
     _smoothing_layers,
     _stored_floats,
+    _weights_first,
     attention_block,
     attention_maps,
     encode_series,
@@ -46,6 +47,7 @@ from oracles import (
     chain_kernel_weights,
     chain_linear_attention,
     chain_pool_quotient,
+    chain_positive_features,
     chain_query_features,
     chain_time_encode,
     first_maxima,
@@ -380,9 +382,12 @@ def adjoints(fn, params, probe):
     return out.data, tape.backward((out * tape.const(probe)).sum())
 
 
-# (samples, rows, heads, d_h, R/2) of each linear-attention case.
+# (samples, rows, heads, d_h, R/2) of each linear-attention case. "one_row",
+# "tied" and "floored_weights_first" take the weights-first order, the
+# others the summary-first one (``_weights_first``).
 ATTENTION_CASES = {"one_row": (3, 1, 2, 3, 4), "five_rows": (2, 5, 4, 2, 3),
-                   "wide": (1, 128, 1, 3, 4), "floored": (2, 5, 2, 2, 1), "tied": (2, 4, 2, 3, 4)}
+                   "wide": (1, 128, 1, 3, 4), "floored": (2, 5, 2, 2, 1), "tied": (2, 4, 2, 3, 4),
+                   "floored_weights_first": (2, 4, 2, 2, 8)}
 
 
 def attention_case(name):
@@ -390,14 +395,16 @@ def attention_case(name):
     case. Rows are drawn at unit scale; "floored" moves query row 1 of
     sample 0 far from that sample's keys (near -3 (1, 1)) along omega's one
     frequency, so its features meet theirs only where one of each pair is
-    ~exp(-360) and its denominator lies below ATTENTION_EPS; "tied" has a zero query row, whose
+    ~exp(-360) and its denominator lies below ATTENTION_EPS, and
+    "floored_weights_first" does the same with eight equal frequencies and
+    four rows; "tied" has a zero query row, whose
     features all tie, a key group of zero rows, whose features all tie, and
     a group whose largest key is the same row twice."""
     samples, rows, heads, d_head, half = ATTENTION_CASES[name]
     rng = np.random.default_rng(list(ATTENTION_CASES).index(name))
     q, k, v = (rng.standard_normal((samples * rows, heads * d_head)) for _ in range(3))
     omega = rng.standard_normal((d_head, half))
-    if name == "floored":
+    if name.startswith("floored"):
         omega = np.full((d_head, half), 30.0)
         q[1, :d_head] = 3.0
         k[:rows, :d_head] = -3.0 + 0.1 * k[:rows, :d_head]    # distinct, so no shift ties
@@ -611,6 +618,74 @@ class TestRandomFeatures:
         assert np.abs(grads["q"][1]).max() > 1e-6
 
 
+def head_case(rows, hidden=32, heads=4, rff_dim=64, samples=2):
+    """(q, k and v as parameters, omega, samples) for ``samples`` samples of
+    ``rows`` rows in the head shape of a config's ``hidden``, ``heads`` and
+    ``rff_dim``, drawn at unit scale."""
+    rng = np.random.default_rng([rows, hidden, heads, rff_dim])
+    params = {name: rng.standard_normal((samples * rows, hidden)) for name in "qkv"}
+    return params, rng.standard_normal((hidden // heads, rff_dim // 2)), samples
+
+
+# The default config's head shape (d_h = 8, R = 64) and a small odd one (d_h = 2, R = 10).
+HEAD_SHAPES = {"default": {}, "small": dict(hidden=6, heads=3, rff_dim=10)}
+
+
+class TestAssociationOrder:
+    """``linear_attention`` forms phi_Q^T phi_K [V | 1] weights first or
+    summary first, whichever needs fewer multiply-adds (``_weights_first``):
+    the rule at the default config, and each order against the chain."""
+
+    def test_the_default_config_takes_weights_first_up_to_14_rows(self):
+        cfg = TrainConfig()
+        rank, d_head = cfg.rff_dim, cfg.hidden // cfg.heads
+        assert _weights_first(14, rank, d_head)
+        assert not _weights_first(15, rank, d_head)
+
+    @pytest.mark.parametrize("shape", list(HEAD_SHAPES))
+    @pytest.mark.parametrize("rows", [1, 5, 8, 14, 15, 128])
+    def test_each_order_matches_the_chain(self, rows, shape):
+        # Weights first at N <= 14 in the default shape and at N <= 4 in
+        # the small one.
+        assert_attention_matches_its_chain(*head_case(rows, **HEAD_SHAPES[shape]))
+
+    @pytest.mark.parametrize("rows,weights_first", [(3, True), (6, False)])
+    def test_gradients_in_each_order(self, rows, weights_first):
+        params, omega, samples = head_case(rows, **HEAD_SHAPES["small"])
+        assert _weights_first(rows, 2 * omega.shape[1], omega.shape[0]) == weights_first
+        flat, views = flat_views(params)
+        probe = np.random.default_rng(3).standard_normal(params["v"].shape)
+
+        def build(tape):
+            b = tape.param_vector(flat, views)
+            out = linear_attention(b["q"], b["k"], b["v"], omega, samples=samples)
+            return (out * tape.const(probe)).sum()
+
+        report = grad_check(build, flat, views, step=1e-5, tol=1e-5)
+        assert report.ok, report.lines()
+
+    def test_a_floored_row_in_the_weights_first_order(self):
+        # The chain's count of denominators at or below the floor, from its
+        # own features, and finite adjoints.
+        params, omega, samples = attention_case("floored_weights_first")
+        total, d = params["q"].shape
+        d_head, half = omega.shape
+        rows, heads = total // samples, d // d_head
+        assert _weights_first(rows, 2 * half, d_head)
+        stats = {}
+        probe = np.random.default_rng(4).standard_normal((total, d))
+        out, grads = adjoints(lambda b: linear_attention(b["q"], b["k"], b["v"], omega,
+                                                         stats=stats, samples=samples),
+                              params, probe)
+        tape, split = Tape(), (samples, rows, heads, d_head)
+        fq, fk = (chain_positive_features(reshape(tape.const(params[name]), split), omega,
+                                          keys=name == "k").data for name in "qk")
+        chain_count = int((np.einsum("bnhr,bmhr->bnh", fq, fk) <= ATTENTION_EPS).sum())
+        assert stats["degenerate_rows"] == chain_count > 0
+        assert np.isfinite(out).all()
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+
 class TestRecomputeNodes:
     """The fused nodes that recompute an intermediate in backward instead of
     keeping it (the fused series recomputes its cells' grid times), and the
@@ -775,7 +850,8 @@ class TestRecomputeNodes:
     ], ids=["kernel_weights", "kernel_weights-narrow", "time_projection",
             "time_projection-late", "pool_quotient", "linear_attention-one_row",
             "linear_attention-five_rows", "linear_attention-wide",
-            "linear_attention-floored", "linear_attention-tied"])
+            "linear_attention-floored", "linear_attention-tied",
+            "linear_attention-floored_weights_first"])
     def test_contracted_node_matches_its_primitives(self, node, variant):
         # These VJPs form their adjoints as contractions (see their
         # docstrings), so they sum in another order than the chain: the
@@ -788,9 +864,9 @@ class TestRecomputeNodes:
         # outputs are bitwise the chain's, except the projection w_t^T enc,
         # whose d_te-term sums run in another order too: it is bounded by
         # its condition |enc| |w_t|, and the encoding it projects is bitwise.
-        # Linear attention's cases (N = 1, 5 and 128; 1, 2 and 4 heads; a
-        # floored row; tied first maxima) are bounded as described in
-        # ``assert_attention_matches_its_chain``.
+        # Linear attention's cases (N = 1, 4, 5 and 128; 1, 2 and 4 heads;
+        # a floored row in each association order; tied first maxima) are
+        # bounded as described in ``assert_attention_matches_its_chain``.
         if node == "linear_attention":
             assert_attention_matches_its_chain(*attention_case(variant))
             return
@@ -1017,13 +1093,15 @@ class TestTapeMemory:
         cells = padded.samples * padded.n_variates * padded.grid_length
         return retained_bytes(tape), estimate, cells
 
-    def test_sinusoid_a_chunk_keeps_under_17_40_floats_per_padded_cell(self):
+    def test_sinusoid_a_chunk_keeps_under_17_15_floats_per_padded_cell(self):
         # A whole 32-sample batch of the reference task (B=32, N=5, L=126)
         # keeps 17.139 floats per padded cell (17.393 while the queries'
-        # time encoding was kept apart from their features); the estimate
-        # that budgets chunks is within 1% above the count.
+        # time encoding was kept apart from their features), in either
+        # association order of linear attention, which keeps the same
+        # arrays in both; the estimate that budgets chunks is within 1%
+        # above the count.
         kept, estimate, cells = self.chunk(generate(PRESETS["sinusoid-a"])[:32], TrainConfig())
-        assert kept / 8 / cells < 17.40
+        assert kept / 8 / cells < 17.15
         assert kept <= estimate <= 1.01 * kept
 
     @pytest.mark.parametrize("cfg_kw", [
