@@ -74,11 +74,18 @@ the block's N (see ``linear_attention``).
 
 Every fused node's output is bitwise the chain it replaces, and so are
 its adjoints, except where a product sums in another order than the
-chain's, which moves the result in its last bits (see each docstring):
+chain's or where the time encoding replaces sin and cos, either of which
+moves the result in its last bits (see each docstring):
+- the time encoding (``_encoding``, inside ``time_projection`` and
+  ``query_features``) forms each sin/cos pair from one tangent of the
+  half angle, so those entries lie within ``ENCODING_ATOL`` (4 eps)
+  of the chain's sin and cos, and what reads them moves with them: both
+  nodes' outputs, and the adjoints of w_f, b_f and w_t (its linear rows
+  and the other adjoints are bitwise);
 - ``time_projection``'s output w_t^T enc sums its d_te terms in another
-  order than the chain's (M, d_te) @ (d_te, 1) product (its encoding is
-  still bitwise the chain's), and all its adjoints come from one
-  (2, M) @ (M, d_te) product instead of an (M, d_te) encoding adjoint;
+  order than the chain's (M, d_te) @ (d_te, 1) product, and all its
+  adjoints come from one (2, M) @ (M, d_te) product instead of an
+  (M, d_te) encoding adjoint;
 - ``_kernel_weights``' adjoint sums g w (t - c)^2 over each kernel's row
   instead of over the chain's (B, L) axes;
 - ``_pool_quotient`` forms the weights' adjoint in their (B, K, L) layout
@@ -118,6 +125,19 @@ ATTENTION_EPS = 1e-6          # floor of every attention denominator
 # denominator at or below POOLING_EPS counts as no support, as an exact
 # zero does (see ``_pool_quotient``); 1/POOLING_EPS leaves the adjoints finite.
 POOLING_EPS = 1e-150          # largest pooling denominator that counts as no support
+# The time encoding forms each sin/cos pair from tan of the half angle (see
+# ``_encoding``). ENCODING_ATOL bounds each such entry against np.sin/np.cos
+# of the same argument, given a tan and a sin/cos within 1 ulp each
+# (relative error <= eps). To first order in eps: tan's error moves sin by
+# eps/2 and cos by eps sin^2; the roundings of u^2, 1 + u^2, 2 / (1 + u^2)
+# and the last product (sin) or difference (cos; exact, by Sterbenz, while
+# 2 / (1 + u^2) >= 1/2) add 2 eps |sin| and 1.75 eps; np.sin's and np.cos's
+# own error adds eps/2. That is 3 eps for sin and 3.25 eps for cos. tan's
+# 1 ulp is a budget, not a guarantee: numpy's SIMD tan is not correctly
+# rounded, and with numpy 2.4 it was measured within 1 ulp of mpmath for
+# arguments up to 1e6 in magnitude. The largest difference seen over 1.2e8
+# arguments with |theta| from 1e-3 to 400 was 3.3e-16 (1.5 eps).
+ENCODING_ATOL = 4.0 * np.finfo(np.float64).eps
 CHECKPOINT_FORMAT = "imtscast-checkpoint-4"
 # Checkpoint formats this version refuses, each with what changed since it.
 RETIRED_FORMATS = {
@@ -410,10 +430,13 @@ def time_projection(times: np.ndarray, p: dict[str, Tensor]) -> Tensor:
 
     It replaces the encoding's chain (``oracles.chain_time_encode``) and its
     product with w_t, and keeps what that pair kept, the encoding (here the
-    (d_te, M) one of ``_encoding``) and the times. The encoding is bitwise
-    the pair's; the projection is w_t^T enc, whose d_te-term sums run in
-    another order than the pair's (M, d_te) @ (d_te, 1) product, so it
-    differs from the pair's output in the last bits.
+    (d_te, M) one of ``_encoding``) and the times. The encoding's linear
+    rows are bitwise the pair's, and each sin and cos entry lies within
+    ``ENCODING_ATOL`` of it (``_encoding``), which moves the projection by
+    at most ``ENCODING_ATOL`` sum|w_t|. The projection is w_t^T enc, whose
+    d_te-term sums run in another order than the pair's (M, d_te) @
+    (d_te, 1) product, so it differs from the pair's output in the last
+    bits beyond that too.
 
     Every adjoint is a contraction of the (M, 1) adjoint g and of t g with
     the encoding, so the VJP forms R = [g | t g]^T enc^T, one (2, M) @
@@ -421,10 +444,12 @@ def time_projection(times: np.ndarray, p: dict[str, Tensor]) -> Tensor:
     is w_t's adjoint. With u and v w_t's sin and cos rows, the pairs'
     adjoints are u R[cos] - v R[sin] (row 0 for b_f, row 1 for w_f), and
     w_s's and b_s's are w_t's linear rows times sum(t g) and sum(g). The
-    adjoints are therefore summed in another order than the pair's: they
-    differ from its adjoints in the last bits, each entry by at most
-    4.5e-16 of the sum of the absolute terms it adds up over 1,000 random
-    draws with times up to 1e4.
+    adjoints are therefore summed in another order than the pair's: the
+    reordering alone moves each entry by at most 4.5e-16 of the sum of
+    the absolute terms it adds up (1,000 random draws with times up to
+    1e4). w_t's, w_f's and b_f's also read the sin and cos entries, so
+    each may move further by ``ENCODING_ATOL`` times the sum of its terms'
+    other factors.
     """
     # The encoding is checked as the pair checked it: a BLAS product may
     # skip the terms of a zero weight.
@@ -461,14 +486,27 @@ def _encoding(t: np.ndarray, ws: np.ndarray, bs: np.ndarray, wf: np.ndarray,
     The linear rows are t w_s + b_s; sin/cos pair j shares one argument
     theta_j = t w_f[j] + b_f[j], the linear-plus-periodic encoding of
     Time2Vec (arXiv 1907.05321) and mTAN (arXiv 2101.10318).
+
+    Each pair comes from one tangent of the half angle (the Weierstrass
+    substitution): with u = tan(theta / 2), sin theta = 2u / (1 + u^2) and
+    cos theta = 2 / (1 + u^2) - 1. numpy runs float64 ``tan`` on a SIMD
+    path where its ``sin`` and ``cos`` call scalar libm per element, so one
+    tangent costs about a third of the two; without that path it is still
+    one libm call per pair instead of two. Halving theta is exact (but
+    for subnormals), and tan of a finite double is finite: no double lies
+    closer than ~4.7e-19 to an odd multiple of pi/2 (the nearest is
+    6381956970095103 * 2^797), so |u| stays below ~2.2e18 and u^2 cannot
+    overflow. A finite theta therefore gives a finite pair and a
+    non-finite one a NaN, as sin and cos did. Each sin and cos entry lies
+    within ``ENCODING_ATOL`` of ``np.sin``/``np.cos`` of the same theta
+    while tan stays within the 1-ulp budget that bound is derived from;
+    the linear rows are bitwise the chain's.
     """
     # Each row runs over the M times, so every numpy call below has an
-    # M-long inner loop. The steps are those of the primitive chain the
-    # encoding replaces (two matmuls and adds, sin and cos of the one
-    # argument, concat): a matmul with a contracted size of 1 is the
-    # broadcast product exactly, and each step writes straight into its
-    # rows, so the values are bitwise that chain's. The argument is formed
-    # in the cos rows, whose sin is taken before their cos overwrites them.
+    # M-long inner loop, and each step writes in place into its rows. A
+    # matmul with a contracted size of 1 is the broadcast product exactly,
+    # so the linear rows and theta are bitwise the primitive chain's. u is
+    # formed in the sin rows and 2 / (1 + u^2) in the cos rows.
     n_lin, pairs = ws.shape[1], wf.shape[1]
     row = t.reshape(1, -1)
     out = np.empty((n_lin + 2 * pairs, row.shape[1]))
@@ -476,10 +514,15 @@ def _encoding(t: np.ndarray, ws: np.ndarray, bs: np.ndarray, wf: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):   # the callers raise instead
         np.multiply(ws.swapaxes(-1, -2), row, out=lin)
         lin += bs.swapaxes(-1, -2)
-        np.multiply(wf.swapaxes(-1, -2), row, out=cos)
-        cos += bf.swapaxes(-1, -2)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
+        np.multiply(wf.swapaxes(-1, -2), row, out=sin)
+        sin += bf.swapaxes(-1, -2)
+        sin *= 0.5
+        np.tan(sin, out=sin)
+        np.multiply(sin, sin, out=cos)
+        cos += 1.0
+        np.divide(2.0, cos, out=cos)
+        sin *= cos
+        cos -= 1.0
     return out
 
 
@@ -503,25 +546,34 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
     """Both conv layers as one node; backward recomputes the (C, P) hidden layer from the taps."""
     # Each step is the numpy call of the primitive it replaces (matmul, add,
     # relu), each in place where those made a temporary, so the output and
-    # the adjoints are bitwise those primitives'. The adjoint w2^T g has a
+    # the adjoints are bitwise those primitives'. The ReLU is max(h, 0) in
+    # place, which equals relu's h * (h > 0) wherever h is finite or NaN
+    # (but for the sign of a zero), and the VJP's mask h > 0 of the
+    # rectified layer is relu's mask of the layer before it. A -inf
+    # pre-activation (from a -inf tap, or an overflow) differs: relu's
+    # product made it a NaN that the node's check raised on, and max makes
+    # it 0, so the forward raises on it first. The adjoint w2^T g has a
     # contracted size of 1, so the broadcast product is the matmul's
     # exactly, without a BLAS outer product.
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
 
-    def hidden():
+    def pre_activation():
         h = np.matmul(w1d, taps)
         h += b1d
-        mask = h > 0
-        h *= mask
-        return h, mask
+        return h
 
     with np.errstate(over="ignore", invalid="ignore"):        # record() raises instead
-        h, _ = hidden()
+        h = pre_activation()
+        if np.min(h, initial=0.0) == -np.inf:
+            raise NonFiniteError("smoothing_layers: produced non-finite values")
+        np.maximum(h, 0.0, out=h)
         out = np.matmul(w2d, h)
         out += b2d
 
     def vjp(g):
-        h, mask = hidden()
+        h = pre_activation()
+        np.maximum(h, 0.0, out=h)
+        mask = h > 0
         g_w2 = g @ h.swapaxes(-1, -2)
         g_pre = np.multiply(w2d.swapaxes(-1, -2), g, out=h)   # h is not read again
         g_pre *= mask
@@ -932,8 +984,11 @@ def query_features(z: Tensor, rows: np.ndarray, times: np.ndarray,
     derivative off the node's own output, g_theta = g_sin cos(theta) -
     g_cos sin(theta) (``_encoding_vjp``), so backward runs no
     transcendental. It keeps the output, which the head's first matmul
-    keeps too, the row indices and the times. The output and every adjoint
-    are bitwise the chain's.
+    keeps too, the row indices and the times. The rows of z, the linear
+    columns and the adjoints of z, w_s and b_s are bitwise the chain's;
+    each sin and cos entry lies within ``ENCODING_ATOL`` of the chain's
+    (``_encoding``), and w_f's and b_f's adjoints, which read them, move
+    in their last bits with them.
     """
     t = times.reshape(-1, 1)
     idx = np.asarray(rows, dtype=np.intp)

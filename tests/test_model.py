@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,6 +15,7 @@ from imtscast.datasets import PRESETS, SynthSpec, generate
 from imtscast.fourier import dft_matrices
 from imtscast.model import (
     ATTENTION_EPS,
+    ENCODING_ATOL,
     POOLING_EPS,
     TE_NAMES,
     ModelParams,
@@ -152,9 +153,46 @@ class TestTimeEncoding:
 
         monkeypatch.setattr(np, "sin", refuse)
         monkeypatch.setattr(np, "cos", refuse)
+        monkeypatch.setattr(np, "tan", refuse)
         grads = tape.backward(loss)
         assert all(np.isfinite(g).all() for g in grads.values())
         assert (grads["te.w_t"] != 0.0).all()
+
+    @staticmethod
+    def near_odd_multiples_of_pi():
+        """Doubles within three steps of k pi for odd k up to ~1e15, where
+        tan(theta / 2) reaches ~1e16."""
+        def step(x, n):
+            for _ in range(abs(n)):
+                x = np.nextafter(x, np.copysign(np.inf, n))
+            return float(x)
+        return st.builds(step, st.integers(0, 2**49).map(lambda k: (2 * k + 1) * np.pi),
+                         st.integers(-3, 3))
+
+    @settings(max_examples=200, deadline=None)
+    # theta / 2 is the double nearest an odd multiple of pi/2: |u| ~ 2.1e18.
+    @example(thetas=[2.0 * 6381956970095103 * 2.0**797], scale=1.0,
+             linear=np.zeros((2, 2)))
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),     # subnormals
+        st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)).map(
+            lambda se: se[0] * 10.0 ** se[1]),
+        near_odd_multiples_of_pi()), min_size=1, max_size=12),
+        st.sampled_from([1.0, -1.0, 0.5, 2.0]),
+        hnp.arrays(np.float64, (2, 2), elements=st.floats(-1e3, 1e3)))
+    def test_pairs_stay_within_their_bound_of_sin_and_cos(self, thetas, scale, linear):
+        # theta = t w_f + b_f with a power-of-two w_f and b_f = -0.0 is t w_f
+        # exactly, signed zeros included; w_f = 2 moves |theta| up to 2e300.
+        t = np.array(thetas)[:, None]
+        ws, bs = linear[:1], linear[1:]
+        wf, bf = np.full((1, 3), scale), np.full((1, 3), -0.0)
+        out = _encoding(t, ws, bs, wf, bf)
+        theta = t.T * scale
+        assert np.isfinite(out).all()
+        assert np.array_equal(out[:2], ws.T * t.T + bs.T)
+        assert (np.abs(out[2:5] - np.sin(theta)) <= ENCODING_ATOL).all()
+        assert (np.abs(out[5:] - np.cos(theta)) <= ENCODING_ATOL).all()
 
 
 class TestConvSmoothing:
@@ -821,7 +859,7 @@ class TestRecomputeNodes:
         random probe, the parameter names, and the chain's conditions: for
         each adjoint entry, the sum over the probe's entries of the absolute
         adjoint that entry alone gives, which bounds what summing the same
-        terms in another order can change."""
+        terms in another order can change; and the probe."""
         params, fused, unfused = self.fused_and_unfused(node, variant)
         shape_tape = Tape()
         probe = np.random.default_rng(6).standard_normal(unfused(
@@ -834,14 +872,46 @@ class TestRecomputeNodes:
             _out, grads = adjoints(unfused, params, alone)
             for name in conditions:
                 conditions[name] += np.abs(grads[name])
-        return results, list(params), conditions
+        return results, list(params), conditions, probe
+
+    @staticmethod
+    def encoding_moves(times, g_enc, n_lin):
+        """How far w_f's and b_f's adjoints can move when every sin and cos
+        entry of the encoding moves by up to ENCODING_ATOL, under the
+        (M, d_te) adjoint ``g_enc`` of the encoding: each of their terms
+        carries one sin or cos factor."""
+        pairs = (g_enc.shape[1] - n_lin) // 2
+        both = np.abs(g_enc[:, n_lin : n_lin + pairs]) + np.abs(g_enc[:, n_lin + pairs :])
+        return {"te.w_f": ENCODING_ATOL * (np.abs(times).T @ both),
+                "te.b_f": ENCODING_ATOL * both.sum(axis=0, keepdims=True)}
 
     @pytest.mark.parametrize("node", ["smoothing_layers", "query_features"])
     def test_fused_node_is_bitwise_its_primitives(self, node):
-        results, names, _conditions = self.outputs_and_adjoints(node)
-        assert np.array_equal(results[0][0], results[1][0])
+        # query_features is bitwise its chain but for the time encoding's
+        # sin/cos pairs, which ``_encoding`` forms from tan of the half angle
+        # where the chain calls sin and cos: those entries differ by at most
+        # ENCODING_ATOL, and w_f's and b_f's adjoints, which read them, by
+        # what that moves (``encoding_moves``) plus a summation's rounding
+        # of the differing terms, bounded by 1e-13 of their condition.
+        results, names, conditions, probe = self.outputs_and_adjoints(node)
+        (out, grads), (chain_out, chain) = results
+        if node == "smoothing_layers":
+            assert np.array_equal(out, chain_out)
+            for name in names:
+                assert np.array_equal(grads[name], chain[name]), name
+            return
+        times, params = self.time_inputs(6, count=7)
+        n_lin = params["te.w_s"].shape[1]
+        d = out.shape[1] - n_lin - 2 * params["te.w_f"].shape[1]      # z's width
+        assert np.array_equal(out[:, : d + n_lin], chain_out[:, : d + n_lin])
+        assert (np.abs(out[:, d + n_lin :] - chain_out[:, d + n_lin :]) <= ENCODING_ATOL).all()
+        moves = self.encoding_moves(times, probe[:, d:], n_lin)
         for name in names:
-            assert np.array_equal(results[0][1][name], results[1][1][name]), name
+            if name in moves:
+                error = np.abs(grads[name] - chain[name])
+                assert (error <= 1e-13 * conditions[name] + moves[name]).all(), name
+            else:
+                assert np.array_equal(grads[name], chain[name]), name
 
     @pytest.mark.parametrize("node,variant", [
         ("kernel_weights", ""), ("kernel_weights", "narrow"),
@@ -867,26 +937,42 @@ class TestRecomputeNodes:
         # Linear attention's cases (N = 1, 4, 5 and 128; 1, 2 and 4 heads;
         # a floored row in each association order; tied first maxima) are
         # bounded as described in ``assert_attention_matches_its_chain``.
+        # time_projection's encoding is bitwise the chain's in its linear
+        # rows only; each sin and cos entry is within ENCODING_ATOL of the
+        # chain's (see ``_encoding``). That moves the projection by at
+        # most ENCODING_ATOL sum|w_t|, w_t's adjoint by ENCODING_ATOL sum|g|
+        # on the pair rows, and w_f's and b_f's as ``encoding_moves`` says,
+        # on top of the reordering bounds above.
         if node == "linear_attention":
             assert_attention_matches_its_chain(*attention_case(variant))
             return
-        results, names, conditions = self.outputs_and_adjoints(node, variant)
+        results, names, conditions, probe = self.outputs_and_adjoints(node, variant)
+        moves = dict.fromkeys(names, 0.0)
         if node == "time_projection":
             times, params = self.projection_inputs(variant)
             tape = Tape()
             b = bind(tape, **params)
             encoding = chain_time_encode(tape.const(times), b).data
-            assert np.array_equal(_encoding(times, *(params[n] for n in TE_NAMES)).T, encoding)
-            bound = np.abs(encoding) @ np.abs(params["te.w_t"])
+            n_lin = params["te.w_s"].shape[1]
+            fused_encoding = _encoding(times, *(params[n] for n in TE_NAMES)).T
+            assert np.array_equal(fused_encoding[:, :n_lin], encoding[:, :n_lin])
+            assert (np.abs(fused_encoding[:, n_lin:] - encoding[:, n_lin:])
+                    <= ENCODING_ATOL).all()
+            w_t = np.abs(params["te.w_t"])
+            bound = np.abs(encoding) @ w_t
             assert (bound > 0.0).all()
-            assert (np.abs(results[0][0] - results[1][0]) <= 1e-13 * bound).all()
+            moved = ENCODING_ATOL * w_t[n_lin:].sum()
+            assert (np.abs(results[0][0] - results[1][0]) <= 1e-13 * bound + moved).all()
+            moves.update(self.encoding_moves(times, probe @ params["te.w_t"].T, n_lin))
+            moves["te.w_t"] = np.zeros_like(w_t)
+            moves["te.w_t"][n_lin:] = ENCODING_ATOL * np.abs(probe).sum()
         else:
             assert np.array_equal(results[0][0], results[1][0])
         chain = results[1][1]
         for name in names:
             assert (conditions[name] > 0.0).all(), name
             error = np.abs(results[0][1][name] - chain[name])
-            assert (error <= 1e-13 * conditions[name]).all(), name
+            assert (error <= 1e-13 * conditions[name] + moves[name]).all(), name
 
     @pytest.mark.parametrize("times,scale,bias", [
         (1e308, 10.0, 0.0),       # the linear term overflows
@@ -902,9 +988,12 @@ class TestRecomputeNodes:
         # The time encoding is written by the queries' features.
         params["z"] = np.ones((2, 3))
         rows, at = np.array([1]), np.array([times])
+        # Where neither raises, the row of z and the linear column are the
+        # chain's, and each sin and cos entry is within ENCODING_ATOL of it.
+        bound = np.r_[np.zeros(4), np.full(6, ENCODING_ATOL)]
         self.same_failures(lambda b: query_features(b["z"], rows, at, b),
                            lambda b: chain_query_features(b["z"], rows, at, b),
-                           params, "query_features")
+                           params, "query_features", bound)
 
     @pytest.mark.parametrize("times,scale,bias,weight", [
         (1e308, 10.0, 0.0, 1.0),       # the encoding overflows
@@ -920,9 +1009,34 @@ class TestRecomputeNodes:
                                 bias if ".b_" in name else scale)
                   for name in ("te.w_s", "te.b_s", "te.w_f", "te.b_f")}
         params["te.w_t"] = np.full((7, 1), weight)
+        # Where neither raises, the projection is within ENCODING_ATOL of
+        # the sin/cos entries times their |w_t|, plus the reordering bound
+        # 1e-13 |enc| |w_t| of ``test_contracted_node_matches_its_primitives``.
+        with np.errstate(all="ignore"):
+            theta = times * scale + bias
+            encoding = np.r_[theta, np.full(3, np.sin(theta)), np.full(3, np.cos(theta))]
+            bound = 1e-13 * np.abs(encoding) @ np.abs(params["te.w_t"]) \
+                + ENCODING_ATOL * 6 * abs(weight)
         self.same_failures(lambda b: time_projection(np.array([[times]]), b),
                            lambda b: chain_time_encode(b["te.w_s"].tape.const([[times]]), b)
-                           @ b["te.w_t"], params, "time_projection")
+                           @ b["te.w_t"], params, "time_projection", bound)
+
+    @pytest.mark.parametrize("tap,weight", [
+        (-np.inf, 1.0),       # a -inf tap: max(h, 0) alone would rectify it to 0
+        (np.inf, 1.0),
+        (np.nan, 1.0),
+        (1e200, -1e200),      # the pre-activations overflow to -inf
+        (1e200, 1e200),       # ... and to +inf
+        (1e200, -1e100),      # large but finite
+    ])
+    def test_smoothing_layers_raise_wherever_their_chain_raised(self, tap, weight):
+        taps = np.array([[tap, 0.5], [tap, -1.0], [tap, 2.0]])
+        params = {"w1": np.full((4, 3), weight), "b1": np.zeros((4, 1)),
+                  "w2": np.ones((1, 4)), "b2": np.zeros((1, 1))}
+        self.same_failures(
+            lambda b: _smoothing_layers(taps, b["w1"], b["b1"], b["w2"], b["b2"]),
+            lambda b: (b["w2"] @ T.relu(b["w1"] @ b["w1"].tape.const(taps) + b["b1"])
+                       + b["b2"]), params, "smoothing_layers")
 
     @pytest.mark.parametrize("log_alpha,centre", [
         (-1e4, 0.5),       # sigma^2 underflows to 0: exponent 0/0 and -inf, exp -> 0
@@ -1061,9 +1175,10 @@ class TestRecomputeNodes:
         self.same_failures(fused, chain, {"values": np.array([values]),
                                           "proj": np.array(proj)[:, None]}, "fuse_at_cells")
 
-    def same_failures(self, fused, chain, params, name):
+    def same_failures(self, fused, chain, params, name, bound=0.0):
         """``fused`` raises NonFiniteError, naming itself, exactly where
-        ``chain`` raised it, and otherwise gives the chain's values."""
+        ``chain`` raised it, and otherwise gives the chain's values, each
+        shaped as they are and each within ``bound`` of them."""
         results = []
         with np.errstate(all="ignore"):
             for fn in (fused, chain):
@@ -1075,7 +1190,9 @@ class TestRecomputeNodes:
         if isinstance(results[1], str):
             assert results[0] == f"{name}: produced non-finite values"
         else:
-            assert np.array_equal(results[0], results[1])
+            assert not isinstance(results[0], str), results[0]
+            assert results[0].shape == results[1].shape
+            assert (np.abs(results[0] - results[1]) <= bound).all()
 
 
 class TestTapeMemory:
