@@ -93,12 +93,6 @@ MODEL_FLAGS = [
     ("--patience", "patience", int),
 ]
 
-ABLATION_FLAGS = [
-    # (flag, boolean config field the flag turns off)
-    ("--no-preconv", "use_preconv"),
-    ("--no-pool-gate", "use_pool_gate"),
-]
-
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
@@ -109,8 +103,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
     for flag, _field, typ in MODEL_FLAGS:
         parser.add_argument(flag, type=typ, default=None)
-    for flag, _field in ABLATION_FLAGS:
-        parser.add_argument(flag, action="store_true")
 
 
 def _load_config_file(path) -> dict:
@@ -160,9 +152,6 @@ def _resolve_config(args) -> tuple[TrainConfig, dict]:
         value = getattr(args, _dest(flag))
         if value is not None:
             updates[field] = value
-    for flag, field in ABLATION_FLAGS:
-        if getattr(args, _dest(flag)):
-            updates[field] = False
     if args.seed is not None:
         updates["seed"] = args.seed
     cfg = dataclasses.replace(cfg, **updates)

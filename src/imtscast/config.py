@@ -18,6 +18,8 @@ RETIRED_KEYS = {
     "normalize_time": True,
     "per_variate_time_norm": False,
     "softmax_attention": False,
+    "use_preconv": True,
+    "use_pool_gate": False,
 }
 
 
@@ -38,8 +40,6 @@ class TrainConfig:
     max_epochs: int = 200
     patience: int = 50
     seed: int = 0
-    use_preconv: bool = True             # convolutional smoothing stage
-    use_pool_gate: bool = True           # sigmoid gate on kernel summaries
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -59,7 +59,7 @@ class TrainConfig:
         return cls(**data)
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+_KINDS = {int: "an integer", float: "a number"}
 
 
 def validate(cfg: TrainConfig) -> None:
@@ -67,13 +67,12 @@ def validate(cfg: TrainConfig) -> None:
     be built.
 
     Integer fields take ``int`` only (not ``bool``, and not a float such as
-    32.0); ``learning_rate`` takes a finite positive ``int`` or ``float``;
-    the ``use_*`` switches take ``bool`` only.
+    32.0); ``learning_rate`` takes a finite positive ``int`` or ``float``.
     """
     for f in fields(cfg):
         value, kind = getattr(cfg, f.name), type(f.default)
         accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ConfigError(f"{f.name} must be {_KINDS[kind]}, got {value!r}")
     if cfg.kernels < 2:
         raise ConfigError("kernels must be >= 2")

@@ -5,6 +5,11 @@ continuous time encoding fused in, Gaussian-kernel pooling of each variate
 down to a fixed-width vector, stacked spectral linear-attention blocks that
 mix variates, and a query-conditioned MLP head.
 
+There is one configuration: every forward runs the paper's three modules,
+Pre-Convolution, Temporal Kernel Aggregation and Frequency Linear
+Attention. Ablations are arms of ``tools/quality.py``, which replace
+``_smoothing_layers`` or ``linear_attention`` for a run.
+
 The fused series (smoothed value plus projected time encoding) is formed
 at the observed cells only and placed on a zero grid that pooling's
 numerator reads as it is, so the rest of the grid, mostly unobserved on
@@ -138,7 +143,7 @@ POOLING_EPS = 1e-150          # largest pooling denominator that counts as no su
 # arguments up to 1e6 in magnitude. The largest difference seen over 1.2e8
 # arguments with |theta| from 1e-3 to 400 was 3.3e-16 (1.5 eps).
 ENCODING_ATOL = 4.0 * np.finfo(np.float64).eps
-CHECKPOINT_FORMAT = "imtscast-checkpoint-4"
+CHECKPOINT_FORMAT = "imtscast-checkpoint-5"
 # Checkpoint formats this version refuses, each with what changed since it.
 RETIRED_FORMATS = {
     "imtscast-checkpoint-1": "whose attention used the retired cos/sin random-feature map; "
@@ -148,6 +153,8 @@ RETIRED_FORMATS = {
                              "share one frequency and phase each",
     "imtscast-checkpoint-3": "whose model had a separate (d, d) output projection before the "
                              "head; this version's head reads the last attention block's output",
+    "imtscast-checkpoint-4": "whose pooling scaled each kernel summary by a learned sigmoid gate "
+                             "(pool.gate); this version's pooling has no gate",
 }
 
 
@@ -322,8 +329,7 @@ def layout(cfg: TrainConfig) -> tuple[dict, dict[str, tuple[int, ...]]]:
         "conv.w2": ((1, c), c), "conv.b2": ((1, 1), 0.0),
         "te.w_s": ((1, dte - 2 * pairs), 1), "te.b_s": ((1, dte - 2 * pairs), 0.0),
         "te.w_f": ((1, pairs), 1), "te.b_f": ((1, pairs), 0.0), "te.w_t": ((dte, 1), dte),
-        "pool.log_alpha": ((1, k), float(np.log(1.0 / k))), "pool.gate": ((1, k), 0.0),
-        "pool.w_proj": ((k + 1, d), k + 1),
+        "pool.log_alpha": ((1, k), float(np.log(1.0 / k))), "pool.w_proj": ((k + 1, d), k + 1),
     }
     for b in range(cfg.blocks):
         p = f"blocks.{b}."
@@ -390,10 +396,10 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
     times = samples * grid_length
     mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
     floats = (
-        # encode: the cells (P,) at which the fused series is placed and,
-        # with the conv, its taps (3, P) (a chunk of one keeps its
-        # sample's own); the grid times and the time encoding (B*L, 1 + d_te)
-        observed * (4 if cfg.use_preconv else 1) + times * (1 + dte)
+        # encode: the cells (P,) at which the fused series is placed and
+        # the conv's taps (3, P) (a chunk of one keeps its sample's own);
+        # the grid times and the time encoding (B*L, 1 + d_te)
+        observed * 4 + times * (1 + dte)
         # pool: the normalized times (B, L) and the kernel weights (B, K, L),
         # and in the quotient's node the mask and the fused series
         # (B*N, L) x2 and the quotient and its raised denominator (B*N, K)
@@ -583,27 +589,26 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
     return w1.tape.record("smoothing_layers", out, (w1, b1, w2, b2), vjp)
 
 
-def encode_series(block: AlignedTriplet, tp: Tape, p: dict[str, Tensor],
-                  use_conv: bool = True) -> Tensor:
+def encode_series(block: AlignedTriplet, tp: Tape, p: dict[str, Tensor]) -> Tensor:
     """Smoothing convolution plus the projected time encoding, per Eq. of the
     fused representation: all variates share both the filters and the grid.
 
     The width-3 then 1x1 convolution with zero same-padding runs over the
-    observed cells' (3, P) ``taps`` (without it, their own values enter the
-    tape ``tp`` as a checked constant). The block's grid times, one grid
-    after another, are projected as a (B*L, 1) column. Returns the
-    (B, N, L) stack pooling reads.
+    observed cells' (3, P) ``taps``. The block's grid times, one grid after
+    another, are projected as a (B*L, 1) column. Both meet on the tape
+    ``tp`` in the (B, N, L) stack pooling reads.
     """
     conv = (p[name] for name in ("conv.w1", "conv.b1", "conv.w2", "conv.b2"))
-    values = _smoothing_layers(block.taps, *conv) if use_conv else tp.const(block.taps[1:2])
-    return _fuse_at_cells(values, time_projection(block.times.reshape(-1, 1), p), block)
+    values = _smoothing_layers(block.taps, *conv)
+    return _fuse_at_cells(values, time_projection(block.times.reshape(-1, 1), p), block, tp)
 
 
-def _fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tensor:
+def _fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet, tp: Tape) -> Tensor:
     """The (1, P) values at the block's flat ``cells`` plus the (B*L, 1)
     grid-time projection, on a zero (B, N, L) grid: cell (b*N + n)*L + col
-    reads time b*L + col. One node; it checks the P sums. Its VJP gathers
-    the adjoint at the cells and sums it per grid time, keeping only cells."""
+    reads time b*L + col. One node on ``tp``; it checks the P sums. Its VJP
+    gathers the adjoint at the cells and sums it per grid time, keeping
+    only cells."""
     cells, n_variates, length = block.cells, block.n_variates, block.grid_length
 
     def grid_times():
@@ -621,7 +626,7 @@ def _fuse_at_cells(values: Tensor, proj: Tensor, block: AlignedTriplet) -> Tenso
         return (at_cells.reshape(1, -1),
                 np.bincount(grid_times(), at_cells, g.shape[0] * length).reshape(-1, 1))
 
-    return values.tape.append("fuse_at_cells", out, (values, proj), vjp)
+    return tp.append("fuse_at_cells", out, (values, proj), vjp)
 
 
 def _kernel_weights(t_norm: np.ndarray, p: dict[str, Tensor]) -> Tensor:
@@ -720,7 +725,7 @@ def _pool_quotient(xhat: Tensor, weights: Tensor, mask_rows: np.ndarray) -> Tens
 
 
 def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
-             p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
+             p: dict[str, Tensor]) -> Tensor:
     """Pool every variate of every sample at once: (B, N, L) -> (B*N, d).
 
     ``xhat`` is the (B, N, L) stack of ``encode_series``, ``mask_rows`` its
@@ -730,14 +735,14 @@ def pool_all(xhat: Tensor, mask_rows: np.ndarray, t_norm: np.ndarray,
     (K, L) kernel-weight matrix serves all N of its rows. The (B, K, L)
     weights meet the rows in one node (``_pool_quotient``), whose batched
     matmuls form the numerators and the masked denominators and divide; no
-    (L, K) coefficient matrix per variate is materialized. Precondition:
-    xhat is zero off the observed cells (as ``encode_series`` leaves it),
-    so unobserved and padded cells drop out of both sums.
+    (L, K) coefficient matrix per variate is materialized. Each row's K
+    kernel means, beside its flag (1 where the variate has an observation),
+    are projected by ``pool.w_proj``. Precondition: xhat is zero off the
+    observed cells (as ``encode_series`` leaves it), so unobserved and
+    padded cells drop out of both sums.
     """
     weights = _kernel_weights(t_norm, p)                         # (B, K, L)
     pooled = _pool_quotient(xhat, weights, mask_rows)            # (B*N, K)
-    if use_gate:
-        pooled = pooled * T.sigmoid(p["pool.gate"])
     # The flags are built in {0, 1}: they enter unchecked.
     flags = xhat.tape.append(
         "const", (mask_rows.sum(axis=1, keepdims=True) > 0).astype(np.float64), (), None)
@@ -1052,9 +1057,8 @@ def forward(tp: Tape, model: ModelParams, block: AlignedTriplet, queries,
     p = model.bind(tp)
     stats: dict = {"degenerate_rows": 0}
 
-    xhat = encode_series(block, tp, p, use_conv=cfg.use_preconv)
-    z = pool_all(xhat, block.mask, normalize_times(block.times), p,
-                 use_gate=cfg.use_pool_gate)
+    xhat = encode_series(block, tp, p)
+    z = pool_all(xhat, block.mask, normalize_times(block.times), p)
 
     for b in range(cfg.blocks):
         z = attention_block(z, b, p, stats=stats, capture=capture, samples=samples)

@@ -32,9 +32,9 @@ argument of a node that checks what it computes from it, so a non-finite
 entry raises at that node, or through ``const``. A constant that the
 code builds finite itself (a mask or flags in {0, 1}, a read-only DFT
 matrix) enters through ``Tape.append("const", ...)`` instead, unchecked.
-The primitives that only move, select, clamp or bound finite values skip
-the check (``concat``, ``relu`` and ``sigmoid``) by appending their node
-with ``Tape.append``: by induction their outputs are finite too. So a
+The primitives that only move, select or clamp finite values skip the
+check (``concat`` and ``relu``) by appending their node with
+``Tape.append``: by induction their outputs are finite too. So a
 NaN/Inf raises ``NonFiniteError`` at, and named after, the first op that
 produced it, which keeps divergence diagnosable.
 """
@@ -317,18 +317,12 @@ def matmul(a: Tensor, b) -> Tensor:
 
 
 # The primitives below that call ``append`` rather than ``record`` only move,
-# select, clamp or bound their input's values, so finite inputs give finite
+# select or clamp their input's values, so finite inputs give finite
 # outputs and the check is skipped (see the module docstring).
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return a.tape.append("relu", np.asarray(a.data * mask), (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):   # exp(-a) = inf for a << 0 gives s = 0
-        s = np.asarray(1.0 / (1.0 + np.exp(-a.data)))
-    return a.tape.append("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -28,6 +28,9 @@ quotient (``chain_attend``, which forms phi(K)^T and [V | 1], reads its
 (B, N, H, .) inputs as per-(sample, head) stacks and divides the
 numerators by their floored denominators), between reshapes.
 
+``sigmoid`` left the tape with the pooling gate, its one caller in the
+model; the tape's tests still use it as a bounded, unchecked primitive.
+
 ``model.layout`` is the one table of the model's array shapes;
 ``param_count_closed_form`` counts its learnables per stage instead.
 
@@ -67,6 +70,13 @@ def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # record() raises instead
         e = np.exp(a.data)
     return a.tape.record("exp", e, (a,), lambda g: (g * e,))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Entrywise logistic function; unchecked, as its values lie in [0, 1]."""
+    with np.errstate(over="ignore"):   # exp(-a) = inf for a << 0 gives s = 0
+        s = np.asarray(1.0 / (1.0 + np.exp(-a.data)))
+    return a.tape.append("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def div(a: Tensor, b) -> Tensor:
@@ -319,14 +329,12 @@ def dense_conv_smooth(rows: Tensor, p: dict[str, Tensor]) -> Tensor:
     return reshape(out, (n, length))
 
 
-def dense_encode_series(block: AlignedTriplet, tp: T.Tape, p: dict[str, Tensor],
-                        use_conv: bool = True) -> Tensor:
+def dense_encode_series(block: AlignedTriplet, tp: T.Tape, p: dict[str, Tensor]) -> Tensor:
     """``model.encode_series`` with the convolution run on the whole
     zero-filled grid, rebuilt from the block's layout, and the grid times'
     ``chain_time_encode``, projected, added to every cell; the product with
     the mask then zeroes every unobserved cell. Returns the (B, N, L) stack."""
-    rows = tp.const(zero_filled(block))
-    base = dense_conv_smooth(rows, p) if use_conv else rows
+    base = dense_conv_smooth(tp.const(zero_filled(block)), p)
     shape = (block.samples, block.n_variates, block.grid_length)
     tcol = tp.const(block.times.reshape(-1, 1))
     tproj = reshape(chain_time_encode(tcol, p) @ p["te.w_t"], (shape[0], 1, shape[2]))
@@ -348,11 +356,9 @@ def pool_coefficients(t_norm: Tensor, mask_col: Tensor, p: dict[str, Tensor]) ->
 
 
 def pool_summary(x_col: Tensor, coeffs: Tensor, mask_col: Tensor,
-                 p: dict[str, Tensor], use_gate: bool = True) -> Tensor:
+                 p: dict[str, Tensor]) -> Tensor:
     """Pool one variate (L, 1) into a (1, d) vector via its coefficients."""
     pooled = transpose(transpose(coeffs) @ x_col)              # (1, K)
-    if use_gate:
-        pooled = pooled * T.sigmoid(p["pool.gate"])
     flag = 1.0 if float(mask_col.data.sum()) > 0 else 0.0
     withflag = T.concat([pooled, x_col.tape.const([[flag]])], axis=1)
     return withflag @ p["pool.w_proj"]                         # (1, d)
@@ -367,7 +373,7 @@ def param_count_closed_form(cfg) -> int:
     # linear scale and shift per linear column, frequency and phase per
     # sin/cos pair, projection
     te = 2 * (dte - 2 * pairs) + 2 * pairs + dte
-    pool = 2 * k + (k + 1) * d
+    pool = k + (k + 1) * d
     block = 3 * d * d + 4 * d + (2 * d * d + 2 * d) + (2 * d * d + d)
     head = (d + dte) * d + d + d * d + d + d + 1
     return conv + te + pool + cfg.blocks * block + head

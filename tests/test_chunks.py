@@ -61,8 +61,6 @@ CONFIGS = {
     "heads1": dict(heads=1),
     "heads2_blocks2": dict(heads=2, blocks=2),
     "heads4": dict(heads=4),
-    "no_preconv": dict(use_preconv=False),
-    "no_pool_gate": dict(use_pool_gate=False),
 }
 
 

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import imtscast.datasets as datasets_module
-from imtscast.cli import ABLATION_FLAGS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MODEL_FLAGS, main
+from imtscast.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MODEL_FLAGS, main
 from imtscast.config import RETIRED_KEYS, TrainConfig
 from imtscast.data import align
 from imtscast.datasets import (
@@ -335,8 +335,9 @@ class TestMalformedInput:
 
 class TestConfigValues:
     # A value of the wrong type, a non-finite learning rate, a negative seed,
-    # a shape the model cannot build or an unknown key is a usage error,
-    # caught before any training (a truthy "no" must not switch the stage on).
+    # a shape the model cannot build, an unknown key or a retired key with
+    # another value than the model's (a truthy "no" for use_preconv, a 0 for
+    # use_pool_gate) is a usage error, caught before any training.
     @pytest.mark.parametrize("key, config, flags", [
         ("hidden", {"model": {"hidden": "32"}}, []),
         ("hidden", {"model": {"hidden": 32.0}}, []),
@@ -360,7 +361,7 @@ class TestConfigValues:
         ("max_epochs", {}, ["--max-epochs", "0"]),
         ("patience", {"model": {"patience": 0}}, []),
         ("dropout", {"model": {"dropout": 0.1}}, []),
-        # 9,895,641,350,276 parameters: refused before anything is allocated.
+        # 9,895,641,350,268 parameters: refused before anything is allocated.
         ("hidden", {}, ["--hidden", "1048576", "--heads", "1"]),
         ("seed", {"seed": 5, "model": {"seed": 3}}, []),
         # A path that is not a string ended in open()'s TypeError traceback.
@@ -483,13 +484,19 @@ class TestRetiredCheckpointFormat:
         # The current arrays plus the (d, d) projection the head read.
         doc["params"]["out.w"] = {"shape": [8, 8], "data": [0.5] * 64}
 
+    @staticmethod
+    def pool_gate(doc):
+        # The current arrays plus the gate on the two kernel summaries.
+        doc["params"]["pool.gate"] = {"shape": [1, 2], "data": [0.0] * 2}
+
     @pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
     @pytest.mark.parametrize("fmt, retire, phrases", [
         ("imtscast-checkpoint-1", cos_sin_feature_map, ["cos/sin random-feature map"]),
         ("imtscast-checkpoint-2", separate_frequencies,
          ["separate frequencies", "share one frequency"]),
         ("imtscast-checkpoint-3", output_projection, ["(d, d) output projection"]),
-    ], ids=["checkpoint-1", "checkpoint-2", "checkpoint-3"])
+        ("imtscast-checkpoint-4", pool_gate, ["sigmoid gate", "pool.gate"]),
+    ], ids=["checkpoint-1", "checkpoint-2", "checkpoint-3", "checkpoint-4"])
     def test_exits_2_saying_retrain(self, tmp_path, capsys, fmt, retire, phrases, command):
         code, errors = self.run_retired(tmp_path, capsys, command, fmt, retire)
         assert code == EXIT_USAGE
@@ -576,7 +583,7 @@ class TestEmptySplit:
 
 class TestNonFiniteCheckpoint:
     @pytest.mark.parametrize("section, name, value", [
-        ("params", "pool.gate", "NaN"),
+        ("params", "pool.log_alpha", "NaN"),
         ("params", "head.w3", "Infinity"),
         ("buffers", "blocks.0.omega", "-Infinity"),
     ])
@@ -687,7 +694,7 @@ class TestGradcheck:
         assert main(["gradcheck", "--hidden", "1048576", "--heads", "1"]) == EXIT_USAGE
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
-        assert "9,895,641,350,276 learnable parameters" in errors[0]
+        assert "9,895,641,350,268 learnable parameters" in errors[0]
 
     # A zero step ended in a ZeroDivisionError traceback, a non-finite one in
     # a numeric failure (3), and a NaN or negative tol ran the whole check to
@@ -722,34 +729,41 @@ class TestRetiredKeys:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    # Each retired key with the value the model no longer has.
+    OTHER_VALUES = [("softmax_attention", True), ("normalize_time", False),
+                    ("use_pool_gate", True), ("use_preconv", False)]
+
     def test_checkpoint_with_another_value_exits_2_naming_the_key(self, tmp_path, capsys):
         data, checkpoint = tiny_run(tmp_path)
         doc = json.loads(checkpoint.read_text(encoding="utf-8"))
-        doc["config"]["softmax_attention"] = True
-        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["eval", "--checkpoint", str(checkpoint),
-                     "--data", str(data / "manifest.json")]) == EXIT_USAGE
-        assert "softmax_attention" in capsys.readouterr().err
+        for key, value in self.OTHER_VALUES:
+            config = {**doc["config"], key: value}
+            checkpoint.write_text(json.dumps({**doc, "config": config}), encoding="utf-8")
+            assert main(["eval", "--checkpoint", str(checkpoint),
+                         "--data", str(data / "manifest.json")]) == EXIT_USAGE, key
+            assert key in capsys.readouterr().err
 
     def test_config_file_with_another_value_exits_2(self, tmp_path, capsys):
         data, _checkpoint = tiny_run(tmp_path)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"normalize_time": False}}), encoding="utf-8")
-        assert main(["train", "--config", str(config), *TINY_FLAGS, "--max-epochs", "1",
-                     "--data", str(data / "manifest.json"),
-                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
-        assert "normalize_time" in capsys.readouterr().err
+        for key, value in self.OTHER_VALUES:
+            config.write_text(json.dumps({"model": {key: value}}), encoding="utf-8")
+            assert main(["train", "--config", str(config), *TINY_FLAGS, "--max-epochs", "1",
+                         "--data", str(data / "manifest.json"),
+                         "--out", str(tmp_path / "run")]) == EXIT_USAGE, key
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "run" / "checkpoint.json").exists()
 
 
 def test_every_config_field_but_seed_has_exactly_one_flag(capsys):
     flagged = [field for _flag, field, _typ in MODEL_FLAGS]
-    flagged += [field for _flag, field in ABLATION_FLAGS]
     assert sorted(flagged) == sorted(f.name for f in dataclasses.fields(TrainConfig)
                                      if f.name != "seed")
-    for _flag, field in ABLATION_FLAGS:
-        assert getattr(TrainConfig(), field) is True   # each flag turns a default off
     assert main(["train", "--help"]) == EXIT_OK
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == ({flag for flag, _field, _typ in MODEL_FLAGS}
-                      | {flag for flag, _field in ABLATION_FLAGS}
                       | {"--help", "--config", "--seed", "--data", "--out", "--verbose"})
+    # The switches of the retired ablations are usage errors.
+    for flag in ("--no-preconv", "--no-pool-gate"):
+        assert main(["gradcheck", *TINY_FLAGS, flag]) == EXIT_USAGE, flag
+        assert flag in capsys.readouterr().err

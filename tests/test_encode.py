@@ -138,8 +138,6 @@ CONFIGS = {
     "heads1": dict(heads=1),
     "heads4": dict(heads=4),
     "blocks2": dict(blocks=2),
-    "no_pool_gate": dict(use_pool_gate=False),
-    "no_preconv": dict(use_preconv=False),
 }
 
 

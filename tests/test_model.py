@@ -218,7 +218,7 @@ class TestConvSmoothing:
         p.update(make_te_params(tape, d_te=5, zero=True))
         p["te.w_t"] = tape.const(np.zeros((5, 1)))
         block = grid_triplet(np.zeros((2, 6)), np.ones((2, 6)))
-        out = encode_series(block, tape.const(np.zeros((6, 1))), p)
+        out = encode_series(block, tape, p)
         assert np.all(out.data == 0.0)
 
     def test_length_one_sees_zero_padding(self):
@@ -268,7 +268,6 @@ def pool_params(tape, k, d=None, seed=0):
     p = {
         "pool.centers": np.linspace(0, 1, k)[None, :],
         "pool.log_alpha": tape.const(np.log(rng.uniform(0.2, 1.0, size=(1, k)))),
-        "pool.gate": tape.const(rng.standard_normal((1, k))),
     }
     if d is not None:
         p["pool.w_proj"] = tape.const(rng.standard_normal((k + 1, d)))
@@ -332,16 +331,15 @@ class TestKernelPooling:
         sigma = np.sqrt(0.5 / (310 * np.log(10.0)))
         b = bind(tape, xhat=np.array([[[0.0, 2.0, 0.0]]]),
                  **{"pool.log_alpha": np.log([[0.5, sigma]]),
-                    "pool.gate": np.zeros((1, 2)),
                     "pool.w_proj": np.ones((3, 4))})
         b["pool.centers"] = np.array([[0.5, 1.5]])
         t_norm = np.array([[0.0, 0.5, 1.0]])
         weights = np.exp(-0.5 * (t_norm[0, 1] - 1.5) ** 2 / sigma**2)
         assert 0.0 < weights < 1e-308
         z = pool_all(b["xhat"], np.array([[0.0, 1.0, 0.0]]), t_norm, b)
-        assert np.allclose(z.data, 0.5 * 2.0 + 1.0)    # 2 pooled by the wide kernel, gated
+        assert np.allclose(z.data, 2.0 + 1.0)    # 2 pooled by the wide kernel, and the flag
         grads = tape.backward(z.sum())
-        for name in ("xhat", "pool.log_alpha", "pool.gate", "pool.w_proj"):
+        for name in ("xhat", "pool.log_alpha", "pool.w_proj"):
             assert np.isfinite(grads[name]).all(), name
 
     def test_empty_variate_flag_and_zero_summary(self):
@@ -382,16 +380,15 @@ class TestKernelPooling:
         z = pool_summary(tape.const(x), coeffs, tape.const(mask), p).data[0]
 
         a = coeffs.data
-        gate = 1.0 / (1.0 + np.exp(-p["pool.gate"].data[0]))
         pooled = np.zeros(k)
         for j in range(k):
             for l in range(length):
                 pooled[j] += a[l, j] * x[l, 0]
-        gated = np.concatenate([pooled * gate, [1.0]])
+        flagged = np.concatenate([pooled, [1.0]])
         expected = np.zeros(d)
         for col in range(d):
             for j in range(k + 1):
-                expected[col] += gated[j] * p["pool.w_proj"].data[j, col]
+                expected[col] += flagged[j] * p["pool.w_proj"].data[j, col]
         assert np.abs(z - expected).max() < 1e-12
 
     def test_vectorized_pooling_equals_per_variate_composition(self):
@@ -1131,7 +1128,7 @@ class TestRecomputeNodes:
                        "proj": rng.standard_normal((block.samples * block.grid_length, 1))}
 
     def fuse(self, block):
-        return (lambda b: _fuse_at_cells(b["values"], b["proj"], block),
+        return (lambda b: _fuse_at_cells(b["values"], b["proj"], block, b["values"].tape),
                 lambda b: chain_fuse_at_cells(b["values"], b["proj"], block))
 
     @pytest.mark.parametrize("seed", [1, 3, 8])
@@ -1221,9 +1218,12 @@ class TestTapeMemory:
         assert kept / 8 / cells < 17.15
         assert kept <= estimate <= 1.01 * kept
 
+    # The small-config row keeps the id it had when rows 2 and 3 turned the
+    # convolution and the pool gate off; those switches are deleted.
     @pytest.mark.parametrize("cfg_kw", [
-        dict(), dict(heads=1), dict(use_preconv=False), dict(use_pool_gate=False),
-        dict(hidden=6, heads=3, rff_dim=10, kernels=3, conv_channels=2, time_dim=5, blocks=2),
+        dict(), dict(heads=1),
+        pytest.param(dict(hidden=6, heads=3, rff_dim=10, kernels=3, conv_channels=2, time_dim=5,
+                          blocks=2), id="cfg_kw4"),
     ])
     def test_estimate_bounds_what_the_tape_keeps(self, cfg_kw):
         rng = np.random.default_rng(13)
@@ -1352,25 +1352,25 @@ class TestCountedCost:
 
     def test_fixed_cost_of_one_forward(self, monkeypatch):
         # A default-config forward of one sample with 2 grid times and 1
-        # query records 69 nodes. 30 run the finiteness check, all of them
+        # query records 66 nodes. 29 run the finiteness check, all of them
         # nodes that compute, among them pooling's quotient, linear
         # attention (one node for the two feature maps, the quotient and
         # the four reshapes around them) and the queries' features (one
         # node for the gather of z's rows, the time encoding and the
         # concat). No time enters as a constant: the grid's and the
         # queries' times are read as plain arrays by the nodes that encode
-        # them, which check the encoding. The 29 parameter leaves share one
+        # them, which check the encoding. The 28 parameter leaves share one
         # check of the flat vector, the frozen buffers are read as plain
         # arrays, the convolution reads the block's taps unchecked (its
         # layers' node checks their output), pooling's mask is read inside
         # its quotient's node, the 3 constants the forward builds finite
         # itself (pooling's flags and the DFT pair) enter unchecked, and of
-        # the other 7 nodes, two check only what they compute (the fused
+        # the other 6 nodes, two check only what they compute (the fused
         # series' sums at the observed cells and the kernel exponent) and
-        # the rest only move, select or bound finite values.
+        # the rest only move, select or clamp finite values.
         sizes, tape, checked = self.record(monkeypatch, 1, 2, queries=1)
-        assert len(sizes) == len(tape.nodes) == 69
-        assert len(checked) == 30 and "const" not in checked
+        assert len(sizes) == len(tape.nodes) == 66
+        assert len(checked) == 29 and "const" not in checked
 
 
 def positive_phi(m, omega, keys=False):
@@ -1591,15 +1591,14 @@ class TestForward:
         with pytest.raises(DataError, match=f"expected {2 * n} query arrays, one per row, got {n}"):
             forward(Tape(), model, pair, sample.query_times)
 
-    @pytest.mark.parametrize("use_preconv", [True, False])
-    def test_forward_and_backward_leave_the_block_unchanged(self, use_preconv):
+    def test_forward_and_backward_leave_the_block_unchanged(self):
         # A block of one is the sample's own aligned arrays (no copy), and
         # ``train`` re-reads them every epoch.
         rng = np.random.default_rng(12)
         sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
         while not sum(q.size for q in sample.query_times):
             sample = random_sample(rng, max_variates=3, allow_empty_variates=False)
-        model = ModelParams.init(block_config(use_preconv=use_preconv), seed=12)
+        model = ModelParams.init(block_config(), seed=12)
         block = align(sample)
         before = [arr.copy() for arr in (block.times, block.cells, block.taps)]
         tape = Tape()
@@ -1608,12 +1607,11 @@ class TestForward:
         after = (block.times, block.cells, block.taps)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
-    @pytest.mark.parametrize("use_preconv", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_tap_raises(self, use_preconv, bad):
+    def test_a_non_finite_tap_raises(self, bad):
         # The layout is data the forward reads unchecked: the convolution's
-        # node, or without it the constant of the taps it places, must raise.
-        sample, model = self.sample_and_model(seed=13, use_preconv=use_preconv)
+        # node must raise.
+        sample, model = self.sample_and_model(seed=13)
         block = align(sample)
         taps = block.taps.copy()
         taps[1, taps.shape[1] // 2] = bad
@@ -1755,11 +1753,11 @@ class TestModelParams:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_parameter_raises_at_bind(self, value):
         model = ModelParams.init(block_config(), seed=13)
-        model.arrays["pool.gate"][0, 1] = value
+        model.arrays["pool.w_proj"][0, 1] = value
         rng = np.random.default_rng(14)
         sample = random_sample(rng, allow_empty_variates=False)
         tape = Tape()
-        with pytest.raises(T.NonFiniteError, match="^param pool.gate: non-finite"):
+        with pytest.raises(T.NonFiniteError, match="^param pool.w_proj: non-finite"):
             forward(tape, model, align(sample), sample.query_times)
         assert len(tape.nodes) == 0
 

@@ -19,7 +19,7 @@ from imtscast.model import (
     time_projection,
 )
 from conftest import bind
-from oracles import div, narrow, place, reshape, take_rows, transpose
+from oracles import div, narrow, place, reshape, sigmoid, take_rows, transpose
 
 from imtscast.tape import NonFiniteError, ShapeError, Tape, TapeError, flat_views, grad_check
 
@@ -118,7 +118,7 @@ class TestBackward:
             tape = Tape()
             w = bind(tape, w=x)["w"]
             f = (w * w).sum()
-            g = T.sigmoid(w).sum()
+            g = sigmoid(w).sum()
             return tape.backward(f * a + g * b)["w"]
 
         ga = grad_of(1.0, 0.0)
@@ -198,7 +198,7 @@ def fuse_of_entries(t):
     """The fused series with the six cells' values from the first six
     entries of a (1, 12) tensor and the (6, 1) grid projection from the rest."""
     return _fuse_at_cells(narrow(t, np.s_[:, :6]), reshape(narrow(t, np.s_[:, 6:]), (6, 1)),
-                          FUSE_BLOCK)
+                          FUSE_BLOCK, t.tape)
 
 
 # Two samples of two variates on a grid of 3 times: sample 1's variate 1 is
@@ -228,7 +228,7 @@ def attention_of_rows(samples):
 
 PRIMITIVE_CASES = [
     ("relu", lambda t: T.relu(t), (3, 4)),
-    ("sigmoid", lambda t: T.sigmoid(t), (3, 4)),
+    ("sigmoid", lambda t: sigmoid(t), (3, 4)),
     # The model's fused nodes built on one input tensor.
     ("query_features", lambda t: query_features_of_rows(t), (6, 3)),
     # Two samples of three rows, two heads. Ids carry the row's position:
@@ -367,7 +367,7 @@ class TestGradientFlags:
         for op in (lambda t, k: scale(t, k), lambda t, k: k * t):
             tape = Tape()
             w = bind(tape, w=x)["w"]
-            grads.append(tape.backward((T.sigmoid(op(w, const(tape, c))) * w).sum())["w"])
+            grads.append(tape.backward((sigmoid(op(w, const(tape, c))) * w).sum())["w"])
         assert np.array_equal(grads[0], grads[1])
 
     def test_no_grad_tape_records_the_same_values_and_no_closures(self):
@@ -413,8 +413,9 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
     Some rows take their inputs with the oracle ``narrow`` node, and the
     ``div_*``, ``reshape`` and ``take_rows`` rows check the oracle ``div``,
     ``reshape`` and ``take_rows`` nodes that the chains the fused nodes
-    replace are built with; the table reaches all four, but none is a
-    primitive of the tape."""
+    replace are built with; the ``sigmoid`` row checks the oracle
+    ``sigmoid``, which the tape's tests use as a bounded primitive. The
+    table reaches all five, but none is a primitive of the tape."""
     from conftest import chunk_of, random_sample
 
     from imtscast.config import TrainConfig
@@ -446,8 +447,8 @@ def test_every_primitive_the_model_records_is_in_the_table(monkeypatch):
 
     for _name, fn, shape in PRIMITIVE_CASES:
         fn(bind(Tape(), x=np.ones(shape))["x"])
-    assert (model_ops - ops, ops - model_ops) == (set(),
-                                                  {"narrow", "div", "reshape", "take_rows"})
+    assert (model_ops - ops, ops - model_ops) == (
+        set(), {"narrow", "div", "reshape", "take_rows", "sigmoid"})
 
 
 def test_a_default_training_step_reaches_every_primitive(monkeypatch):
@@ -533,7 +534,7 @@ class TestGradCheck:
 
         def build(tape):
             p = tape.param_vector(flat, views)
-            return T.sigmoid(tape.const(x) @ p["w"] + p["b"]).sum()
+            return sigmoid(tape.const(x) @ p["w"] + p["b"]).sum()
 
         assert grad_check(build, flat, views, step=1e-4, tol=1e-4).ok
 
@@ -575,7 +576,7 @@ class TestGradCheck:
 
         def build(tape):
             w = tape.param_vector(flat, views)["w"]
-            return T.sigmoid(w @ w).sum()
+            return sigmoid(w @ w).sum()
 
         assert not grad_check(build, flat, views, step=1e-4, tol=1e-14).ok
 
@@ -587,7 +588,7 @@ class TestGradCheck:
 
         def build(tape):
             p = tape.param_vector(flat, views)
-            return (T.sigmoid(p["a"]).sum() + bad_square(p["b"]).sum()
+            return (sigmoid(p["a"]).sum() + bad_square(p["b"]).sum()
                     + (p["c"] * p["c"]).sum())
 
         report = grad_check(build, flat, views, step=1e-4, tol=1e-4)
@@ -604,7 +605,7 @@ class TestGradCheck:
 
         def build(tape):
             p = tape.param_vector(flat, views)
-            return T.sigmoid(p["w"] @ p["w"] + p["b"]).sum()
+            return sigmoid(p["w"] @ p["w"] + p["b"]).sum()
 
         report = grad_check(build, flat, views, step=1e-4, tol=tol)
         assert report.ok == (tol == 1e-4)
@@ -638,7 +639,7 @@ class TestFiniteness:
         "concat": lambda t: T.concat([t, t], axis=0),
         "take_rows": lambda t: take_rows(t, np.array([2, 0, 2])),
         "relu": T.relu,
-        "sigmoid": T.sigmoid,
+        "sigmoid": sigmoid,
     }
 
     @settings(max_examples=60, deadline=None)
@@ -706,7 +707,7 @@ class TestFiniteness:
         "fuse_at_cells": lambda tp: _fuse_at_cells(
             tp.const([[BIG]]), tp.const([[0.0], [BIG]]),
             AlignedTriplet(times=np.zeros((1, 2)), cells=np.array([1]), taps=np.zeros((3, 1)),
-                           n_variates=1)),
+                           n_variates=1), tp),
     }
 
     # The retired nodes whose checks a fused node makes.
