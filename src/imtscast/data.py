@@ -187,12 +187,20 @@ def pad_chunk(blocks) -> AlignedTriplet:
         first_rows.append(b * n)
         b += blk.samples
     # Each cell keeps its row within its block and its column: row r, col c
-    # of a block of grid length L' becomes (first row + r) * L + c.
-    counts = [blk.cells.size for blk in blocks]
-    row, col = np.divmod(np.concatenate([blk.cells for blk in blocks]),
-                         np.repeat([blk.grid_length for blk in blocks], counts))
-    row += np.repeat(first_rows, counts)
-    return AlignedTriplet(times=times, cells=row * length + col,
+    # of a block of grid length L' becomes (first row + r) * L + c, which
+    # is the cell plus its row's shift. Offset by the rows of the blocks
+    # before it, each block's ascending cells continue one ascending key
+    # over the chunk's rows laid end to end, where one search finds every
+    # row's first cell; no cell is divided.
+    widths = np.repeat([blk.grid_length for blk in blocks], [blk.samples * n for blk in blocks])
+    starts = np.zeros(widths.size, dtype=np.intp)              # each row's first key
+    np.cumsum(widths[:-1], out=starts[1:])
+    cells = np.concatenate([blk.cells for blk in blocks])
+    cells += np.repeat(starts[first_rows], [blk.cells.size for blk in blocks])
+    firsts = np.searchsorted(cells, starts)
+    cells += np.repeat(np.arange(0, widths.size * length, length) - starts,
+                       np.diff(firsts, append=cells.size))
+    return AlignedTriplet(times=times, cells=cells,
                           taps=np.concatenate([blk.taps for blk in blocks], axis=1),
                           n_variates=n)
 

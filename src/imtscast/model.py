@@ -44,12 +44,12 @@ A training tape keeps what its VJP closures capture until backward, and
 that memory bounds how many samples a chunk can hold. Five nodes exist to
 keep less or to skip work: ``linear_attention``, ``query_features`` and
 ``time_projection`` differentiate from what they keep (the first from its
-features and k, the second from the encoding in its own output), so none
-runs a transcendental in backward, and ``_smoothing_layers``,
-``linear_attention`` and ``_kernel_weights`` recompute their largest
-intermediates in backward (the conv's hidden layer, the middle product of
-attention's three-matrix chain in whichever order the node chose, the
-squared distances to the kernel centres). ``time_projection`` (the grid's
+features, k and the middle product of its three-matrix chain in whichever
+order it chose, the second from the encoding in its own output), so none
+runs a transcendental in backward, and ``_smoothing_layers`` and
+``_kernel_weights`` recompute their largest intermediates in backward (the
+conv's hidden layer, the squared distances to the kernel centres).
+``time_projection`` (the grid's
 time encoding and its projection), ``query_features`` (each query's row
 of the last block's output beside its time's encoding),
 ``_kernel_weights`` and ``_pool_quotient`` replace chains of 8, 9, 10 and
@@ -67,9 +67,8 @@ and hands back their adjoint in their own layout; ``query_features``
 writes the queries' encoding, transposed, beside their rows. The
 forwards build their arrays in place, so that no grid-wide node makes a
 throwaway temporary per numpy call, and products with a contracted size
-of 1 (the encoding's arguments, an adjoint in ``_smoothing_layers``) are
-formed by broadcasting rather than as BLAS outer products, which is
-exact. Linear attention's features
+of 1 (the encoding's arguments) are formed by broadcasting rather than as
+BLAS outer products, which is exact. Linear attention's features
 are feature-major too: one (2, R, B*H*N) buffer holds the queries' and
 the keys' with one column per (sample, head, row), so its reductions and
 its one exp run (B*H*N)-long inner loops. Its per-(sample, head) products
@@ -91,6 +90,11 @@ moves the result in its last bits (see each docstring):
   order than the chain's (M, d_te) @ (d_te, 1) product, and all its
   adjoints come from one (2, M) @ (M, d_te) product instead of an
   (M, d_te) encoding adjoint;
+- ``_smoothing_layers`` forms w1's and b1's adjoints from one (C, 4)
+  product of the relu mask with [g taps ; g], scaled by w2, instead of
+  from the chain's (C, P) adjoint of the hidden layer, and w2's reads the
+  hidden layer through a transposed view where the chain's matmul copies
+  it (its output and b2's adjoint are bitwise the chain's);
 - ``_kernel_weights``' adjoint sums g w (t - c)^2 over each kernel's row
   instead of over the chain's (B, L) axes;
 - ``_pool_quotient`` forms the weights' adjoint in their (B, K, L) layout
@@ -395,6 +399,9 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
     rows = samples * n_variates
     times = samples * grid_length
     mask = (d + 3) // 4          # 2d relu-mask bytes per row, in floats
+    d_head = d // heads
+    middle = (n_variates * n_variates if _weights_first(n_variates, cfg.rff_dim, d_head)
+              else cfg.rff_dim * (d_head + 1))   # per (sample, head)
     floats = (
         # encode: the cells (P,) at which the fused series is placed and
         # the conv's taps (3, P) (a chunk of one keeps its sample's own);
@@ -409,8 +416,11 @@ def tape_bytes(cfg: TrainConfig, samples: int, n_variates: int, grid_length: int
         # the MLP input (B*N, d) and hidden layer (B*N, 2d) with its relu
         # mask (bytes), and in linear attention's node k (B*N, d), the
         # features of Q and K (2, R, B*H*N), [V | 1] and the quotient with
-        # its floored denominator (B*N*H, d_h+1) x2
-        + cfg.blocks * rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
+        # its floored denominator (B*N*H, d_h+1) x2, and the middle product
+        # of the order it took: the (B, H, N, N) weights or the
+        # (B, H, R, d_h+1) summary
+        + cfg.blocks * (rows * (9 * d + mask + 2 * heads * cfg.rff_dim + 2 * heads + 2)
+                        + samples * heads * middle)
         # head and loss per query: row index, time, features (d + d_te),
         # from which its VJP reads the time encoding, two hidden layers with
         # relu masks, residual and weight
@@ -550,17 +560,22 @@ def _encoding_vjp(t: np.ndarray, out: np.ndarray, n_lin: int, g: np.ndarray) -> 
 def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
                       b2: Tensor) -> Tensor:
     """Both conv layers as one node; backward recomputes the (C, P) hidden layer from the taps."""
-    # Each step is the numpy call of the primitive it replaces (matmul, add,
-    # relu), each in place where those made a temporary, so the output and
-    # the adjoints are bitwise those primitives'. The ReLU is max(h, 0) in
-    # place, which equals relu's h * (h > 0) wherever h is finite or NaN
-    # (but for the sign of a zero), and the VJP's mask h > 0 of the
+    # Each forward step is the numpy call of the primitive it replaces
+    # (matmul, add, relu), each in place where those made a temporary, so
+    # the output is bitwise those primitives', and so is b2's adjoint. The
+    # ReLU is max(h, 0) in place, which equals relu's h * (h > 0) wherever h
+    # is finite or NaN (but for the sign of a zero), and h > 0 of the
     # rectified layer is relu's mask of the layer before it. A -inf
     # pre-activation (from a -inf tap, or an overflow) differs: relu's
     # product made it a NaN that the node's check raised on, and max makes
-    # it 0, so the forward raises on it first. The adjoint w2^T g has a
-    # contracted size of 1, so the broadcast product is the matmul's
-    # exactly, without a BLAS outer product.
+    # it 0, so the forward raises on it first. The VJP turns the recomputed
+    # layer into that 0/1 mask in place once w2's adjoint g h^T is formed,
+    # and w1's and b1's adjoints, w2^T (mask (g taps)^T) and w2^T (mask g^T),
+    # come from one (C, 4) product of the mask with [g taps ; g], so no
+    # (C, P) adjoint of the layer is made. Those three adjoints sum in
+    # another order than the chain: its w1 and b1 products run over the
+    # (C, P) adjoint, and its matmul forms w2's on a contiguous copy of h^T,
+    # which a BLAS sums in another order than on the transposed view.
     w1d, b1d, w2d, b2d = w1.data, b1.data, w2.data, b2.data
 
     def pre_activation():
@@ -579,12 +594,14 @@ def _smoothing_layers(taps: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor,
     def vjp(g):
         h = pre_activation()
         np.maximum(h, 0.0, out=h)
-        mask = h > 0
         g_w2 = g @ h.swapaxes(-1, -2)
-        g_pre = np.multiply(w2d.swapaxes(-1, -2), g, out=h)   # h is not read again
-        g_pre *= mask
-        return (g_pre @ taps.swapaxes(-1, -2), g_pre.sum(axis=1, keepdims=True),
-                g_w2, g.sum(axis=1, keepdims=True))
+        np.greater(h, 0.0, out=h)                                # h as its 0/1 mask
+        rhs = np.empty((taps.shape[0] + 1, taps.shape[1]))       # [g taps ; g]
+        np.multiply(taps, g, out=rhs[:-1])
+        rhs[-1] = g
+        sums = h @ rhs.swapaxes(-1, -2)                          # (C, 4)
+        sums *= w2d.swapaxes(-1, -2)
+        return sums[:, :-1], sums[:, -1:], g_w2, g.sum(axis=1, keepdims=True)
 
     return w1.tape.record("smoothing_layers", out, (w1, b1, w2, b2), vjp)
 
@@ -804,8 +821,9 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     0, and exp maps that range into [0, 1]. The per-(sample, head) products
     read (B, H, R, N) views of the buffer; the quotient is checked.
 
-    The VJP runs in the forward's order and recomputes its middle product,
-    the (B, H, N, N) weights W or the (B, H, R, J) summary S. With adj =
+    The VJP runs in the forward's order and reads the middle product the
+    forward kept, the (B, H, N, N) weights W or the (B, H, R, J) summary S,
+    which ``tape_bytes`` counts. With adj =
     [g / den | g_den] and G the feature adjoints, summary first forms
     g_S = phi_Q adj, G_Q = S adj^T, G_K = g_S [V | 1]^T and g_V = phi_K^T
     g_S[:, :d_h]; weights first forms g_W = adj [V | 1]^T, G_Q = phi_K
@@ -821,8 +839,8 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     (2, R/2, C) temporary is made, and one product with omega forms both
     inputs' adjoints, to which the keys' add -2 k times their column sums.
     It runs no transcendental; the node keeps the features, k, [V | 1], the
-    quotient and the floored denominators, as the replaced nodes did, in
-    either order. Its VJP never writes into the adjoint it receives. The
+    quotient and the floored denominators, as the replaced nodes did, and
+    the middle product. Its VJP never writes into the adjoint it receives. The
     projection, the products and every adjoint sum their terms in another
     order than the primitive chain (``oracles.chain_linear_attention``), and
     the two orders in another order than each other, so they differ from
@@ -876,14 +894,14 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
     values[..., :d_head] = stack(v.data).transpose(0, 2, 1, 3)
     values[..., d_head] = 1.0
     first = _weights_first(rows, rank, d_head)
-
-    def middle():
-        """The product the VJP recomputes: the (B, H, N, N) weights
-        phi_Q^T phi_K, or the (B, H, R, d_h+1) summary phi_K [V | 1]."""
-        return np.matmul(phi_q.swapaxes(-1, -2), phi_k) if first else np.matmul(phi_k, values)
-
-    both = (np.matmul(middle(), values) if first                  # (B, H, N, d_h+1)
-            else np.matmul(phi_q.swapaxes(-1, -2), middle()))
+    # The middle product, kept for the VJP: the (B, H, N, N) weights
+    # phi_Q^T phi_K, or the (B, H, R, d_h+1) summary phi_K [V | 1].
+    if first:
+        middle = np.matmul(phi_q.swapaxes(-1, -2), phi_k)
+        both = np.matmul(middle, values)                         # (B, H, N, d_h+1)
+    else:
+        middle = np.matmul(phi_k, values)
+        both = np.matmul(phi_q.swapaxes(-1, -2), middle)
     guarded = np.maximum(both[..., d_head:], ATTENTION_EPS)
     out = np.empty((samples, rows, heads, d_head))
     with np.errstate(over="ignore", invalid="ignore"):           # record() raises instead
@@ -907,14 +925,13 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor, omega: np.ndarray,
         # Right operands as contiguous copies: stacked products on a small
         # transposed view ran ~2.5x slower.
         if first:
-            weights = middle()
             g_weights = np.matmul(adj, values.swapaxes(-1, -2).copy())     # (B, H, N, N)
             np.matmul(phi_k, g_weights.swapaxes(-1, -2).copy(), out=g_phi_q)
             np.matmul(phi_q, g_weights, out=g_phi_k)
-            g_v = np.matmul(weights.swapaxes(-1, -2), adj[..., :d_head])   # (B, H, N, d_h)
+            g_v = np.matmul(middle.swapaxes(-1, -2), adj[..., :d_head])    # (B, H, N, d_h)
         else:
             g_summary = np.matmul(phi_q, adj)                    # (B, H, R, d_h+1)
-            np.matmul(middle(), adj.swapaxes(-1, -2).copy(), out=g_phi_q)
+            np.matmul(middle, adj.swapaxes(-1, -2).copy(), out=g_phi_q)
             np.matmul(g_summary, values.swapaxes(-1, -2).copy(), out=g_phi_k)
             g_v = np.matmul(phi_k.swapaxes(-1, -2), g_summary[..., :d_head])
         g_feats *= feats
@@ -1004,8 +1021,10 @@ def query_features(z: Tensor, rows: np.ndarray, times: np.ndarray,
     n_lin = p["te.w_s"].data.shape[1]
 
     def vjp(g):
-        g_z = np.zeros(shape)
-        np.add.at(g_z, idx, g[:, :d])
+        # One bincount over the flat (row, column) indices adds each entry's
+        # terms in query order, as np.add.at would, so g_z is bitwise its.
+        flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
+        g_z = np.bincount(flat, g[:, :d].reshape(-1), shape[0] * d).reshape(shape)
         return (g_z, *_encoding_vjp(t, out[:, d:], n_lin, g[:, d:]))
 
     return z.tape.record("query_features", out, (z, *te), vjp)
@@ -1089,8 +1108,8 @@ def attention_maps(model: ModelParams, block: AlignedTriplet, queries=None) -> l
 
     Uses the quadratic-order evaluation (phi(Q) phi(K)^T, explicitly
     normalized) purely for visualization; the model's own forward forms
-    (N, N) weights only as a temporary, for few rows (see
-    ``linear_attention``), and never normalizes them. The positive features
+    (N, N) weights only for few rows (see ``linear_attention``), and never
+    normalizes them. The positive features
     make every weight non-negative, so a row is a convex combination of the
     values unless its sum is at or below the ATTENTION_EPS floor (a
     degenerate row, left unnormalized). The feature shifts cancel in the

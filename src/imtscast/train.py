@@ -21,10 +21,11 @@ observed cells and its queries. A chunk grows while that sum stays within
 ``CHUNK_TAPE_BYTES``; a sample over the budget forms a chunk of one. The
 budget is set by memory, and ``train`` holds the previous chunk's tape
 while the next forward runs, so two tapes are alive at once. At 4 MiB
-(what the tape keeps, counted on seed-1 data with the default config):
-- a whole 32-sample sinusoid-a batch is one chunk (~2.75-2.9 MB, 16.6-17.8
-  floats per padded cell; 17.14 for the preset's first 32 samples);
-- a 128-variate predict-wide chunk holds 3 samples (~3.85-4.05 MB);
+(what the tape keeps, counted on the seed-1 data of the benchmark's
+workloads, epoch 1, with the default config):
+- a whole 32-sample sinusoid-a batch is one chunk (~2.7-2.9 MB, 16.6-18.3
+  floats per padded cell; 17.30 for the preset's first 32 samples);
+- a 128-variate predict-wide chunk holds 3 samples (~3.85-4.0 MB);
 - a long-grid chunk holds two samples (~1.9 MB each, ~3.7-3.9 MB together).
 The conv's share is the chunk's layout, 32 bytes per observed cell: a
 chunk of one keeps its sample's own arrays, a larger chunk the copy that

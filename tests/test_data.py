@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imtscast.data import (
+    AlignedTriplet,
     DataError,
     ImtsSample,
     RawSeries,
@@ -242,6 +243,25 @@ class TestObservedCellLayout:
         assert np.array_equal(chunk.mask, mask)
         same_layout(chunk, padded, mask)
 
+    def test_pad_chunk_equals_rebasing_by_division(self):
+        # Random chunks of 2-5 samples with N = 1-4: grid lengths differ
+        # and share values, and many rows hold no cell (a variate with no
+        # observation). The lone block is returned as it is.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            samples = []
+            while len(samples) < int(rng.integers(2, 6)):
+                sample = random_sample(rng, max_variates=n, max_obs=int(rng.integers(1, 6)))
+                if sample.n_variates == n:
+                    samples.append(sample)
+            blocks = [align(s) for s in samples]
+            same_arrays(pad_chunk(blocks), divided_pad_chunk(blocks))
+            assert pad_chunk(blocks[:1]) is blocks[0]
+            same_arrays(blocks[0], divided_pad_chunk(blocks[:1]))
+        long_grid = [align(s) for s in generate(self.LONG_GRID)]
+        same_arrays(pad_chunk(long_grid), divided_pad_chunk(long_grid))
+
     # Fully asynchronous data: about one observed cell per grid column, so
     # the (B*N, L) grid has about N = 8 cells per observed cell.
     LONG_GRID = SynthSpec(n_variates=8, n_samples=4, mean_observations=600.0,
@@ -280,6 +300,31 @@ class TestObservedCellLayout:
         # Everything pad_chunk allocated at once, its temporaries included,
         # is less than one float (B*N, L) array.
         assert peak < 8 * math.prod(chunk.grid_shape)
+
+
+def divided_pad_chunk(blocks) -> AlignedTriplet:
+    """``pad_chunk`` as it re-based cells before: each cell's row and column
+    by dividing it by its block's grid length."""
+    n, length = blocks[0].n_variates, max(blk.grid_length for blk in blocks)
+    times = np.concatenate([np.pad(blk.times, ((0, 0), (0, length - blk.grid_length)),
+                                   mode="edge") for blk in blocks])
+    counts = [blk.cells.size for blk in blocks]
+    first_rows = np.cumsum([0] + [blk.samples * n for blk in blocks[:-1]])
+    row, col = np.divmod(np.concatenate([blk.cells for blk in blocks]),
+                         np.repeat([blk.grid_length for blk in blocks], counts))
+    row += np.repeat(first_rows, counts)
+    return AlignedTriplet(times=times, cells=row * length + col,
+                          taps=np.concatenate([blk.taps for blk in blocks], axis=1),
+                          n_variates=n)
+
+
+def same_arrays(block, expected):
+    """Equal fields, array for array: values, dtypes and shapes."""
+    assert block.n_variates == expected.n_variates
+    for name in ("times", "cells", "taps"):
+        got, want = getattr(block, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestNormalizeTimes:

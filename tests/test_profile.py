@@ -20,7 +20,7 @@ def load_profiler():
     return module
 
 
-def test_the_profiler_writes_one_document_for_the_first_chunk(tmp_path):
+def test_the_profiler_writes_one_document_for_the_first_chunk(tmp_path, monkeypatch):
     profiler = load_profiler()
     rule = model_module._weights_first
     out = tmp_path / "profile.json"
@@ -32,13 +32,25 @@ def test_the_profiler_writes_one_document_for_the_first_chunk(tmp_path):
                         "chunk", "ops", "serve"}
     assert (doc["source"], doc["seed"], doc["repeats"]) == ({"preset": "sinusoid-tiny"}, 3, 2)
 
+    # The chunks and the estimate count the middle product of the order the
+    # run forced.
+    monkeypatch.setattr(model_module, "_weights_first", lambda *shape: False)
     spec = PRESETS["sinusoid-tiny"]
-    samples = profiler.first_chunk(split_samples(generate(spec), spec)["train"], TrainConfig())
+    train_samples = split_samples(generate(spec), spec)["train"]
+    batch, spans = profiler.first_batch_spans(train_samples, TrainConfig())
+    samples = batch[: len(spans[0])]
     block = pad_chunk([align(s) for s in samples])
     chunk = doc["chunk"]
     assert (chunk["samples"], chunk["variates"], chunk["grid_length"]) == (
         block.samples, block.n_variates, block.grid_length)
     assert chunk["forward_ms"] > 0 and chunk["backward_ms"] > 0
+    assert chunk["batch_chunks"] == [len(span) for span in spans]
+    assert sum(chunk["batch_chunks"]) == len(batch) == min(len(train_samples),
+                                                           TrainConfig().batch_size)
+    queries = sum(q.size for s in samples for q in s.query_times)
+    assert chunk["tape_bytes"] == model_module.tape_bytes(
+        TrainConfig(), block.samples, block.n_variates, block.grid_length,
+        int(block.mask.sum()), queries)
 
     ops = doc["ops"]
     assert sum(op["nodes"] for op in ops.values()) == chunk["nodes"]
@@ -46,7 +58,8 @@ def test_the_profiler_writes_one_document_for_the_first_chunk(tmp_path):
     assert ops["linear_attention"]["vjp_ms"] > 0
     assert ops["param"]["vjp_ms"] == 0.0       # leaves have no VJP
     assert all(op["forward_faults"] >= 0 and op["vjp_faults"] >= 0 for op in ops.values())
-    assert doc["serve"]["forward_ms_p50"] > 0
+    assert set(doc["serve"]) == {"grad_tape_ms_p50", "no_grad_tape_ms_p50"}
+    assert all(ms > 0 for ms in doc["serve"].values())
 
 
 def test_a_workload_is_the_benchmarks_spec_and_config():

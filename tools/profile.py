@@ -17,20 +17,24 @@ forward pass and loss on a fresh tape, then its backward pass, and keeps
 that tape alive until the next forward has run, as the training loop does.
 The document holds:
 
-- ``chunk``: its shape, its node count, ``model.tape_bytes``, and the
-  forward (with the loss) and backward ms, p25 over the repetitions;
+- ``chunk``: its shape, its node count, ``model.tape_bytes``, the sizes of
+  all the first batch's chunks (``batch_chunks``), and the forward (with
+  the loss) and backward ms, p25 over the repetitions;
 - ``ops``: per op name, over a second set of repetitions run with every
   node instrumented, the node count, the forward and VJP ms (p25) and the
   minor page faults (``ru_minflt``, median) of the forward and the VJP. An
   op's forward time is the time from the previous node's append to its
   own, so it includes the Python that prepares its inputs;
-- ``serve``: the median ms of a one-sample ``Tape(grad=False)`` forward,
-  the test samples served in turn.
+- ``serve``: the median ms of a one-sample forward on a gradient
+  ``Tape()``, whose result is dropped at once (as the benchmark serves),
+  and on a ``Tape(grad=False)`` (as ``imtscast predict`` serves), the
+  test samples served in turn, each on both tapes.
 
 One repetition of each kind runs first, untimed. BLAS is pinned to one
 thread, as the CLI does. ``--order`` makes linear attention take one
 association order whatever N (``model._weights_first``), to check the rule
-that chooses it.
+that chooses it; the chunks and ``tape_bytes`` then count the middle
+product that order keeps.
 """
 
 import os
@@ -84,13 +88,13 @@ def data_spec(preset=None, workload=None, seed=None, variates=None):
     return spec, cfg
 
 
-def first_chunk(train_samples, cfg: TrainConfig):
-    """The samples of the first chunk ``train`` runs."""
+def first_batch_spans(train_samples, cfg: TrainConfig):
+    """The first batch ``train`` runs and its ``train.chunk_spans``."""
     batch = [train_samples[i] for i in shuffled_order(cfg.seed, 1, len(train_samples))]
     batch = batch[: cfg.batch_size]
     blocks = [align(s) for s in batch]
     counts = [sum(q.size for q in s.query_times) for s in batch]
-    return batch[: len(chunk_spans(blocks, counts, cfg)[0])]
+    return batch, chunk_spans(blocks, counts, cfg)
 
 
 class OpTimer:
@@ -148,7 +152,8 @@ def chunk_step(params, block, queries, targets):
 def profile(spec, cfg: TrainConfig, repeats: int) -> dict:
     splits = split_samples(generate(spec), spec)
     params = model_module.ModelParams.init(cfg)
-    samples = first_chunk(splits["train"], cfg)
+    batch, spans = first_batch_spans(splits["train"], cfg)
+    samples = batch[: len(spans[0])]
     block = pad_chunk([align(s) for s in samples])
     queries = [q for s in samples for q in s.query_times]
     targets = np.concatenate([t for s in samples for t in s.query_targets])
@@ -187,26 +192,29 @@ def profile(spec, cfg: TrainConfig, repeats: int) -> dict:
                    "forward_faults": float(np.median(table[:, 3])),
                    "vjp_faults": float(np.median(table[:, 4]))}
 
-    serve_s = []
+    serve_s = {True: [], False: []}              # by the tape's grad flag
     for rep in range(repeats + 1):
         sample = splits["test"][rep % len(splits["test"])]
         block_one = align(sample)
-        started = time.perf_counter()
-        model_module.forward(Tape(grad=False), params, block_one, sample.query_times)
-        if rep:
-            serve_s.append(time.perf_counter() - started)
+        for grad, seconds in serve_s.items():
+            started = time.perf_counter()
+            model_module.forward(Tape(grad=grad), params, block_one, sample.query_times)
+            if rep:
+                seconds.append(time.perf_counter() - started)
 
     return {
         "chunk": {
             "samples": block.samples, "variates": block.n_variates,
             "grid_length": block.grid_length, "queries": int(targets.size), "nodes": nodes,
             "tape_bytes": model_module.tape_bytes(cfg, block.samples, block.n_variates,
-                                                  block.grid_length, int(block.mask.sum()),
+                                                  block.grid_length, block.cells.size,
                                                   int(targets.size)),
+            "batch_chunks": [len(span) for span in spans],
             "forward_ms": p25_ms(forward_s), "backward_ms": p25_ms(backward_s),
         },
         "ops": dict(sorted(ops.items(), key=lambda kv: -kv[1]["vjp_ms"] - kv[1]["forward_ms"])),
-        "serve": {"forward_ms_p50": float(np.median(serve_s)) * 1e3},
+        "serve": {"grad_tape_ms_p50": float(np.median(serve_s[True])) * 1e3,
+                  "no_grad_tape_ms_p50": float(np.median(serve_s[False])) * 1e3},
     }
 
 
